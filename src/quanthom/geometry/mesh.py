@@ -63,6 +63,26 @@ def _orient_outward(verts: np.ndarray, tops: np.ndarray) -> np.ndarray:
     return tops
 
 
+def simplex_geometry(pts: np.ndarray):
+    """Affine geometry of a batch of N-simplices with vertices pts (t, N+1, d).
+
+    Returns edges (t, N, d) from vertex 0, volumes (t,), barycentric
+    differentials (t, N+1, d) -- row j is the gradient of lambda_j
+    restricted to the simplex plane -- and their Gram matrices
+    (t, N+1, N+1), the metric of the Whitney-form algebra.
+    """
+    edges = pts[:, 1:, :] - pts[:, :1, :]
+    gram = np.einsum("tid,tjd->tij", edges, edges)
+    det = np.linalg.det(gram)
+    volumes = np.sqrt(np.abs(det)) / _factorial(pts.shape[1] - 1)
+    inv = np.linalg.inv(gram)
+    grads = np.einsum("tij,tjd->tid", inv, edges)  # j=1..N
+    grad0 = -grads.sum(axis=1, keepdims=True)
+    barygrad = np.concatenate([grad0, grads], axis=1)
+    metric = np.einsum("tid,tjd->tij", barygrad, barygrad)
+    return edges, volumes, barygrad, metric
+
+
 def _derive_lower_tables(tops: np.ndarray, dim: int) -> dict[int, np.ndarray]:
     """All k-simplex tables, k < dim, sorted rows in lexicographic order."""
     tables = {dim: tops}
@@ -193,6 +213,8 @@ class SimplicialSphere:
                         (k+1)-cochain values, (dc)(s) = sum of signed
                         values of c on the boundary faces of s
     quad_order          default quadrature order for projections
+    operators           operators derived from the mesh, cached for its
+                        lifetime (see hodge.hodge_operator)
     """
 
     def __init__(self, dim: int, verts: np.ndarray, tops: np.ndarray,
@@ -220,6 +242,7 @@ class SimplicialSphere:
         self._build_geometry()
         self._build_top_face_tables()
         self._tree = None
+        self.operators: dict = {}
         for arr in (self.verts, *self.simplices.values()):
             arr.flags.writeable = False
 
@@ -242,19 +265,9 @@ class SimplicialSphere:
             shape=(len(high), len(self.simplices[k])))
 
     def _build_geometry(self):
-        pts = self.verts[self.simplices[self.dim]]      # (n, N+1, dim)
-        self.top_points = pts
-        self.top_edges = pts[:, 1:, :] - pts[:, :1, :]  # (n, N, dim)
-        gram = np.einsum("tid,tjd->tij", self.top_edges, self.top_edges)
-        det = np.linalg.det(gram)
-        self.top_volumes = np.sqrt(np.abs(det)) / _factorial(self.dim)
-        # barycentric differentials: rows j of `barygrad` are the ambient
-        # gradients of lambda_j restricted to the simplex plane
-        inv = np.linalg.inv(gram)
-        grads = np.einsum("tij,tjd->tid", inv, self.top_edges)  # j=1..N
-        grad0 = -grads.sum(axis=1, keepdims=True)
-        self.barygrad = np.concatenate([grad0, grads], axis=1)  # (n, N+1, dim)
-        self.metric = np.einsum("tid,tjd->tij", self.barygrad, self.barygrad)
+        self.top_points = self.verts[self.simplices[self.dim]]
+        (self.top_edges, self.top_volumes, self.barygrad,
+         self.metric) = simplex_geometry(self.top_points)
 
     def _build_top_face_tables(self):
         N = self.dim

@@ -49,7 +49,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_sweep(text: str):
-    """`d=1..8` or `eps=0.02,0.05,0.1` -> (name, values)."""
+    """`d=1..8` or `eps=0.02,0.05,0.1` -> (name, values).
+
+    Values must be strictly ascending and non-empty.
+    """
     name, _, body = text.partition("=")
     if not body:
         raise ConfigError(f"bad sweep {text!r}")
@@ -57,12 +60,18 @@ def _parse_sweep(text: str):
     body = body.strip()
     if ".." in body:
         lo, hi = body.split("..")
-        return name, [int(x) for x in range(int(lo), int(hi) + 1)]
-    vals = [v.strip() for v in body.split(",")]
-    try:
-        return name, sorted(int(v) for v in vals)
-    except ValueError:
-        return name, sorted(float(v) for v in vals)
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        vals = [v.strip() for v in body.split(",")]
+        try:
+            values = [int(v) for v in vals]
+        except ValueError:
+            values = [float(v) for v in vals]
+    if not values:
+        raise ConfigError(f"empty sweep {text!r}")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ConfigError(f"sweep {text!r} is not strictly ascending")
+    return name, values
 
 
 @dataclass

@@ -12,8 +12,11 @@ and the weak Hodge Laplacian on k-cochains is
 
 which is symmetric positive definite for 1 <= k <= N-1 on S^N (no
 harmonic forms).  d^{-1} eta = d* u with A u = M_k eta solved by
-Jacobi-preconditioned conjugate gradients; mass solves inside the
-operator use a sparse LU factorization.
+Jacobi-preconditioned conjugate gradients.  The mass solves with
+M_{k-1} inside the operator are Jacobi-preconditioned conjugate
+gradients as well: the Jacobi-scaled Whitney mass matrix has a spectrum
+bounded independently of the mesh size (Wathen 1987), so one iterative
+path serves every level without a direct factorization.
 
 Local mass entries use the exact identities
 int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and
@@ -26,42 +29,54 @@ from itertools import combinations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import _factorial
+from .geometry.mesh import _factorial, simplex_geometry
 
 
-def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
-    """Whitney k-form mass matrix (symmetric positive definite)."""
-    N = mesh.dim
-    n_t = mesh.n_simplices(N)
+def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
+                         k: int) -> np.ndarray:
+    """Local Whitney k-form mass matrices of a batch of simplices.
+
+    `g` (t, N+1, N+1) holds the Gram matrices of the barycentric
+    differentials and `vol` (t,) the volumes.  Returns (t, s, s) blocks
+    whose slots are the k-faces in lexicographic local vertex order
+    (ascending tuples of combinations), before the face-orientation
+    signs are applied.
+    """
+    N = g.shape[1] - 1
     slots = list(combinations(range(N + 1), k + 1))
-    vol = mesh.top_volumes
-    g = mesh.metric                                   # (t, N+1, N+1)
     lamlam = (1.0 + np.eye(N + 1)) / ((N + 1) * (N + 2))
-    faces = mesh.top_faces[k]
-    par = mesh.top_face_parity[k]
-
     kfac2 = float(_factorial(k)) ** 2
-    rows, cols, data = [], [], []
+    blocks = np.empty((len(vol), len(slots), len(slots)))
     for a, Ja in enumerate(slots):
         for b, Jb in enumerate(slots):
-            acc = np.zeros(n_t)
+            acc = np.zeros(len(vol))
             for m in range(k + 1):
                 ra = list(Ja[:m] + Ja[m + 1:])
                 for mm in range(k + 1):
                     rb = list(Jb[:mm] + Jb[mm + 1:])
                     det = np.linalg.det(g[:, ra, :][:, :, rb]) if k else 1.0
                     acc += ((-1) ** (m + mm) * lamlam[Ja[m], Jb[mm]]) * det
-            val = kfac2 * vol * acc * par[:, a] * par[:, b]
-            rows.append(faces[:, a])
-            cols.append(faces[:, b])
-            data.append(val)
+            blocks[:, a, b] = kfac2 * vol * acc
+    return blocks
+
+
+def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
+    """Whitney k-form mass matrix (symmetric positive definite)."""
+    faces = mesh.top_faces[k]                          # (t, s)
+    par = mesh.top_face_parity[k]
+    blocks = _whitney_mass_blocks(mesh.metric, mesh.top_volumes, k)
+    signed = blocks * par[:, :, None] * par[:, None, :]
+    # entries ordered slot pair (a, b) major, simplex minor, so duplicate
+    # entries are summed in a fixed order
+    s = faces.shape[1]
+    data = signed.transpose(1, 2, 0).ravel()
+    rows = np.repeat(faces.T, s, axis=0).ravel()
+    cols = np.tile(faces.T, (s, 1)).ravel()
     n = mesh.n_simplices(k)
-    M = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    M = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
     M.sum_duplicates()
     return M
 
@@ -71,82 +86,48 @@ def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
 
     Rows/columns are indexed by the k-faces in lexicographic local
     vertex order (ascending tuples of combinations).  Used for testing
-    against hand computations.
+    the assembly kernel against hand computations.
     """
-    verts = np.asarray(vertices, dtype=float)
-    N = len(verts) - 1
-    edges = verts[1:] - verts[:1]
-    gram = edges @ edges.T
-    vol = np.sqrt(abs(np.linalg.det(gram))) / _factorial(N)
-    inv = np.linalg.inv(gram)
-    grads = inv @ edges
-    barygrad = np.vstack([-grads.sum(axis=0), grads])
-    g = barygrad @ barygrad.T
-    lamlam = (1.0 + np.eye(N + 1)) / ((N + 1) * (N + 2))
-    slots = list(combinations(range(N + 1), k + 1))
-    M = np.zeros((len(slots), len(slots)))
-    for a, Ja in enumerate(slots):
-        for b, Jb in enumerate(slots):
-            acc = 0.0
-            for m in range(k + 1):
-                ra = list(Ja[:m] + Ja[m + 1:])
-                for mm in range(k + 1):
-                    rb = list(Jb[:mm] + Jb[mm + 1:])
-                    det = np.linalg.det(g[np.ix_(ra, rb)]) if k else 1.0
-                    acc += (-1) ** (m + mm) * lamlam[Ja[m], Jb[mm]] * det
-            M[a, b] = _factorial(k) ** 2 * vol * acc
-    return M
+    pts = np.asarray(vertices, dtype=float)[None]
+    _, vol, _, g = simplex_geometry(pts)
+    return _whitney_mass_blocks(g, vol, k)[0]
 
 
-class _MassSolver:
-    """Solves with a Whitney mass matrix.
+def _mass_solve(M: sparse.csr_matrix, diag: np.ndarray,
+                b: np.ndarray) -> np.ndarray:
+    """x with M x = b for a Whitney mass matrix M with diagonal `diag`.
 
-    Small systems get an exact sparse LU; large ones (where 3D-complex
-    fill makes direct factorization explode) use Jacobi-preconditioned
-    conjugate gradients at near-machine tolerance, which converges in a
-    few dozen iterations since mass matrices are spectrally close to
-    their diagonal.
+    Jacobi-preconditioned conjugate gradients to relative residual
+    1e-13.  The Jacobi-scaled mass matrix has a spectrum bounded
+    independently of h (Wathen 1987; Wathen & Rees 2009), so a few
+    dozen iterations suffice on every mesh and no size switch to a
+    direct factorization is needed.
     """
-
-    DIRECT_LIMIT = 50_000
-
-    def __init__(self, M: sparse.csr_matrix):
-        self.M = M.tocsr()
-        self.n = M.shape[0]
-        self._diag = self.M.diagonal()
-        self._lu = splu(M.tocsc()) if self.n <= self.DIRECT_LIMIT else None
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self._lu.solve(b)
-        Mpre = LinearOperator(self.M.shape, matvec=lambda x: x / self._diag)
-        x, info = cg(self.M, b, rtol=1e-13, atol=0.0, maxiter=400, M=Mpre)
-        if info != 0:
-            raise RuntimeError("mass solve did not converge")
-        return x
+    pre = LinearOperator(M.shape, matvec=lambda x: x / diag)
+    x, info = cg(M, b, rtol=1e-13, atol=0.0, maxiter=400, M=pre)
+    if info != 0:
+        raise RuntimeError("mass solve did not converge")
+    return x
 
 
 class HodgeOperator:
     """Hodge Laplacian on k-cochains of a sphere mesh.
 
     Holds the Whitney mass matrices M_{k-1}, M_k, M_{k+1}, the weak
-    Laplacian, and solver configuration (relative tolerance, iteration
-    cap, Jacobi preconditioning).
+    Laplacian, and the relative tolerance of its Jacobi-preconditioned
+    conjugate-gradient solve.
     """
 
-    def __init__(self, mesh, k: int, tol: float = 1e-9,
-                 maxiter: int | None = None, jacobi: bool = True):
+    def __init__(self, mesh, k: int, tol: float = 1e-9):
         if not 0 <= k <= mesh.dim:
             raise ValueError("degree out of range")
         self.mesh = mesh
         self.k = k
         self.tol = tol
-        self.maxiter = maxiter
-        self.jacobi = jacobi
         self.mass_k = mass_matrix(mesh, k)
         self.mass_up = mass_matrix(mesh, k + 1) if k < mesh.dim else None
         self.mass_down = mass_matrix(mesh, k - 1) if k > 0 else None
-        self._down_solver = _MassSolver(self.mass_down) if k > 0 else None
+        self._down_diag = self.mass_down.diagonal() if k > 0 else None
         if k < mesh.dim:
             D = mesh.coboundary(k).astype(float)
             self.stiffness = (D.T @ self.mass_up @ D).tocsr()
@@ -154,51 +135,19 @@ class HodgeOperator:
             self.stiffness = None
         self.last_solve: dict = {}
 
-    # -- inner products ----------------------------------------------------
+    # -- norms ---------------------------------------------------------------
 
     def norm(self, c: Cochain) -> float:
         M = {self.k: self.mass_k, self.k + 1: self.mass_up,
              self.k - 1: self.mass_down}[c.degree]
         return float(np.sqrt(max(c.values @ (M @ c.values), 0.0)))
 
-    def inner(self, a: Cochain, b: Cochain) -> float:
-        return float(a.values @ (self.mass_k @ b.values))
-
-    def min_mass_eigenvalue(self) -> float:
-        """Smallest mass eigenvalue estimate.
-
-        Shift-invert Lanczos for small systems; inverse power iteration
-        through the iterative mass solver above the direct-factorization
-        size limit.
-        """
-        n = self.mass_k.shape[0]
-        if n <= 2:
-            return float(np.linalg.eigvalsh(self.mass_k.toarray()).min())
-        if n <= _MassSolver.DIRECT_LIMIT:
-            val = eigsh(self.mass_k, k=1, sigma=0, which="LM",
-                        return_eigenvectors=False)
-            return float(val[0])
-        solver = _MassSolver(self.mass_k)
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        for _ in range(30):
-            x = solver.solve(x)
-            x /= np.linalg.norm(x)
-        return float(x @ (self.mass_k @ x))
-
     # -- operators ----------------------------------------------------------
 
     def codifferential_values(self, values: np.ndarray) -> np.ndarray:
         D = self.mesh.coboundary(self.k - 1)
-        return self._down_solver.solve(D.T @ (self.mass_k @ values))
-
-    def apply_laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Strong-form Laplacian M_k^{-1} A applied to cochain values."""
-        solver = getattr(self, "_k_solver", None)
-        if solver is None:
-            self._k_solver = solver = _MassSolver(self.mass_k)
-        return solver.solve(self._weak_apply(values))
+        return _mass_solve(self.mass_down, self._down_diag,
+                           D.T @ (self.mass_k @ values))
 
     def _weak_apply(self, values: np.ndarray) -> np.ndarray:
         out = np.zeros_like(values)
@@ -206,8 +155,8 @@ class HodgeOperator:
             out = out + self.stiffness @ values
         if self.k > 0:
             D = self.mesh.coboundary(self.k - 1)
-            out = out + self.mass_k @ (D @ self._down_solver.solve(
-                D.T @ (self.mass_k @ values)))
+            out = out + self.mass_k @ (D @ _mass_solve(
+                self.mass_down, self._down_diag, D.T @ (self.mass_k @ values)))
         return out
 
     def _jacobi_diagonal(self) -> np.ndarray:
@@ -219,7 +168,7 @@ class HodgeOperator:
         if self.k > 0:
             D = self.mesh.coboundary(self.k - 1).astype(float)
             B = (self.mass_k @ D).tocsr()
-            inv_lump = 1.0 / self.mass_down.diagonal()
+            inv_lump = 1.0 / self._down_diag
             diag = diag + B.multiply(B) @ inv_lump
         return diag
 
@@ -231,16 +180,14 @@ class HodgeOperator:
             self.last_solve = {"iterations": 0, "residual": 0.0}
             return Cochain.zeros(self.mesh, self.k)
         A = LinearOperator(self.mass_k.shape, matvec=self._weak_apply)
-        M = None
-        if self.jacobi:
-            d = self._jacobi_diagonal()
-            M = LinearOperator(self.mass_k.shape, matvec=lambda x: x / d)
+        d = self._jacobi_diagonal()
+        M = LinearOperator(self.mass_k.shape, matvec=lambda x: x / d)
         count = {"n": 0}
 
         def cb(_):
             count["n"] += 1
 
-        maxiter = self.maxiter or max(2000, 40 * int(np.sqrt(self.mass_k.shape[0])))
+        maxiter = max(2000, 40 * int(np.sqrt(self.mass_k.shape[0])))
         u, info = cg(A, b, rtol=self.tol, atol=0.0, maxiter=maxiter,
                      M=M, callback=cb)
         res = float(np.linalg.norm(self._weak_apply(u) - b) / bnorm)
@@ -252,18 +199,16 @@ class HodgeOperator:
         return Cochain(self.mesh, self.k, u)
 
 
-_strong_refs: dict = {}
-
-
 def hodge_operator(mesh, k: int, tol: float = 1e-9) -> HodgeOperator:
-    """Cached HodgeOperator factory (meshes are immutable)."""
-    key = (id(mesh), k, tol)
-    op = _strong_refs.get(key)
-    if op is None or op.mesh is not mesh:
-        op = HodgeOperator(mesh, k, tol=tol)
-        _strong_refs[key] = op
-        if len(_strong_refs) > 32:
-            _strong_refs.pop(next(iter(_strong_refs)))
+    """HodgeOperator of `mesh` in degree k, built once per (k, tol).
+
+    Meshes are immutable, so the operator is kept in the mesh's own
+    `operators` dict and lives exactly as long as the mesh.
+    """
+    key = ("hodge", k, tol)
+    op = mesh.operators.get(key)
+    if op is None:
+        op = mesh.operators[key] = HodgeOperator(mesh, k, tol=tol)
     return op
 
 

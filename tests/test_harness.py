@@ -1,6 +1,7 @@
 """Experiment configs, scaling/BMO runs, report files, and the CLI."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -40,10 +41,13 @@ class TestConfig:
         assert cfg.betas == [F(9, 10)]
         assert cfg.levels == [3, 4]
 
-    def test_sweep_list_sorted(self):
-        cfg = ExperimentConfig.from_string(
-            FAST_SCALING.replace("d=1..3", "d=3,1,2"))
-        assert cfg.sweep_values == [1, 2, 3]
+    @pytest.mark.parametrize("sweep", ["d=3,1,2", "d=1,2,2", "d=3..1",
+                                       "d=0.1,0.05"],
+                             ids=["unsorted", "duplicate", "empty-range",
+                                  "unsorted-float"])
+    def test_bad_sweep_rejected(self, sweep):
+        with pytest.raises(ConfigError, match=re.escape(f"sweep {sweep!r}")):
+            ExperimentConfig.from_string(FAST_SCALING.replace("d=1..3", sweep))
 
     def test_beta_below_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):

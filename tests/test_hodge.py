@@ -1,11 +1,16 @@
 """Mass matrices, codifferential, and the antiderivative contract."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from quanthom.geometry import Cochain, FormField, de_rham_project
-from quanthom.hodge import (HodgeOperator, codifferential, d_inverse,
-                            hodge_operator, mass_matrix, whitney_mass_local)
+from quanthom.geometry import (Cochain, FormField, build_sphere_mesh,
+                               de_rham_project)
+from quanthom.hodge import (HodgeOperator, _mass_solve, codifferential,
+                            d_inverse, hodge_operator, mass_matrix,
+                            whitney_mass_local)
 
 from conftest import cached_mesh
 
@@ -42,8 +47,16 @@ class TestMassMatrices:
     def test_spd(self, mesh_s2, k):
         M = mass_matrix(mesh_s2, k)
         assert abs(M - M.T).max() < 1e-14
-        op = HodgeOperator(mesh_s2, k)
-        assert op.min_mass_eigenvalue() > 0
+        np.linalg.cholesky(M.toarray())       # raises unless positive definite
+
+    @pytest.mark.parametrize("dim,level,k", [(2, 3, 0), (2, 3, 1), (2, 3, 2),
+                                             (3, 1, 1), (3, 1, 2)])
+    def test_mass_solve_matches_dense(self, dim, level, k, rng):
+        M = mass_matrix(cached_mesh(dim, level), k)
+        b = rng.standard_normal(M.shape[0])
+        x = _mass_solve(M, M.diagonal(), b)
+        ref = np.linalg.solve(M.toarray(), b)
+        assert np.linalg.norm(x - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_circle_edge_mass_is_inverse_length(self, mesh_s1):
         M = mass_matrix(mesh_s1, 1).toarray()
@@ -52,6 +65,22 @@ class TestMassMatrices:
                                  axis=1)
         assert np.abs(np.diag(M) - 1.0 / lengths).max() < 1e-13
         assert np.abs(M - np.diag(np.diag(M))).max() < 1e-13
+
+
+class TestOperatorOwnership:
+    def test_repeat_calls_share_operator(self, mesh_s2):
+        assert hodge_operator(mesh_s2, 1) is hodge_operator(mesh_s2, 1)
+
+    def test_meshes_get_distinct_operators(self):
+        a, b = build_sphere_mesh(2, 1), build_sphere_mesh(2, 1)
+        assert hodge_operator(a, 1) is not hodge_operator(b, 1)
+
+    def test_operator_dies_with_its_mesh(self):
+        m = build_sphere_mesh(2, 1)
+        ref = weakref.ref(hodge_operator(m, 1))
+        del m
+        gc.collect()
+        assert ref() is None
 
 
 class TestCodifferential:
