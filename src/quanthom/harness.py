@@ -67,11 +67,16 @@ def _parse_sweep(text: str):
             values = [int(v) for v in vals]
         except ValueError:
             values = [float(v) for v in vals]
+    return name, _ascending(values, "sweep", text)
+
+
+def _ascending(values: list, what: str, text: str) -> list:
+    """`values` parsed from `text`, if non-empty and strictly ascending."""
     if not values:
-        raise ConfigError(f"empty sweep {text!r}")
+        raise ConfigError(f"empty {what} {text!r}")
     if any(a >= b for a, b in zip(values, values[1:])):
-        raise ConfigError(f"sweep {text!r} is not strictly ascending")
-    return name, values
+        raise ConfigError(f"{what} {text!r} is not strictly ascending")
+    return values
 
 
 @dataclass
@@ -112,7 +117,9 @@ class ExperimentConfig:
             template = sec["map"].strip()
             sweep_name, sweep_values = _parse_sweep(sec["sweep"])
             betas = [_parse_fraction(b) for b in sec.get("beta", "1").split(",")]
-            levels = sorted(int(x) for x in sec.get("levels", "3").split(","))
+            text = sec.get("levels", "3")
+            levels = _ascending([int(x) for x in text.split(",")]
+                                if text.strip() else [], "levels", text)
             seminorm = sec.get("seminorm", "sobolev").strip()
             samples = sec.getint("samples", 200_000)
             seed = sec.getint("seed", 0)

@@ -1,22 +1,23 @@
-"""Cochain Hodge Laplacian and the antiderivative d^{-1} = d* Delta^{-1}.
+"""Whitney mass matrices, the codifferential and the antiderivative d^{-1}.
 
 Whitney (Galerkin) mass matrices realize the L^2 pairing of k-forms on
 the flat complex; the codifferential is the mass-weighted adjoint of
-the coboundary,
+the coboundary: d* c solves M_{k-1} x = D_{k-1}^T M_k c.
 
-    d* c  solves  M_{k-1} x = D_{k-1}^T M_k c,
+For closed eta of degree 1 <= k <= N-1 on S^N (no harmonic forms),
+d^{-1} eta = d* Delta^{-1} eta is the M_{k-1}-coexact least-squares
+solution sigma of D_{k-1} sigma = eta (Arnold, Falk & Winther 2006).
+It is found on the (k-1)-cochains in two steps:
 
-and the weak Hodge Laplacian on k-cochains is
+1. curl solve K sigma = D_{k-1}^T M_k eta with K = D_{k-1}^T M_k D_{k-1},
+   semidefinite with the right-hand side in its range, where conjugate
+   gradients converge (Kaasschieter 1988);
+2. gauge projection sigma <- sigma - Z phi with
+   (Z^T M_{k-1} Z) phi = Z^T M_{k-1} sigma, where Z = D_{k-2} (the
+   constants for k = 1) spans the kernel of K.
 
-    A = D_k^T M_{k+1} D_k  +  M_k D_{k-1} M_{k-1}^{-1} D_{k-1}^T M_k,
-
-which is symmetric positive definite for 1 <= k <= N-1 on S^N (no
-harmonic forms).  d^{-1} eta = d* u with A u = M_k eta solved by
-Jacobi-preconditioned conjugate gradients.  The mass solves with
-M_{k-1} inside the operator are Jacobi-preconditioned conjugate
-gradients as well: the Jacobi-scaled Whitney mass matrix has a spectrum
-bounded independently of the mesh size (Wathen 1987), so one iterative
-path serves every level without a direct factorization.
+Every solve is Jacobi-preconditioned conjugate gradients; the
+Jacobi-scaled mass matrix has an h-independent spectrum (Wathen 1987).
 
 Local mass entries use the exact identities
 int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and
@@ -93,29 +94,46 @@ def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
     return _whitney_mass_blocks(g, vol, k)[0]
 
 
+def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
+               atol: float = 0.0, maxiter: int = 400) -> tuple:
+    """(x, iterations) with A x = b by Jacobi-preconditioned CG.
+
+    A is symmetric positive semidefinite with `diag` its diagonal and b
+    in its range.  Stops at ||A x - b|| <= max(rtol ||b||, atol) and
+    raises RuntimeError if that is not reached within `maxiter` steps.
+    """
+    pre = LinearOperator(A.shape, matvec=lambda x: x / diag)
+    its = 0
+
+    def count(_):
+        nonlocal its
+        its += 1
+
+    x, info = cg(A, b, rtol=rtol, atol=atol, maxiter=maxiter, M=pre,
+                 callback=count)
+    if info != 0:
+        res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+        raise RuntimeError(f"conjugate gradient did not converge: relative "
+                           f"residual {res:.3e} after {its} iterations")
+    return x, its
+
+
 def _mass_solve(M: sparse.csr_matrix, diag: np.ndarray,
                 b: np.ndarray) -> np.ndarray:
     """x with M x = b for a Whitney mass matrix M with diagonal `diag`.
 
-    Jacobi-preconditioned conjugate gradients to relative residual
-    1e-13.  The Jacobi-scaled mass matrix has a spectrum bounded
-    independently of h (Wathen 1987; Wathen & Rees 2009), so a few
-    dozen iterations suffice on every mesh and no size switch to a
-    direct factorization is needed.
+    Relative residual 1e-13; the Jacobi-scaled mass spectrum does not
+    depend on h (Wathen & Rees 2009), so a few dozen iterations suffice.
     """
-    pre = LinearOperator(M.shape, matvec=lambda x: x / diag)
-    x, info = cg(M, b, rtol=1e-13, atol=0.0, maxiter=400, M=pre)
-    if info != 0:
-        raise RuntimeError("mass solve did not converge")
-    return x
+    return _jacobi_cg(M, diag, b, rtol=1e-13)[0]
 
 
 class HodgeOperator:
-    """Hodge Laplacian on k-cochains of a sphere mesh.
+    """Whitney mass matrices around degree k and the d^{-1} solve into k-1.
 
-    Holds the Whitney mass matrices M_{k-1}, M_k, M_{k+1}, the weak
-    Laplacian, and the relative tolerance of its Jacobi-preconditioned
-    conjugate-gradient solve.
+    Holds M_{k-1}, M_k, M_{k+1}, and for k >= 1 the curl matrix
+    K = D_{k-1}^T M_k D_{k-1}, the gauge basis Z and the gauge matrix
+    Z^T M_{k-1} Z; `tol` is the relative tolerance of the curl solve.
     """
 
     def __init__(self, mesh, k: int, tol: float = 1e-9):
@@ -127,76 +145,47 @@ class HodgeOperator:
         self.mass_k = mass_matrix(mesh, k)
         self.mass_up = mass_matrix(mesh, k + 1) if k < mesh.dim else None
         self.mass_down = mass_matrix(mesh, k - 1) if k > 0 else None
-        self._down_diag = self.mass_down.diagonal() if k > 0 else None
-        if k < mesh.dim:
-            D = mesh.coboundary(k).astype(float)
-            self.stiffness = (D.T @ self.mass_up @ D).tocsr()
-        else:
-            self.stiffness = None
         self.last_solve: dict = {}
-
-    # -- norms ---------------------------------------------------------------
+        if k > 0:
+            D = mesh.coboundary(k - 1).astype(float)
+            self.curl = (D.T @ self.mass_k @ D).tocsr()
+            # Z spans the kernel of K: gradients, or the constants for k = 1
+            self.gauge_basis = Z = (
+                mesh.coboundary(k - 2).astype(float).tocsr() if k > 1
+                else sparse.csr_matrix(np.ones((D.shape[1], 1))))
+            self.gauge = (Z.T @ self.mass_down @ Z).tocsr()
 
     def norm(self, c: Cochain) -> float:
         M = {self.k: self.mass_k, self.k + 1: self.mass_up,
              self.k - 1: self.mass_down}[c.degree]
         return float(np.sqrt(max(c.values @ (M @ c.values), 0.0)))
 
-    # -- operators ----------------------------------------------------------
-
     def codifferential_values(self, values: np.ndarray) -> np.ndarray:
-        D = self.mesh.coboundary(self.k - 1)
-        return _mass_solve(self.mass_down, self._down_diag,
-                           D.T @ (self.mass_k @ values))
+        M, D = self.mass_down, self.mesh.coboundary(self.k - 1)
+        return _mass_solve(M, M.diagonal(), D.T @ (self.mass_k @ values))
 
-    def _weak_apply(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(values)
-        if self.stiffness is not None:
-            out = out + self.stiffness @ values
-        if self.k > 0:
-            D = self.mesh.coboundary(self.k - 1)
-            out = out + self.mass_k @ (D @ _mass_solve(
-                self.mass_down, self._down_diag, D.T @ (self.mass_k @ values)))
-        return out
+    def primitive_values(self, values: np.ndarray) -> tuple:
+        """(sigma, stats): the coexact least-squares solution of d sigma = eta.
 
-    def _jacobi_diagonal(self) -> np.ndarray:
-        # diag of M_k D M~^{-1} D^T M_k with lumped M~, taken as row sums
-        # of squares of B = M_k D (never forming the dense-ish product)
-        diag = np.zeros(self.mass_k.shape[0])
-        if self.stiffness is not None:
-            diag = diag + self.stiffness.diagonal()
-        if self.k > 0:
-            D = self.mesh.coboundary(self.k - 1).astype(float)
-            B = (self.mass_k @ D).tocsr()
-            inv_lump = 1.0 / self._down_diag
-            diag = diag + B.multiply(B) @ inv_lump
-        return diag
-
-    def solve_laplacian(self, rhs: Cochain) -> Cochain:
-        """u with Delta u = rhs, to relative residual `tol` (weak form)."""
-        b = self.mass_k @ rhs.values
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            self.last_solve = {"iterations": 0, "residual": 0.0}
-            return Cochain.zeros(self.mesh, self.k)
-        A = LinearOperator(self.mass_k.shape, matvec=self._weak_apply)
-        d = self._jacobi_diagonal()
-        M = LinearOperator(self.mass_k.shape, matvec=lambda x: x / d)
-        count = {"n": 0}
-
-        def cb(_):
-            count["n"] += 1
-
-        maxiter = max(2000, 40 * int(np.sqrt(self.mass_k.shape[0])))
-        u, info = cg(A, b, rtol=self.tol, atol=0.0, maxiter=maxiter,
-                     M=M, callback=cb)
-        res = float(np.linalg.norm(self._weak_apply(u) - b) / bnorm)
-        self.last_solve = {"iterations": count["n"], "residual": res}
-        if info != 0:
-            raise RuntimeError(
-                f"conjugate gradient did not converge: relative residual "
-                f"{res:.3e} after {count['n']} iterations")
-        return Cochain(self.mesh, self.k, u)
+        The gauge tolerance is 1e-13 ||M_{k-1} sigma||, not relative to
+        the gauge right-hand side, which is round-off when the curl
+        iterate is already nearly coexact.
+        """
+        K, Z, G = self.curl, self.gauge_basis, self.gauge
+        b = self.mesh.coboundary(self.k - 1).T @ (self.mass_k @ values)
+        maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
+        sigma, its = _jacobi_cg(K, K.diagonal(), b, self.tol, maxiter=maxiter)
+        m_sigma = self.mass_down @ sigma
+        scale = np.linalg.norm(m_sigma)
+        c = Z.T @ m_sigma
+        phi, gauge_its = _jacobi_cg(G, G.diagonal(), c, 0.0,
+                                    atol=1e-13 * scale, maxiter=maxiter)
+        stats = {"iterations": its,
+                 "residual": float(np.linalg.norm(K @ sigma - b)
+                                   / np.linalg.norm(b)),
+                 "gauge_iterations": gauge_its,
+                 "gauge_residual": float(np.linalg.norm(G @ phi - c) / scale)}
+        return sigma - Z @ phi, stats
 
 
 def hodge_operator(mesh, k: int, tol: float = 1e-9) -> HodgeOperator:
@@ -224,11 +213,11 @@ def d_inverse(eta: Cochain, tol: float = 1e-9,
               closed_tol: float = 1e-6) -> Cochain:
     """Primitive of a (numerically) closed cochain: d^{-1} = d* Delta^{-1}.
 
-    Requires 1 <= degree <= N-1 so that the Laplacian is invertible and
-    the closedness defect ||d eta|| / ||eta|| below `closed_tol` in mass
-    norm.  The result xi satisfies d(xi) = eta and d*(xi) = 0 up to
-    solver tolerance plus the input's closedness defect; solve
-    statistics are stored on the owning HodgeOperator.
+    Requires 1 <= degree <= N-1 and the closedness defect
+    ||d eta|| / ||eta|| below `closed_tol` in mass norm.  The result xi
+    satisfies d(xi) = eta up to curl-solve tolerance plus the input's
+    closedness defect and d*(xi) = 0 up to gauge-solve tolerance; solve
+    statistics are stored on the owning HodgeOperator as `last_solve`.
     """
     mesh = eta.mesh
     if not 1 <= eta.degree <= mesh.dim - 1:
@@ -236,12 +225,14 @@ def d_inverse(eta: Cochain, tol: float = 1e-9,
     op = hodge_operator(mesh, eta.degree, tol=tol)
     nrm = op.norm(eta)
     if nrm == 0.0:
-        op.last_solve = {"iterations": 0, "residual": 0.0, "closedness": 0.0}
+        op.last_solve = {"iterations": 0, "residual": 0.0,
+                         "gauge_iterations": 0, "gauge_residual": 0.0,
+                         "closedness": 0.0}
         return Cochain.zeros(mesh, eta.degree - 1)
     defect = op.norm(eta.d()) / nrm
     if defect > closed_tol:
         raise ValueError(
             f"input not closed: relative defect {defect:.3e} > {closed_tol:.1e}")
-    u = op.solve_laplacian(eta)
-    op.last_solve["closedness"] = defect
-    return Cochain(mesh, eta.degree - 1, op.codifferential_values(u.values))
+    sigma, stats = op.primitive_values(eta.values)
+    op.last_solve = {**stats, "closedness": defect}
+    return Cochain(mesh, eta.degree - 1, sigma)

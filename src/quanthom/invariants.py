@@ -133,9 +133,10 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
 
     For each term the first pulled-back form enters the wedge
     analytically; every further factor is projected, run through
-    d^{-1} = d* Delta^{-1}, and enters as the Whitney interpolant of the
-    resulting cochain.  Solver residuals and closedness defects are
-    collected per term.
+    d^{-1} = d* Delta^{-1} (a curl solve plus a gauge projection, see
+    `hodge`), and enters as the Whitney interpolant of the resulting
+    cochain.  Solve statistics and closedness defects are collected per
+    term.
     """
     if not structure.numerically_evaluable:
         raise ValueError("structure not numerically evaluable")

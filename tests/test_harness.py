@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(f"sweep {sweep!r}")):
             ExperimentConfig.from_string(FAST_SCALING.replace("d=1..3", sweep))
 
+    @pytest.mark.parametrize("levels", ["4,3", "3,3", "4,3,3", ""],
+                             ids=["unsorted", "duplicate", "unsorted-duplicate",
+                                  "empty"])
+    def test_bad_levels_rejected(self, levels):
+        text = FAST_SCALING.replace("levels = 3,4", f"levels = {levels}")
+        with pytest.raises(ConfigError, match=re.escape(f"levels {levels!r}")):
+            ExperimentConfig.from_string(text)
+
     def test_beta_below_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):
             ExperimentConfig.from_string(

@@ -130,6 +130,8 @@ class TestHopf:
         stats = r.residuals["term0.d_inverse1"]
         assert stats["iterations"] > 0
         assert stats["residual"] < 1e-8
+        assert stats["gauge_iterations"] > 0
+        assert stats["gauge_residual"] < 1e-12
         assert "closedness" in stats
 
 
