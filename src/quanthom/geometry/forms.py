@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 
 from .cochain import Cochain
 from .quadrature import simplex_rule
-from .mesh import _factorial, _parity
+from .mesh import permutation_sign
 
 
 class FormField:
@@ -114,7 +115,7 @@ def de_rham_project(form, mesh, degree: int | None = None,
     n_s, n_q, _, dim = frames.shape
     vals = form(nodes.reshape(-1, dim), frames.reshape(-1, k, dim))
     vals = vals.reshape(n_s, n_q)
-    integrals = vals @ w / _factorial(k)
+    integrals = vals @ w / factorial(k)
     return Cochain(mesh, k, integrals)
 
 
@@ -130,7 +131,7 @@ def sphere_quadrature(mesh, order: int | None = None):
     n_s, n_q, _, dim = frames.shape
     mats = np.concatenate([nodes[:, :, None, :], frames], axis=2)
     dens = np.linalg.det(mats)                   # curved area density
-    weights = dens * w[None, :] / _factorial(N)
+    weights = dens * w[None, :] / factorial(N)
     return nodes.reshape(-1, dim), weights.reshape(-1)
 
 
@@ -166,7 +167,7 @@ def _whitney_edge_tensor(N: int, k: int, order: int):
             for si, sub in enumerate(subsets):
                 sign_det = np.linalg.det(dl[np.ix_(rest, sub)]) if k else 1.0
                 W[s, :, si] += (-1) ** m * bary[:, tup[m]] * sign_det
-    return _factorial(k) * W
+    return factorial(k) * W
 
 
 def _whitney_coefficients(mesh, c: Cochain) -> np.ndarray:
@@ -196,7 +197,7 @@ def whitney_values_on_frames(c: Cochain, tri_idx: np.ndarray,
             det = np.linalg.det(dl[:, rest, :]) if k else 1.0
             acc += (-1) ** m * lam[:, tup[m]] * det
         out += coef[:, s] * acc
-    return _factorial(k) * out
+    return factorial(k) * out
 
 
 def whitney_interpolate(c: Cochain, x, vectors=None):
@@ -239,7 +240,7 @@ def _shuffles(degrees: tuple, N: int) -> tuple:
     def rec(remaining, blocks):
         if not remaining and len(blocks) == len(degrees):
             perm = [i for b in blocks for i in b]
-            out.append((tuple(blocks), _parity(perm)))
+            out.append((tuple(blocks), int(permutation_sign(perm))))
             return
         j = len(blocks)
         if j == len(degrees):
@@ -306,4 +307,4 @@ def integrate_wedge(factors, mesh, order: int | None = None) -> float:
         for (vals, index), sub in zip(values, blocks):
             term = term * vals[:, :, index[sub]]
         integrand += term
-    return float((integrand @ w).sum() / _factorial(N))
+    return float((integrand @ w).sum() / factorial(N))

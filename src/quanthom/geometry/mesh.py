@@ -17,6 +17,11 @@ vectors is positive iff det[c; e_1; ...; e_N] > 0 with c the outward
 the sum of all top simplices with coefficient +1 and its boundary
 vanishes identically.
 
+Every face of a top simplex carries the parity of its vertex order in
+the top (the oriented sub-tuple) against its stored row: the sorting
+sign for k < N and +1 for the top itself, so a top cochain's Whitney
+form integrates to the sum of its values.
+
 The signed incidence (boundary) matrices are integer matrices and
 satisfy boundary-of-boundary = 0 exactly.
 """
@@ -24,8 +29,8 @@ satisfy boundary-of-boundary = 0 exactly.
 from __future__ import annotations
 
 import io
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
 
 import numpy as np
 from scipy import sparse
@@ -33,19 +38,16 @@ from scipy.spatial import cKDTree
 
 from .quadrature import simplex_rule
 
-SPHERE_VOLUMES = {1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
+SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 
 
-def _parity(seq) -> int:
-    """Sign of the permutation sorting `seq` (distinct entries)."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[j] < seq[i]:
-                seq[i], seq[j] = seq[j], seq[i]
-                sign = -sign
-    return sign
+def permutation_sign(rows) -> np.ndarray:
+    """Sign of the permutation sorting each row (last axis, distinct entries)."""
+    rows = np.asarray(rows)
+    inversions = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i, j in combinations(range(rows.shape[-1]), 2):
+        inversions += rows[..., i] > rows[..., j]
+    return 1 - 2 * (inversions % 2)
 
 
 def _orient_outward(verts: np.ndarray, tops: np.ndarray) -> np.ndarray:
@@ -74,7 +76,7 @@ def simplex_geometry(pts: np.ndarray):
     edges = pts[:, 1:, :] - pts[:, :1, :]
     gram = np.einsum("tid,tjd->tij", edges, edges)
     det = np.linalg.det(gram)
-    volumes = np.sqrt(np.abs(det)) / _factorial(pts.shape[1] - 1)
+    volumes = np.sqrt(np.abs(det)) / factorial(pts.shape[1] - 1)
     inv = np.linalg.inv(gram)
     grads = np.einsum("tij,tjd->tid", inv, edges)  # j=1..N
     grad0 = -grads.sum(axis=1, keepdims=True)
@@ -83,16 +85,53 @@ def simplex_geometry(pts: np.ndarray):
     return edges, volumes, barygrad, metric
 
 
-def _derive_lower_tables(tops: np.ndarray, dim: int) -> dict[int, np.ndarray]:
-    """All k-simplex tables, k < dim, sorted rows in lexicographic order."""
-    tables = {dim: tops}
+def _unique_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0) with each row's first position and the
+    inverse map, from one stable lexsort (several times faster)."""
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)]
+    inv = np.empty(len(rows), dtype=np.int64)
+    inv[order] = np.cumsum(new) - 1
+    return srt[new], order[new], inv
+
+
+def _mesh_tables(tops: np.ndarray, dim: int):
+    """Simplex tables, top-face incidences with parities, and coboundaries.
+
+    One unique-rows pass per degree k < dim over the sorted k-faces of the
+    tops gives simplices[k] and, as the inverse, top_faces[k][t, a], the
+    k-face on local vertex-slot combination a of top t; its parity is the
+    sign of that oriented sub-tuple against the stored row (+1 for k = dim).
+    Row r of coboundary k is read off the first top holding (k+1)-simplex
+    r: dropping vertex i of slot a leaves slot b, with sign
+    (-1)^i par[k+1][t, a] par[k][t, b].
+    """
+    n_t = len(tops)
+    combos = {k: list(combinations(range(dim + 1), k + 1)) for k in range(dim + 1)}
+    simplices = {dim: tops}
+    top_faces = {dim: np.arange(n_t, dtype=np.int64)[:, None]}
+    parity = {dim: np.ones((n_t, 1), dtype=np.int64)}
+    coboundary = {}
+    first = np.arange(n_t)      # first flat (top, slot) of each (k+1)-simplex
     for k in range(dim - 1, -1, -1):
-        faces = []
-        for idx in combinations(range(dim + 1), k + 1):
-            faces.append(np.sort(tops[:, idx], axis=1))
-        allf = np.vstack(faces)
-        tables[k] = np.unique(allf, axis=0)
-    return tables
+        sub = tops[:, combos[k]]                            # (t, slots, k+1)
+        simplices[k], first_k, inv = _unique_rows(
+            np.sort(sub, axis=2).reshape(-1, k + 1))
+        top_faces[k] = inv.reshape(n_t, len(combos[k]))
+        parity[k] = permutation_sign(sub)
+        t, a = np.divmod(first, len(combos[k + 1]))
+        slot = {c: b for b, c in enumerate(combos[k])}
+        faces = np.array([[slot[c[:i] + c[i + 1:]] for i in range(k + 2)]
+                          for c in combos[k + 1]])[a]       # (n_{k+1}, k+2)
+        signs = ((-1) ** np.arange(k + 2) * parity[k + 1][t, a][:, None]
+                 * parity[k][t[:, None], faces])
+        rows = np.repeat(np.arange(len(first)), k + 2)
+        coboundary[k] = sparse.csr_matrix(
+            (signs.ravel(), (rows, top_faces[k][t[:, None], faces].ravel())),
+            shape=(len(first), len(simplices[k])))
+        first = first_k
+    return simplices, top_faces, parity, coboundary
 
 
 # ----------------------------------------------------------------------
@@ -126,74 +165,74 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
 
 def _cross_polytope() -> tuple[np.ndarray, np.ndarray]:
     verts = np.vstack([np.eye(4), -np.eye(4)])
-    tets = []
-    for s0 in (0, 4):
-        for s1 in (1, 5):
-            for s2 in (2, 6):
-                for s3 in (3, 7):
-                    tets.append([s0, s1, s2, s3])
-    return verts, np.array(tets)
+    return verts, np.array(list(product((0, 4), (1, 5), (2, 6), (3, 7))))
 
 
-def _midpoint_index(cache: dict, verts: list, a: int, b: int) -> int:
-    key = (a, b) if a < b else (b, a)
-    if key not in cache:
-        m = verts[a] + verts[b]
-        m = m / np.linalg.norm(m)
-        cache[key] = len(verts)
-        verts.append(m)
-    return cache[key]
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded exactly as np.linalg.norm(row)
+    (np.linalg.norm(axis=1) and einsum sum in other orders)."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _midpoints(verts: np.ndarray, pairs: np.ndarray):
+    """Append the projected midpoints of the vertex pairs (..., 2), one per
+    distinct edge numbered by first appearance; returns the extended
+    vertices and the new vertex number of every pair."""
+    edges, first, inv = _unique_rows(np.sort(pairs, axis=-1).reshape(-1, 2))
+    order = np.argsort(first)
+    mid = verts[edges[order, 0]] + verts[edges[order, 1]]
+    mid = mid / _row_norms(mid)[:, None]
+    return (np.vstack([verts, mid]),
+            len(verts) + np.argsort(order)[inv.reshape(pairs.shape[:-1])])
+
+
+# local vertices of a subdivided triangle: corners 0-2, then the midpoints
+# of the edges 01, 12, 20
+_TRI_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
+# local vertices of a subdivided tet: corners 0-3, then the midpoints of
+# the edges 01 02 03 12 13 23 (slots 4-9)
+_TET_EDGES = np.array(list(combinations(range(4), 2)))
+_TET_CORNERS = np.array([[0, 4, 5, 6], [1, 4, 7, 8], [2, 5, 7, 9], [3, 6, 8, 9]])
+# interior octahedron split along diagonal d: (a, f, ring of the other
+# four midpoints, opposite midpoints never adjacent), as midpoint slots
+_OCTA_SPLIT = np.array([[0, 5, 1, 2, 4, 3], [1, 4, 0, 2, 5, 3],
+                        [2, 3, 0, 1, 5, 4]])
+_OCTA_CHILDREN = np.array([[0, 1, 2, 3], [0, 1, 3, 4], [0, 1, 4, 5],
+                           [0, 1, 5, 2]])
 
 
 def _subdivide_triangles(verts: np.ndarray, tris: np.ndarray):
-    vlist = [v for v in verts]
-    cache: dict = {}
-    out = []
-    for t in tris:
-        a, b, c = (int(x) for x in t)
-        ab = _midpoint_index(cache, vlist, a, b)
-        bc = _midpoint_index(cache, vlist, b, c)
-        ca = _midpoint_index(cache, vlist, c, a)
-        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(vlist), np.array(out)
+    verts, mid = _midpoints(verts, tris[:, [[0, 1], [1, 2], [2, 0]]])
+    local = np.hstack([tris, mid])
+    return verts, local[:, _TRI_CHILDREN].reshape(-1, 3)
 
 
 def _subdivide_tets(verts: np.ndarray, tets: np.ndarray):
-    vlist = [v for v in verts]
-    cache: dict = {}
-    out = []
-    for t in tets:
-        v0, v1, v2, v3 = (int(x) for x in t)
-        m01 = _midpoint_index(cache, vlist, v0, v1)
-        m02 = _midpoint_index(cache, vlist, v0, v2)
-        m03 = _midpoint_index(cache, vlist, v0, v3)
-        m12 = _midpoint_index(cache, vlist, v1, v2)
-        m13 = _midpoint_index(cache, vlist, v1, v3)
-        m23 = _midpoint_index(cache, vlist, v2, v3)
-        out += [
-            [v0, m01, m02, m03], [v1, m01, m12, m13],
-            [v2, m02, m12, m23], [v3, m03, m13, m23],
-        ]
-        # interior octahedron: split along its shortest diagonal
-        diags = [(m01, m23), (m02, m13), (m03, m12)]
-        lengths = [np.linalg.norm(vlist[a] - vlist[b]) for a, b in diags]
-        a, f = diags[int(np.argmin(lengths))]
-        others = [p for p in (m01, m02, m03, m12, m13, m23) if p not in (a, f)]
-        # ring of the remaining four vertices around the diagonal: opposite
-        # midpoints (disjoint index pairs) are never adjacent
-        b0 = others[0]
-        opp = {frozenset(d) for d in diags}
-        ring = [b0]
-        rest = others[1:]
-        while rest:
-            for p in rest:
-                if frozenset((ring[-1], p)) not in opp:
-                    ring.append(p)
-                    rest.remove(p)
-                    break
-        r0, r1, r2, r3 = ring
-        out += [[a, f, r0, r1], [a, f, r1, r2], [a, f, r2, r3], [a, f, r3, r0]]
-    return np.array(vlist), np.array(out)
+    verts, mid = _midpoints(verts, tets[:, _TET_EDGES])      # (t, 6)
+    corners = np.hstack([tets, mid])[:, _TET_CORNERS]        # (t, 4, 4)
+    # interior octahedron: split along its shortest diagonal (the first
+    # one on ties, which are common)
+    gaps = verts[mid[:, :3]] - verts[mid[:, :2:-1]]          # (t, 3, dim)
+    lengths = _row_norms(gaps.reshape(-1, gaps.shape[2])).reshape(-1, 3)
+    split = np.take_along_axis(mid, _OCTA_SPLIT[lengths.argmin(axis=1)], axis=1)
+    inner = split[:, _OCTA_CHILDREN]                         # (t, 4, 4)
+    return verts, np.concatenate([corners, inner], axis=1).reshape(-1, 4)
+
+
+def _check_tops(tops: np.ndarray, dim: int, n_v: int):
+    """Reject top-simplex tables that cannot describe a simplicial complex."""
+    if not len(tops):
+        raise ValueError("no top simplices")
+    if tops.ndim != 2 or tops.shape[1] != dim + 1:
+        raise ValueError(f"top simplex 0 has shape {tops.shape[1:]}, "
+                         f"expected ({dim + 1},) vertex indices")
+    srt = np.sort(tops, axis=1)
+    for bad, what in (((srt[:, 0] < 0) | (srt[:, -1] >= n_v),
+                       f"a vertex index outside [0, {n_v})"),
+                      ((srt[:, 1:] == srt[:, :-1]).any(axis=1), "a repeated vertex")):
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"top simplex {i} {tops[i].tolist()} has {what}")
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +248,9 @@ class SimplicialSphere:
     verts               (n_v, N+1) unit vectors
     simplices[k]        (n_k, k+1) oriented vertex tables, k = 0..N
     n_simplices(k)      table sizes
+    top_faces[k]        (n_N, C(N+1, k+1)) index of the k-face on each
+                        combination of local vertex slots of every top
+    top_face_parity[k]  sign of that oriented face against its stored row
     coboundary(k)       sparse integer matrix taking k-cochain values to
                         (k+1)-cochain values, (dc)(s) = sum of signed
                         values of c on the boundary faces of s
@@ -218,8 +260,7 @@ class SimplicialSphere:
     """
 
     def __init__(self, dim: int, verts: np.ndarray, tops: np.ndarray,
-                 level: int, quad_order: int = 4,
-                 _tables: dict[int, np.ndarray] | None = None):
+                 level: int, quad_order: int = 4):
         if dim not in (1, 2, 3):
             raise ValueError("dimension out of range")
         self.dim = dim
@@ -227,66 +268,16 @@ class SimplicialSphere:
         self.quad_order = quad_order
         self.verts = np.ascontiguousarray(verts, dtype=float)
         tops = np.ascontiguousarray(tops, dtype=np.int64)
-        if _tables is None:
-            tables = _derive_lower_tables(tops, dim)
-        else:
-            tables = dict(_tables)
-            tables[dim] = tops
-        self.simplices = {k: np.ascontiguousarray(tables[k], dtype=np.int64)
-                          for k in range(dim + 1)}
-        self._index = {
-            k: {tuple(row): i for i, row in enumerate(np.sort(self.simplices[k], axis=1))}
-            for k in range(dim + 1)
-        }
-        self._coboundary = {k: self._build_coboundary(k) for k in range(dim)}
-        self._build_geometry()
-        self._build_top_face_tables()
+        _check_tops(tops, dim, len(self.verts))
+        (self.simplices, self.top_faces, self.top_face_parity,
+         self._coboundary) = _mesh_tables(tops, dim)
+        self.top_points = self.verts[tops]
+        (self.top_edges, self.top_volumes, self.barygrad,
+         self.metric) = simplex_geometry(self.top_points)
         self._tree = None
         self.operators: dict = {}
         for arr in (self.verts, *self.simplices.values()):
             arr.flags.writeable = False
-
-    # -- construction helpers ------------------------------------------
-
-    def _build_coboundary(self, k: int) -> sparse.csr_matrix:
-        high = self.simplices[k + 1]
-        rows, cols, vals = [], [], []
-        lookup = self._index[k]
-        for r, simplex in enumerate(high):
-            s = [int(v) for v in simplex]
-            for i in range(k + 2):
-                face = s[:i] + s[i + 1:]
-                sign = (-1) ** i * _parity(face)
-                cols.append(lookup[tuple(sorted(face))])
-                rows.append(r)
-                vals.append(sign)
-        return sparse.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)),
-            shape=(len(high), len(self.simplices[k])))
-
-    def _build_geometry(self):
-        self.top_points = self.verts[self.simplices[self.dim]]
-        (self.top_edges, self.top_volumes, self.barygrad,
-         self.metric) = simplex_geometry(self.top_points)
-
-    def _build_top_face_tables(self):
-        N = self.dim
-        tops = self.simplices[N]
-        self.top_faces = {}
-        self.top_face_parity = {}
-        for k in range(N + 1):
-            combos = list(combinations(range(N + 1), k + 1))
-            idx = np.empty((len(tops), len(combos)), dtype=np.int64)
-            par = np.empty_like(idx)
-            lookup = self._index[k]
-            for slot, combo in enumerate(combos):
-                sub = tops[:, combo]
-                for t in range(len(tops)):
-                    g = [int(v) for v in sub[t]]
-                    idx[t, slot] = lookup[tuple(sorted(g))]
-                    par[t, slot] = _parity(g)
-            self.top_faces[k] = idx
-            self.top_face_parity[k] = par
 
     # -- basic queries ---------------------------------------------------
 
@@ -382,31 +373,33 @@ class SimplicialSphere:
 
     @classmethod
     def parse_ascii(cls, text: str, quad_order: int = 4) -> "SimplicialSphere":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
+        lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip()]
+
+        def fields(i: int, width: int, what: str) -> list:
+            if i >= len(lines):
+                raise ValueError(f"bad mesh file: truncated, {what} missing")
+            n, parts = lines[i]
+            if len(parts) != width:
+                raise ValueError(f"bad mesh file: line {n} has {len(parts)} "
+                                 f"fields, expected {width} for {what}")
+            return parts
+
+        head = fields(0, 4, "the DIM/LEVEL header")
         if head[0] != "DIM" or head[2] != "LEVEL":
-            raise ValueError("bad mesh header")
+            raise ValueError("bad mesh file: header is not DIM <n> LEVEL <l>")
         dim, level = int(head[1]), int(head[3])
-        nv = int(lines[1].split()[1])
-        verts = np.array([[float(x) for x in lines[2 + i].split()]
+        nv = int(fields(1, 2, "the VERTICES header")[1])
+        verts = np.array([[float(x) for x in fields(2 + i, dim + 1, f"vertex {i}")]
                           for i in range(nv)])
-        ns = int(lines[2 + nv].split()[1])
+        ns = int(fields(2 + nv, 2, "the SIMPLICES header")[1])
         tops = []
         for i in range(ns):
-            parts = lines[3 + nv + i].split()
-            row = [int(x) for x in parts[:-1]]
-            if int(parts[-1]) < 0:
+            *row, flag = (int(x) for x in fields(3 + nv + i, dim + 2, f"simplex {i}"))
+            if flag < 0:
                 row[-1], row[-2] = row[-2], row[-1]
             tops.append(row)
         return cls(dim, verts, np.array(tops), level, quad_order=quad_order)
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def build_sphere_mesh(dim: int, level: int, quad_order: int = 4) -> SimplicialSphere:

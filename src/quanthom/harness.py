@@ -23,7 +23,7 @@ import csv
 import datetime
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -163,17 +163,21 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def _evaluate_invariant(map_spec: str, structure, levels) -> tuple:
-    """Invariant at the finest level with a level-difference error bar."""
+    """Invariant at the finest level with a level-difference error bar, and
+    the worst d^{-1} iterations, residual and closedness (0 without d^{-1})."""
     f = parse_map_spec(map_spec)
     vals = []
-    residuals = {}
+    stats = []
     for lvl in levels[-2:]:
         mesh = build_sphere_mesh(structure.domain_dim, lvl)
         res = hardt_riviere(f, structure, mesh)
         vals.append(res.value)
-        residuals[f"level{lvl}"] = res.residuals
+        stats += res.residuals.values()
     err = abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0
-    return vals[-1], err, residuals
+    worst = [max((s[key] for s in stats), default=zero)
+             for key, zero in (("iterations", 0), ("residual", 0.0),
+                               ("closedness", 0.0))]
+    return vals[-1], err, worst
 
 
 def _weighted_slope(xs, ys, sx, sy, prior_slope):
@@ -201,12 +205,13 @@ class ScalingRow:
     seminorm_err: float
     ratio: float
     ratio_err: float
+    solver_iterations: int = 0
+    solver_residual: float = 0.0
+    closedness: float = 0.0
     error: str = ""
 
     def as_dict(self):
-        return {k: getattr(self, k) for k in
-                ("parameter", "map_spec", "invariant", "invariant_err",
-                 "seminorm", "seminorm_err", "ratio", "ratio_err", "error")}
+        return asdict(self)
 
 
 @dataclass
@@ -273,8 +278,8 @@ def run_scaling(config: ExperimentConfig) -> Report:
         for i, val in enumerate(config.sweep_values):
             spec = config.map_template.format(**{config.sweep_name: val})
             try:
-                inv, inv_err, _ = _evaluate_invariant(spec, structure,
-                                                      config.levels)
+                inv, inv_err, solver = _evaluate_invariant(spec, structure,
+                                                           config.levels)
                 f = parse_map_spec(spec)
                 if config.seminorm == "sobolev":
                     p = structure.domain_dim / float(beta)
@@ -292,7 +297,7 @@ def run_scaling(config: ExperimentConfig) -> Report:
                     rel = np.hypot(inv_err / max(abs(inv), 1e-300),
                                    Ef * ds / s)
                 rows.append(ScalingRow(val, spec, inv, inv_err, s, ds,
-                                       ratio, ratio * rel))
+                                       ratio, ratio * rel, *solver))
             except Exception as exc:   # row failures recorded, run continues
                 rows.append(ScalingRow(val, spec, np.nan, np.nan, np.nan,
                                        np.nan, np.nan, np.nan, error=str(exc)))

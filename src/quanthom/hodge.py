@@ -27,13 +27,14 @@ int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and
 from __future__ import annotations
 
 from itertools import combinations
+from math import factorial
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import _factorial, simplex_geometry
+from .geometry.mesh import simplex_geometry
 
 
 def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
@@ -49,7 +50,7 @@ def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
     N = g.shape[1] - 1
     slots = list(combinations(range(N + 1), k + 1))
     lamlam = (1.0 + np.eye(N + 1)) / ((N + 1) * (N + 2))
-    kfac2 = float(_factorial(k)) ** 2
+    kfac2 = float(factorial(k)) ** 2
     blocks = np.empty((len(vol), len(slots), len(slots)))
     for a, Ja in enumerate(slots):
         for b, Jb in enumerate(slots):

@@ -28,8 +28,6 @@ from .geometry.forms import sphere_quadrature
 from .geometry.mesh import SPHERE_VOLUMES
 from .maps import SmoothMap, distance_to_target
 
-_SPHERE_SURFACE = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
-
 
 @dataclass
 class SeminormEstimate:
@@ -85,7 +83,7 @@ def _sample_angle(rng, n: int, N: int, psi_lo: float, psi_hi: float) -> np.ndarr
 
 def _shell_measure(N: int, psi_lo: float, psi_hi: float) -> float:
     """Measure of {y: angle(x,y) in [lo,hi]} on S^N, independent of x."""
-    pref = _SPHERE_SURFACE[N - 1]
+    pref = SPHERE_VOLUMES[N - 1]
     if N == 1:
         return pref * (psi_hi - psi_lo)
     if N == 2:
@@ -127,7 +125,7 @@ def _tail_bound(N: int, p: float, beta: float, L: float, psi_max: float) -> floa
     ww = 0.5 * psi_max * w
     chord = 2.0 * np.sin(psi / 2.0)
     integrand = chord ** (p * (1 - beta) - N) * np.sin(psi) ** (N - 1)
-    return (SPHERE_VOLUMES[N] * _SPHERE_SURFACE[N - 1] * L ** p
+    return (SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * L ** p
             * float((integrand * ww).sum()))
 
 

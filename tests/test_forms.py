@@ -88,14 +88,14 @@ class TestDeRhamProjection:
         assert np.abs(lhs.values - rhs.values).max() < 1e-8
 
     def test_orientation_reversal_flips_sign(self):
-        # re-orientation round trip: flip one stored edge, project again
+        # re-orientation round trip: swap two vertices of one stored top,
+        # project the area form again
         m = build_sphere_mesh(2, 1)
-        tables = {k: m.simplices[k].copy() for k in range(3)}
-        tables[1][7] = tables[1][7][::-1]
-        m2 = SimplicialSphere(2, m.verts.copy(), tables[2], m.level,
-                              _tables={0: tables[0], 1: tables[1]})
-        a = de_rham_project(FormField(1, smooth_exact_1form), m)
-        b = de_rham_project(FormField(1, smooth_exact_1form), m2)
+        tops = m.simplices[2].copy()
+        tops[7, [0, 1]] = tops[7, [1, 0]]
+        m2 = SimplicialSphere(2, m.verts.copy(), tops, m.level)
+        a = de_rham_project(volume_form(S2_target), m)
+        b = de_rham_project(volume_form(S2_target), m2)
         assert b.values[7] == pytest.approx(-a.values[7], rel=1e-12)
         mask = np.ones(len(a.values), dtype=bool)
         mask[7] = False
@@ -175,6 +175,15 @@ class TestWedge:
         from quanthom.maps import S3 as S3_target
         om = volume_form(S3_target)
         assert integrate_wedge([om], m) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("dim,level", [(1, 2), (2, 1), (3, 0)])
+    def test_top_cochain_integrates_to_sum(self, dim, level, rng):
+        # a top cochain's value is its Whitney form's integral over the
+        # positively oriented top, whatever the stored vertex order
+        m = cached_mesh(dim, level)
+        v = rng.standard_normal(m.n_simplices(dim))
+        assert integrate_wedge([Cochain(m, dim, v)], m) == pytest.approx(
+            v.sum(), abs=1e-12)
 
     def test_antisymmetry(self, mesh_s2):
         a = FormField(1, lambda p, f: f[:, 0, 0] + 0.5 * p[:, 1] * f[:, 0, 2])

@@ -1,5 +1,8 @@
 """Meshes, boundary operators, quadrature, and the mesh file format."""
 
+import hashlib
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,30 @@ class TestMeshConstruction:
         for a, b in zip(hs, hs[1:]):
             assert 0.45 <= b / a <= 0.55
 
+    @pytest.mark.parametrize("dim,level,digest", [
+        (1, 5, "b41f1935f8e62478e7dca44e0d0010afac39a520d32f4f7410f092e5aaba19f0"),
+        (2, 3, "c5971fbd80cba827430dc4139a5367cdd764d08cf44202479328f0a7453df8da"),
+        (3, 2, "29708a82adc0db316cc764e56cd00d6389c7dfe7734e65a029489551355dd77d"),
+    ])
+    def test_mesh_identity_pinned(self, dim, level, digest):
+        # vertex coordinates to the last bit and the stored top rows
+        text = cached_mesh(dim, level).format_ascii()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_top_face_incidences(self):
+        m = cached_mesh(3, 1)
+        for k in range(4):
+            sub = m.simplices[3][:, list(combinations(range(4), k + 1))]
+            stored = m.simplices[k][m.top_faces[k]]
+            if k < 3:
+                assert np.array_equal(stored, np.sort(sub, axis=2))
+            # par * stored row = oriented sub-tuple: the sub-tuple is a
+            # permutation of the stored row whose sign is the parity
+            perm = (sub[..., :, None] == stored[..., None, :]).astype(float)
+            assert (perm.sum(axis=3) == 1).all()
+            assert np.array_equal(np.linalg.det(perm).round(),
+                                  m.top_face_parity[k])
+
     def test_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension out of range"):
             build_sphere_mesh(4, 0)
@@ -146,3 +173,56 @@ class TestMeshIO:
         assert np.array_equal(np.sort(m2.simplices[2], axis=1),
                               np.sort(m.simplices[2], axis=1))
         assert m2.signed_volume() > 0
+
+
+def _empty(tops):
+    return tops[:0]
+
+
+def _bad_width(tops):
+    return tops[:, :2]
+
+
+def _out_of_range(tops):
+    tops[3, 1] = 12
+    return tops
+
+
+def _negative(tops):
+    tops[3, 1] = -2
+    return tops
+
+
+def _repeated(tops):
+    tops[3, 2] = tops[3, 0]
+    return tops
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_empty, "no top simplices"),
+    (_bad_width, r"top simplex 0 has shape \(2,\)"),
+    (_out_of_range, r"top simplex 3 .* outside \[0, 12\)"),
+    (_negative, r"top simplex 3 .* outside \[0, 12\)"),
+    (_repeated, "top simplex 3 .* has a repeated vertex"),
+], ids=["empty", "width", "out-of-range", "negative", "repeated"])
+def test_bad_tops_rejected(corrupt, message):
+    m = build_sphere_mesh(2, 0)
+    tops = corrupt(m.simplices[2].copy())
+    with pytest.raises(ValueError, match=message):
+        SimplicialSphere(2, m.verts, tops, 0)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:20], "truncated, simplex 5 missing"),
+    (lambda lines: lines[:5], "truncated, vertex 3 missing"),
+    (lambda lines: lines[:1], "truncated, the VERTICES header missing"),
+    (lambda lines: lines[:16] + ["0 11"] + lines[17:],
+     "line 17 has 2 fields, expected 4"),
+    (lambda lines: lines[:4] + ["0.5 0.5"] + lines[5:],
+     "line 5 has 2 fields, expected 3"),
+], ids=["truncated-simplices", "truncated-vertices", "header-only",
+        "short-simplex", "short-vertex"])
+def test_bad_mesh_file_rejected(edit, message):
+    lines = build_sphere_mesh(2, 0).format_ascii().splitlines()
+    with pytest.raises(ValueError, match="bad mesh file: " + message):
+        SimplicialSphere.parse_ascii("\n".join(edit(lines)))

@@ -110,6 +110,30 @@ class TestRunScaling:
         assert all(r.error for r in rep.blocks[0].rows)
         assert not rep.passed
 
+    def test_solver_statistics_reported(self, tmp_path):
+        # rows carry the worst d^{-1} statistics over levels and terms;
+        # the winding structure has no d^{-1} and reports zeros
+        cfg = fast_config(structure="hopf:n=1",
+                          map_template="compose:suspension:d={d}|hopf",
+                          sweep_values=[1], betas=[F(4, 5)], levels=[1],
+                          samples=2000)
+        row = run_scaling(cfg).blocks[0].rows[0]
+        assert not row.error
+        assert row.solver_iterations > 0
+        assert 0 < row.solver_residual <= 1e-9
+        assert 0 < row.closedness <= 1e-3
+        rep = run_scaling(fast_config(sweep_values=[1]))
+        winding = rep.blocks[0].rows[0]
+        assert (winding.solver_iterations, winding.solver_residual,
+                winding.closedness) == (0, 0.0, 0.0)
+        for fmt in ("json", "csv", "text"):
+            emit_report(rep, fmt, str(tmp_path / f"r.{fmt}"))
+        assert load_report(str(tmp_path / "r.json"))["blocks"][0]["rows"][0][
+            "solver_iterations"] == 0
+        head = (tmp_path / "r.csv").read_text().splitlines()[0].split(",")
+        assert {"solver_iterations", "solver_residual", "closedness"} <= set(head)
+        assert "solver_residual=0.0" in (tmp_path / "r.text").read_text()
+
     def test_constant_row_zero_ratio(self):
         cfg = fast_config(map_template="circle-power:d=0",
                           sweep_values=[0], levels=[3])
