@@ -14,6 +14,14 @@ with `points` of shape (m, dim) on the sphere and `frames` of shape
 (m, k, dim) holding k tangent vectors per point; 0-forms receive
 frames of shape (m, 0, dim).  Wedge products use the shuffle
 (determinant) convention, (a ^ b)(u, v) = a(u) b(v) - a(v) b(u).
+
+The wedge integrand needs each factor on every k-subset of the N edge
+vectors of a top.  An analytic factor receives the whole N-frame at once
+(FormField.on_frame_subsets); a pullback f^*(omega) evaluates f and Df
+once per quadrature node, pushes all N frame vectors through Df, and
+only selects vectors per subset.  Whitney forms are evaluated through
+the same determinant kernel (geometry.minors) on the reference simplex
+and at arbitrary points alike.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ from math import factorial
 import numpy as np
 
 from .cochain import Cochain
-from .quadrature import simplex_rule
 from .mesh import permutation_sign
+from .minors import det, minors, whitney_table
+from .quadrature import simplex_rule
 
 
 class FormField:
@@ -40,6 +49,13 @@ class FormField:
     def __call__(self, points: np.ndarray, frames: np.ndarray) -> np.ndarray:
         return self._evaluator(points, frames)
 
+    def on_frame_subsets(self, points: np.ndarray, frames: np.ndarray,
+                         subsets) -> np.ndarray:
+        """Values (m, len(subsets)) on the sub-frames frames[:, sub] of one
+        frame (m, n, dim) per point, one evaluation per subset."""
+        return np.stack([self(points, frames[:, list(sub), :])
+                         for sub in subsets], axis=-1)
+
     def __repr__(self):
         return f"FormField(degree={self.degree}, name={self.name!r})"
 
@@ -48,8 +64,9 @@ def radial_projection(points: np.ndarray, frames: np.ndarray):
     """P(x) = x/|x| and its differential applied to the frame vectors."""
     r = np.linalg.norm(points, axis=-1, keepdims=True)
     unit = points / r
-    proj = frames - np.einsum("...kd,...d->...k", frames, unit)[..., None] * unit[..., None, :]
-    return unit, proj / r[..., None]
+    proj = frames - (frames @ unit[..., :, None]) * unit[..., None, :]
+    proj /= r[..., None]
+    return unit, proj
 
 
 # ----------------------------------------------------------------------
@@ -87,7 +104,7 @@ def _nodes_and_frames(mesh, k: int, order: int | None, curved: bool):
     if curved and mesh.dim == 1 and k == 1:
         nodes, frames = _arc_nodes_frames(pts, bary[:, 1])
         return nodes, frames, w
-    nodes = np.einsum("qj,sjd->sqd", bary, pts)
+    nodes = bary @ pts                            # (n_s, n_q, dim)
     edges = pts[:, 1:, :] - pts[:, :1, :]         # (n_s, k, dim)
     frames = np.broadcast_to(edges[:, None, :, :],
                              (len(simp), len(w), k, pts.shape[2]))
@@ -128,11 +145,10 @@ def sphere_quadrature(mesh, order: int | None = None):
     """
     N = mesh.dim
     nodes, frames, w = _nodes_and_frames(mesh, N, order, curved=True)
-    n_s, n_q, _, dim = frames.shape
     mats = np.concatenate([nodes[:, :, None, :], frames], axis=2)
-    dens = np.linalg.det(mats)                   # curved area density
+    dens = det(mats)                             # curved area density
     weights = dens * w[None, :] / factorial(N)
-    return nodes.reshape(-1, dim), weights.reshape(-1)
+    return nodes.reshape(-1, nodes.shape[-1]), weights.reshape(-1)
 
 
 # ----------------------------------------------------------------------
@@ -145,6 +161,20 @@ def _edge_subsets(N: int, k: int) -> tuple:
     return tuple(combinations(range(N), k))
 
 
+def _whitney_basis(lam: np.ndarray, dl: np.ndarray) -> np.ndarray:
+    """Whitney forms of all local k-faces of an N-simplex on k vectors.
+
+    `lam` (..., N+1) holds barycentric coordinates and `dl` (..., N+1, k)
+    the barycentric differentials applied to the k vectors; returns
+    (..., C(N+1, k+1)) values, slots in lexicographic local vertex order.
+    """
+    N, k = dl.shape[-2] - 1, dl.shape[-1]
+    T = whitney_table(N, k)                       # (N+1, faces, slots)
+    terms = lam[..., :, None] * minors(dl, k)[..., None, :, 0]
+    flat = terms.reshape(terms.shape[:-2] + (-1,))
+    return factorial(k) * (flat @ T.reshape(-1, T.shape[2]))
+
+
 @lru_cache(maxsize=None)
 def _whitney_edge_tensor(N: int, k: int, order: int):
     """Reference tensor W[slot, node, subset]: Whitney forms of the local
@@ -154,20 +184,13 @@ def _whitney_edge_tensor(N: int, k: int, order: int):
     for the edge vectors e_i = p_i - p_0 of any affine simplex.
     """
     bary, _ = simplex_rule(N, order)
-    slots = list(combinations(range(N + 1), k + 1))
-    subsets = _edge_subsets(N, k)
-    dl = np.zeros((N + 1, N))
-    for j in range(N + 1):
-        for i in range(N):
-            dl[j, i] = (1.0 if j == i + 1 else 0.0) - (1.0 if j == 0 else 0.0)
-    W = np.zeros((len(slots), len(bary), len(subsets)))
-    for s, tup in enumerate(slots):
-        for m in range(k + 1):
-            rest = tup[:m] + tup[m + 1:]
-            for si, sub in enumerate(subsets):
-                sign_det = np.linalg.det(dl[np.ix_(rest, sub)]) if k else 1.0
-                W[s, :, si] += (-1) ** m * bary[:, tup[m]] * sign_det
-    return factorial(k) * W
+    dl = np.eye(N + 1, N, k=-1)
+    dl[0] = -1.0
+    sub_dl = np.stack([dl[:, list(sub)] for sub in _edge_subsets(N, k)])
+    W = _whitney_basis(bary[:, None, :], sub_dl[None]).transpose(2, 0, 1)
+    W = np.ascontiguousarray(W)
+    W.flags.writeable = False
+    return W
 
 
 def _whitney_coefficients(mesh, c: Cochain) -> np.ndarray:
@@ -181,23 +204,10 @@ def whitney_values_on_frames(c: Cochain, tri_idx: np.ndarray,
     """Whitney interpolant of `c` at barycentric points of given top
     simplices, evaluated on arbitrary tangent frames (m, k, dim)."""
     mesh = c.mesh
-    k = c.degree
     coef = _whitney_coefficients(mesh, c)[tri_idx]        # (m, n_slots)
-    lam = bary                                            # (m, N+1)
-    if k == 0:
-        return np.einsum("ms,ms->m", coef, lam)
     # dlambda_j(v_i) with the true barycentric gradients of each simplex
-    dl = np.einsum("mjd,mid->mji", mesh.barygrad[tri_idx], frames)  # (m, N+1, k)
-    slots = list(combinations(range(mesh.dim + 1), k + 1))
-    out = np.zeros(len(tri_idx))
-    for s, tup in enumerate(slots):
-        acc = np.zeros(len(tri_idx))
-        for m in range(k + 1):
-            rest = list(tup[:m] + tup[m + 1:])
-            det = np.linalg.det(dl[:, rest, :]) if k else 1.0
-            acc += (-1) ** m * lam[:, tup[m]] * det
-        out += coef[:, s] * acc
-    return factorial(k) * out
+    dl = mesh.barygrad[tri_idx] @ np.swapaxes(frames, 1, 2)  # (m, N+1, k)
+    return (coef * _whitney_basis(bary, dl)).sum(axis=1)
 
 
 def whitney_interpolate(c: Cochain, x, vectors=None):
@@ -270,7 +280,7 @@ def integrate_wedge(factors, mesh, order: int | None = None) -> float:
     n_t = len(tops)
     dim = mesh.verts.shape[1]
 
-    nodes = np.einsum("qj,tjd->tqd", bary, mesh.top_points)
+    nodes = bary @ mesh.top_points                 # (t, q, dim)
     edges = np.broadcast_to(mesh.top_edges[:, None, :, :], (n_t, n_q, N, dim))
 
     all_analytic = all(not isinstance(f, Cochain) for f in factors)
@@ -281,25 +291,23 @@ def integrate_wedge(factors, mesh, order: int | None = None) -> float:
             pts_c, frames_c = _arc_nodes_frames(mesh.top_points, bary[:, 1])
         else:
             pts_c, frames_c = radial_projection(nodes, edges)
+        pts_c, frames_c = pts_c.reshape(-1, dim), frames_c.reshape(-1, N, dim)
 
-    # factor values per edge subset
+    # factor values per edge subset; an analytic factor sees the whole
+    # edge frame at once, so a pullback evaluates f and Df once per node
     values = []
     for f in factors:
-        k = f.degree
-        subsets = _edge_subsets(N, k)
+        subsets = _edge_subsets(N, f.degree)
         if isinstance(f, Cochain):
             if f.mesh is not mesh:
                 raise ValueError("cochain belongs to a different mesh")
-            W = _whitney_edge_tensor(N, k, order)          # (slots, q, subs)
+            W = _whitney_edge_tensor(N, f.degree, order)   # (slots, q, subs)
             coef = _whitney_coefficients(mesh, f)          # (t, slots)
-            vals = np.einsum("ts,sqf->tqf", coef, W)
+            vals = coef @ W.reshape(len(W), -1)
         else:
-            vals = np.empty((n_t, n_q, len(subsets)))
-            for si, sub in enumerate(subsets):
-                fr = frames_c[:, :, sub, :].reshape(-1, k, dim)
-                vals[:, :, si] = f(pts_c.reshape(-1, dim), fr).reshape(n_t, n_q)
+            vals = f.on_frame_subsets(pts_c, frames_c, subsets)
         index = {sub: i for i, sub in enumerate(subsets)}
-        values.append((vals, index))
+        values.append((vals.reshape(n_t, n_q, len(subsets)), index))
 
     integrand = np.zeros((n_t, n_q))
     for blocks, sign in _shuffles(degrees, N):

@@ -36,9 +36,13 @@ import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
 
+from .minors import det
 from .quadrature import simplex_rule
 
 SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
+
+# points located per batch: bounds the (points, valence, N+1, N+1) gather
+_LOCATE_BLOCK = 4096
 
 
 def permutation_sign(rows) -> np.ndarray:
@@ -235,6 +239,35 @@ def _check_tops(tops: np.ndarray, dim: int, n_v: int):
             raise ValueError(f"top simplex {i} {tops[i].tolist()} has {what}")
 
 
+def _vertex_stars(tops: np.ndarray, n_v: int) -> np.ndarray:
+    """Tops around each vertex (n_v, max valence), each row padded by
+    repeating its last top."""
+    vert = tops.ravel()
+    order = np.argsort(vert, kind="stable")
+    count = np.bincount(vert, minlength=n_v)
+    start = np.cumsum(count) - count
+    col = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    return (order // tops.shape[1])[start[:, None] + col]
+
+
+def _deepest_cone(cand: np.ndarray, mu: np.ndarray):
+    """For each point, the candidate top whose cone holds it deepest.
+
+    `cand` (m, c) lists candidate tops per point and `mu` (m, c, N+1) the
+    point's cone coordinates in each (x = sum mu_j p_j).  Returns the
+    chosen tops, the barycentric coordinates of the radial intersection
+    and their minimum, the depth (-inf where no candidate cone faces the
+    point).
+    """
+    s = mu.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = mu / s
+    depth = np.where(s[:, :, 0] > 0, lam.min(axis=2), -np.inf)
+    best = depth.argmax(axis=1)
+    rows = np.arange(len(cand))
+    return cand[rows, best], lam[rows, best], depth[rows, best]
+
+
 # ----------------------------------------------------------------------
 # mesh
 # ----------------------------------------------------------------------
@@ -272,9 +305,13 @@ class SimplicialSphere:
         (self.simplices, self.top_faces, self.top_face_parity,
          self._coboundary) = _mesh_tables(tops, dim)
         self.top_points = self.verts[tops]
+        flat = np.flatnonzero(det(self.top_points) == 0.0)
+        if len(flat):
+            raise ValueError(f"top simplex {flat[0]} {tops[flat[0]].tolist()} "
+                             "spans a plane through the origin")
         (self.top_edges, self.top_volumes, self.barygrad,
          self.metric) = simplex_geometry(self.top_points)
-        self._tree = None
+        self._locator = None
         self.operators: dict = {}
         for arr in (self.verts, *self.simplices.values()):
             arr.flags.writeable = False
@@ -311,42 +348,40 @@ class SimplicialSphere:
         """Top simplex hit by the ray through each point, with barycentric
         coordinates of the radial intersection.
 
-        Returns (indices, bary).  Raises if some point cannot be located.
+        The candidates are the tops around the vertex nearest to each
+        point; a point that none of them holds is checked against every
+        top.  Among the tops holding a point the one holding it deepest
+        (largest smallest coordinate) is returned.  Returns (indices,
+        bary) and raises "point off mesh" if some point is zero, not
+        finite, or in no top within `tol`.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         norms = np.linalg.norm(points, axis=1, keepdims=True)
         if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
             raise ValueError("point off mesh")
         unit = points / norms
-        if self._tree is None:
-            cen = self.top_points.mean(axis=1)
-            cen /= np.linalg.norm(cen, axis=1, keepdims=True)
-            self._tree = cKDTree(cen)
-        k = min(16, self.n_simplices(self.dim))
-        _, cand = self._tree.query(unit, k=k)
-        cand = np.atleast_2d(cand)
-        out_idx = np.full(len(unit), -1, dtype=np.int64)
-        out_bary = np.zeros((len(unit), self.dim + 1))
-        for i, x in enumerate(unit):
-            best, best_min = -1, -np.inf
-            for t in cand[i]:
-                P = self.top_points[t]  # (N+1, dim) square
-                try:
-                    mu = np.linalg.solve(P.T, x)
-                except np.linalg.LinAlgError:
-                    continue
-                s = mu.sum()
-                if s <= 0:
-                    continue
-                lam = mu / s
-                m = lam.min()
-                if m > best_min:
-                    best, best_min, best_lam = t, m, lam
-            if best < 0 or best_min < -tol:
-                raise ValueError("point off mesh")
-            out_idx[i] = best
-            out_bary[i] = best_lam
-        return out_idx, out_bary
+        if self._locator is None:
+            self._locator = (cKDTree(self.verts),
+                             _vertex_stars(self.simplices[self.dim], len(self.verts)),
+                             np.linalg.inv(np.swapaxes(self.top_points, 1, 2)))
+        tree, stars, dual = self._locator
+        _, near = tree.query(unit)
+        idx = np.empty(len(unit), dtype=np.int64)
+        bary = np.empty((len(unit), self.dim + 1))
+        depth = np.empty(len(unit))
+        for lo in range(0, len(unit), _LOCATE_BLOCK):
+            blk = slice(lo, lo + _LOCATE_BLOCK)
+            cand = stars[near[blk]]
+            mu = np.einsum("mcij,mj->mci", dual[cand], unit[blk])
+            idx[blk], bary[blk], depth[blk] = _deepest_cone(cand, mu)
+        every = np.arange(len(dual))[None]
+        for i in np.flatnonzero(depth < -tol):
+            one = slice(i, i + 1)
+            idx[one], bary[one], depth[one] = _deepest_cone(
+                every, (dual @ unit[i])[None])
+        if (depth < -tol).any():
+            raise ValueError("point off mesh")
+        return idx, bary
 
     # -- io -----------------------------------------------------------------
 

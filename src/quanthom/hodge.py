@@ -20,13 +20,20 @@ Every solve is Jacobi-preconditioned conjugate gradients; the
 Jacobi-scaled mass matrix has an h-independent spectrum (Wathen 1987).
 
 Local mass entries use the exact identities
-int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and
-<dl_{a_1}^...^dl_{a_k}, dl_{b_1}^...^dl_{b_k}> = det[<grad l_a, grad l_b>].
+int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and, by the
+Cauchy-Binet formula,
+<dl_{a_1}^...^dl_{a_k}, dl_{b_1}^...^dl_{b_k}> = det[<grad l_a, grad l_b>],
+a k x k minor of the Gram matrix g of the barycentric differentials.
+With W_J = k! sum_m (-1)^m lambda_{j_m} dl_{J - j_m}, every entry of the
+local k-form mass matrix is vol k!^2 sum_{I, I'} C[(J, J'), (I, I')] g_{I, I'}
+over the C(N+1, k)^2 minors g_{I, I'}, with a constant coefficient table C
+per (N, k).  So each mass matrix is one batched minors call
+(geometry.minors) and one matrix product.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -35,6 +42,20 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
 from .geometry.mesh import simplex_geometry
+from .geometry.minors import minors, whitney_table
+
+
+@lru_cache(maxsize=None)
+def _mass_coefficients(N: int, k: int) -> np.ndarray:
+    """C[(a, b), (I, J)] = sum of (-1)^(m+m') int lambda_{a_m} lambda_{b_m'}
+    over the drops a - a_m = I, b - b_m' = J, per unit volume: the mass
+    block is vol k!^2 C times the k x k minors of the metric.  Read-only."""
+    T = whitney_table(N, k)                                # (N+1, faces, slots)
+    lamlam = (1.0 + np.eye(N + 1)) / ((N + 1) * (N + 2))
+    C = np.einsum("via,vw,wjb->abij", T, lamlam, T)
+    C = C.reshape(T.shape[2] ** 2, T.shape[1] ** 2).copy()
+    C.flags.writeable = False
+    return C
 
 
 def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
@@ -48,21 +69,11 @@ def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
     signs are applied.
     """
     N = g.shape[1] - 1
-    slots = list(combinations(range(N + 1), k + 1))
-    lamlam = (1.0 + np.eye(N + 1)) / ((N + 1) * (N + 2))
-    kfac2 = float(factorial(k)) ** 2
-    blocks = np.empty((len(vol), len(slots), len(slots)))
-    for a, Ja in enumerate(slots):
-        for b, Jb in enumerate(slots):
-            acc = np.zeros(len(vol))
-            for m in range(k + 1):
-                ra = list(Ja[:m] + Ja[m + 1:])
-                for mm in range(k + 1):
-                    rb = list(Jb[:mm] + Jb[mm + 1:])
-                    det = np.linalg.det(g[:, ra, :][:, :, rb]) if k else 1.0
-                    acc += ((-1) ** (m + mm) * lamlam[Ja[m], Jb[mm]]) * det
-            blocks[:, a, b] = kfac2 * vol * acc
-    return blocks
+    C = _mass_coefficients(N, k)
+    s = whitney_table(N, k).shape[2]
+    blocks = minors(g, k).reshape(len(vol), -1) @ C.T
+    blocks *= (factorial(k) ** 2 * vol)[:, None]
+    return blocks.reshape(len(vol), s, s)
 
 
 def mass_matrix(mesh, k: int) -> sparse.csr_matrix:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .geometry.forms import FormField
 from .geometry.mesh import SPHERE_VOLUMES
+from .geometry.minors import det
 
 
 # ----------------------------------------------------------------------
@@ -157,6 +158,11 @@ def make_sphere_suspension(d: int) -> SmoothMap:
                      name=f"suspension:d={d}", params={"d": d})
 
 
+# Df of the Hopf map is linear in X: row i is 2 * sign * X[columns]
+_HOPF_COLUMNS = np.array([[0, 1, 2, 3], [2, 3, 0, 1], [3, 2, 1, 0]])
+_HOPF_SIGNS = 2.0 * np.array([[1, 1, -1, -1], [1, 1, 1, 1], [-1, 1, 1, -1]])
+
+
 def make_hopf() -> SmoothMap:
     """Quaternionic Hopf map S^3 -> S^2 with Hopf invariant 1."""
 
@@ -167,11 +173,8 @@ def make_hopf() -> SmoothMap:
                          2 * (b * c - a * d)], axis=1)
 
     def jacobian(X):
-        a, b, c, d = X.T
-        J = np.empty((len(X), 3, 4))
-        J[:, 0] = np.stack([2 * a, 2 * b, -2 * c, -2 * d], axis=1)
-        J[:, 1] = np.stack([2 * c, 2 * d, 2 * a, 2 * b], axis=1)
-        J[:, 2] = np.stack([-2 * d, 2 * c, 2 * b, -2 * a], axis=1)
+        J = X[:, _HOPF_COLUMNS]
+        J *= _HOPF_SIGNS
         return J
 
     return SmoothMap(3, S2, value, jacobian, name="hopf")
@@ -370,8 +373,7 @@ def volume_form(target: Target) -> TargetForm:
     scale = 1.0 / SPHERE_VOLUMES[M]
 
     def ev(points, frames):
-        mats = np.concatenate([points[:, None, :], frames], axis=1)
-        return np.linalg.det(mats) * scale
+        return det(np.concatenate([points[:, None, :], frames], axis=1)) * scale
 
     return TargetForm(target, M, ev, name=f"vol[S{M}]")
 
@@ -387,42 +389,47 @@ def product_factor_form(target: Target, i: int) -> TargetForm:
     def ev(points, frames):
         seg = points[:, off:off + amb]
         sub = frames[:, :, off:off + amb]
-        mats = np.concatenate([seg[:, None, :], sub], axis=1)
-        return np.linalg.det(mats) * scale
+        return det(np.concatenate([seg[:, None, :], sub], axis=1)) * scale
 
     return TargetForm(target, target.factors[i].dim, ev, name=f"omega_{i + 1}")
 
 
+class PullbackForm(FormField):
+    """f^*(omega)(x; v_1..v_k) = omega(f(x); Df v_1, .., Df v_k)."""
+
+    def __init__(self, f: SmoothMap, omega):
+        if omega.degree > f.domain_dim:
+            raise ValueError("form degree exceeds domain dimension")
+        super().__init__(omega.degree, self._evaluate,
+                         name=f"{f.name}^*({omega.name})")
+        self.map = f
+        self.form = omega
+
+    def _push(self, points, frames):
+        """f at the points and Df applied to every frame vector."""
+        J = self.map.jacobian(points)                     # (m, M', n)
+        return self.map.value(points), frames @ np.swapaxes(J, 1, 2)
+
+    def _evaluate(self, points, frames):
+        return self.form(*self._push(points, frames))
+
+    def on_frame_subsets(self, points, frames, subsets):
+        """One evaluation of f and Df per point for all subsets."""
+        y, W = self._push(points, frames)
+        return np.stack([self.form(y, W[:, list(sub), :]) for sub in subsets],
+                        axis=-1)
+
+
 def pullback(f: SmoothMap, omega, x, *vectors) -> float:
     """Pointwise pullback f^*(omega)(x; v_1..v_k) = omega(f(x); Df v_i)."""
-    k = omega.degree
-    if k > f.domain_dim:
-        raise ValueError("form degree exceeds domain dimension")
-    x = np.asarray(x, dtype=float)[None, :]
-    y = f.value(x)
-    J = f.jacobian(x)
-    if k == 0:
-        return float(omega(y, np.zeros((1, 0, y.shape[1])))[0])
-    V = np.stack([np.asarray(v, dtype=float) for v in vectors], axis=0)[None]
-    W = np.einsum("mij,mkj->mki", J, V)
-    return float(omega(y, W)[0])
+    x = np.asarray(x, dtype=float)
+    V = np.array(vectors, dtype=float).reshape(len(vectors), len(x))
+    return float(PullbackForm(f, omega)(x[None], V[None])[0])
 
 
 def pullback_form(f: SmoothMap, omega) -> FormField:
     """f^*(omega) as a vectorized form field on the domain sphere."""
-    k = omega.degree
-    if k > f.domain_dim:
-        raise ValueError("form degree exceeds domain dimension")
-
-    def ev(points, frames):
-        y = f.value(points)
-        J = f.jacobian(points)
-        if k == 0:
-            return omega(y, np.zeros((len(y), 0, y.shape[1])))
-        W = np.einsum("mij,mkj->mki", J, frames)
-        return omega(y, W)
-
-    return FormField(k, ev, name=f"{f.name}^*({omega.name})")
+    return PullbackForm(f, omega)
 
 
 # ----------------------------------------------------------------------
@@ -464,12 +471,33 @@ def target_distance_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> 
     return float(distance_to_target(f.value(X), f.target).max())
 
 
+def _spec_keys(spec: str, args: str, required=(), optional=()) -> dict:
+    """The key=value parameters of a map spec, checked against the keys
+    its family takes; an unknown, repeated or missing key is named."""
+    kv = {}
+    for part in args.split(",") if args else ():
+        key, eq, val = (x.strip() for x in part.partition("="))
+        if not eq:
+            raise ValueError(f"parameter {part!r} is not key=value in map "
+                             f"spec {spec!r}")
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown key {key!r} in map spec {spec!r}")
+        if key in kv:
+            raise ValueError(f"repeated key {key!r} in map spec {spec!r}")
+        kv[key] = val
+    for key in required:
+        if key not in kv:
+            raise ValueError(f"missing key {key!r} in map spec {spec!r}")
+    return kv
+
+
 def parse_map_spec(spec: str) -> SmoothMap:
     """Build a map family from its CLI string.
 
     Grammar: `circle-power:d=3`, `suspension:d=2`, `hopf`, `const`,
     `antipodal:n=2`, `compose:OUTER|INNER`, `product:SPEC,SPEC`,
-    `perturb:eps=0.1,m=7|SPEC`.
+    `perturb:eps=0.1,m=7|SPEC`.  Unknown, repeated and missing keys
+    raise ValueError naming the key and the spec.
     """
     spec = spec.strip()
     if spec.startswith("compose:"):
@@ -481,7 +509,7 @@ def parse_map_spec(spec: str) -> SmoothMap:
         args, _, inner = spec[len("perturb:"):].partition("|")
         if not inner:
             raise ValueError(f"perturb needs parameters|SPEC in {spec!r}")
-        kv = dict(p.split("=") for p in args.split(","))
+        kv = _spec_keys(spec, args, required=("eps",), optional=("m",))
         return make_oscillation_perturbation(
             parse_map_spec(inner), float(kv["eps"]), int(kv.get("m", 1)))
     if spec.startswith("product:"):
@@ -499,15 +527,15 @@ def parse_map_spec(spec: str) -> SmoothMap:
         maps = [m if m is not None else make_constant(dom, S2) for m in maps]
         return make_product_map(*maps)
     head, _, args = spec.partition(":")
-    kv = dict(p.split("=") for p in args.split(",")) if args else {}
-    if head == "circle-power":
-        return make_circle_power(int(kv["d"]))
-    if head == "suspension":
-        return make_sphere_suspension(int(kv["d"]))
+    if head in ("circle-power", "suspension"):
+        d = int(_spec_keys(spec, args, required=("d",))["d"])
+        return make_circle_power(d) if head == "circle-power" else make_sphere_suspension(d)
     if head == "hopf":
+        _spec_keys(spec, args)
         return make_hopf()
-    if head == "antipodal":
-        return make_antipodal(int(kv.get("n", 2)))
-    if head == "const":
-        return make_constant(int(kv.get("n", 3)), S2)
+    if head in ("antipodal", "const"):
+        n = _spec_keys(spec, args, optional=("n",)).get("n")
+        if head == "antipodal":
+            return make_antipodal(int(n or 2))
+        return make_constant(int(n or 3), S2)
     raise ValueError(f"unknown map spec {spec!r}")

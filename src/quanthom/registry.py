@@ -20,8 +20,11 @@ with their thresholds, exponents (N+L)/beta, and numerical evaluability.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .invariants import (DegreeStructure, Term, degree_structure,
                          hopf_structure, s2xs2_alpha_structure,
@@ -145,7 +148,7 @@ def threshold_report(structure: DegreeStructure,
             per_b.append(None)
             per_a.append(None)
             continue
-        b, a = beta0(t.degrees[0], t.degrees[1:])
+        b, a = beta0(t.degrees[0], t.degrees[1:], validate=False)
         per_b.append(b)
         per_a.append(a)
     known = [b for b in per_b if b is not None]
@@ -173,13 +176,16 @@ def _sym(name: str, N: int, terms) -> DegreeStructure:
     return DegreeStructure(name, N, tuple(terms), target=None)
 
 
-def catalogue() -> dict[str, CatalogueEntry]:
+@cache
+def catalogue() -> Mapping[str, CatalogueEntry]:
     """Named example structures with their threshold reports.
 
     Entries for the complex projective plane and the connected sum are
     symbolic only (their generator forms admit no desk-scale numerical
     model); sphere and sphere-product entries are numerically
-    evaluable, as is the S^1 winding special case.
+    evaluable, as is the S^1 winding special case.  Built once, on the
+    first call, as a read-only mapping; its closed-form thresholds are
+    not re-validated here (the test suite runs that check).
     """
     out: dict[str, CatalogueEntry] = {}
 
@@ -217,7 +223,7 @@ def catalogue() -> dict[str, CatalogueEntry]:
             note="published threshold 3/4; the mixed [3,2] term's computed "
                  "per-term threshold is 4/5 (the global-L theorem bound does "
                  "not dominate lower-L_k terms)")
-    return out
+    return MappingProxyType(out)
 
 
 _ALIASES = {

@@ -5,14 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_hodge_antiderivative_demo_runs():
+@pytest.mark.parametrize("demo", ["01_meshes_and_calculus",
+                                  "02_hodge_antiderivative",
+                                  "03_invariants_and_linking"])
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "02_hodge_antiderivative.py")],
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

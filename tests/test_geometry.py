@@ -5,6 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quanthom.geometry import SPHERE_VOLUMES, SimplicialSphere, build_sphere_mesh
 from quanthom.geometry.quadrature import simplex_rule
@@ -139,6 +142,49 @@ class TestMeshConstruction:
         rec /= np.linalg.norm(rec, axis=1, keepdims=True)
         assert np.abs(rec - pts).max() < 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    # 1e-7 from an S^3 level-1 vertex with 24 tops, where the 16 nearest
+    # top centroids miss the top holding some of the points
+    @example(dim=3, kind="vertex", which=35, t=0.0, offset=-7.0,
+             directions=np.linspace(-1.0, 1.0, 64).reshape(16, 4))
+    @given(dim=st.sampled_from([1, 2, 3]),
+           kind=st.sampled_from(["random", "vertex", "edge"]),
+           which=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0),
+           offset=st.floats(-12.0, -5.0),
+           directions=arrays(np.float64, (16, 4), elements=st.floats(-1.0, 1.0)))
+    def test_locate_any_point(self, dim, kind, which, t, offset, directions):
+        # random points, and points within 1e-12..1e-5 of a vertex or of a
+        # point on an edge, where up to 28 tops (S^3) meet
+        m = cached_mesh(dim, {1: 3, 2: 2, 3: 1}[dim])
+        v = directions[:, :dim + 1]
+        if kind == "random":
+            x = v[np.linalg.norm(v, axis=1) > 1e-3]
+        else:
+            table = m.simplices[0 if kind == "vertex" else 1]
+            p = m.verts[table[which % len(table)]]
+            x = (1 - t) * p[0] + t * p[-1] + 10.0 ** offset * v
+        if not len(x):
+            return
+        idx, bary = m.locate(x)
+        assert bary.min() >= -1e-10
+        assert np.abs(bary.sum(axis=1) - 1.0).max() < 1e-12
+        rec = np.einsum("mj,mjd->md", bary, m.top_points[idx])
+        rec /= np.linalg.norm(rec, axis=1, keepdims=True)
+        assert np.abs(rec - x / np.linalg.norm(x, axis=1, keepdims=True)).max() < 1e-12
+
+    def test_locate_falls_back_to_every_top(self, rng):
+        # with every vertex star replaced by top 0, all other points are
+        # found by the exhaustive check, in the same tops
+        pts = rng.standard_normal((40, 3))
+        ref_idx, ref_bary = cached_mesh(2, 2).locate(pts)
+        m = build_sphere_mesh(2, 2)
+        m.locate(pts[:1])
+        tree, stars, dual = m._locator
+        m._locator = (tree, np.zeros_like(stars), dual)
+        idx, bary = m.locate(pts)
+        assert np.array_equal(idx, ref_idx)
+        assert np.abs(bary - ref_bary).max() < 1e-15
+
 
 class TestMeshIO:
     @pytest.mark.parametrize("dim,level", [(1, 1), (2, 1), (3, 0)])
@@ -198,13 +244,19 @@ def _repeated(tops):
     return tops
 
 
+def _through_origin(tops):
+    tops[3] = [0, 3, 5]            # vertex 3 is antipodal to vertex 0
+    return tops
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_empty, "no top simplices"),
     (_bad_width, r"top simplex 0 has shape \(2,\)"),
     (_out_of_range, r"top simplex 3 .* outside \[0, 12\)"),
     (_negative, r"top simplex 3 .* outside \[0, 12\)"),
     (_repeated, "top simplex 3 .* has a repeated vertex"),
-], ids=["empty", "width", "out-of-range", "negative", "repeated"])
+    (_through_origin, r"top simplex 3 \[0, 3, 5\] spans a plane through the origin"),
+], ids=["empty", "width", "out-of-range", "negative", "repeated", "through-origin"])
 def test_bad_tops_rejected(corrupt, message):
     m = build_sphere_mesh(2, 0)
     tops = corrupt(m.simplices[2].copy())

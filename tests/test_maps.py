@@ -1,5 +1,7 @@
 """Map families: values, Jacobians, pullbacks, perturbations, spec strings."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,31 @@ class TestSpecStrings:
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown map spec"):
             parse_map_spec("frobnicate:x=1")
+
+    @pytest.mark.parametrize("spec,message", [
+        ("circle-power:d=3,x=1", "unknown key 'x' in map spec 'circle-power:d=3,x=1'"),
+        ("hopf:x=1", "unknown key 'x' in map spec 'hopf:x=1'"),
+        ("perturb:eps=0.1,m=7,z=2|hopf",
+         "unknown key 'z' in map spec 'perturb:eps=0.1,m=7,z=2|hopf'"),
+        ("const:n=2,d=1", "unknown key 'd'"),
+        ("circle-power:", "missing key 'd' in map spec 'circle-power:'"),
+        ("suspension:n=2", "unknown key 'n'"),
+        ("perturb:m=7|hopf", "missing key 'eps'"),
+        ("circle-power:d=1,d=2", "repeated key 'd'"),
+        ("antipodal:n", "parameter 'n' is not key=value"),
+        ("compose:circle-power:d=2,y=0|circle-power:d=3", "unknown key 'y'"),
+    ])
+    def test_bad_keys_named(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_map_spec(spec)
+
+    @pytest.mark.parametrize("spec,name", [
+        ("antipodal:n=2", "antipodal"), ("const", "const"), ("hopf:", "hopf"),
+        ("perturb:eps=0.05,m=3|const:n=2", "perturb:eps=0.05,m=3|const"),
+        ("circle-power:d=-2", "circle-power:d=-2"),
+    ])
+    def test_optional_keys(self, spec, name):
+        assert parse_map_spec(spec).name == name
 
     def test_composition_checks_domain(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -156,6 +156,23 @@ class TestCatalogue:
         assert w.report.theorem_beta0 == F(1, 2)
         assert w.report.effective_beta0() == F(1, 2)
 
+    def test_closed_forms_validated(self):
+        # the catalogue takes closed-form thresholds unvalidated; every
+        # term's closed form is checked here against golden-section search
+        terms = [t for e in catalogue().values() for t in e.structure.terms
+                 if t.degrees != (1,)]
+        assert len(terms) >= 20
+        for t in terms:
+            assert beta0(t.degrees[0], t.degrees[1:], validate=True) == \
+                beta0(t.degrees[0], t.degrees[1:], validate=False)
+
+    def test_catalogue_built_once_read_only(self):
+        cat = catalogue()
+        assert catalogue() is cat
+        assert lookup("hopf") is cat["hopf:n=1"]
+        with pytest.raises(TypeError):
+            cat["hopf:n=1"] = None
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             lookup("nonexistent:thing")
