@@ -151,7 +151,9 @@ def _cmd_invariant(args) -> int:
             q = -p
             link = gauss_linking_oracle(f, p / np.linalg.norm(p),
                                         q / np.linalg.norm(q))
-            out["oracle"] = {"linking": link.value, "rounded": link.rounded}
+            out["oracle"] = {"linking": link.value, "rounded": link.rounded,
+                             "min_transverse_sv": link.min_transverse_sv,
+                             "points": link.points}
         elif f.domain_dim == 1:
             from .invariants import winding_number_oracle
             out["oracle"] = {"winding": winding_number_oracle(f)}

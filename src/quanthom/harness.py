@@ -38,6 +38,10 @@ from .seminorms import (bmo_seminorm, holder_seminorm,
 
 RATIO_SPREAD_LIMIT = 3.0
 SLOPE_MARGIN = 1.15
+# failures a sweep row records and runs past: bad specs and non-regular
+# values (ValueError), floating-point faults, and unconverged solves
+_ROW_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError,
+               RuntimeError)
 
 
 class ConfigError(ValueError):
@@ -298,9 +302,10 @@ def run_scaling(config: ExperimentConfig) -> Report:
                                    Ef * ds / s)
                 rows.append(ScalingRow(val, spec, inv, inv_err, s, ds,
                                        ratio, ratio * rel, *solver))
-            except Exception as exc:   # row failures recorded, run continues
+            except _ROW_ERRORS as exc:
                 rows.append(ScalingRow(val, spec, np.nan, np.nan, np.nan,
-                                       np.nan, np.nan, np.nan, error=str(exc)))
+                                       np.nan, np.nan, np.nan,
+                                       error=f"{type(exc).__name__}: {exc}"))
         block = ScalingBlock(beta, E, hypothesis_ok, rows)
         good = [r for r in rows if not r.error and abs(r.invariant) > 1e-9
                 and r.seminorm > 0]
@@ -399,9 +404,9 @@ def run_bmo_probe(config: ExperimentConfig, int_tol: float = 1e-3) -> Report:
             ratio = dmax / est.value if est.value > 0 else 0.0
             rows.append(BmoRow(val, spec, est.value, est.error, dmax, inv,
                                ratio))
-        except Exception as exc:
+        except _ROW_ERRORS as exc:
             rows.append(BmoRow(val, spec, np.nan, np.nan, np.nan, np.nan,
-                               np.nan, error=str(exc)))
+                               np.nan, error=f"{type(exc).__name__}: {exc}"))
     block = BmoBlock(rows)
     good = [r for r in rows if not r.error]
     ratios = [r.ratio for r in good if r.ratio > 0]

@@ -4,14 +4,18 @@ Independent cross-check of the integral Hopf invariant: the preimages
 of two regular values are disjoint links of circles in S^3, and the
 invariant equals the total linking number between them.
 
-Preimage circles are traced by predictor-corrector continuation of the
-analytic map (kernel-direction predictor, Newton corrector), oriented
-by the preimage convention: the tangent v is chosen so that
-(v, w_1, w_2) is a positive frame of T_x S^3 whenever (Df w_1, Df w_2)
-is a positive frame of T_p S^2, with both spheres oriented outward.
-The linking number of each curve pair is evaluated by the Gauss double
-line integral after an orientation-preserving stereographic chart to
-R^3.
+Fiber geometry is closed form, batched over points: the quaternion
+frame B = (i x, j x, k x) of T_x S^3 has det[x, B] = +1; with a positive
+frame t of T_y S^2, r_a = t_a^T Df B and G = R R^T, the tangent
+v = B (r_1 x r_2) / |r_1 x r_2| has the preimage orientation, (v, w_1,
+w_2) positive in T_x S^3 (spheres oriented outward) for the min-norm
+solutions of Df w_a = t_a, as w_1 x w_2 = (r_1 x r_2) / det G.  G gives
+the transverse singular value and the Newton step is
+B R^T G^{-1} (-t.(f(x) - p)).  A coarse trace with _COARSE times the
+output spacing is refined by projecting the points of its chords onto
+the fiber in one batched Newton call.  The Gauss double integral runs in
+a stereographic chart with numerator (x - y).(dx x dy) = (x x dx).dy +
+dx.(y x dy), two matmuls per block of rows.
 """
 
 from __future__ import annotations
@@ -20,25 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _tangent_basis(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the tangent space at x (columns, shape (4,3))."""
-    A = np.eye(4) - np.outer(x, x)
-    # columns of A span the tangent space; orthonormalize the best three
-    q, r = np.linalg.qr(A)
-    order = np.argsort(-np.abs(np.diag(r)))[:3]
-    return q[:, sorted(order)]
-
-
-def _target_frame(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positively oriented tangent frame of S^2 at y: det[y, t1, t2] = 1."""
-    a = int(np.argmin(np.abs(y)))
-    t1 = np.zeros(3)
-    t1[a] = 1.0
-    t1 = t1 - (t1 @ y) * y
-    t1 /= np.linalg.norm(t1)
-    t2 = np.cross(y, t1)
-    return t1, t2
+_COARSE = 8          # coarse trace step over output spacing
+_BLOCK = 256         # rows per block of the Gauss double sum
 
 
 class NonRegularValueError(ValueError):
@@ -57,72 +44,99 @@ class LinkingResult:
     rounded: int
     pair_values: list = field(default_factory=list)
     n_components: tuple = (0, 0)
+    min_transverse_sv: float | None = None  # over all components
+    points: tuple = ((), ())        # polyline size of each component
 
 
-def _newton_to_fiber(f, x: np.ndarray, p: np.ndarray,
-                     tol: float = 1e-12, maxiter: int = 40):
-    """Project x onto f^{-1}(p) along the sphere; None if not converged."""
+def _quaternion_frame(X: np.ndarray) -> np.ndarray:
+    """Tangent frames (i x, j x, k x) of S^3 at the rows of X, (n, 4, 3)."""
+    a, b, c, d = X.T
+    return np.stack([np.stack([-b, a, -d, c], axis=1),
+                     np.stack([-c, d, a, -b], axis=1),
+                     np.stack([-d, -c, b, a], axis=1)], axis=2)
+
+
+def _fiber_geometry(f, X: np.ndarray, p: np.ndarray):
+    """|f(x) - p|, Newton step, fiber tangent and transverse sv per row."""
+    B = _quaternion_frame(X)
+    Y = f.value(X)
+    J = f.jacobian(X) @ B                           # (n, 3, 3)
+    a = np.argmin(np.abs(Y), axis=1)[:, None]       # positive frame t of T_y
+    t1 = np.eye(3)[a[:, 0]] - np.take_along_axis(Y, a, axis=1) * Y
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    t2 = np.cross(Y, t1)
+    r1 = np.einsum("ni,nij->nj", t1, J)
+    r2 = np.einsum("ni,nij->nj", t2, J)
+    g11, g12, g22 = (r1 * r1).sum(1), (r1 * r2).sum(1), (r2 * r2).sum(1)
+    det = g11 * g22 - g12 ** 2
+    big = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12)
+    res = Y - p
+    b1, b2 = -(t1 * res).sum(1), -(t2 * res).sum(1)
+    k = np.cross(r1, r2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = np.sqrt(np.maximum(det / big, 0.0))
+        c1, c2 = (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
+        v = np.einsum("nij,nj->ni", B, k / np.linalg.norm(k, axis=1)[:, None])
+        step = np.einsum("nij,nj->ni", B, c1[:, None] * r1 + c2[:, None] * r2)
+    return np.linalg.norm(res, axis=1), step, v, sv
+
+
+def _project(f, X: np.ndarray, p: np.ndarray, tol: float = 1e-12,
+             maxiter: int = 40):
+    """Newton projection of the rows of X onto f^{-1}(p) along S^3: the
+    points, the converged mask, and tangent and sv at converged rows."""
+    X = np.array(X, dtype=float)
+    V, S = np.full_like(X, np.nan), np.full(len(X), np.nan)
+    ok = np.zeros(len(X), dtype=bool)
+    act = np.arange(len(X))
     for _ in range(maxiter):
-        r = f.value(x[None])[0] - p
-        if np.linalg.norm(r) < tol:
-            return x
-        B = _tangent_basis(x)
-        J = f.jacobian(x[None])[0] @ B
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        if not np.all(np.isfinite(delta)):
-            return None
-        step = B @ delta
-        n = np.linalg.norm(step)
-        if n > 0.5:
-            step *= 0.5 / n
-        x = x + step
-        x /= np.linalg.norm(x)
-    return None
-
-
-def _oriented_kernel(f, x: np.ndarray, p: np.ndarray, reg_tol: float):
-    """Unit fiber tangent at x with the preimage orientation."""
-    B = _tangent_basis(x)
-    J = f.jacobian(x[None])[0] @ B          # (3, 3), rank 2 at regular points
-    U, s, Vt = np.linalg.svd(J)
-    if s[1] <= reg_tol:
-        raise NonRegularValueError("non-regular value")
-    v = B @ Vt[2]
-    v /= np.linalg.norm(v)
-    y = f.value(x[None])[0]
-    t1, t2 = _target_frame(y)
-    w = []
-    for t in (t1, t2):
-        sol, *_ = np.linalg.lstsq(J, t, rcond=None)
-        w.append(B @ sol)
-    sign = np.linalg.det(np.stack([x, v, w[0], w[1]]))
-    if sign < 0:
-        v = -v
-    return v, s[1]
+        if not act.size:
+            break
+        res, step, v, sv = _fiber_geometry(f, X[act], p)
+        hit = res < tol
+        ok[act[hit]] = True
+        V[act[hit]], S[act[hit]] = v[hit], sv[hit]
+        keep = ~hit & np.isfinite(step).all(axis=1)
+        act, step = act[keep], step[keep]
+        step *= 0.5 / np.maximum(np.linalg.norm(step, axis=1), 0.5)[:, None]
+        x = X[act] + step
+        X[act] = x / np.linalg.norm(x, axis=1, keepdims=True)
+    return X, ok, V, S
 
 
 def trace_fiber(f, p: np.ndarray, x0: np.ndarray, step: float,
                 reg_tol: float = 1e-3, max_steps: int = 100000) -> FiberCurve:
-    """Closed preimage curve of the regular value p through x0."""
-    p = np.asarray(p, dtype=float)
-    x = _newton_to_fiber(f, np.asarray(x0, dtype=float), p)
-    if x is None:
+    """Closed preimage curve of the regular value p through x0, with
+    points about `step` apart (at most max_steps coarse steps)."""
+    X, ok, V, S = _project(f, np.asarray(x0, dtype=float)[None], p)
+    if not ok[0]:
         raise RuntimeError("could not land on the preimage")
-    pts = [x]
-    min_sv = np.inf
-    start = x
+    h = _COARSE * step
+    pts = [X[0]]
     for n in range(max_steps):
-        v, sv = _oriented_kernel(f, pts[-1], p, reg_tol)
-        min_sv = min(min_sv, sv)
-        pred = pts[-1] + step * v
-        pred /= np.linalg.norm(pred)
-        nxt = _newton_to_fiber(f, pred, p)
-        if nxt is None:
+        if not S[0] > reg_tol:
+            raise NonRegularValueError("non-regular value")
+        pred = X[0] + h * V[0]
+        X, ok, V, S = _project(f, (pred / np.linalg.norm(pred))[None], p)
+        if not ok[0]:
             raise RuntimeError("corrector failed during fiber tracing")
-        pts.append(nxt)
-        if n >= 2 and np.linalg.norm(nxt - start) < 0.75 * step:
-            return FiberCurve(np.array(pts[:-1]), min_sv)
-    raise RuntimeError("open preimage trace: no closure within step budget")
+        if n >= 2 and np.linalg.norm(X[0] - pts[0]) < 0.75 * h:
+            break
+        pts.append(X[0])
+    else:
+        raise RuntimeError("open preimage trace: no closure within step budget")
+    coarse = np.array(pts)
+    chord = np.roll(coarse, -1, axis=0) - coarse
+    m = np.maximum(1, np.rint(np.linalg.norm(chord, axis=1) / step)).astype(int)
+    seg = np.repeat(np.arange(len(coarse)), m)
+    t = (np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)) / m[seg]
+    X = coarse[seg] + t[:, None] * chord[seg]
+    X, ok, _, S = _project(f, X / np.linalg.norm(X, axis=1, keepdims=True), p)
+    if not ok.all():
+        raise RuntimeError("corrector failed during fiber refinement")
+    if not S.min() > reg_tol:
+        raise NonRegularValueError("non-regular value")
+    return FiberCurve(X, float(S.min()))
 
 
 def preimage_link(f, p: np.ndarray, step: float, seed: int = 0,
@@ -130,12 +144,9 @@ def preimage_link(f, p: np.ndarray, step: float, seed: int = 0,
     """All components of f^{-1}(p), each traced as a closed polyline."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_starts, 4))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X, ok, _, _ = _project(f, X / np.linalg.norm(X, axis=1, keepdims=True), p)
     curves: list[FiberCurve] = []
-    for x0 in X:
-        x = _newton_to_fiber(f, x0, np.asarray(p, dtype=float))
-        if x is None:
-            continue
+    for x in X[ok]:
         if any(np.linalg.norm(c.points - x, axis=1).min() < 2.0 * step
                for c in curves):
             continue
@@ -143,17 +154,9 @@ def preimage_link(f, p: np.ndarray, step: float, seed: int = 0,
     return curves
 
 
-# ----------------------------------------------------------------------
-# the Gauss integral
-# ----------------------------------------------------------------------
-
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
-    """Orientation-preserving chart S^3 minus pole -> R^3.
-
-    Basis (b1, b2, b3) of pole-perp is chosen with det[pole, b] = -1 so
-    that linking numbers in the chart match the outward orientation of
-    the sphere.
-    """
+    """Orientation-preserving chart S^3 minus pole -> R^3: the basis b of
+    pole-perp has det[pole, b] = -1, matching the outward orientation."""
     q, _ = np.linalg.qr(np.column_stack([pole, np.eye(4)[:, :3]]))
     q = q[:, 1:]
     if np.linalg.det(np.column_stack([pole, q])) > 0:
@@ -168,54 +171,61 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
 
     Midpoint rule per segment pair; exact in the limit of fine curves.
     """
-    x_mid = 0.5 * (c1 + np.roll(c1, -1, axis=0))
     dx = np.roll(c1, -1, axis=0) - c1
-    y_mid = 0.5 * (c2 + np.roll(c2, -1, axis=0))
     dy = np.roll(c2, -1, axis=0) - c2
+    x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
+    xdx, ydy = np.cross(x, dx), np.cross(y, dy)
     total = 0.0
-    block = 512
-    for i in range(0, len(x_mid), block):
-        xm = x_mid[i:i + block]
-        dxm = dx[i:i + block]
-        diff = xm[:, None, :] - y_mid[None, :, :]
-        cross = np.cross(dxm[:, None, :], dy[None, :, :])
-        num = np.einsum("ijk,ijk->ij", diff, cross)
-        dist3 = np.linalg.norm(diff, axis=2) ** 3
-        total += float((num / dist3).sum())
+    for i in range(0, len(x), _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        num = xdx[rows] @ dy.T + dx[rows] @ ydy.T
+        d2 = sum((x[rows, k, None] - y[None, :, k]) ** 2 for k in range(3))
+        total += float((num / (d2 * np.sqrt(d2))).sum())
     return total / (4.0 * np.pi)
 
 
 def _chart_pole(curves: list[np.ndarray], seed: int = 1) -> np.ndarray:
+    """Random candidate farthest from all curve points: |c-x|^2 = 2 - 2c.x."""
     rng = np.random.default_rng(seed)
     cand = rng.standard_normal((256, 4))
     cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-    allpts = np.vstack(curves)
-    dists = np.linalg.norm(cand[:, None, :] - allpts[None, :, :], axis=2).min(axis=1)
-    return cand[int(np.argmax(dists))]
+    nearest = np.max([(cand @ c.T).max(axis=1) for c in curves], axis=0)
+    return cand[int(np.argmin(nearest))]
 
 
 def gauss_linking_oracle(f, p, q, step: float | None = None, seed: int = 0,
                          reg_tol: float = 1e-3) -> LinkingResult:
     """Total linking number between the preimage links of p and q.
 
-    p and q must be regular values of f: the smallest transverse
+    p and q must be distinct regular values of f: the smallest transverse
     singular value of Df along the preimages must exceed `reg_tol`.
     Step defaults to about 2000 points per unit-circumference fiber.
     """
     if f.domain_dim != 3 or f.target.dim != 2 or f.target.kind != "sphere":
         raise ValueError("oracle requires a map S3 -> S2")
-    step = step or (2 * np.pi / 2000)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    for name, v in (("p", p), ("q", q)):
+        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+            raise ValueError(f"{name} must be a unit 3-vector, got {v!r}")
+    if np.linalg.norm(p - q) <= 1e-12:
+        raise ValueError("p and q must be distinct values")
+    step = 2 * np.pi / 2000 if step is None else step
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    if not reg_tol >= 0:
+        raise ValueError(f"reg_tol must be >= 0, got {reg_tol!r}")
     link_p = preimage_link(f, p, step, seed=seed, reg_tol=reg_tol)
     link_q = preimage_link(f, q, step, seed=seed + 1, reg_tol=reg_tol)
+    info = dict(n_components=(len(link_p), len(link_q)),
+                min_transverse_sv=min((c.min_transverse_sv for c in
+                                       link_p + link_q), default=None),
+                points=(tuple(len(c.points) for c in link_p),
+                        tuple(len(c.points) for c in link_q)))
     if not link_p or not link_q:
-        return LinkingResult(0.0, 0, [], (len(link_p), len(link_q)))
+        return LinkingResult(0.0, 0, [], **info)
     pole = _chart_pole([c.points for c in link_p + link_q], seed=seed + 2)
     flat_p = [_stereographic(c.points, pole) for c in link_p]
     flat_q = [_stereographic(c.points, pole) for c in link_q]
-    pairs = []
-    for a in flat_p:
-        for b in flat_q:
-            pairs.append(gauss_linking_integral(a, b))
+    pairs = [gauss_linking_integral(a, b) for a in flat_p for b in flat_q]
     total = float(sum(pairs))
-    return LinkingResult(total, int(np.rint(total)), pairs,
-                         (len(link_p), len(link_q)))
+    return LinkingResult(total, int(np.rint(total)), pairs, **info)

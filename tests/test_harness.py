@@ -142,9 +142,7 @@ class TestRunScaling:
         assert row.invariant == 0.0 and row.ratio == 0.0
 
 
-class TestBmoProbe:
-    def test_perturbed_constant_probe(self):
-        cfg = ExperimentConfig.from_string("""
+BMO_PROBE = """
 [experiment]
 kind = bmo
 structure = degree:s2
@@ -153,7 +151,47 @@ sweep = eps=0.05,0.1
 beta = 1
 levels = 3
 seed = 5
-""")
+"""
+
+
+class TestRowErrors:
+    """Sweep rows record expected failures by type; other errors propagate."""
+
+    RUNS = {"scaling": lambda: run_scaling(fast_config(sweep_values=[1])),
+            "bmo": lambda: run_bmo_probe(
+                ExperimentConfig.from_string(BMO_PROBE))}
+
+    @staticmethod
+    def failing_spec(exc):
+        def parse(spec):
+            raise exc
+        return parse
+
+    def test_value_error_row_records_type(self):
+        rep = run_scaling(fast_config(map_template="perturb:eps={d},m=3|hopf",
+                                      sweep_values=[1]))
+        assert rep.blocks[0].rows[0].error == (
+            "ValueError: leaves tubular neighborhood")
+
+    @pytest.mark.parametrize("run", ["scaling", "bmo"])
+    def test_row_records_type_and_message(self, monkeypatch, run):
+        monkeypatch.setattr("quanthom.harness.parse_map_spec",
+                            self.failing_spec(ArithmeticError("overflow")))
+        rep = self.RUNS[run]()
+        assert all(r.error == "ArithmeticError: overflow"
+                   for r in rep.blocks[0].rows)
+
+    @pytest.mark.parametrize("run", ["scaling", "bmo"])
+    def test_type_error_propagates(self, monkeypatch, run):
+        monkeypatch.setattr("quanthom.harness.parse_map_spec",
+                            self.failing_spec(TypeError("not a map")))
+        with pytest.raises(TypeError, match="not a map"):
+            self.RUNS[run]()
+
+
+class TestBmoProbe:
+    def test_perturbed_constant_probe(self):
+        cfg = ExperimentConfig.from_string(BMO_PROBE)
         rep = run_bmo_probe(cfg)
         block = rep.blocks[0]
         assert block.invariants_integral
@@ -257,6 +295,17 @@ class TestCli:
         assert abs(doc["value"] - 2.0) < 1e-10
         assert doc["nearest_int"] == 2
         assert doc["oracle"]["winding"] == 2
+
+    def test_invariant_oracle_reports_fibers(self, tmp_path):
+        out = tmp_path / "inv.json"
+        code, _, _ = self.run_cli(
+            "invariant", "--map", "hopf", "--structure", "hopf:n=1",
+            "--level", "1", "--oracle", "--json-out", str(out))
+        assert code == 0
+        oracle = json.loads(out.read_text())["oracle"]
+        assert oracle["rounded"] == 1
+        assert oracle["min_transverse_sv"] > 1e-3
+        assert [len(side) for side in oracle["points"]] == [1, 1]
 
     def test_seminorm_command(self):
         code, stdout, _ = self.run_cli(
