@@ -14,6 +14,8 @@ from quanthom.hodge import codifferential, hodge_operator
 
 
 def report(stats):
+    """Print the solve statistics that d_inverse returns."""
+    print(f"closedness defect of the input: {stats['closedness']:.2e}")
     print(f"curl solve: {stats['iterations']} CG iterations, "
           f"relative residual {stats['residual']:.2e}")
     print(f"gauge solve: {stats['gauge_iterations']} CG iterations, "
@@ -25,11 +27,11 @@ mesh = build_sphere_mesh(2, 4)
 g = FormField(0, lambda p, f: np.sin(2 * p[:, 0]) * p[:, 1] + p[:, 2] ** 2)
 eta = de_rham_project(g, mesh).d()          # an exactly closed 1-cochain
 
-xi = d_inverse(eta)
+xi, stats = d_inverse(eta)
 op = hodge_operator(mesh, 1)
 
 print(f"S^2 level 4: {mesh.n_simplices(1)} edges")
-report(op.last_solve)
+report(stats)
 print(f"||d(d^-1 eta) - eta|| / ||eta||   = "
       f"{op.norm(xi.d() - eta) / op.norm(eta):.2e}")
 w = op.mass_down @ np.ones(mesh.n_simplices(0))
@@ -44,12 +46,10 @@ from quanthom.maps import make_hopf, pullback_form, volume_form
 
 eta3 = de_rham_project(pullback_form(make_hopf(), volume_form(target)),
                        mesh3, order=6)
-xi3 = d_inverse(eta3, closed_tol=1e-3)
+xi3, stats3 = d_inverse(eta3, closed_tol=1e-3)
 op2 = hodge_operator(mesh3, 2)
 print(f"\nS^3 level 1, Hopf pullback:")
-report(op2.last_solve)
-print(f"closedness defect of the projection: "
-      f"{op2.norm(eta3.d()) / op2.norm(eta3):.2e}")
+report(stats3)
 print(f"||d(d^-1 eta) - eta|| / ||eta||   = "
       f"{op2.norm(xi3.d() - eta3) / op2.norm(eta3):.2e}")
 dstar = codifferential(xi3)

@@ -34,7 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--level", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.add_argument("--quad-order", type=int, default=4)
 
     th = sub.add_parser("thresholds", help="exact thresholds and exponents")
     th.add_argument("--all", action="store_true")
@@ -79,7 +78,7 @@ def _print_json(obj, path=None):
 
 
 def _cmd_mesh(args) -> int:
-    mesh = build_sphere_mesh(args.dim, args.level, quad_order=args.quad_order)
+    mesh = build_sphere_mesh(args.dim, args.level)
     mesh.save(args.out)
     print(f"wrote S^{args.dim} level {args.level}: "
           f"{mesh.n_simplices(0)} vertices, "

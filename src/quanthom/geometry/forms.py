@@ -37,6 +37,10 @@ from .mesh import permutation_sign
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
+# quadrature order of projections and wedge integrals unless a caller
+# asks for another
+DEFAULT_ORDER = 4
+
 
 class FormField:
     """Analytic k-form on the sphere wrapping a vectorized evaluator."""
@@ -90,7 +94,7 @@ def _arc_nodes_frames(pts: np.ndarray, u: np.ndarray):
     return nodes, tang[:, :, None, :]
 
 
-def _nodes_and_frames(mesh, k: int, order: int | None, curved: bool):
+def _nodes_and_frames(mesh, k: int, order: int, curved: bool):
     """Quadrature nodes of every k-simplex with its edge-vector frame.
 
     Returns (points, frames, weights) with shapes (n_s, n_q, dim),
@@ -98,7 +102,7 @@ def _nodes_and_frames(mesh, k: int, order: int | None, curved: bool):
     projected and the frame is pushed through dP; circle edges use the
     angle parametrization instead.
     """
-    bary, w = simplex_rule(k, order or mesh.quad_order)
+    bary, w = simplex_rule(k, order)
     simp = mesh.simplices[k]
     pts = mesh.verts[simp]                        # (n_s, k+1, dim)
     if curved and mesh.dim == 1 and k == 1:
@@ -114,7 +118,7 @@ def _nodes_and_frames(mesh, k: int, order: int | None, curved: bool):
 
 
 def de_rham_project(form, mesh, degree: int | None = None,
-                    order: int | None = None, curved: bool = True) -> Cochain:
+                    order: int = DEFAULT_ORDER, curved: bool = True) -> Cochain:
     """Cochain of quadrature integrals of `form` over the k-simplices.
 
     `form` is a k-form evaluator; its integral over each simplex is the
@@ -122,7 +126,7 @@ def de_rham_project(form, mesh, degree: int | None = None,
     `curved=False`, which integrates over the flat simplex instead.
     """
     k = form.degree if degree is None else degree
-    if order is not None and k > 0 and order < 2:
+    if k > 0 and order < 2:
         raise ValueError("projection quadrature order must be >= 2")
     if k == 0:
         pts = mesh.verts
@@ -136,7 +140,7 @@ def de_rham_project(form, mesh, degree: int | None = None,
     return Cochain(mesh, k, integrals)
 
 
-def sphere_quadrature(mesh, order: int | None = None):
+def sphere_quadrature(mesh, order: int = DEFAULT_ORDER):
     """Global quadrature for scalar surface integrals over the sphere.
 
     Returns (points, weights) with points on the unit sphere; weights
@@ -262,7 +266,7 @@ def _shuffles(degrees: tuple, N: int) -> tuple:
     return tuple(out)
 
 
-def integrate_wedge(factors, mesh, order: int | None = None) -> float:
+def integrate_wedge(factors, mesh, order: int = DEFAULT_ORDER) -> float:
     """Integral over the sphere of the wedge of the given factors.
 
     Each factor is either an analytic k-form evaluator (pulled back
@@ -273,24 +277,15 @@ def integrate_wedge(factors, mesh, order: int | None = None) -> float:
     degrees = tuple(f.degree for f in factors)
     if sum(degrees) != N:
         raise ValueError("wedge degree != N")
-    order = order or mesh.quad_order
-    bary, w = simplex_rule(N, order)
-    n_q = len(w)
-    tops = mesh.simplices[N]
-    n_t = len(tops)
+    _, w = simplex_rule(N, order)
+    n_t, n_q = mesh.n_simplices(N), len(w)
     dim = mesh.verts.shape[1]
 
-    nodes = bary @ mesh.top_points                 # (t, q, dim)
-    edges = np.broadcast_to(mesh.top_edges[:, None, :, :], (n_t, n_q, N, dim))
-
-    all_analytic = all(not isinstance(f, Cochain) for f in factors)
     if any(not isinstance(f, Cochain) for f in factors):
-        if N == 1 and all_analytic:
-            # angle parametrization is exact for constant-rate integrands;
-            # only valid when no flat Whitney factor shares the nodes
-            pts_c, frames_c = _arc_nodes_frames(mesh.top_points, bary[:, 1])
-        else:
-            pts_c, frames_c = radial_projection(nodes, edges)
+        # curved nodes and frames of the projection; on S^1 the single
+        # factor is analytic here, so the exact arc parametrization is
+        # never shared with a flat Whitney factor
+        pts_c, frames_c, _ = _nodes_and_frames(mesh, N, order, curved=True)
         pts_c, frames_c = pts_c.reshape(-1, dim), frames_c.reshape(-1, N, dim)
 
     # factor values per edge subset; an analytic factor sees the whole

@@ -37,7 +37,6 @@ from scipy import sparse
 from scipy.spatial import cKDTree
 
 from .minors import det
-from .quadrature import simplex_rule
 
 SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 
@@ -287,18 +286,16 @@ class SimplicialSphere:
     coboundary(k)       sparse integer matrix taking k-cochain values to
                         (k+1)-cochain values, (dc)(s) = sum of signed
                         values of c on the boundary faces of s
-    quad_order          default quadrature order for projections
     operators           operators derived from the mesh, cached for its
                         lifetime (see hodge.hodge_operator)
     """
 
     def __init__(self, dim: int, verts: np.ndarray, tops: np.ndarray,
-                 level: int, quad_order: int = 4):
+                 level: int):
         if dim not in (1, 2, 3):
             raise ValueError("dimension out of range")
         self.dim = dim
         self.level = level
-        self.quad_order = quad_order
         self.verts = np.ascontiguousarray(verts, dtype=float)
         tops = np.ascontiguousarray(tops, dtype=np.int64)
         _check_tops(tops, dim, len(self.verts))
@@ -338,9 +335,6 @@ class SimplicialSphere:
         mats = np.concatenate([centroid[:, None, :], self.top_edges], axis=1)
         signs = np.sign(np.linalg.det(mats))
         return float((signs * self.top_volumes).sum())
-
-    def rule(self, k: int, order: int | None = None):
-        return simplex_rule(k, order or self.quad_order)
 
     # -- point location ----------------------------------------------------
 
@@ -402,12 +396,12 @@ class SimplicialSphere:
         return buf.getvalue()
 
     @classmethod
-    def load(cls, path: str, quad_order: int = 4) -> "SimplicialSphere":
+    def load(cls, path: str) -> "SimplicialSphere":
         with open(path) as fh:
-            return cls.parse_ascii(fh.read(), quad_order=quad_order)
+            return cls.parse_ascii(fh.read())
 
     @classmethod
-    def parse_ascii(cls, text: str, quad_order: int = 4) -> "SimplicialSphere":
+    def parse_ascii(cls, text: str) -> "SimplicialSphere":
         lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1)
                  if ln.strip()]
 
@@ -434,10 +428,10 @@ class SimplicialSphere:
             if flag < 0:
                 row[-1], row[-2] = row[-2], row[-1]
             tops.append(row)
-        return cls(dim, verts, np.array(tops), level, quad_order=quad_order)
+        return cls(dim, verts, np.array(tops), level)
 
 
-def build_sphere_mesh(dim: int, level: int, quad_order: int = 4) -> SimplicialSphere:
+def build_sphere_mesh(dim: int, level: int) -> SimplicialSphere:
     """Oriented triangulation of S^dim at the given refinement level.
 
     S^1 is a regular polygon with 8 * 2^level segments, S^2 the
@@ -462,4 +456,4 @@ def build_sphere_mesh(dim: int, level: int, quad_order: int = 4) -> SimplicialSp
     norms = np.linalg.norm(verts, axis=1, keepdims=True)
     verts = verts / norms
     tops = _orient_outward(verts, tops)
-    return SimplicialSphere(dim, verts, tops, level, quad_order=quad_order)
+    return SimplicialSphere(dim, verts, tops, level)

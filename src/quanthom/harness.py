@@ -166,10 +166,9 @@ class ExperimentConfig:
 # scaling study
 # ----------------------------------------------------------------------
 
-def _evaluate_invariant(map_spec: str, structure, levels) -> tuple:
+def _evaluate_invariant(f, structure, levels) -> tuple:
     """Invariant at the finest level with a level-difference error bar, and
     the worst d^{-1} iterations, residual and closedness (0 without d^{-1})."""
-    f = parse_map_spec(map_spec)
     vals = []
     stats = []
     for lvl in levels[-2:]:
@@ -282,9 +281,9 @@ def run_scaling(config: ExperimentConfig) -> Report:
         for i, val in enumerate(config.sweep_values):
             spec = config.map_template.format(**{config.sweep_name: val})
             try:
-                inv, inv_err, solver = _evaluate_invariant(spec, structure,
-                                                           config.levels)
                 f = parse_map_spec(spec)
+                inv, inv_err, solver = _evaluate_invariant(f, structure,
+                                                           config.levels)
                 if config.seminorm == "sobolev":
                     p = structure.domain_dim / float(beta)
                     est = sobolev_seminorm(f, float(beta), p,

@@ -44,6 +44,9 @@ from .geometry.cochain import Cochain
 from .geometry.mesh import simplex_geometry
 from .geometry.minors import minors, whitney_table
 
+# relative residual of the d^{-1} curl solve
+CURL_TOL = 1e-9
+
 
 @lru_cache(maxsize=None)
 def _mass_coefficients(N: int, k: int) -> np.ndarray:
@@ -143,23 +146,23 @@ def _mass_solve(M: sparse.csr_matrix, diag: np.ndarray,
 class HodgeOperator:
     """Whitney mass matrices around degree k and the d^{-1} solve into k-1.
 
-    Holds M_{k-1}, M_k, M_{k+1}, and for k >= 1 the curl matrix
-    K = D_{k-1}^T M_k D_{k-1}, the gauge basis Z and the gauge matrix
-    Z^T M_{k-1} Z; `tol` is the relative tolerance of the curl solve.
+    Holds M_{k-1}, M_k, M_{k+1}, and for k >= 1 the coboundary D_{k-1},
+    the curl matrix K = D_{k-1}^T M_k D_{k-1}, the gauge basis Z and the
+    gauge matrix Z^T M_{k-1} Z.  It keeps no reference to its mesh, so
+    the mesh and the operators it caches form no reference cycle and are
+    freed as soon as the mesh is dropped.
     """
 
-    def __init__(self, mesh, k: int, tol: float = 1e-9):
+    def __init__(self, mesh, k: int):
         if not 0 <= k <= mesh.dim:
             raise ValueError("degree out of range")
-        self.mesh = mesh
         self.k = k
-        self.tol = tol
         self.mass_k = mass_matrix(mesh, k)
         self.mass_up = mass_matrix(mesh, k + 1) if k < mesh.dim else None
         self.mass_down = mass_matrix(mesh, k - 1) if k > 0 else None
-        self.last_solve: dict = {}
         if k > 0:
-            D = mesh.coboundary(k - 1).astype(float)
+            self.coboundary = mesh.coboundary(k - 1)
+            D = self.coboundary.astype(float)
             self.curl = (D.T @ self.mass_k @ D).tocsr()
             # Z spans the kernel of K: gradients, or the constants for k = 1
             self.gauge_basis = Z = (
@@ -173,7 +176,7 @@ class HodgeOperator:
         return float(np.sqrt(max(c.values @ (M @ c.values), 0.0)))
 
     def codifferential_values(self, values: np.ndarray) -> np.ndarray:
-        M, D = self.mass_down, self.mesh.coboundary(self.k - 1)
+        M, D = self.mass_down, self.coboundary
         return _mass_solve(M, M.diagonal(), D.T @ (self.mass_k @ values))
 
     def primitive_values(self, values: np.ndarray) -> tuple:
@@ -184,9 +187,9 @@ class HodgeOperator:
         iterate is already nearly coexact.
         """
         K, Z, G = self.curl, self.gauge_basis, self.gauge
-        b = self.mesh.coboundary(self.k - 1).T @ (self.mass_k @ values)
+        b = self.coboundary.T @ (self.mass_k @ values)
         maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
-        sigma, its = _jacobi_cg(K, K.diagonal(), b, self.tol, maxiter=maxiter)
+        sigma, its = _jacobi_cg(K, K.diagonal(), b, CURL_TOL, maxiter=maxiter)
         m_sigma = self.mass_down @ sigma
         scale = np.linalg.norm(m_sigma)
         c = Z.T @ m_sigma
@@ -200,51 +203,50 @@ class HodgeOperator:
         return sigma - Z @ phi, stats
 
 
-def hodge_operator(mesh, k: int, tol: float = 1e-9) -> HodgeOperator:
-    """HodgeOperator of `mesh` in degree k, built once per (k, tol).
+def hodge_operator(mesh, k: int) -> HodgeOperator:
+    """HodgeOperator of `mesh` in degree k, built once per degree.
 
     Meshes are immutable, so the operator is kept in the mesh's own
     `operators` dict and lives exactly as long as the mesh.
     """
-    key = ("hodge", k, tol)
-    op = mesh.operators.get(key)
+    op = mesh.operators.get(k)
     if op is None:
-        op = mesh.operators[key] = HodgeOperator(mesh, k, tol=tol)
+        op = mesh.operators[k] = HodgeOperator(mesh, k)
     return op
 
 
-def codifferential(c: Cochain, tol: float = 1e-9) -> Cochain:
+def codifferential(c: Cochain) -> Cochain:
     """Adjoint of d: solves M_{k-1} x = D^T M_k c."""
     if c.degree == 0:
         raise ValueError("no codifferential")
-    op = hodge_operator(c.mesh, c.degree, tol=tol)
+    op = hodge_operator(c.mesh, c.degree)
     return Cochain(c.mesh, c.degree - 1, op.codifferential_values(c.values))
 
 
-def d_inverse(eta: Cochain, tol: float = 1e-9,
-              closed_tol: float = 1e-6) -> Cochain:
-    """Primitive of a (numerically) closed cochain: d^{-1} = d* Delta^{-1}.
+def d_inverse(eta: Cochain, closed_tol: float = 1e-6) -> tuple:
+    """(xi, stats): the primitive d^{-1} eta = d* Delta^{-1} eta of a
+    (numerically) closed cochain and the statistics of its solve.
 
     Requires 1 <= degree <= N-1 and the closedness defect
-    ||d eta|| / ||eta|| below `closed_tol` in mass norm.  The result xi
-    satisfies d(xi) = eta up to curl-solve tolerance plus the input's
-    closedness defect and d*(xi) = 0 up to gauge-solve tolerance; solve
-    statistics are stored on the owning HodgeOperator as `last_solve`.
+    ||d eta|| / ||eta|| below `closed_tol` in mass norm.  xi satisfies
+    d(xi) = eta up to curl-solve tolerance plus the input's closedness
+    defect and d*(xi) = 0 up to gauge-solve tolerance.  `stats` holds the
+    curl and gauge CG `iterations`, `residual`, `gauge_iterations`,
+    `gauge_residual` and the input's `closedness` defect; all are zero
+    for the zero cochain.
     """
     mesh = eta.mesh
     if not 1 <= eta.degree <= mesh.dim - 1:
         raise ValueError("degree must be between 1 and N-1")
-    op = hodge_operator(mesh, eta.degree, tol=tol)
+    op = hodge_operator(mesh, eta.degree)
     nrm = op.norm(eta)
     if nrm == 0.0:
-        op.last_solve = {"iterations": 0, "residual": 0.0,
-                         "gauge_iterations": 0, "gauge_residual": 0.0,
-                         "closedness": 0.0}
-        return Cochain.zeros(mesh, eta.degree - 1)
+        return Cochain.zeros(mesh, eta.degree - 1), {
+            "iterations": 0, "residual": 0.0, "gauge_iterations": 0,
+            "gauge_residual": 0.0, "closedness": 0.0}
     defect = op.norm(eta.d()) / nrm
     if defect > closed_tol:
         raise ValueError(
             f"input not closed: relative defect {defect:.3e} > {closed_tol:.1e}")
     sigma, stats = op.primitive_values(eta.values)
-    op.last_solve = {**stats, "closedness": defect}
-    return Cochain(mesh, eta.degree - 1, sigma)
+    return Cochain(mesh, eta.degree - 1, sigma), {**stats, "closedness": defect}

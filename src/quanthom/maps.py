@@ -101,9 +101,6 @@ class SmoothMap:
         out = self.value(X)
         return out[0] if X.ndim == 1 else out
 
-    def spec_string(self) -> str:
-        return self.name
-
     def __repr__(self):
         return f"SmoothMap({self.name!r}: S{self.domain_dim} -> {self.target})"
 

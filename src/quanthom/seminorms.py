@@ -365,8 +365,8 @@ def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
 # Poisson extension probe
 # ----------------------------------------------------------------------
 
-def poisson_extension_distance(f: SmoothMap, probes: np.ndarray, mesh,
-                               order: int | None = None) -> list:
+def poisson_extension_distance(f: SmoothMap, probes: np.ndarray,
+                               mesh) -> list:
     """Distance of the harmonic (Poisson) extension from the target.
 
     F(x) = c int f(theta) (1-|x|^2)/|x-theta|^{N+1} dtheta evaluated by
@@ -376,7 +376,7 @@ def poisson_extension_distance(f: SmoothMap, probes: np.ndarray, mesh,
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     if np.any(np.linalg.norm(probes, axis=1) >= 1.0):
         raise ValueError("probe points must lie inside the open unit ball")
-    pts, wts = sphere_quadrature(mesh, order=order)
+    pts, wts = sphere_quadrature(mesh)
     vals = f.value(pts)
     N = mesh.dim
     out = []

@@ -6,10 +6,10 @@ from quanthom.geometry import build_sphere_mesh
 _cache = {}
 
 
-def cached_mesh(dim, level, quad_order=4):
-    key = (dim, level, quad_order)
+def cached_mesh(dim, level):
+    key = (dim, level)
     if key not in _cache:
-        _cache[key] = build_sphere_mesh(dim, level, quad_order=quad_order)
+        _cache[key] = build_sphere_mesh(dim, level)
     return _cache[key]
 
 

@@ -352,6 +352,15 @@ seed = 5
         code, _, _ = self.run_cli("mesh", "gen", "--dim", "2")
         assert code == 2
 
+    def test_removed_order_option_is_usage_error(self, tmp_path, capsys):
+        from quanthom.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["mesh", "gen", "--dim", "2", "--level", "1",
+                  "--quad-order", "6", "--out", str(tmp_path / "m.txt")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quad-order 6" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "quanthom.cli",
                                "thresholds", "--structure", "hopf:n=1"],

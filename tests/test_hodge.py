@@ -75,12 +75,33 @@ class TestOperatorOwnership:
         a, b = build_sphere_mesh(2, 1), build_sphere_mesh(2, 1)
         assert hodge_operator(a, 1) is not hodge_operator(b, 1)
 
+    def test_one_operator_per_degree(self):
+        m = build_sphere_mesh(2, 1)
+        ops = [hodge_operator(m, k) for k in range(3)]
+        d_inverse(Cochain(m, 0, np.arange(m.n_simplices(0), dtype=float)).d())
+        codifferential(Cochain.zeros(m, 2))
+        assert list(m.operators) == [0, 1, 2]
+        assert [m.operators[k] for k in range(3)] == ops
+        assert [op.k for op in ops] == [0, 1, 2]
+
     def test_operator_dies_with_its_mesh(self):
         m = build_sphere_mesh(2, 1)
         ref = weakref.ref(hodge_operator(m, 1))
         del m
         gc.collect()
         assert ref() is None
+
+    def test_mesh_freed_without_cycle_collection(self):
+        # an operator holds no reference back to its mesh, so dropping
+        # the mesh frees it and its operators at once
+        m = build_sphere_mesh(2, 1)
+        ref = weakref.ref(hodge_operator(m, 1))
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCodifferential:
@@ -117,13 +138,35 @@ class TestCodifferential:
 class TestDInverse:
     def test_zero_input(self, mesh_s2):
         z = Cochain.zeros(mesh_s2, 1)
-        out = d_inverse(z)
+        out, stats = d_inverse(z)
         assert np.abs(out.values).max() == 0
+        assert stats == {"iterations": 0, "residual": 0.0,
+                         "gauge_iterations": 0, "gauge_residual": 0.0,
+                         "closedness": 0.0}
+
+    def test_statistics_belong_to_each_call(self):
+        # one shared operator, two inputs: an exactly closed 2-cochain and
+        # a projection that is closed only to quadrature accuracy
+        from quanthom.maps import S2 as tgt
+        from quanthom.maps import make_hopf, pullback_form, volume_form
+        m = cached_mesh(3, 1)
+        rng = np.random.default_rng(3)
+        exact = Cochain(m, 1, rng.standard_normal(m.n_simplices(1))).d()
+        hopf = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
+                               m, order=6)
+        _, s_exact = d_inverse(exact)
+        _, s_hopf = d_inverse(hopf, closed_tol=1e-3)
+        op = hodge_operator(m, 2)
+        assert s_hopf["closedness"] == pytest.approx(
+            op.norm(hopf.d()) / op.norm(hopf), rel=1e-12)
+        assert s_exact["closedness"] < 1e-12 < s_hopf["closedness"]
+        assert s_exact["iterations"] != s_hopf["iterations"]
+        assert d_inverse(exact)[1] == s_exact
 
     def test_roundtrip_exactness(self, mesh_s2):
         g = FormField(0, lambda p, f: np.sin(p[:, 0]) * p[:, 1] + 0.2 * p[:, 2] ** 2)
         eta = de_rham_project(g, mesh_s2).d()     # exactly closed
-        xi = d_inverse(eta)
+        xi, _ = d_inverse(eta)
         op = hodge_operator(mesh_s2, 1)
         assert op.norm(xi.d() - eta) / op.norm(eta) < 1e-6
 
@@ -134,7 +177,7 @@ class TestDInverse:
         from quanthom.maps import make_hopf, pullback_form, volume_form
         eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
                               m, order=6)
-        xi = d_inverse(eta, closed_tol=1e-3)
+        xi, _ = d_inverse(eta, closed_tol=1e-3)
         op1 = hodge_operator(m, 1)
         op2 = hodge_operator(m, 2)
         assert np.abs(op1.codifferential_values(xi.values)).max() < 1e-10
@@ -146,8 +189,8 @@ class TestDInverse:
         e1 = de_rham_project(g1, mesh_s2).d()
         e2 = de_rham_project(g2, mesh_s2).d()
         a, b = 2.5, -1.25
-        lhs = d_inverse(a * e1 + b * e2)
-        rhs = a * d_inverse(e1) + b * d_inverse(e2)
+        lhs, _ = d_inverse(a * e1 + b * e2)
+        rhs = a * d_inverse(e1)[0] + b * d_inverse(e2)[0]
         op = hodge_operator(mesh_s2, 1)
         denom = max(op.norm(lhs), 1e-30)
         assert op.norm(lhs - rhs) / denom < 1e-6
@@ -155,8 +198,8 @@ class TestDInverse:
     def test_determinism(self, mesh_s2):
         g = FormField(0, lambda p, f: p[:, 0] ** 2 * p[:, 1])
         eta = de_rham_project(g, mesh_s2).d()
-        a = d_inverse(eta)
-        b = d_inverse(eta)
+        a, _ = d_inverse(eta)
+        b, _ = d_inverse(eta)
         assert np.array_equal(a.values, b.values)
 
     def test_not_closed_rejected(self, mesh_s2, rng):
@@ -189,7 +232,7 @@ class TestDInverse:
             from quanthom.maps import make_hopf, pullback_form, volume_form
             eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
                                   m, order=6)
-        xi = d_inverse(eta, closed_tol=1e-3).values
+        xi = d_inverse(eta, closed_tol=1e-3)[0].values
         op = hodge_operator(m, eta.degree)
         D = m.coboundary(eta.degree - 1).toarray().astype(float)
         Lk = np.linalg.cholesky(op.mass_k.toarray())
@@ -211,7 +254,7 @@ class TestDInverse:
         for level in (0, 1):
             m = cached_mesh(3, level)
             eta = de_rham_project(fw, m, order=6)
-            xi = d_inverse(eta, closed_tol=1e-2)
+            xi, _ = d_inverse(eta, closed_tol=1e-2)
             op = hodge_operator(m, 2)
             res.append(op.norm(xi.d() - eta) / op.norm(eta))
         assert res[1] < res[0]
