@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -36,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     th = sub.add_parser("thresholds", help="exact thresholds and exponents")
-    th.add_argument("--all", action="store_true")
-    th.add_argument("--structure")
-    th.add_argument("--M0", type=int)
+    which = th.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--structure")
+    which.add_argument("--M0", type=int)
     th.add_argument("--Mi", default="")
     th.add_argument("--beta")
     th.add_argument("--json", action="store_true")
@@ -115,8 +117,8 @@ def _cmd_thresholds(args) -> int:
             print(f"beta0 = {b0}  (alpha* = {astar}), exponent "
                   f"{out['exponent']}")
         return 0
-    entries = (list(catalogue().values()) if args.all or not args.structure
-               else [lookup(args.structure)])
+    entries = ([lookup(args.structure)] if args.structure
+               else list(catalogue().values()))
     rows = [_threshold_row(e) for e in entries]
     if args.beta:
         b = Fraction(args.beta)
@@ -141,7 +143,7 @@ def _cmd_invariant(args) -> int:
     f = parse_map_spec(args.map_spec)
     mesh = build_sphere_mesh(entry.structure.domain_dim, args.level)
     res = hardt_riviere(f, entry.structure, mesh)
-    out = res.as_dict()
+    out = asdict(res)
     out["map"] = args.map_spec
     out["structure"] = entry.name
     if args.oracle:
@@ -171,7 +173,7 @@ def _cmd_seminorm(args) -> int:
                               seed=args.seed)
     else:
         est = bmo_seminorm(f, seed=args.seed)
-    out = est.as_dict()
+    out = asdict(est)
     out["map"] = args.map_spec
     out["kind"] = args.kind
     _print_json(out, args.json_out)
@@ -180,7 +182,10 @@ def _cmd_seminorm(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    report = run_scaling(config) if args.verify_command == "scaling" \
+    if config.kind != args.verify_command:
+        raise ConfigError(f"config kind {config.kind!r} does not match "
+                          f"'verify {args.verify_command}'")
+    report = run_scaling(config) if config.kind == "scaling" \
         else run_bmo_probe(config)
     for fmt in ("json", "csv", "text"):
         if fmt in config.outputs:

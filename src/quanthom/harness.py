@@ -38,6 +38,8 @@ from .seminorms import (bmo_seminorm, holder_seminorm,
 
 RATIO_SPREAD_LIMIT = 3.0
 SLOPE_MARGIN = 1.15
+# a BMO-probe invariant counts as integral within this distance
+INTEGRALITY_TOL = 1e-3
 # failures a sweep row records and runs past: bad specs and non-regular
 # values (ValueError), floating-point faults, and unconverged solves
 _ROW_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError,
@@ -137,11 +139,17 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        """Check the config against the catalogue and return its entry.
+
+        The runs call it again: fields may be changed after loading."""
         if self.kind not in ("scaling", "bmo"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seminorm not in ("sobolev", "holder"):
             raise ConfigError(f"unknown seminorm kind {self.seminorm!r}")
         entry = lookup(self.structure)
+        if not entry.evaluable:
+            raise ConfigError(f"structure {self.structure!r} is not "
+                              f"numerically evaluable")
         b0 = entry.report.effective_beta0()
         low = [b for b in self.betas if b <= b0]
         if low and not self.allow_beta_below_threshold:
@@ -149,6 +157,7 @@ class ExperimentConfig:
                 f"beta values {low} do not exceed the threshold {b0} of "
                 f"{self.structure!r}; set allow_beta_below_threshold to run "
                 f"them as informational rows")
+        return entry
 
     def echo(self) -> dict:
         return {
@@ -166,21 +175,20 @@ class ExperimentConfig:
 # scaling study
 # ----------------------------------------------------------------------
 
-def _evaluate_invariant(f, structure, levels) -> tuple:
-    """Invariant at the finest level with a level-difference error bar, and
-    the worst d^{-1} iterations, residual and closedness (0 without d^{-1})."""
-    vals = []
-    stats = []
-    for lvl in levels[-2:]:
-        mesh = build_sphere_mesh(structure.domain_dim, lvl)
-        res = hardt_riviere(f, structure, mesh)
-        vals.append(res.value)
-        stats += res.residuals.values()
-    err = abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0
-    worst = [max((s[key] for s in stats), default=zero)
-             for key, zero in (("iterations", 0), ("residual", 0.0),
-                               ("closedness", 0.0))]
-    return vals[-1], err, worst
+def _sweep(config: ExperimentConfig, row_type, evaluate) -> list:
+    """One row per sweep value: `evaluate(i, f)` gives the numeric fields
+    for the i-th map; a failure in `_ROW_ERRORS` is recorded in the row
+    as `TypeName: message` and the sweep runs on."""
+    rows = []
+    for i, val in enumerate(config.sweep_values):
+        spec = config.map_template.format(**{config.sweep_name: val})
+        try:
+            rows.append(row_type(val, spec,
+                                 *evaluate(i, parse_map_spec(spec))))
+        except _ROW_ERRORS as exc:
+            rows.append(row_type(val, spec,
+                                 error=f"{type(exc).__name__}: {exc}"))
+    return rows
 
 
 def _weighted_slope(xs, ys, sx, sy, prior_slope):
@@ -202,19 +210,16 @@ def _weighted_slope(xs, ys, sx, sy, prior_slope):
 class ScalingRow:
     parameter: object
     map_spec: str
-    invariant: float
-    invariant_err: float
-    seminorm: float
-    seminorm_err: float
-    ratio: float
-    ratio_err: float
+    invariant: float = np.nan
+    invariant_err: float = np.nan
+    seminorm: float = np.nan
+    seminorm_err: float = np.nan
+    ratio: float = np.nan
+    ratio_err: float = np.nan
     solver_iterations: int = 0
     solver_residual: float = 0.0
     closedness: float = 0.0
     error: str = ""
-
-    def as_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -230,15 +235,6 @@ class ScalingBlock:
     passed: bool = False
     tag: str = ""
 
-    def as_dict(self):
-        return {"beta": str(self.beta), "exponent": str(self.exponent),
-                "hypothesis_ok": self.hypothesis_ok,
-                "rows": [r.as_dict() for r in self.rows],
-                "slope": self.slope, "slope_stderr": self.slope_stderr,
-                "ratios_bounded": self.ratios_bounded,
-                "slope_ok": self.slope_ok, "passed": self.passed,
-                "tag": self.tag}
-
 
 @dataclass
 class Report:
@@ -250,10 +246,9 @@ class Report:
     timestamp: str = ""
 
     def as_dict(self):
-        return {"kind": self.kind, "config": self.config,
-                "blocks": [b.as_dict() for b in self.blocks],
-                "passed": self.passed, "versions": self.versions,
-                "timestamp": self.timestamp}
+        """`asdict(self)` with every Fraction as its string, e.g. "9/10"."""
+        return asdict(self, dict_factory=lambda items: {
+            k: str(v) if isinstance(v, Fraction) else v for k, v in items})
 
 
 def _versions() -> dict:
@@ -266,45 +261,45 @@ def _versions() -> dict:
 
 def run_scaling(config: ExperimentConfig) -> Report:
     """Sweep the family parameter and test the scaling inequality."""
-    entry = lookup(config.structure)
+    entry = config.validate()
     structure = entry.structure
-    if not entry.evaluable:
-        raise ConfigError(f"structure {config.structure!r} is not "
-                          f"numerically evaluable")
     b0 = entry.report.effective_beta0()
     blocks = []
     for beta in config.betas:
         E = entry.report.exponent(beta)
         Ef = float(E)
         hypothesis_ok = beta > b0
-        rows = []
-        for i, val in enumerate(config.sweep_values):
-            spec = config.map_template.format(**{config.sweep_name: val})
-            try:
-                f = parse_map_spec(spec)
-                inv, inv_err, solver = _evaluate_invariant(f, structure,
-                                                           config.levels)
-                if config.seminorm == "sobolev":
-                    p = structure.domain_dim / float(beta)
-                    est = sobolev_seminorm(f, float(beta), p,
-                                           samples=config.samples,
-                                           seed=config.seed + 1000 * i)
-                else:
-                    est = holder_seminorm(f, float(beta),
-                                          samples=config.samples,
-                                          seed=config.seed + 1000 * i)
-                s, ds = est.value, est.error
-                ratio = abs(inv) / s ** Ef if s > 0 else 0.0
-                rel = 0.0
-                if s > 0:
-                    rel = np.hypot(inv_err / max(abs(inv), 1e-300),
-                                   Ef * ds / s)
-                rows.append(ScalingRow(val, spec, inv, inv_err, s, ds,
-                                       ratio, ratio * rel, *solver))
-            except _ROW_ERRORS as exc:
-                rows.append(ScalingRow(val, spec, np.nan, np.nan, np.nan,
-                                       np.nan, np.nan, np.nan,
-                                       error=f"{type(exc).__name__}: {exc}"))
+
+        def evaluate(i, f):
+            # invariant at the finest level with a level-difference error
+            # bar, and the worst d^{-1} statistics (0 without d^{-1})
+            vals, stats = [], []
+            for lvl in config.levels[-2:]:
+                res = hardt_riviere(
+                    f, structure, build_sphere_mesh(structure.domain_dim, lvl))
+                vals.append(res.value)
+                stats += res.residuals.values()
+            inv = vals[-1]
+            inv_err = abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0
+            solver = [max((s[key] for s in stats), default=zero)
+                      for key, zero in (("iterations", 0), ("residual", 0.0),
+                                        ("closedness", 0.0))]
+            seed = config.seed + 1000 * i
+            if config.seminorm == "sobolev":
+                est = sobolev_seminorm(f, float(beta),
+                                       structure.domain_dim / float(beta),
+                                       samples=config.samples, seed=seed)
+            else:
+                est = holder_seminorm(f, float(beta), samples=config.samples,
+                                      seed=seed)
+            s, ds = est.value, est.error
+            ratio = abs(inv) / s ** Ef if s > 0 else 0.0
+            rel = 0.0
+            if s > 0:
+                rel = np.hypot(inv_err / max(abs(inv), 1e-300), Ef * ds / s)
+            return inv, inv_err, s, ds, ratio, ratio * rel, *solver
+
+        rows = _sweep(config, ScalingRow, evaluate)
         block = ScalingBlock(beta, E, hypothesis_ok, rows)
         good = [r for r in rows if not r.error and abs(r.invariant) > 1e-9
                 and r.seminorm > 0]
@@ -345,17 +340,12 @@ def run_scaling(config: ExperimentConfig) -> Report:
 class BmoRow:
     parameter: object
     map_spec: str
-    bmo: float
-    bmo_err: float
-    max_extension_distance: float
-    invariant: float
-    ratio: float                    # distance / bmo
+    bmo: float = np.nan
+    bmo_err: float = np.nan
+    max_extension_distance: float = np.nan
+    invariant: float = np.nan
+    ratio: float = np.nan           # distance / bmo
     error: str = ""
-
-    def as_dict(self):
-        return {k: getattr(self, k) for k in
-                ("parameter", "map_spec", "bmo", "bmo_err",
-                 "max_extension_distance", "invariant", "ratio", "error")}
 
 
 @dataclass
@@ -365,12 +355,6 @@ class BmoBlock:
     invariants_integral: bool = False
     passed: bool = False
 
-    def as_dict(self):
-        return {"rows": [r.as_dict() for r in self.rows],
-                "ratio_stable": self.ratio_stable,
-                "invariants_integral": self.invariants_integral,
-                "passed": self.passed}
-
 
 def _probe_points(N: int, seed: int, n_dirs: int = 4,
                   radii=(0.3, 0.6, 0.85)) -> np.ndarray:
@@ -379,42 +363,30 @@ def _probe_points(N: int, seed: int, n_dirs: int = 4,
     return np.concatenate([r * dirs for r in radii], axis=0)
 
 
-def run_bmo_probe(config: ExperimentConfig, int_tol: float = 1e-3) -> Report:
+def run_bmo_probe(config: ExperimentConfig) -> Report:
     """Small-BMO probe: oscillation, extension distance, and invariant
     along a perturbation sweep."""
-    entry = lookup(config.structure)
-    structure = entry.structure
-    if not entry.evaluable:
-        raise ConfigError(f"structure {config.structure!r} is not "
-                          f"numerically evaluable")
+    structure = config.validate().structure
     N = structure.domain_dim
     mesh = build_sphere_mesh(N, config.levels[-1])
     probes = _probe_points(N, config.seed)
-    rows = []
-    for i, val in enumerate(config.sweep_values):
-        spec = config.map_template.format(**{config.sweep_name: val})
-        try:
-            f = parse_map_spec(spec)
-            est = bmo_seminorm(f, seed=config.seed + 1000 * i,
-                               centers=48, cap_samples=96)
-            dists = poisson_extension_distance(f, probes, mesh)
-            dmax = max(d for _, d in dists)
-            inv = hardt_riviere(f, structure, mesh).value
-            ratio = dmax / est.value if est.value > 0 else 0.0
-            rows.append(BmoRow(val, spec, est.value, est.error, dmax, inv,
-                               ratio))
-        except _ROW_ERRORS as exc:
-            rows.append(BmoRow(val, spec, np.nan, np.nan, np.nan, np.nan,
-                               np.nan, error=f"{type(exc).__name__}: {exc}"))
+
+    def evaluate(i, f):
+        est = bmo_seminorm(f, seed=config.seed + 1000 * i,
+                           centers=48, cap_samples=96)
+        dmax = max(d for _, d in poisson_extension_distance(f, probes, mesh))
+        inv = hardt_riviere(f, structure, mesh).value
+        ratio = dmax / est.value if est.value > 0 else 0.0
+        return est.value, est.error, dmax, inv, ratio
+
+    rows = _sweep(config, BmoRow, evaluate)
     block = BmoBlock(rows)
     good = [r for r in rows if not r.error]
     ratios = [r.ratio for r in good if r.ratio > 0]
-    if ratios:
-        block.ratio_stable = max(ratios) <= RATIO_SPREAD_LIMIT * min(ratios)
-    else:
-        block.ratio_stable = True
+    block.ratio_stable = (not ratios or
+                          max(ratios) <= RATIO_SPREAD_LIMIT * min(ratios))
     block.invariants_integral = all(
-        abs(r.invariant - round(r.invariant)) < int_tol for r in good)
+        abs(r.invariant - round(r.invariant)) < INTEGRALITY_TOL for r in good)
     block.passed = (block.ratio_stable and block.invariants_integral
                     and len(good) == len(rows))
     return Report("bmo", config.echo(), [block], block.passed, _versions(),
@@ -436,20 +408,17 @@ def emit_report(report: Report, fmt: str, path: str) -> str:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     elif fmt == "csv":
+        blocks = report.as_dict()["blocks"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            first = True
-            for block in report.blocks:
-                rows = block.rows
-                head = list(rows[0].as_dict()) if rows else []
-                extra = (["beta"] if isinstance(block, ScalingBlock) else [])
-                if first:
-                    writer.writerow(extra + head)
-                    first = False
-                for r in rows:
-                    pre = [str(block.beta)] if isinstance(block, ScalingBlock) else []
-                    writer.writerow(pre + list(r.as_dict().values()))
-            if first:
+            for n, block in enumerate(blocks):
+                # scaling rows lead with their block's beta
+                lead = {"beta": block["beta"]} if "beta" in block else {}
+                rows = [{**lead, **r} for r in block["rows"]]
+                if n == 0:
+                    writer.writerow(list(rows[0] if rows else lead))
+                writer.writerows(r.values() for r in rows)
+            if not blocks:
                 writer.writerow(["parameter"])
     elif fmt == "text":
         with open(path, "w") as fh:
@@ -477,7 +446,6 @@ def format_report_text(report: Report) -> str:
                 buf.write(f"  fitted slope {block.slope:.4f} "
                           f"(stderr {block.slope_stderr:.4f})\n")
         for r in block.rows:
-            d = r.as_dict()
-            buf.write("  " + "  ".join(f"{k}={v}" for k, v in d.items()
+            buf.write("  " + "  ".join(f"{k}={v}" for k, v in asdict(r).items()
                                        if v not in ("", None)) + "\n")
     return buf.getvalue()

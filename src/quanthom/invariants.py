@@ -88,12 +88,6 @@ class InvariantResult:
         self.nearest_int = int(np.rint(self.value))
         self.int_distance = abs(self.value - self.nearest_int)
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "per_term": list(self.per_term),
-                "nearest_int": self.nearest_int,
-                "int_distance": self.int_distance,
-                "mesh_level": self.mesh_level, "residuals": self.residuals}
-
 
 # -- standard structures -------------------------------------------------
 

@@ -38,6 +38,14 @@ class Target:
             return f"S{self.dim}"
         return "x".join(str(f) for f in self.factors)
 
+    @property
+    def blocks(self) -> tuple:
+        """The ambient coordinate slice of each sphere factor."""
+        if self.kind == "sphere":
+            return (slice(0, self.ambient),)
+        ends = np.cumsum([0] + [f.ambient for f in self.factors]).tolist()
+        return tuple(map(slice, ends[:-1], ends[1:]))
+
 
 def sphere_target(M: int) -> Target:
     return Target("sphere", M, M + 1)
@@ -51,27 +59,16 @@ S2xS2 = Target("product", 4, 6, (S2, S2))
 def distance_to_target(points: np.ndarray, target: Target) -> np.ndarray:
     """Euclidean distance from ambient points to the target manifold."""
     pts = np.atleast_2d(points)
-    if target.kind == "sphere":
-        return np.abs(np.linalg.norm(pts, axis=1) - 1.0)
-    off, out = 0, 0.0
-    for f in target.factors:
-        seg = pts[:, off:off + f.ambient]
-        out = out + (np.linalg.norm(seg, axis=1) - 1.0) ** 2
-        off += f.ambient
-    return np.sqrt(out)
+    return np.sqrt(sum((np.linalg.norm(pts[:, b], axis=1) - 1.0) ** 2
+                       for b in target.blocks))
 
 
 def project_to_target(points: np.ndarray, target: Target) -> np.ndarray:
     """Analytic nearest-point projection onto the target."""
     pts = np.atleast_2d(points)
-    if target.kind == "sphere":
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    parts, off = [], 0
-    for f in target.factors:
-        seg = pts[:, off:off + f.ambient]
-        parts.append(seg / np.linalg.norm(seg, axis=1, keepdims=True))
-        off += f.ambient
-    return np.concatenate(parts, axis=1)
+    return np.concatenate([pts[:, b] / np.linalg.norm(pts[:, b], axis=1,
+                                                      keepdims=True)
+                           for b in target.blocks], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -181,13 +178,7 @@ def make_constant(domain_dim: int, target: Target = S2,
                   point: np.ndarray | None = None) -> SmoothMap:
     if point is None:
         point = np.zeros(target.ambient)
-        if target.kind == "sphere":
-            point[0] = 1.0
-        else:
-            off = 0
-            for f in target.factors:
-                point[off] = 1.0
-                off += f.ambient
+        point[[b.start for b in target.blocks]] = 1.0
     point = np.asarray(point, dtype=float)
 
     def value(X):
@@ -323,20 +314,14 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
     def jacobian(X):
         Y = raw(X)
         J = f.jacobian(X) + eps * m * dg(m * X)
-        blocks = [(0, tgt.ambient)] if tgt.kind == "sphere" else []
-        if tgt.kind == "product":
-            off = 0
-            for fac in tgt.factors:
-                blocks.append((off, off + fac.ambient))
-                off += fac.ambient
         out = np.empty_like(J)
-        for lo, hi in blocks:
-            seg = Y[:, lo:hi]
+        for b in tgt.blocks:
+            seg = Y[:, b]
             r = np.linalg.norm(seg, axis=1, keepdims=True)
             unit = seg / r
-            Jb = J[:, lo:hi, :]
+            Jb = J[:, b, :]
             rad = np.einsum("md,mdk->mk", unit, Jb)
-            out[:, lo:hi, :] = (Jb - unit[:, :, None] * rad[:, None, :]) / r[:, :, None]
+            out[:, b, :] = (Jb - unit[:, :, None] * rad[:, None, :]) / r[:, :, None]
         return out
 
     return SmoothMap(f.domain_dim, tgt, value, jacobian,
@@ -379,14 +364,12 @@ def product_factor_form(target: Target, i: int) -> TargetForm:
     """Pullback of the S^2 generator under the i-th coordinate projection."""
     if target.kind != "product":
         raise ValueError("factor form requires a product target")
-    off = sum(f.ambient for f in target.factors[:i])
-    amb = target.factors[i].ambient
+    b = target.blocks[i]
     scale = 1.0 / SPHERE_VOLUMES[target.factors[i].dim]
 
     def ev(points, frames):
-        seg = points[:, off:off + amb]
-        sub = frames[:, :, off:off + amb]
-        return det(np.concatenate([seg[:, None, :], sub], axis=1)) * scale
+        return det(np.concatenate([points[:, None, b], frames[:, :, b]],
+                                  axis=1)) * scale
 
     return TargetForm(target, target.factors[i].dim, ev, name=f"omega_{i + 1}")
 

@@ -189,10 +189,10 @@ def catalogue() -> Mapping[str, CatalogueEntry]:
     """
     out: dict[str, CatalogueEntry] = {}
 
-    def add(structure, published=None, evaluable=None, note=""):
-        rep = threshold_report(structure, published)
-        ev = structure.numerically_evaluable if evaluable is None else evaluable
-        out[structure.name] = CatalogueEntry(structure.name, structure, rep, ev, note)
+    def add(structure, published=None, note=""):
+        out[structure.name] = CatalogueEntry(
+            structure.name, structure, threshold_report(structure, published),
+            structure.numerically_evaluable, note)
 
     one = Fraction(1)
     # winding: outside the M0 >= 2 hypothesis; no threshold is provided

@@ -37,11 +37,6 @@ class SeminormEstimate:
     samples: int
     seed: int | None = None
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "error": self.error,
-                "method": self.method, "samples": self.samples,
-                "seed": self.seed}
-
 
 # ----------------------------------------------------------------------
 # sampling helpers

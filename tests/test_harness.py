@@ -201,6 +201,33 @@ class TestBmoProbe:
 
 
 class TestReports:
+    def test_bmo_report_formats(self, tmp_path):
+        # one good row and one that leaves the tubular neighborhood
+        rep = run_bmo_probe(ExperimentConfig.from_string(
+            BMO_PROBE.replace("levels = 3", "levels = 2")
+            .replace("eps=0.05,0.1", "eps=0.05,0.3")))
+        for fmt in ("json", "csv", "text"):
+            emit_report(rep, fmt, str(tmp_path / f"r.{fmt}"))
+        row_keys = ["bmo", "bmo_err", "error", "invariant", "map_spec",
+                    "max_extension_distance", "parameter", "ratio"]
+        block = load_report(str(tmp_path / "r.json"))["blocks"][0]
+        assert sorted(block) == ["invariants_integral", "passed",
+                                 "ratio_stable", "rows"]
+        assert [sorted(r) for r in block["rows"]] == [row_keys, row_keys]
+        assert (tmp_path / "r.csv").read_text().splitlines()[0] == (
+            "parameter,map_spec,bmo,bmo_err,max_extension_distance,"
+            "invariant,ratio,error")
+        text = (tmp_path / "r.text").read_text().splitlines()
+        assert text[0] == "bmo experiment: FAIL"
+        assert re.fullmatch(
+            r"  parameter=0\.05  map_spec=perturb:eps=0\.05,m=3\|const:n=2"
+            r"  bmo=\S+  bmo_err=\S+  max_extension_distance=\S+"
+            r"  invariant=\S+  ratio=\S+", text[1])
+        assert text[2] == (
+            "  parameter=0.3  map_spec=perturb:eps=0.3,m=3|const:n=2  bmo=nan"
+            "  bmo_err=nan  max_extension_distance=nan  invariant=nan"
+            "  ratio=nan  error=ValueError: leaves tubular neighborhood")
+
     def test_json_roundtrip(self, tmp_path):
         rep = run_scaling(fast_config())
         path = tmp_path / "report.json"
@@ -285,6 +312,15 @@ class TestCli:
         out = json.loads(stdout)
         assert out["beta0"] == "3/4" and out["alpha_star"] == "1/2"
 
+    @pytest.mark.parametrize("flags", [
+        ("--all", "--structure", "hopf"), ("--M0", "2", "--structure", "hopf"),
+        ("--all", "--M0", "2")], ids=["all-structure", "M0-structure",
+                                      "all-M0"])
+    def test_thresholds_conflicting_flags_exit2(self, flags):
+        code, stdout, err = self.run_cli("thresholds", *flags)
+        assert code == 2 and not stdout
+        assert "not allowed with argument" in err
+
     def test_invariant_command(self, tmp_path):
         out = tmp_path / "inv.json"
         code, stdout, _ = self.run_cli(
@@ -347,6 +383,18 @@ seed = 5
         code, _, err = self.run_cli("verify", "scaling", "--config", str(cfg))
         assert code == 2
         assert "threshold" in err
+
+    @pytest.mark.parametrize("command,kind", [("bmo", "scaling"),
+                                              ("scaling", "bmo")])
+    def test_verify_kind_mismatch_exit2(self, tmp_path, command, kind):
+        text = FAST_SCALING if kind == "scaling" else BMO_PROBE
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(text)
+        code, stdout, err = self.run_cli("verify", command, "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert (f"config kind {kind!r} does not match 'verify {command}'"
+                in err)
 
     def test_usage_error_exit2(self):
         code, _, _ = self.run_cli("mesh", "gen", "--dim", "2")

@@ -11,8 +11,9 @@ from quanthom.maps import (S1, S2, S2xS2, compose_with_isometry,
                            make_hopf, make_map_composition,
                            make_oscillation_perturbation, make_product_map,
                            make_reflection, make_sphere_suspension,
-                           parse_map_spec, product_factor_form, pullback,
-                           pullback_form, target_distance_error, volume_form)
+                           parse_map_spec, product_factor_form,
+                           project_to_target, pullback, pullback_form,
+                           target_distance_error, volume_form)
 
 ALL_FAMILIES = [
     make_circle_power(0),
@@ -91,6 +92,17 @@ class TestFamilies:
         v = prod.value(pts)
         assert np.array_equal(v[:, :3], f1.value(pts))
         assert np.array_equal(v[:, 3:], f2.value(pts))
+
+    def test_target_blocks(self):
+        assert S2.blocks == (slice(0, 3),)
+        assert S2xS2.blocks == (slice(0, 3), slice(3, 6))
+        # the default constant sits at the first basis vector of each factor
+        assert make_constant(3, S2xS2).value(np.eye(4)[:1]).tolist() == [
+            [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
+        y = np.array([[2.0, 0.0, 0.0, 0.0, 3.0, 0.0]])
+        assert distance_to_target(y, S2xS2)[0] == np.sqrt(5.0)
+        assert project_to_target(y, S2xS2).tolist() == [
+            [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
 
     def test_product_domain_mismatch(self):
         with pytest.raises(ValueError, match="domain"):
