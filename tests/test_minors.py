@@ -1,7 +1,8 @@
 """The closed-form determinant kernel and its two Whitney consumers."""
 
-from itertools import combinations
-from math import factorial
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -34,9 +35,29 @@ def square_batches(draw):
 @given(square_batches())
 def test_closed_form_det_matches_lu(a):
     # error relative to the Hadamard bound prod ||row|| >= |det|, the
-    # scale at which either method rounds
+    # scale at which the cofactor expansion rounds.  The reference is
+    # exact: LU with partial pivoting can grow entries far past that
+    # scale (rows of 1e-6 next to a row of 1 become rows of 1), so its
+    # own rounding is no reference at this tolerance
     scale = np.prod(np.linalg.norm(a, axis=2), axis=1)
-    assert np.all(np.abs(det(a) - np.linalg.det(a)) <= 1e-13 * scale)
+    assert np.all(np.abs(det(a) - _exact_det(a)) <= 1e-13 * scale)
+
+
+def _exact_det(a):
+    """Leibniz determinants in rational arithmetic, rounded once."""
+    n = a.shape[-1]
+    out = []
+    for m in a:
+        q = [[Fraction(float(x)) for x in row] for row in m]
+        out.append(float(sum(_sign(p) * prod((q[i][p[i]] for i in range(n)),
+                                             start=Fraction(1))
+                             for p in permutations(range(n)))))
+    return np.array(out)
+
+
+def _sign(p):
+    return (-1) ** sum(p[i] > p[j] for i in range(len(p))
+                       for j in range(i + 1, len(p)))
 
 
 def test_det_above_three_uses_lu(rng):
