@@ -16,8 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import build_sphere_mesh
-from .harness import (ConfigError, ExperimentConfig, emit_report,
-                      format_report_text, run_bmo_probe, run_scaling)
+from .harness import (REPORT_FORMATS, ConfigError, ExperimentConfig,
+                      emit_report, format_report_text, run_bmo_probe,
+                      run_scaling)
 from .invariants import hardt_riviere
 from .linking import gauss_linking_oracle
 from .maps import parse_map_spec
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true")
     which.add_argument("--structure")
     which.add_argument("--M0", type=int)
-    th.add_argument("--Mi", default="")
+    th.add_argument("--Mi")
     th.add_argument("--beta")
     th.add_argument("--json", action="store_true")
 
@@ -104,6 +105,12 @@ def _threshold_row(entry) -> dict:
 
 
 def _cmd_thresholds(args) -> int:
+    # a flag the chosen mode would not read is an error, not ignored
+    if args.M0 is None and args.Mi is not None:
+        raise ValueError("argument --Mi: only allowed with --M0")
+    if args.M0 is not None and args.beta is not None:
+        raise ValueError("argument --beta: not allowed with --M0; the "
+                         "exponent is printed as a function of beta")
     if args.M0 is not None:
         Ms = [int(x) for x in args.Mi.split(",") if x.strip()] if args.Mi else []
         b0, astar = beta0(args.M0, Ms)
@@ -187,7 +194,7 @@ def _cmd_verify(args) -> int:
                           f"'verify {args.verify_command}'")
     report = run_scaling(config) if config.kind == "scaling" \
         else run_bmo_probe(config)
-    for fmt in ("json", "csv", "text"):
+    for fmt in REPORT_FORMATS:
         if fmt in config.outputs:
             emit_report(report, fmt, config.outputs[fmt])
     print(format_report_text(report), end="")

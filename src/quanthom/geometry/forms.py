@@ -22,6 +22,11 @@ once per quadrature node, pushes all N frame vectors through Df, and
 only selects vectors per subset.  Whitney forms are evaluated through
 the same determinant kernel (geometry.minors) on the reference simplex
 and at arbitrary points alike.
+
+Projections, wedge integrals and the sphere quadrature run over the
+simplices in blocks of a fixed size (mesh.blocks), so the nodes and
+frames of the whole mesh are never held at once; block integrals are
+added in block order, which keeps every result the same from run to run.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from math import factorial
 import numpy as np
 
 from .cochain import Cochain
-from .mesh import permutation_sign
+from .mesh import blocks, permutation_sign
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
@@ -94,24 +99,24 @@ def _arc_nodes_frames(pts: np.ndarray, u: np.ndarray):
     return nodes, tang[:, :, None, :]
 
 
-def _nodes_and_frames(mesh, k: int, order: int, curved: bool):
-    """Quadrature nodes of every k-simplex with its edge-vector frame.
+def _nodes_and_frames(mesh, k: int, order: int, curved: bool, rows: slice):
+    """Quadrature nodes of the k-simplices `rows` with their edge-vector
+    frames.
 
-    Returns (points, frames, weights) with shapes (n_s, n_q, dim),
-    (n_s, n_q, k, dim) and (n_q,).  With `curved` the nodes are radially
-    projected and the frame is pushed through dP; circle edges use the
-    angle parametrization instead.
+    Returns (points, frames, weights) with shapes (n_b, n_q, dim),
+    (n_b, n_q, k, dim) and (n_q,) for the n_b simplices of the block.
+    With `curved` the nodes are radially projected and the frame is
+    pushed through dP; circle edges use the angle parametrization instead.
     """
     bary, w = simplex_rule(k, order)
-    simp = mesh.simplices[k]
-    pts = mesh.verts[simp]                        # (n_s, k+1, dim)
+    pts = mesh.verts[mesh.simplices[k][rows]]     # (n_b, k+1, dim)
     if curved and mesh.dim == 1 and k == 1:
         nodes, frames = _arc_nodes_frames(pts, bary[:, 1])
         return nodes, frames, w
-    nodes = bary @ pts                            # (n_s, n_q, dim)
-    edges = pts[:, 1:, :] - pts[:, :1, :]         # (n_s, k, dim)
+    nodes = bary @ pts                            # (n_b, n_q, dim)
+    edges = pts[:, 1:, :] - pts[:, :1, :]         # (n_b, k, dim)
     frames = np.broadcast_to(edges[:, None, :, :],
-                             (len(simp), len(w), k, pts.shape[2]))
+                             (len(pts), len(w), k, pts.shape[2]))
     if curved:
         nodes, frames = radial_projection(nodes, frames)
     return nodes, np.ascontiguousarray(frames), w
@@ -123,7 +128,8 @@ def de_rham_project(form, mesh, degree: int | None = None,
 
     `form` is a k-form evaluator; its integral over each simplex is the
     integral over the curved (radially projected) patch unless
-    `curved=False`, which integrates over the flat simplex instead.
+    `curved=False`, which integrates over the flat simplex instead.  The
+    simplices are integrated block by block (mesh.blocks).
     """
     k = form.degree if degree is None else degree
     if k > 0 and order < 2:
@@ -132,11 +138,12 @@ def de_rham_project(form, mesh, degree: int | None = None,
         pts = mesh.verts
         vals = form(pts, np.zeros((len(pts), 0, pts.shape[1])))
         return Cochain(mesh, 0, vals)
-    nodes, frames, w = _nodes_and_frames(mesh, k, order, curved)
-    n_s, n_q, _, dim = frames.shape
-    vals = form(nodes.reshape(-1, dim), frames.reshape(-1, k, dim))
-    vals = vals.reshape(n_s, n_q)
-    integrals = vals @ w / factorial(k)
+    integrals = np.empty(mesh.n_simplices(k))
+    for rows in blocks(len(integrals)):
+        nodes, frames, w = _nodes_and_frames(mesh, k, order, curved, rows)
+        n_b, n_q, _, dim = frames.shape
+        vals = form(nodes.reshape(-1, dim), frames.reshape(-1, k, dim))
+        integrals[rows] = vals.reshape(n_b, n_q) @ w / factorial(k)
     return Cochain(mesh, k, integrals)
 
 
@@ -148,11 +155,15 @@ def sphere_quadrature(mesh, order: int = DEFAULT_ORDER):
     sphere volume |S^N|.
     """
     N = mesh.dim
-    nodes, frames, w = _nodes_and_frames(mesh, N, order, curved=True)
-    mats = np.concatenate([nodes[:, :, None, :], frames], axis=2)
-    dens = det(mats)                             # curved area density
-    weights = dens * w[None, :] / factorial(N)
-    return nodes.reshape(-1, nodes.shape[-1]), weights.reshape(-1)
+    n_q = len(simplex_rule(N, order)[1])
+    points = np.empty((mesh.n_simplices(N), n_q, mesh.verts.shape[1]))
+    weights = np.empty((mesh.n_simplices(N), n_q))
+    for rows in blocks(len(points)):
+        nodes, frames, w = _nodes_and_frames(mesh, N, order, True, rows)
+        mats = np.concatenate([nodes[:, :, None, :], frames], axis=2)
+        points[rows] = nodes
+        weights[rows] = det(mats) * w / factorial(N)  # curved area density
+    return points.reshape(-1, points.shape[-1]), weights.reshape(-1)
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +208,11 @@ def _whitney_edge_tensor(N: int, k: int, order: int):
     return W
 
 
-def _whitney_coefficients(mesh, c: Cochain) -> np.ndarray:
-    """Cochain values gathered per top simplex with orientation parities."""
-    k = c.degree
-    return c.values[mesh.top_faces[k]] * mesh.top_face_parity[k]
+def _whitney_coefficients(c: Cochain, tops) -> np.ndarray:
+    """Cochain values gathered on the top simplices `tops` (a slice or an
+    index array) with orientation parities: (n_tops, slots)."""
+    mesh, k = c.mesh, c.degree
+    return c.values[mesh.top_faces[k][tops]] * mesh.top_face_parity[k][tops]
 
 
 def whitney_values_on_frames(c: Cochain, tri_idx: np.ndarray,
@@ -208,7 +220,7 @@ def whitney_values_on_frames(c: Cochain, tri_idx: np.ndarray,
     """Whitney interpolant of `c` at barycentric points of given top
     simplices, evaluated on arbitrary tangent frames (m, k, dim)."""
     mesh = c.mesh
-    coef = _whitney_coefficients(mesh, c)[tri_idx]        # (m, n_slots)
+    coef = _whitney_coefficients(c, tri_idx)              # (m, n_slots)
     # dlambda_j(v_i) with the true barycentric gradients of each simplex
     dl = mesh.barygrad[tri_idx] @ np.swapaxes(frames, 1, 2)  # (m, N+1, k)
     return (coef * _whitney_basis(bary, dl)).sum(axis=1)
@@ -271,21 +283,34 @@ def integrate_wedge(factors, mesh, order: int = DEFAULT_ORDER) -> float:
 
     Each factor is either an analytic k-form evaluator (pulled back
     through the radial projection) or a Cochain (evaluated as its
-    Whitney form on the flat complex).  Degrees must sum to N.
+    Whitney form on the flat complex).  Degrees must sum to N.  The tops
+    are integrated block by block (mesh.blocks) and the block integrals
+    added in block order.
     """
     N = mesh.dim
     degrees = tuple(f.degree for f in factors)
     if sum(degrees) != N:
         raise ValueError("wedge degree != N")
+    if any(isinstance(f, Cochain) and f.mesh is not mesh for f in factors):
+        raise ValueError("cochain belongs to a different mesh")
     _, w = simplex_rule(N, order)
-    n_t, n_q = mesh.n_simplices(N), len(w)
-    dim = mesh.verts.shape[1]
+    total = 0.0
+    for rows in blocks(mesh.n_simplices(N)):
+        total += float((_wedge_integrand(factors, mesh, order, rows) @ w).sum())
+    return total / factorial(N)
 
+
+def _wedge_integrand(factors, mesh, order: int, rows: slice) -> np.ndarray:
+    """Wedge of the factors at the quadrature nodes of the tops `rows`,
+    on their edge frames: (n_b, n_q)."""
+    N = mesh.dim
+    dim = mesh.verts.shape[1]
+    n_q = len(simplex_rule(N, order)[1])
     if any(not isinstance(f, Cochain) for f in factors):
         # curved nodes and frames of the projection; on S^1 the single
         # factor is analytic here, so the exact arc parametrization is
         # never shared with a flat Whitney factor
-        pts_c, frames_c, _ = _nodes_and_frames(mesh, N, order, curved=True)
+        pts_c, frames_c, _ = _nodes_and_frames(mesh, N, order, True, rows)
         pts_c, frames_c = pts_c.reshape(-1, dim), frames_c.reshape(-1, N, dim)
 
     # factor values per edge subset; an analytic factor sees the whole
@@ -294,20 +319,17 @@ def integrate_wedge(factors, mesh, order: int = DEFAULT_ORDER) -> float:
     for f in factors:
         subsets = _edge_subsets(N, f.degree)
         if isinstance(f, Cochain):
-            if f.mesh is not mesh:
-                raise ValueError("cochain belongs to a different mesh")
             W = _whitney_edge_tensor(N, f.degree, order)   # (slots, q, subs)
-            coef = _whitney_coefficients(mesh, f)          # (t, slots)
-            vals = coef @ W.reshape(len(W), -1)
+            vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
         else:
             vals = f.on_frame_subsets(pts_c, frames_c, subsets)
         index = {sub: i for i, sub in enumerate(subsets)}
-        values.append((vals.reshape(n_t, n_q, len(subsets)), index))
+        values.append((vals.reshape(-1, n_q, len(subsets)), index))
 
-    integrand = np.zeros((n_t, n_q))
-    for blocks, sign in _shuffles(degrees, N):
-        term = np.full((n_t, n_q), float(sign))
-        for (vals, index), sub in zip(values, blocks):
+    integrand = 0.0
+    for parts, sign in _shuffles(tuple(f.degree for f in factors), N):
+        term = float(sign)
+        for (vals, index), sub in zip(values, parts):
             term = term * vals[:, :, index[sub]]
-        integrand += term
-    return float((integrand @ w).sum() / factorial(N))
+        integrand = integrand + term
+    return integrand

@@ -40,8 +40,16 @@ from .minors import det
 
 SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 
-# points located per batch: bounds the (points, valence, N+1, N+1) gather
-_LOCATE_BLOCK = 4096
+# rows per block of every batched loop over a mesh: the simplices of
+# one degree in quadrature and mass assembly, the query points in `locate`
+BLOCK = 4096
+
+
+def blocks(n: int):
+    """Consecutive row slices of at most BLOCK rows covering range(n),
+    in ascending order, so block partial sums are added in a fixed order."""
+    for lo in range(0, n, BLOCK):
+        yield slice(lo, min(lo + BLOCK, n))
 
 
 def permutation_sign(rows) -> np.ndarray:
@@ -363,8 +371,7 @@ class SimplicialSphere:
         idx = np.empty(len(unit), dtype=np.int64)
         bary = np.empty((len(unit), self.dim + 1))
         depth = np.empty(len(unit))
-        for lo in range(0, len(unit), _LOCATE_BLOCK):
-            blk = slice(lo, lo + _LOCATE_BLOCK)
+        for blk in blocks(len(unit)):
             cand = stars[near[blk]]
             mu = np.einsum("mcij,mj->mci", dual[cand], unit[blk])
             idx[blk], bary[blk], depth[blk] = _deepest_cone(cand, mu)

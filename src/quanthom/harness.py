@@ -40,6 +40,9 @@ RATIO_SPREAD_LIMIT = 3.0
 SLOPE_MARGIN = 1.15
 # a BMO-probe invariant counts as integral within this distance
 INTEGRALITY_TOL = 1e-3
+# the report formats of emit_report, which are the keys of a config's
+# [output] section
+REPORT_FORMATS = ("json", "csv", "text")
 # failures a sweep row records and runs past: bad specs and non-regular
 # values (ValueError), floating-point faults, and unconverged solves
 _ROW_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError,
@@ -133,6 +136,10 @@ class ExperimentConfig:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         outputs = dict(cp["output"]) if cp.has_section("output") else {}
+        unknown = sorted(set(outputs) - set(REPORT_FORMATS))
+        if unknown:
+            raise ConfigError(f"unknown [output] key(s) {', '.join(unknown)}; "
+                              f"allowed: {', '.join(REPORT_FORMATS)}")
         cfg = cls(kind, structure, template, sweep_name, sweep_values, betas,
                   levels, seminorm, samples, seed, allow, outputs)
         cfg.validate()
@@ -176,15 +183,15 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def _sweep(config: ExperimentConfig, row_type, evaluate) -> list:
-    """One row per sweep value: `evaluate(i, f)` gives the numeric fields
-    for the i-th map; a failure in `_ROW_ERRORS` is recorded in the row
+    """One row per sweep value: `evaluate(i, spec, f)` gives the numeric
+    fields for the i-th map; a failure in `_ROW_ERRORS` is recorded in the row
     as `TypeName: message` and the sweep runs on."""
     rows = []
     for i, val in enumerate(config.sweep_values):
         spec = config.map_template.format(**{config.sweep_name: val})
         try:
             rows.append(row_type(val, spec,
-                                 *evaluate(i, parse_map_spec(spec))))
+                                 *evaluate(i, spec, parse_map_spec(spec))))
         except _ROW_ERRORS as exc:
             rows.append(row_type(val, spec,
                                  error=f"{type(exc).__name__}: {exc}"))
@@ -264,21 +271,31 @@ def run_scaling(config: ExperimentConfig) -> Report:
     entry = config.validate()
     structure = entry.structure
     b0 = entry.report.effective_beta0()
+    # (spec, level) -> (invariant, d^{-1} statistics): the invariant does
+    # not depend on beta, so each is computed once per run
+    invariants = {}
+
+    def invariant(spec, f, lvl):
+        if (spec, lvl) not in invariants:
+            res = hardt_riviere(
+                f, structure, build_sphere_mesh(structure.domain_dim, lvl))
+            invariants[spec, lvl] = res.value, list(res.residuals.values())
+        return invariants[spec, lvl]
+
     blocks = []
     for beta in config.betas:
         E = entry.report.exponent(beta)
         Ef = float(E)
         hypothesis_ok = beta > b0
 
-        def evaluate(i, f):
+        def evaluate(i, spec, f):
             # invariant at the finest level with a level-difference error
             # bar, and the worst d^{-1} statistics (0 without d^{-1})
             vals, stats = [], []
             for lvl in config.levels[-2:]:
-                res = hardt_riviere(
-                    f, structure, build_sphere_mesh(structure.domain_dim, lvl))
-                vals.append(res.value)
-                stats += res.residuals.values()
+                value, residuals = invariant(spec, f, lvl)
+                vals.append(value)
+                stats += residuals
             inv = vals[-1]
             inv_err = abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0
             solver = [max((s[key] for s in stats), default=zero)
@@ -371,7 +388,7 @@ def run_bmo_probe(config: ExperimentConfig) -> Report:
     mesh = build_sphere_mesh(N, config.levels[-1])
     probes = _probe_points(N, config.seed)
 
-    def evaluate(i, f):
+    def evaluate(i, spec, f):
         est = bmo_seminorm(f, seed=config.seed + 1000 * i,
                            centers=48, cap_samples=96)
         dmax = max(d for _, d in poisson_extension_distance(f, probes, mesh))

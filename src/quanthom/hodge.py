@@ -41,7 +41,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import simplex_geometry
+from .geometry.mesh import blocks, simplex_geometry
 from .geometry.minors import minors, whitney_table
 
 # relative residual of the d^{-1} curl solve
@@ -74,27 +74,45 @@ def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
     N = g.shape[1] - 1
     C = _mass_coefficients(N, k)
     s = whitney_table(N, k).shape[2]
-    blocks = minors(g, k).reshape(len(vol), -1) @ C.T
-    blocks *= (factorial(k) ** 2 * vol)[:, None]
-    return blocks.reshape(len(vol), s, s)
+    local = minors(g, k).reshape(len(vol), -1) @ C.T
+    local *= (factorial(k) ** 2 * vol)[:, None]
+    return local.reshape(len(vol), s, s)
+
+
+def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
+    """(distinct keys ascending, the sum of the values of each key); the
+    values of one key are added in their input order."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    return uniq, np.bincount(inv, weights=values, minlength=len(uniq))
 
 
 def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
-    """Whitney k-form mass matrix (symmetric positive definite)."""
+    """Whitney k-form mass matrix (symmetric positive definite).
+
+    The tops are assembled block by block (mesh.blocks).  Entries are
+    keyed row * n + column; each block sums its entries per key, and the
+    block sums are added in block order, so the matrix is the same from
+    run to run.
+    """
     faces = mesh.top_faces[k]                          # (t, s)
     par = mesh.top_face_parity[k]
-    blocks = _whitney_mass_blocks(mesh.metric, mesh.top_volumes, k)
-    signed = blocks * par[:, :, None] * par[:, None, :]
-    # entries ordered slot pair (a, b) major, simplex minor, so duplicate
-    # entries are summed in a fixed order
     s = faces.shape[1]
-    data = signed.transpose(1, 2, 0).ravel()
-    rows = np.repeat(faces.T, s, axis=0).ravel()
-    cols = np.tile(faces.T, (s, 1)).ravel()
     n = mesh.n_simplices(k)
-    M = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    M.sum_duplicates()
-    return M
+    keys, values = [], []
+    for tops in blocks(len(faces)):
+        local = _whitney_mass_blocks(mesh.metric[tops], mesh.top_volumes[tops],
+                                     k)
+        local *= par[tops, :, None] * par[tops, None, :]
+        # entries ordered slot pair (a, b) major, simplex minor
+        f = faces[tops].T
+        key = np.repeat(f, s, axis=0) * n + np.tile(f, (s, 1))
+        uniq, summed = _summed(key.ravel(), local.transpose(1, 2, 0).ravel())
+        keys.append(uniq)
+        values.append(summed)
+    uniq, data = _summed(np.concatenate(keys), np.concatenate(values))
+    # ascending keys are rows in order with ascending columns: CSR as is
+    indptr = np.searchsorted(uniq, np.arange(n + 1) * n)
+    return sparse.csr_matrix((data, uniq % n, indptr), shape=(n, n))
 
 
 def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _COARSE = 8          # coarse trace step over output spacing
-_BLOCK = 256         # rows per block of the Gauss double sum
+_GAUSS_ROWS = 256    # rows per block of the Gauss double sum
 
 
 class NonRegularValueError(ValueError):
@@ -176,8 +176,8 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
     x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
     xdx, ydy = np.cross(x, dx), np.cross(y, dy)
     total = 0.0
-    for i in range(0, len(x), _BLOCK):
-        rows = slice(i, i + _BLOCK)
+    for i in range(0, len(x), _GAUSS_ROWS):
+        rows = slice(i, i + _GAUSS_ROWS)
         num = xdx[rows] @ dy.T + dx[rows] @ ydy.T
         d2 = sum((x[rows, k, None] - y[None, :, k]) ** 2 for k in range(3))
         total += float((num / (d2 * np.sqrt(d2))).sum())

@@ -147,7 +147,8 @@ class TestWhitney:
             idx = np.repeat(np.arange(m.n_simplices(2)), len(w))
             lam = np.tile(bary, (m.n_simplices(2), 1))
             err2 = 0.0
-            nodes, frames, _ = _nodes_and_frames(m, 2, 4, curved=True)
+            nodes, frames, _ = _nodes_and_frames(m, 2, 4, curved=True,
+                                                 rows=slice(None))
             flat_nodes = np.einsum("qj,tjd->tqd", bary, m.top_points)
             for e in range(2):
                 fr_flat = np.repeat(m.top_edges[:, e:e + 1, :], len(w), axis=0)

@@ -4,13 +4,16 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from quanthom.harness import (ConfigError, ExperimentConfig, emit_report,
-                              load_report, run_bmo_probe, run_scaling)
+from quanthom import harness
+from quanthom.harness import (ConfigError, ExperimentConfig, Report,
+                              emit_report, load_report, run_bmo_probe,
+                              run_scaling)
 
 FAST_SCALING = """
 [experiment]
@@ -77,6 +80,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file("/nonexistent/path.ini")
 
+    def test_unknown_output_key_rejected(self):
+        text = FAST_SCALING + "\n[output]\njson = r.json\ntxt = r.txt\n"
+        with pytest.raises(ConfigError, match=re.escape(
+                "unknown [output] key(s) txt; allowed: json, csv, text")):
+            ExperimentConfig.from_string(text)
+
 
 class TestRunScaling:
     def test_winding_sweep_passes(self):
@@ -134,12 +143,49 @@ class TestRunScaling:
         assert {"solver_iterations", "solver_residual", "closedness"} <= set(head)
         assert "solver_residual=0.0" in (tmp_path / "r.text").read_text()
 
+    def test_invariant_computed_once_per_run(self, monkeypatch, tmp_path):
+        # the invariant does not depend on beta: a two-beta sweep evaluates
+        # each (map, level) once and reports what one-beta runs report
+        calls, hardt_riviere = [], harness.hardt_riviere
+
+        def counted(f, structure, mesh):
+            calls.append((f.name, mesh.level))
+            return hardt_riviere(f, structure, mesh)
+
+        monkeypatch.setattr(harness, "hardt_riviere", counted)
+        cfg = ExperimentConfig.from_string(HOLDER_TWO_BETA)
+        rep = run_scaling(cfg)
+        assert len(calls) == len(set(calls)) == 6
+        singles = [run_scaling(replace(cfg, betas=[b])) for b in cfg.betas]
+        assert len(calls) == 18
+        assert rep.passed == all(s.passed for s in singles)
+        joined = replace(rep, blocks=[s.blocks[0] for s in singles])
+        for fmt in ("json", "csv", "text"):
+            emit_report(rep, fmt, str(tmp_path / f"run.{fmt}"))
+            emit_report(joined, fmt, str(tmp_path / f"joined.{fmt}"))
+            assert ((tmp_path / f"run.{fmt}").read_bytes()
+                    == (tmp_path / f"joined.{fmt}").read_bytes())
+
     def test_constant_row_zero_ratio(self):
         cfg = fast_config(map_template="circle-power:d=0",
                           sweep_values=[0], levels=[3])
         rep = run_scaling(cfg)
         row = rep.blocks[0].rows[0]
         assert row.invariant == 0.0 and row.ratio == 0.0
+
+
+HOLDER_TWO_BETA = """
+[experiment]
+kind = scaling
+structure = degree:s2
+map = suspension:d={d}
+sweep = d=1..3
+beta = 1, 9/10
+levels = 2,3
+seminorm = holder
+samples = 2000
+seed = 3
+"""
 
 
 BMO_PROBE = """
@@ -321,6 +367,22 @@ class TestCli:
         assert code == 2 and not stdout
         assert "not allowed with argument" in err
 
+    @pytest.mark.parametrize("flags,flag", [
+        (("--Mi", "2"), "--Mi"),
+        (("--M0", "2", "--Mi", "2", "--beta", "1/2"), "--beta")],
+        ids=["Mi-without-M0", "beta-with-M0"])
+    def test_thresholds_unread_flag_exit2(self, flags, flag):
+        code, stdout, err = self.run_cli("thresholds", *flags)
+        assert code == 2 and not stdout
+        assert f"argument {flag}:" in err
+
+    def test_thresholds_beta_with_catalogue(self):
+        code, stdout, _ = self.run_cli("thresholds", "--all", "--beta", "1/2",
+                                       "--json")
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(stdout)}
+        assert rows["hopf:n=1"]["exponent_at_beta"] == "8"
+
     def test_invariant_command(self, tmp_path):
         out = tmp_path / "inv.json"
         code, stdout, _ = self.run_cli(
@@ -376,6 +438,15 @@ seed = 5
 """)
         code, stdout, _ = self.run_cli("verify", "bmo", "--config", str(cfg))
         assert code == 1
+
+    def test_unknown_output_key_exit2(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING + f"\n[output]\ntxt = {tmp_path}/r.txt\n")
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert "unknown [output] key(s) txt" in err
+        assert not (tmp_path / "r.txt").exists()
 
     def test_config_error_exit2(self, tmp_path):
         cfg = tmp_path / "bad.ini"

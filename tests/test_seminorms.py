@@ -66,6 +66,18 @@ class TestSobolev:
             oracle = circle_power_sobolev_oracle(d, beta, p)
             assert est.value == pytest.approx(oracle, rel=2e-3)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: the S^1 Sobolev seminorm is 1.3-1.7% low at "
+        "beta = 9/10, p = 10/9, and its error bar hides it"))
+    def test_circle_sobolev_acceptance_exponents(self):
+        # the exponents of the circle acceptance sweep
+        beta, p = 0.9, 10.0 / 9.0
+        for d in (1, 4, 8):
+            est = sobolev_seminorm(make_circle_power(d), beta, p)
+            oracle = circle_power_sobolev_oracle(d, beta, p)
+            assert est.value == pytest.approx(oracle, rel=1e-6)
+            assert abs(est.value - oracle) <= est.error
+
     def test_stratified_mc_matches_oracle(self):
         est = sobolev_seminorm(make_circle_power(1), 0.5, 2.0,
                                samples=10 ** 6, method="stratified-mc", seed=3)
