@@ -21,7 +21,7 @@ print(f"  identity, beta=1/2, p=2 (tensor):   {est.value:.6f} "
 mc = sobolev_seminorm(ident, 0.5, 2.0, samples=10 ** 6,
                       method="stratified-mc", seed=1)
 print(f"  same by stratified Monte Carlo:     {mc.value:.6f} "
-      f"+- {mc.error:.1e}   ({mc.samples} samples)")
+      f"+- {mc.error:.1e}   ({mc.samples} map evaluations)")
 
 print("\n== S^3 family, beta = 4/5, p = N/beta ==")
 hopf = make_hopf()

@@ -175,12 +175,23 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
     dy = np.roll(c2, -1, axis=0) - c2
     x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
     xdx, ydy = np.cross(x, dx), np.cross(y, dy)
+    # three block buffers, reused: the block temporaries are neither
+    # allocated nor page-faulted per block
+    num, tmp, d2 = np.empty((3, min(len(x), _GAUSS_ROWS), len(y)))
     total = 0.0
     for i in range(0, len(x), _GAUSS_ROWS):
         rows = slice(i, i + _GAUSS_ROWS)
-        num = xdx[rows] @ dy.T + dx[rows] @ ydy.T
-        d2 = sum((x[rows, k, None] - y[None, :, k]) ** 2 for k in range(3))
-        total += float((num / (d2 * np.sqrt(d2))).sum())
+        m = min(_GAUSS_ROWS, len(x) - i)
+        nm, tm, dm = num[:m], tmp[:m], d2[:m]
+        np.matmul(xdx[rows], dy.T, out=nm)
+        np.add(nm, np.matmul(dx[rows], ydy.T, out=tm), out=nm)
+        np.square(np.subtract(x[rows, 0, None], y[None, :, 0], out=dm), out=dm)
+        for k in (1, 2):
+            np.square(np.subtract(x[rows, k, None], y[None, :, k], out=tm),
+                      out=tm)
+            np.add(dm, tm, out=dm)
+        np.multiply(dm, np.sqrt(dm, out=tm), out=tm)
+        total += float(np.divide(nm, tm, out=nm).sum())
     return total / (4.0 * np.pi)
 
 

@@ -5,12 +5,14 @@ The Gagliardo seminorm
     [f]_{W^{beta,p}}^p = int int |f(x)-f(y)|^p / |x-y|^{N + beta p} dx dy
 
 uses the extrinsic chordal distance |x-y| throughout.  On S^1 the
-double integral is reduced to a single shift integral and evaluated by
-graded panel quadrature; on S^2 and S^3 it is estimated by Monte Carlo
-stratified dyadically in the chord length (the integrand is unbounded
-near the diagonal for beta > 1/2, where plain sampling has unbounded
-variance).  Discarded near-diagonal shells are controlled by a
-Lipschitz tail bound computed from the analytic Jacobian.
+double integral is reduced to a single shift integral: its leading
+term at the diagonal is integrated in closed form from the analytic
+Jacobian (singularity subtraction), the rest by adaptive Gauss-Kronrod
+panels.  On S^2 and S^3 it is estimated by Monte Carlo stratified
+dyadically in the chord length (the integrand is unbounded near the
+diagonal for beta > 1/2, where plain sampling has unbounded variance);
+discarded near-diagonal shells are controlled by a Lipschitz tail bound
+computed from the analytic Jacobian.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum from the master seed, so results are reproducible for a fixed
@@ -19,10 +21,12 @@ stratum from the master seed, so results are reproducible for a fixed
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry.forms import sphere_quadrature
 from .geometry.mesh import SPHERE_VOLUMES
@@ -139,18 +143,18 @@ def _sobolev_mc(f, beta, p, samples, seed, stratified=True, max_strata=44):
         vol = SPHERE_VOLUMES[N] ** 2
         total = vol * float(g.mean())
         se = vol * float(g.std(ddof=1)) / np.sqrt(samples)
-        return total, se, 0.0, samples
+        return total, se, 0.0, 2 * samples
 
     # dyadic chord shells [2^-k-1 D, 2^-k D]; extend until the Lipschitz
     # tail is negligible against the running total
     strata = 12
+    used = 0                     # rows passed to f.value over all passes
     while True:
         edges = [2.0 * 2.0 ** (-k) for k in range(strata + 1)]
         psi_edges = [2.0 * np.arcsin(min(1.0, r / 2.0)) for r in edges]
         tail = _tail_bound(N, p, beta, L, psi_edges[-1])
         n_per = max(64, samples // strata)
         total, var = 0.0, 0.0
-        used = 0
         for k in range(strata):
             hi, lo = psi_edges[k], psi_edges[k + 1]
             rng = _rng(seed, k)
@@ -163,60 +167,117 @@ def _sobolev_mc(f, beta, p, samples, seed, stratified=True, max_strata=44):
             vol = SPHERE_VOLUMES[N] * _shell_measure(N, lo, hi)
             total += vol * float(g.mean())
             var += (vol ** 2) * float(g.var(ddof=1)) / n_per
-            used += n_per
+            used += 2 * n_per
         if tail <= 0.01 * total or strata >= max_strata:
             break
         strata = min(max_strata, strata + 8)
     return total, float(np.sqrt(var)), tail, used
 
 
-def _sobolev_circle_quadrature(f, beta, p, panels_cap=140, n_gauss=12,
-                               n_theta=2048, tol=1e-4):
-    """Reduced shift integral on S^1 with dyadically graded panels.
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the Kronrod nodes of
+# one sign, largest first, and their weights; the odd entries are the
+# 7-point Gauss nodes, with the Gauss weights below
+_KRONROD_X = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0])
+_KRONROD_W = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_GAUSS_W = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327])
+_GK_X = np.concatenate([-_KRONROD_X[:-1], _KRONROD_X[::-1]])
+_GK_W = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
+_GK_DIFF = _GK_W.copy()                 # K15 - G7 weights on the same nodes
+_GK_DIFF[1::2] -= np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
+
+_THETA = 2048                # periodic trapezoid angles of G(t)
+_DYADIC = 15                 # initial far panels [pi 2^-k-1, pi 2^-k]
+_T_MIN = np.pi * 2.0 ** -_DYADIC   # near part [0, T_MIN]
+_JACOBI_NODES = 6            # exact to round-off for the smooth factor
+_PANEL_RTOL = 1e-9           # target of sum |K15 - G7| over the total
+_MAX_PANELS = 128            # far panels, so at most 241 f.value calls
+
+
+def _sobolev_circle_quadrature(f, beta, p):
+    """[f]^p on S^1 by singularity subtraction and adaptive GK panels.
 
     [f]^p = 2 int_0^pi G(t) chord(t)^{-(1+beta p)} dt with
-    G(t) = int |f(theta+t)-f(theta)|^p dtheta; the inner integral uses
-    the periodic trapezoid rule, the outer one Gauss panels graded
-    toward the chord singularity at t = 0.
+    G(t) = int |f(theta+t)-f(theta)|^p dtheta, the periodic trapezoid
+    rule on _THETA angles.  Near the diagonal G(t) = A t^p + O(t^{p+2}),
+    A = int |f'|^p (the t^{p+1} term is a derivative and integrates to
+    0), so [0, T_MIN] takes the leading term with A from the analytic
+    Jacobian, by a Gauss-Jacobi rule for the weight t^{p(1-beta)-1}.
+    [T_MIN, pi] starts from dyadic panels; the panel of largest
+    |K15 - G7| is bisected until their sum is below _PANEL_RTOL of the
+    total.  The error adds that sum, the near remainder (extrapolated
+    from the lowest panel as t^{p(1-beta)+2}), the trapezoid change
+    against every other angle, and a round-off floor eps/T_MIN for the
+    cancellation in f(theta+t) - f(theta).  Returns the total, its error
+    and the rows passed to f.value.
     """
     expo = 1.0 + beta * p
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    th = 2.0 * np.pi * np.arange(_THETA) / _THETA
     base = np.stack([np.cos(th), np.sin(th)], axis=1)
+    tang = np.stack([-base[:, 1], base[:, 0]], axis=1)
     f_base = f.value(base)
-    L = lipschitz_estimate(f)
+    n_eval = _THETA
+    speed = np.linalg.norm(np.einsum("nij,nj->ni", f.jacobian(base), tang),
+                           axis=1) ** p
+    A = 2.0 * np.pi * np.array([speed.mean(), speed[::2].mean()])
 
-    def shift_integral(ts):
-        out = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            pts = np.stack([np.cos(th + t), np.sin(th + t)], axis=1)
-            diff = np.linalg.norm(f.value(pts) - f_base, axis=1)
-            out[i] = (diff ** p).mean() * 2.0 * np.pi
-        return out
+    # near part: A int_0^T_MIN t^a (t / chord(t))^expo dt, a = p - expo
+    a = p - expo
+    x, w = roots_jacobi(_JACOBI_NODES, 0.0, a)      # weight (1 + x)^a
+    t = 0.5 * _T_MIN * (x + 1.0)
+    near = 2.0 * (0.5 * _T_MIN) ** (a + 1.0) * float(
+        (w * (t / (2.0 * np.sin(t / 2.0))) ** expo).sum())
 
-    def run(n_nodes):
-        x, w = roots_legendre(n_nodes)
-        total = 0.0
-        n_eval = 0
-        k = 0
-        while k < panels_cap:
-            hi, lo = np.pi * 2.0 ** (-k), np.pi * 2.0 ** (-k - 1)
-            ts = 0.5 * (hi - lo) * (x + 1.0) + lo
-            ws = 0.5 * (hi - lo) * w
-            vals = shift_integral(ts) * (2.0 * np.sin(ts / 2.0)) ** (-expo)
-            total += 2.0 * float((vals * ws).sum())
-            n_eval += len(ts) * n_theta
-            k += 1
-            t_min = np.pi * 2.0 ** (-k)
-            tail = (2.0 * 2.0 * np.pi * L ** p
-                    * t_min ** (p * (1 - beta)) / (p * (1 - beta)))
-            if tail <= tol * max(total, 1e-300):
-                break
-        return total, tail, n_eval
+    def nodes(lo, hi):
+        # Kronrod shifts and their weights times 2 chord^{-expo}
+        half = 0.5 * (hi - lo)
+        t = lo + half * (_GK_X + 1.0)
+        return t, 2.0 * half * (2.0 * np.sin(t / 2.0)) ** -expo
 
-    coarse, _, _ = run(max(4, n_gauss // 2))
-    total, tail, n_eval = run(n_gauss)
-    err = abs(total - coarse) + tail
-    return total, err, n_eval
+    def panel(lo, hi):
+        # one f.value call: 15 Kronrod shifts of all _THETA angles; K15
+        # on all angles and on every other one, and |K15 - G7|
+        nonlocal n_eval
+        t, kern = nodes(lo, hi)
+        pts = (np.cos(t)[:, None, None] * base
+               + np.sin(t)[:, None, None] * tang).reshape(-1, 2)
+        diff = f.value(pts).reshape(len(t), _THETA, -1) - f_base
+        n_eval += len(pts)
+        g = np.einsum("tnk,tnk->tn", diff, diff) ** (0.5 * p)
+        G = 2.0 * np.pi * np.stack([g.mean(axis=1), g[:, ::2].mean(axis=1)])
+        k15 = G @ (_GK_W * kern)
+        return (-abs(float(G[0] @ (_GK_DIFF * kern))), lo, hi, k15[0], k15[1])
+
+    edges = np.pi * 2.0 ** -np.arange(_DYADIC + 1)
+    heap = [panel(lo, hi) for hi, lo in zip(edges[:-1], edges[1:])]
+    # (G - A t^p) chord^{-expo} ~ t^{q-1}, q = p(1-beta) + 2: its integral
+    # over [0, T_MIN] is its integral over [T_MIN, 2 T_MIN] / (2^q - 1)
+    t, kern = nodes(_T_MIN, 2.0 * _T_MIN)
+    q = a + 3.0
+    lowest = heap[-1][3] - A[0] * float((t ** p * kern) @ _GK_W)
+    remainder = abs(lowest) / (2.0 ** q - 1.0)
+    heapq.heapify(heap)
+    while True:
+        total = math.fsum([A[0] * near] + [h[3] for h in heap])
+        err = math.fsum(-h[0] for h in heap)
+        if err <= _PANEL_RTOL * abs(total) or len(heap) >= _MAX_PANELS:
+            break
+        _, lo, hi, _, _ = heapq.heappop(heap)
+        for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
+            heapq.heappush(heap, panel(*half))
+    coarse = math.fsum([A[1] * near] + [h[4] for h in heap])
+    err += (remainder + abs(total - coarse)
+            + np.finfo(float).eps / _T_MIN * abs(total))
+    return total, float(err), n_eval
 
 
 def sobolev_seminorm(f: SmoothMap, beta: float, p: float,

@@ -60,6 +60,26 @@ def test_gauss_integral_matches_direct_midpoint_sum(rng):
     assert abs(gauss_linking_integral(c1, c2) - ref) <= 1e-12 * max(abs(ref), 1)
 
 
+@pytest.mark.parametrize("n1, n2", [(700, 300), (256, 40), (100, 513),
+                                    (513, 1000)])
+def test_gauss_integral_buffers_bitwise(n1, n2):
+    # the preallocated block buffers against the allocating expression,
+    # with full blocks, one block, and a partial last block
+    rng = np.random.default_rng(n1 * n2)
+    c1 = rng.standard_normal((n1, 3))
+    c2 = rng.standard_normal((n2, 3)) + 0.5
+    dx, dy = [np.roll(c, -1, axis=0) - c for c in (c1, c2)]
+    x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
+    xdx, ydy = np.cross(x, dx), np.cross(y, dy)
+    total = 0.0
+    for i in range(0, n1, 256):
+        rows = slice(i, i + 256)
+        num = xdx[rows] @ dy.T + dx[rows] @ ydy.T
+        d2 = sum((x[rows, k, None] - y[None, :, k]) ** 2 for k in range(3))
+        total += float((num / (d2 * np.sqrt(d2))).sum())
+    assert gauss_linking_integral(c1, c2) == total / (4.0 * np.pi)
+
+
 def test_gauss_integral_far_circles_unlinked():
     e = np.eye(3)
     u, v = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
