@@ -23,6 +23,11 @@ only selects vectors per subset.  Whitney forms are evaluated through
 the same determinant kernel (geometry.minors) on the reference simplex
 and at arbitrary points alike.
 
+Curved frames are built per simplex (radial_projection): with r = |x|
+and u = x/r at its nodes x, one (nodes x dim) @ (dim x k) product gives
+e.u for all k edge vectors e of the simplex, and the frame vectors are
+dP_x(e) = (e - (e.u) u)/r.
+
 Projections, wedge integrals and the sphere quadrature run over the
 simplices in blocks of a fixed size (mesh.blocks), so the nodes and
 frames of the whole mesh are never held at once; block integrals are
@@ -69,13 +74,22 @@ class FormField:
         return f"FormField(degree={self.degree}, name={self.name!r})"
 
 
-def radial_projection(points: np.ndarray, frames: np.ndarray):
-    """P(x) = x/|x| and its differential applied to the frame vectors."""
+def radial_projection(points: np.ndarray, edges: np.ndarray):
+    """P(x) = x/|x| at the quadrature nodes of a batch of flat simplices
+    and its differential applied to their edge vectors.
+
+    `points` (n, q, dim) holds the q nodes of each of n simplices and
+    `edges` (n, k, dim) their k edge vectors.  Returns P at the nodes,
+    (n, q, dim), and the curved frames (n, q, k, dim),
+    dP_x(e) = (e - (e.u) u) / r with r = |x| and u = x/r; the products
+    e.u are one (q, dim) @ (dim, k) product per simplex.
+    """
     r = np.linalg.norm(points, axis=-1, keepdims=True)
     unit = points / r
-    proj = frames - (frames @ unit[..., :, None]) * unit[..., None, :]
-    proj /= r[..., None]
-    return unit, proj
+    eu = unit @ np.ascontiguousarray(np.swapaxes(edges, 1, 2))  # (n, q, k)
+    frames = edges[:, None] - np.einsum("nqk,nqd->nqkd", eu, unit)
+    frames /= r[..., None]
+    return unit, frames
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +119,9 @@ def _nodes_and_frames(mesh, k: int, order: int, curved: bool, rows: slice):
 
     Returns (points, frames, weights) with shapes (n_b, n_q, dim),
     (n_b, n_q, k, dim) and (n_q,) for the n_b simplices of the block.
-    With `curved` the nodes are radially projected and the frame is
-    pushed through dP; circle edges use the angle parametrization instead.
+    With `curved` the nodes are radially projected and the simplex's edge
+    vectors are pushed through dP at each node (radial_projection); circle
+    edges use the angle parametrization instead.
     """
     bary, w = simplex_rule(k, order)
     pts = mesh.verts[mesh.simplices[k][rows]]     # (n_b, k+1, dim)
@@ -115,11 +130,9 @@ def _nodes_and_frames(mesh, k: int, order: int, curved: bool, rows: slice):
         return nodes, frames, w
     nodes = bary @ pts                            # (n_b, n_q, dim)
     edges = pts[:, 1:, :] - pts[:, :1, :]         # (n_b, k, dim)
-    frames = np.broadcast_to(edges[:, None, :, :],
-                             (len(pts), len(w), k, pts.shape[2]))
     if curved:
-        nodes, frames = radial_projection(nodes, frames)
-    return nodes, np.ascontiguousarray(frames), w
+        return (*radial_projection(nodes, edges), w)
+    return nodes, np.repeat(edges[:, None], len(w), axis=1), w
 
 
 def de_rham_project(form, mesh, degree: int | None = None,

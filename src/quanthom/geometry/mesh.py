@@ -89,7 +89,7 @@ def simplex_geometry(pts: np.ndarray):
     det = np.linalg.det(gram)
     volumes = np.sqrt(np.abs(det)) / factorial(pts.shape[1] - 1)
     inv = np.linalg.inv(gram)
-    grads = np.einsum("tij,tjd->tid", inv, edges)  # j=1..N
+    grads = inv @ edges                            # j=1..N
     grad0 = -grads.sum(axis=1, keepdims=True)
     barygrad = np.concatenate([grad0, grads], axis=1)
     metric = np.einsum("tid,tjd->tij", barygrad, barygrad)

@@ -92,7 +92,8 @@ def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     The tops are assembled block by block (mesh.blocks).  Entries are
     keyed row * n + column; each block sums its entries per key, and the
     block sums are added in block order, so the matrix is the same from
-    run to run.
+    run to run.  They are merged over ranges of rows (mesh.blocks again),
+    so the merge holds the keys of one range at a time.
     """
     faces = mesh.top_faces[k]                          # (t, s)
     par = mesh.top_face_parity[k]
@@ -109,10 +110,22 @@ def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
         uniq, summed = _summed(key.ravel(), local.transpose(1, 2, 0).ravel())
         keys.append(uniq)
         values.append(summed)
-    uniq, data = _summed(np.concatenate(keys), np.concatenate(values))
-    # ascending keys are rows in order with ascending columns: CSR as is
-    indptr = np.searchsorted(uniq, np.arange(n + 1) * n)
-    return sparse.csr_matrix((data, uniq % n, indptr), shape=(n, n))
+    counts, columns, data = np.zeros(n + 1, dtype=np.int64), [], []
+    for rows in blocks(n):
+        cuts = [np.searchsorted(u, (rows.start * n, rows.stop * n))
+                for u in keys]
+        uniq, summed = _summed(
+            np.concatenate([u[a:b] for u, (a, b) in zip(keys, cuts)]),
+            np.concatenate([v[a:b] for v, (a, b) in zip(values, cuts)]))
+        # ascending keys are rows in order with ascending columns: CSR as is
+        row, col = np.divmod(uniq, n)
+        counts[rows.start + 1:rows.stop + 1] = np.bincount(
+            row - rows.start, minlength=rows.stop - rows.start)
+        columns.append(col)
+        data.append(summed)
+    del keys, values                # freed before the final copies
+    return sparse.csr_matrix((np.concatenate(data), np.concatenate(columns),
+                              np.cumsum(counts)), shape=(n, n))
 
 
 def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:

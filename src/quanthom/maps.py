@@ -247,7 +247,7 @@ def make_map_composition(g: SmoothMap, f: SmoothMap) -> SmoothMap:
         return g.value(f.value(X))
 
     def jacobian(X):
-        return np.einsum("mij,mjk->mik", g.jacobian(f.value(X)), f.jacobian(X))
+        return g.jacobian(f.value(X)) @ f.jacobian(X)
 
     return SmoothMap(f.domain_dim, g.target, value, jacobian,
                      name=f"compose:{g.name}|{f.name}")
@@ -387,8 +387,9 @@ class PullbackForm(FormField):
 
     def _push(self, points, frames):
         """f at the points and Df applied to every frame vector."""
-        J = self.map.jacobian(points)                     # (m, M', n)
-        return self.map.value(points), frames @ np.swapaxes(J, 1, 2)
+        # Df^T (m, n, M') made contiguous once; Df itself is freed here
+        DfT = np.swapaxes(self.map.jacobian(points), 1, 2).copy()
+        return self.map.value(points), frames @ DfT
 
     def _evaluate(self, points, frames):
         return self.form(*self._push(points, frames))

@@ -320,6 +320,7 @@ def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
 # ----------------------------------------------------------------------
 
 def _holder_ratio(f, X, Y, beta):
+    """(ratios of the pairs, rows passed to f.value)."""
     # chords below 1e-5 are cancellation-dominated and would break the
     # lower-bound semantics of the sampled sup
     chord = np.linalg.norm(X - Y, axis=1)
@@ -327,13 +328,15 @@ def _holder_ratio(f, X, Y, beta):
     out = np.zeros(len(X))
     out[ok] = (np.linalg.norm(f.value(X[ok]) - f.value(Y[ok]), axis=1)
                / chord[ok] ** beta)
-    return out
+    return out, 2 * int(ok.sum())
 
 
 def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
                     seed: int = 0, refine_iters: int = 60) -> SeminormEstimate:
     """Sampled sup of |f(x)-f(y)| / |x-y|^beta, hill-climbed from the
-    best pairs.  A lower bound of the true seminorm by construction."""
+    best pairs.  A lower bound of the true seminorm by construction;
+    `samples` of the estimate counts the rows passed to f.value, pairs
+    and refinement steps together."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     N = f.domain_dim
@@ -351,7 +354,7 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     Y2 = np.cos(psi)[:, None] * X2 + np.sin(psi)[:, None] * U
     X = np.vstack([X1, X2])
     Y = np.vstack([Y1, Y2])
-    ratios = _holder_ratio(f, X, Y, beta)
+    ratios, rows = _holder_ratio(f, X, Y, beta)
 
     top = np.argsort(-ratios)[:10]
     best_pairs = [(X[i].copy(), Y[i].copy(), ratios[i]) for i in top]
@@ -365,7 +368,8 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
             noise = rng_j.standard_normal((8, 2, amb)) * s
             cand = P + noise
             cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-            rr = _holder_ratio(f, cand[:, 0], cand[:, 1], beta)
+            rr, n = _holder_ratio(f, cand[:, 0], cand[:, 1], beta)
+            rows += n
             i = int(np.argmax(rr))
             if rr[i] > r_cur:
                 r_cur, x_cur, y_cur = rr[i], cand[i, 0], cand[i, 1]
@@ -373,7 +377,7 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     refined.sort(reverse=True)
     value = float(refined[0])
     spread = float(refined[0] - np.median(refined))
-    return SeminormEstimate(value, spread, "sampled-sup", samples, seed)
+    return SeminormEstimate(value, spread, "sampled-sup", rows, seed)
 
 
 # ----------------------------------------------------------------------

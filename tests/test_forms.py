@@ -220,3 +220,30 @@ def test_sphere_quadrature_total_area():
         from quanthom.geometry import SPHERE_VOLUMES
         assert wts.sum() == pytest.approx(SPHERE_VOLUMES[dim], rel=1e-4)
         assert np.abs(np.linalg.norm(pts, axis=1) - 1).max() < 1e-14
+
+
+@pytest.mark.parametrize("dim, level", [(2, 2), (3, 1)])
+def test_curved_frames_are_dP_of_the_edges(dim, level):
+    # each curved frame vector is dP(x) e for P(x) = x/|x| at the flat node
+    # x and an edge e of the simplex: it matches central differences of P
+    # along e and is tangent to the sphere at P(x)
+    from quanthom.geometry.forms import _nodes_and_frames
+    from quanthom.geometry.quadrature import simplex_rule
+
+    def P(x):
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    m = cached_mesh(dim, level)
+    h = 1e-5
+    for k in range(1, dim + 1):
+        pts = m.verts[m.simplices[k]]                   # (n, k+1, dim+1)
+        flat = simplex_rule(k, 4)[0] @ pts              # (n, q, dim+1)
+        nodes, frames, _ = _nodes_and_frames(m, k, 4, True, slice(None))
+        assert frames.shape == flat.shape[:2] + (k, dim + 1)
+        assert np.array_equal(nodes, P(flat))
+        for i in range(k):
+            e = (pts[:, i + 1] - pts[:, 0])[:, None, :]
+            fd = (P(flat + h * e) - P(flat - h * e)) / (2 * h)
+            assert np.abs(frames[:, :, i] - fd).max() < 1e-9
+        tangent = np.einsum("nqd,nqkd->nqk", nodes, frames)
+        assert np.abs(tangent).max() <= 1e-14

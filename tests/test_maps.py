@@ -25,6 +25,12 @@ ALL_FAMILIES = [
     make_antipodal(2),
     make_product_map(make_hopf(), make_constant(3, S2)),
     make_map_composition(make_sphere_suspension(2), make_hopf()),
+    # more chain rules Dg(f(x)) Df(x), one of them nested
+    parse_map_spec("compose:suspension:d=3|hopf"),
+    parse_map_spec("compose:hopf|antipodal:n=3"),
+    parse_map_spec("compose:circle-power:d=2|circle-power:d=-3"),
+    parse_map_spec("compose:antipodal:n=2|suspension:d=2"),
+    parse_map_spec("compose:suspension:d=2|compose:hopf|antipodal:n=3"),
     make_oscillation_perturbation(make_hopf(), 0.1, 3),
     make_oscillation_perturbation(make_circle_power(2), 0.1, 7),
 ]
@@ -185,6 +191,30 @@ class TestPullback:
         lhs = fwR(X, V)
         rhs = fw(X @ Q.T, np.einsum("mkd,ed->mke", V, Q))
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@pytest.mark.parametrize("f, omega", [
+    (make_hopf(), volume_form(S2)),
+    (parse_map_spec("compose:suspension:d=2|hopf"), volume_form(S2)),
+    (make_product_map(make_hopf(),
+                      parse_map_spec("compose:suspension:d=2|hopf")),
+     product_factor_form(S2xS2, 1)),
+], ids=lambda x: getattr(x, "name", None))
+def test_frame_subsets_match_pointwise_pullback(f, omega):
+    # one push of the whole 3-frame per point, then the 2-subsets, equals
+    # the pullback evaluated point by point on each subset
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((25, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    V = rng.standard_normal((25, 3, 4))
+    V -= np.einsum("mkd,md->mk", V, X)[:, :, None] * X[:, None, :]
+    subsets = [(0, 1), (0, 2), (1, 2)]
+    batched = pullback_form(f, omega).on_frame_subsets(X, V, subsets)
+    pointwise = np.array([[pullback(f, omega, x, *v[list(sub)])
+                           for sub in subsets] for x, v in zip(X, V)])
+    assert batched.shape == (25, 3)
+    assert np.abs(batched).max() > 0.1
+    np.testing.assert_allclose(batched, pointwise, rtol=1e-13, atol=1e-14)
 
 
 class TestTargetForms:

@@ -273,6 +273,14 @@ class TestHolder:
         with pytest.raises(ValueError, match="beta"):
             holder_seminorm(make_circle_power(1), 1.5)
 
+    def test_samples_count_map_rows(self):
+        # pair rows and refinement rows, as the Sobolev estimators count
+        f = make_circle_power(3)
+        g, rows = counting(f)
+        est = holder_seminorm(g, 1.0, samples=20_000)
+        assert est.samples == rows[0] > 20_000
+        assert est.value == holder_seminorm(f, 1.0, samples=20_000).value
+
     def test_rotation_consistency(self):
         f = make_circle_power(3)
         Q = random_rotation(2, seed=4)
