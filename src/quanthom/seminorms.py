@@ -4,19 +4,20 @@ The Gagliardo seminorm
 
     [f]_{W^{beta,p}}^p = int int |f(x)-f(y)|^p / |x-y|^{N + beta p} dx dy
 
-uses the extrinsic chordal distance |x-y| throughout.  On S^1 the
-double integral is reduced to a single shift integral: its leading
-term at the diagonal is integrated in closed form from the analytic
-Jacobian (singularity subtraction), the rest by adaptive Gauss-Kronrod
-panels.  On S^2 and S^3 it is estimated by Monte Carlo stratified
-dyadically in the chord length (the integrand is unbounded near the
-diagonal for beta > 1/2, where plain sampling has unbounded variance);
-discarded near-diagonal shells are controlled by a Lipschitz tail bound
-computed from the analytic Jacobian.
+uses the extrinsic chordal distance |x-y| throughout.  Near the
+diagonal the pair integral is carried by its leading term
+A t^p chord(t)^{-(N + beta p)}, with A = int int |Df(x) u|^p du dx over
+the unit tangent vectors u, taken from the analytic Jacobian and
+integrated in closed form in t (singularity subtraction).  On S^1 the
+rest is a single shift integral, by adaptive Gauss-Kronrod panels.  On
+S^2 and S^3 the rest is estimated by Monte Carlo in 12 dyadic chord
+strata (the integrand is unbounded near the diagonal for beta > 1/2,
+where plain sampling has unbounded variance), and the leading term
+covers the angles below the last stratum.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum from the master seed, so results are reproducible for a fixed
-(seed, stratum count).
+seed.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 from .geometry.forms import sphere_quadrature
-from .geometry.mesh import SPHERE_VOLUMES
+from .geometry.mesh import SPHERE_VOLUMES, build_sphere_mesh
 from .maps import SmoothMap, distance_to_target
 
 
@@ -62,43 +63,44 @@ def _orthogonal_directions(rng, X: np.ndarray) -> np.ndarray:
     return U / np.linalg.norm(U, axis=1, keepdims=True)
 
 
+_NEWTON_STEPS = 8            # cap of the S^3 angle sampler
+
+
+def _sin_mass(N: int, a):
+    """int_0^a sin^{N-1}, in forms that do not cancel at small a; on S^3
+    (2a - sin 2a)/4, by the series of x - sin x below 2a = 1."""
+    if N == 1:
+        return a
+    if N == 2:
+        return 2.0 * np.sin(0.5 * a) ** 2
+    x = 2.0 * np.asarray(a, dtype=float)
+    s = np.ones_like(x)
+    for k in range(8, 0, -1):    # x^3/6 (1 - x^2/20 (1 - x^2/42 (...)))
+        s = 1.0 - x * x / ((2 * k + 2) * (2 * k + 3)) * s
+    return np.where(x < 1.0, x ** 3 / 24.0 * s, 0.25 * (x - np.sin(x)))
+
+
 def _sample_angle(rng, n: int, N: int, psi_lo: float, psi_hi: float) -> np.ndarray:
-    """Geodesic angles distributed like sin^{N-1} on [psi_lo, psi_hi]."""
-    u = rng.random(n)
+    """Geodesic angles distributed like sin^{N-1} on [psi_lo, psi_hi]:
+    _sin_mass inverted at uniform targets."""
+    lo, hi = _sin_mass(N, psi_lo), _sin_mass(N, psi_hi)
+    target = lo + rng.random(n) * (hi - lo)
     if N == 1:
-        return psi_lo + u * (psi_hi - psi_lo)
+        return target
     if N == 2:
-        c = np.cos(psi_lo) + u * (np.cos(psi_hi) - np.cos(psi_lo))
-        return np.arccos(np.clip(c, -1.0, 1.0))
-    H = lambda a: 0.5 * (a - np.sin(a) * np.cos(a))
-    target = H(psi_lo) + u * (H(psi_hi) - H(psi_lo))
-    psi = np.full(n, 0.5 * (psi_lo + psi_hi))
-    for _ in range(40):
-        g = np.sin(psi) ** 2
-        step = (H(psi) - target) / np.maximum(g, 1e-300)
-        psi = np.clip(psi - step, psi_lo, psi_hi)
+        return 2.0 * np.arcsin(np.sqrt(np.clip(0.5 * target, 0.0, 1.0)))
+    # Newton from the small-angle inverse (3 t)^{1/3} of t = _sin_mass,
+    # taken past pi/2 from pi by the symmetry t(pi - a) = pi/2 - t(a),
+    # until the largest step is a few ulp of psi_hi
+    mirror = target > 0.25 * np.pi
+    guess = np.cbrt(3.0 * np.where(mirror, 0.5 * np.pi - target, target))
+    psi = np.clip(np.where(mirror, np.pi - guess, guess), psi_lo, psi_hi)
+    for _ in range(_NEWTON_STEPS):
+        step = (_sin_mass(3, psi) - target) / np.maximum(np.sin(psi) ** 2, 1e-300)
+        psi, old = np.clip(psi - step, psi_lo, psi_hi), psi
+        if np.abs(psi - old).max() <= 4.0 * np.spacing(psi_hi):
+            break
     return psi
-
-
-def _shell_measure(N: int, psi_lo: float, psi_hi: float) -> float:
-    """Measure of {y: angle(x,y) in [lo,hi]} on S^N, independent of x."""
-    pref = SPHERE_VOLUMES[N - 1]
-    if N == 1:
-        return pref * (psi_hi - psi_lo)
-    if N == 2:
-        return pref * (np.cos(psi_lo) - np.cos(psi_hi))
-    H = lambda a: 0.5 * (a - np.sin(a) * np.cos(a))
-    return pref * (H(psi_hi) - H(psi_lo))
-
-
-def lipschitz_estimate(f: SmoothMap, n_probes: int = 512, seed: int = 0) -> float:
-    """Sampled sup of the tangential operator norm of Df, with margin."""
-    rng = _rng(seed, 999)
-    X = _uniform_sphere(rng, n_probes, f.domain_dim + 1)
-    J = f.jacobian(X)
-    tang = J - np.einsum("mij,mj,mk->mik", J, X, X)
-    s = np.linalg.svd(tang, compute_uv=False)
-    return 1.05 * float(s[:, 0].max())
 
 
 def random_rotation(n: int, seed: int = 0) -> np.ndarray:
@@ -115,24 +117,55 @@ def random_rotation(n: int, seed: int = 0) -> np.ndarray:
 # fractional Sobolev seminorm
 # ----------------------------------------------------------------------
 
-def _tail_bound(N: int, p: float, beta: float, L: float, psi_max: float) -> float:
-    """Lipschitz bound of the pair integral over angles below psi_max."""
-    if psi_max <= 0.0:
-        return 0.0
-    x, w = roots_legendre(64)
-    psi = 0.5 * psi_max * (x + 1.0)
-    ww = 0.5 * psi_max * w
-    chord = 2.0 * np.sin(psi / 2.0)
-    integrand = chord ** (p * (1 - beta) - N) * np.sin(psi) ** (N - 1)
-    return (SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * L ** p
-            * float((integrand * ww).sum()))
+_JACOBI_NODES = 6            # exact to round-off for the smooth factor
+_STRATA = 12                 # dyadic chord shells of the Monte Carlo
+_MOMENT_ROWS = 128           # x-nodes per product in _jacobian_moment
 
 
-def _sobolev_mc(f, beta, p, samples, seed, stratified=True, max_strata=44):
+def _near_diagonal(N: int, beta: float, p: float, t_max: float) -> float:
+    """int_0^t_max t^p chord(t)^{-(N + beta p)} sin^{N-1}(t) dt, the
+    radial factor of the leading term at the diagonal, by a Gauss-Jacobi
+    rule for the weight t^{p(1-beta)-1}; the rest is smooth."""
+    expo = N + beta * p
+    a = p - expo + (N - 1)
+    x, w = roots_jacobi(_JACOBI_NODES, 0.0, a)      # weight (1 + x)^a
+    t = 0.5 * t_max * (x + 1.0)
+    smooth = (t / (2.0 * np.sin(t / 2.0))) ** expo * (np.sin(t) / t) ** (N - 1)
+    return (0.5 * t_max) ** (a + 1.0) * float((w * smooth).sum())
+
+
+def _jacobian_moment(f, p) -> np.ndarray:
+    """A = int_{S^N} int_{S^{N-1}_x} |Df(x) u|^p du dx by two rules.
+
+    x runs over the level-0 mesh rule of S^N, and the tangent directions
+    u over the level-1 and then the level-0 mesh rule of S^{N-1}
+    (u = +-1 on S^0), mapped by an orthonormal frame at each x.  Every
+    rule's weights are scaled to its sphere's volume, so constants
+    integrate exactly.  Returns A by the finer and by the coarser rule.
+    """
+    N = f.domain_dim
+    X, wx = sphere_quadrature(build_sphere_mesh(N, 0))
+    rules = [(np.array([[1.0], [-1.0]]), np.ones(2))] * 2 if N == 1 else [
+        sphere_quadrature(build_sphere_mesh(N - 1, level)) for level in (1, 0)]
+    A = np.zeros(2)
+    for lo in range(0, len(X), _MOMENT_ROWS):
+        x = X[lo:lo + _MOMENT_ROWS]
+        # Df on the tangent frame Q[:, :, 1:] of the complete QR of x, and
+        # |Df u|^2 = u^T G u with G its Gram matrix
+        JT = f.jacobian(x) @ np.linalg.qr(x[:, :, None], "complete")[0][:, :, 1:]
+        G = (np.swapaxes(JT, 1, 2) @ JT).reshape(len(x), -1)
+        for i, (U, wu) in enumerate(rules):
+            uu = (U[:, :, None] * U[:, None, :]).reshape(len(U), -1)
+            sq = np.maximum(G @ uu.T, 0.0) ** (0.5 * p)
+            A[i] += wx[lo:lo + _MOMENT_ROWS] @ sq @ wu / wu.sum()
+    return A * SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] / wx.sum()
+
+
+def _sobolev_mc(f, beta, p, samples, seed, stratified=True):
+    """[f]^p by Monte Carlo, its error and the rows passed to f.value."""
     N = f.domain_dim
     amb = N + 1
     expo = N + beta * p
-    L = lipschitz_estimate(f, seed=seed)
 
     if not stratified:
         rng = _rng(seed, 0)
@@ -143,35 +176,33 @@ def _sobolev_mc(f, beta, p, samples, seed, stratified=True, max_strata=44):
         vol = SPHERE_VOLUMES[N] ** 2
         total = vol * float(g.mean())
         se = vol * float(g.std(ddof=1)) / np.sqrt(samples)
-        return total, se, 0.0, 2 * samples
+        return total, se, 2 * samples
 
-    # dyadic chord shells [2^-k-1 D, 2^-k D]; extend until the Lipschitz
-    # tail is negligible against the running total
-    strata = 12
-    used = 0                     # rows passed to f.value over all passes
-    while True:
-        edges = [2.0 * 2.0 ** (-k) for k in range(strata + 1)]
-        psi_edges = [2.0 * np.arcsin(min(1.0, r / 2.0)) for r in edges]
-        tail = _tail_bound(N, p, beta, L, psi_edges[-1])
-        n_per = max(64, samples // strata)
-        total, var = 0.0, 0.0
-        for k in range(strata):
-            hi, lo = psi_edges[k], psi_edges[k + 1]
-            rng = _rng(seed, k)
-            X = _uniform_sphere(rng, n_per, amb)
-            U = _orthogonal_directions(rng, X)
-            psi = _sample_angle(rng, n_per, N, lo, hi)
-            Y = np.cos(psi)[:, None] * X + np.sin(psi)[:, None] * U
-            chord = 2.0 * np.sin(psi / 2.0)
-            g = np.linalg.norm(f.value(X) - f.value(Y), axis=1) ** p / chord ** expo
-            vol = SPHERE_VOLUMES[N] * _shell_measure(N, lo, hi)
-            total += vol * float(g.mean())
-            var += (vol ** 2) * float(g.var(ddof=1)) / n_per
-            used += 2 * n_per
-        if tail <= 0.01 * total or strata >= max_strata:
-            break
-        strata = min(max_strata, strata + 8)
-    return total, float(np.sqrt(var)), tail, used
+    # dyadic chord shells [2^-k-1 D, 2^-k D], k < _STRATA, then the
+    # leading term below the last edge psi_min
+    psi_edges = [2.0 * np.arcsin(2.0 ** -k) for k in range(_STRATA + 1)]
+    n_per = max(64, samples // _STRATA)
+    total, var = 0.0, 0.0
+    for k in range(_STRATA):
+        hi, lo = psi_edges[k], psi_edges[k + 1]
+        rng = _rng(seed, k)
+        X = _uniform_sphere(rng, n_per, amb)
+        U = _orthogonal_directions(rng, X)
+        psi = _sample_angle(rng, n_per, N, lo, hi)
+        Y = np.cos(psi)[:, None] * X + np.sin(psi)[:, None] * U
+        chord = 2.0 * np.sin(psi / 2.0)
+        g = np.linalg.norm(f.value(X) - f.value(Y), axis=1) ** p / chord ** expo
+        vol = SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * float(
+            _sin_mass(N, hi) - _sin_mass(N, lo))
+        total += vol * float(g.mean())
+        var += (vol ** 2) * float(g.var(ddof=1)) / n_per
+    # at angle psi along u, |f(y) - f(x)|^p = psi^p |Df(x) u|^p
+    # (1 + O(psi^2)): the psi^{p+1} term is odd in u and integrates to 0
+    psi_min = psi_edges[-1]
+    A = _jacobian_moment(f, p)
+    c = _near_diagonal(N, beta, p, psi_min)
+    err = float(np.sqrt(var)) + (abs(A[0] - A[1]) + psi_min ** 2 * A[0]) * c
+    return total + A[0] * c, err, 2 * n_per * _STRATA
 
 
 # Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the Kronrod nodes of
@@ -198,7 +229,6 @@ _GK_DIFF[1::2] -= np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 _THETA = 2048                # periodic trapezoid angles of G(t)
 _DYADIC = 15                 # initial far panels [pi 2^-k-1, pi 2^-k]
 _T_MIN = np.pi * 2.0 ** -_DYADIC   # near part [0, T_MIN]
-_JACOBI_NODES = 6            # exact to round-off for the smooth factor
 _PANEL_RTOL = 1e-9           # target of sum |K15 - G7| over the total
 _MAX_PANELS = 128            # far panels, so at most 241 f.value calls
 
@@ -214,9 +244,10 @@ def _sobolev_circle_quadrature(f, beta, p):
     Jacobian, by a Gauss-Jacobi rule for the weight t^{p(1-beta)-1}.
     [T_MIN, pi] starts from dyadic panels; the panel of largest
     |K15 - G7| is bisected until their sum is below _PANEL_RTOL of the
-    total.  The error adds that sum, the near remainder (extrapolated
-    from the lowest panel as t^{p(1-beta)+2}), the trapezoid change
-    against every other angle, and a round-off floor eps/T_MIN for the
+    total or a tenth of the trapezoid change against every other angle,
+    which more panels cannot reduce.  The error adds that sum, the near
+    remainder (extrapolated from the lowest panel as t^{p(1-beta)+2}),
+    that trapezoid change, and a round-off floor eps/T_MIN for the
     cancellation in f(theta+t) - f(theta).  Returns the total, its error
     and the rows passed to f.value.
     """
@@ -230,12 +261,7 @@ def _sobolev_circle_quadrature(f, beta, p):
                            axis=1) ** p
     A = 2.0 * np.pi * np.array([speed.mean(), speed[::2].mean()])
 
-    # near part: A int_0^T_MIN t^a (t / chord(t))^expo dt, a = p - expo
-    a = p - expo
-    x, w = roots_jacobi(_JACOBI_NODES, 0.0, a)      # weight (1 + x)^a
-    t = 0.5 * _T_MIN * (x + 1.0)
-    near = 2.0 * (0.5 * _T_MIN) ** (a + 1.0) * float(
-        (w * (t / (2.0 * np.sin(t / 2.0))) ** expo).sum())
+    near = 2.0 * _near_diagonal(1, beta, p, _T_MIN)
 
     def nodes(lo, hi):
         # Kronrod shifts and their weights times 2 chord^{-expo}
@@ -262,19 +288,20 @@ def _sobolev_circle_quadrature(f, beta, p):
     # (G - A t^p) chord^{-expo} ~ t^{q-1}, q = p(1-beta) + 2: its integral
     # over [0, T_MIN] is its integral over [T_MIN, 2 T_MIN] / (2^q - 1)
     t, kern = nodes(_T_MIN, 2.0 * _T_MIN)
-    q = a + 3.0
+    q = p - expo + 3.0
     lowest = heap[-1][3] - A[0] * float((t ** p * kern) @ _GK_W)
     remainder = abs(lowest) / (2.0 ** q - 1.0)
     heapq.heapify(heap)
     while True:
         total = math.fsum([A[0] * near] + [h[3] for h in heap])
+        coarse = math.fsum([A[1] * near] + [h[4] for h in heap])
         err = math.fsum(-h[0] for h in heap)
-        if err <= _PANEL_RTOL * abs(total) or len(heap) >= _MAX_PANELS:
+        if (err <= max(_PANEL_RTOL * abs(total), 0.1 * abs(total - coarse))
+                or len(heap) >= _MAX_PANELS):
             break
         _, lo, hi, _, _ = heapq.heappop(heap)
         for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)):
             heapq.heappush(heap, panel(*half))
-    coarse = math.fsum([A[1] * near] + [h[4] for h in heap])
     err += (remainder + abs(total - coarse)
             + np.finfo(float).eps / _T_MIN * abs(total))
     return total, float(err), n_eval
@@ -297,22 +324,16 @@ def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
     if method == "tensor":
         if f.domain_dim != 1:
             raise ValueError("tensor quadrature implemented on S^1 only")
-        total, err, n_eval = _sobolev_circle_quadrature(f, beta, p)
-        value = total ** (1.0 / p)
-        verr = err / p * max(total, 1e-300) ** (1.0 / p - 1.0)
-        return SeminormEstimate(value, verr, "tensor-quadrature", n_eval, None)
-    stratified = method == "stratified-mc"
-    total, se, tail, used = _sobolev_mc(f, beta, p, samples, seed,
-                                        stratified=stratified)
-    if total == 0.0:
-        return SeminormEstimate(0.0, 0.0,
-                                "stratified-MC" if stratified else "plain-MC",
-                                used, seed)
+        total, err, used = _sobolev_circle_quadrature(f, beta, p)
+        name, seed = "tensor-quadrature", None
+    else:
+        stratified = method == "stratified-mc"
+        total, err, used = _sobolev_mc(f, beta, p, samples, seed,
+                                       stratified=stratified)
+        name = "stratified-MC" if stratified else "plain-MC"
     value = total ** (1.0 / p)
-    verr = (se + tail) / p * total ** (1.0 / p - 1.0)
-    return SeminormEstimate(value, verr,
-                            "stratified-MC" if stratified else "plain-MC",
-                            used, seed)
+    verr = err / p * max(total, 1e-300) ** (1.0 / p - 1.0)
+    return SeminormEstimate(value, verr, name, used, seed)
 
 
 # ----------------------------------------------------------------------

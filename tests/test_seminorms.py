@@ -4,15 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
+from quanthom.geometry import SPHERE_VOLUMES
 from quanthom.maps import (S2, SmoothMap, compose_with_isometry,
-                           make_circle_power, make_constant, make_hopf,
-                           make_oscillation_perturbation,
+                           make_antipodal, make_circle_power, make_constant,
+                           make_hopf, make_oscillation_perturbation,
                            make_sphere_suspension, parse_map_spec)
-from quanthom.seminorms import (bmo_seminorm, holder_seminorm,
-                                poisson_extension_distance, random_rotation,
-                                sobolev_seminorm)
+from quanthom.seminorms import (_rng, _sample_angle, bmo_seminorm,
+                                holder_seminorm, poisson_extension_distance,
+                                random_rotation, sobolev_seminorm)
 
 from conftest import cached_mesh
 
@@ -101,6 +105,30 @@ def reduced_circle_integral(f, beta: float, p: float, n_theta: int) -> float:
     return (2.0 * val) ** (1.0 / p)
 
 
+def isometry_sobolev_oracle(N: int, beta: float) -> float:
+    """[f]_{W^{beta,N/beta}} of an isometry of S^N.
+
+    |f(x) - f(y)| = |x - y| reduces the double integral to
+    |S^N| |S^{N-1}| int_0^pi chord^{p(1-beta)-N} sin^{N-1} dpsi; quad takes
+    the weight psi^{p(1-beta)-1} and the rest, written with sinc.
+    """
+    p = N / beta
+    q = p * (1.0 - beta)
+    val = quad(lambda t: np.sinc(t / (2.0 * np.pi)) ** (q - N)
+               * np.sinc(t / np.pi) ** (N - 1), 0.0, np.pi, weight="alg",
+               wvar=(q - 1.0, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return (SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * val) ** (1.0 / p)
+
+
+def sin_mass(N: int, a):
+    """int_0^a sin^{N-1} as 2^{N-1} B(N/2, N/2) I_x(N/2, N/2) with
+    x = sin^2(a/2): the substitution x = sin^2(t/2) makes
+    sin^{N-1} t dt = 2^{N-1} (x (1-x))^{N/2-1} dx."""
+    h = 0.5 * N
+    x = np.sin(0.5 * np.asarray(a)) ** 2
+    return 2.0 ** (N - 1) * beta_fn(h, h) * betainc(h, h, x)
+
+
 def counting(f):
     """f with a counter of the rows passed to its value."""
     rows = [0]
@@ -180,6 +208,51 @@ class TestSobolev:
         assert est.value == pytest.approx(same_rule, rel=1e-6)
         finer = reduced_circle_integral(f, beta, p, 8192)
         assert abs(est.value - finer) <= est.error
+
+    def test_folding_map_row_budget(self):
+        # the panels stop at a tenth of the 2,048- vs 1,024-angle change,
+        # which more panels cannot reduce (the 128-panel cap made 7.4 M)
+        f = parse_map_spec("perturb:eps=0.19,m=12|circle-power:d=1")
+        assert sobolev_seminorm(f, 0.9, 10.0 / 9.0).samples <= 1_000_000
+
+    @pytest.mark.parametrize("N, beta", [(2, 0.6), (3, 0.8), (3, 0.9)])
+    def test_stratified_mc_matches_isometry_oracle(self, N, beta):
+        est = sobolev_seminorm(make_antipodal(N), beta, N / beta,
+                               samples=150_000, seed=1)
+        oracle = isometry_sobolev_oracle(N, beta)
+        assert abs(est.value - oracle) <= 3.0 * est.error
+
+    def test_stratified_mc_is_unbiased_near_the_diagonal(self):
+        # at beta = 0.9 about 7% of [f]^p lies below the last stratum;
+        # over 12 seeds the mean z-score of a biased estimate drifts off 0
+        beta, oracle = 0.9, isometry_sobolev_oracle(3, 0.9)
+        z = [(est.value - oracle) / est.error
+             for est in (sobolev_seminorm(make_antipodal(3), beta, 3 / beta,
+                                          samples=150_000, seed=seed)
+                         for seed in range(12))]
+        assert abs(np.mean(z)) <= 0.5, z
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("k", [0, 11, 20])
+    def test_angle_sampler_inverts_the_shell_mass(self, N, k):
+        # shell k of the chord strata, [2 asin 2^-k-1, 2 asin 2^-k]
+        lo, hi = 2.0 * np.arcsin(2.0 ** -(k + 1.0)), 2.0 * np.arcsin(2.0 ** -k)
+        n = 20_000
+        psi = _sample_angle(_rng(5, k), n, N, lo, hi)
+        u = _rng(5, k).random(n)              # the sampler's own draws
+        m_lo, m_hi = sin_mass(N, lo), sin_mass(N, hi)
+        target = m_lo + u * (m_hi - m_lo)
+        assert np.all((lo <= psi) & (psi <= hi))
+        assert np.abs(sin_mass(N, psi) / target - 1.0).max() <= 1e-12
+        cdf = lambda t: (sin_mass(N, t) - m_lo) / (m_hi - m_lo)
+        assert stats.kstest(psi, cdf).pvalue > 0.01
+
+    def test_s3_monte_carlo_row_budget(self):
+        # one pass of 12 strata of samples // 12 pairs, two rows a pair
+        for d in (2, 3):
+            g, rows = counting(parse_map_spec(f"compose:suspension:d={d}|hopf"))
+            est = sobolev_seminorm(g, 0.8, 3 / 0.8, samples=150_000, seed=11)
+            assert est.samples == rows[0] == 300_000
 
     def test_samples_count_map_rows(self):
         for f, kw in ((make_circle_power(3), {}),
