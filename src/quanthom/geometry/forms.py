@@ -47,8 +47,8 @@ from .mesh import blocks, permutation_sign
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
-# quadrature order of projections and wedge integrals unless a caller
-# asks for another
+# quadrature order of projections and wedge integrals unless a caller asks
+# for another: exact to degree 5, 14 nodes per tet and 9 per triangle
 DEFAULT_ORDER = 4
 
 

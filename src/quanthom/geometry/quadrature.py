@@ -1,27 +1,45 @@
 """Quadrature rules on reference simplices.
 
-Rules are conical-product Gauss rules (Stroud): the reference k-simplex
-{x_i >= 0, sum x_i <= 1} is mapped to the unit cube by the Duffy
-substitution
+Two pairs get symmetric rules: the tetrahedron at degree 5, 14 nodes in
+two S31 orbits (a,a,a,1-3a) and one S22 orbit (b,b,1/2-b,1/2-b) (Keast,
+CMAME 1986; Walkington 2000), and the triangle at degree 7, 12 nodes in
+four orbits of the cyclic shifts of (a,b,1-a-b) (Gatermann, Computing
+1988).  Every other pair gets a conical-product Gauss rule (Stroud): the
+reference k-simplex {x_i >= 0, sum x_i <= 1} is mapped to the unit cube
+by the Duffy substitution
 
     x_1 = t_1,  x_2 = t_2 (1 - t_1),  ...,  x_k = t_k prod_{j<k} (1 - t_j),
 
 whose Jacobian factors (1-t_1)^{k-1} (1-t_2)^{k-2} ... are absorbed
-exactly by Gauss-Jacobi weights.  A rule of `order` q integrates all
-polynomials of total degree <= q exactly, all weights are positive and
-all nodes are strictly interior.
-
-Nodes are returned in barycentric coordinates (n_pts, k+1) with weights
-normalized to sum to 1 (the reference simplex has volume 1/k!, handled
-by callers).
+exactly by Gauss-Jacobi weights.  Either way a rule of `order` q is exact
+to total degree 2 floor((q+2)/2) - 1; its nodes are strictly interior, in
+barycentric coordinates (n_pts, k+1), and its positive weights sum to 1
+(the reference simplex has volume 1/k!, handled by callers).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 from scipy.special import roots_jacobi
+
+# (dim, degree) -> (group, orbits): the nodes are the images of each
+# orbit's generator under the group; the tests solve for the parameters
+_SYMMETRIC = {
+    (3, 5): (permutations, [((a, a, a, 1 - 3 * a), w) for a, w in (
+        (0.3108859192633006, 0.11268792571801585),
+        (0.09273525031089122, 0.07349304311636196))] + [
+        ((b, b, 0.5 - b, 0.5 - b), 0.042546020777081466)
+        for b in (0.04550370412564965,)]),
+    (2, 7): (lambda g: (g[i:] + g[:i] for i in range(3)), [
+        ((a, b, 1 - a - b), w) for a, b, w in (
+            (0.05522545665692661, 0.3215024938519818, 0.08776281742889211),
+            (0.06238226509440212, 0.06751786707391609, 0.053034056314872506),
+            (0.5158423343535917, 0.2777161669763918, 0.13498637401960556),
+            (0.03432430294509715, 0.6609491961867356, 0.057550085569963175))]),
+}
 
 
 def _gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
@@ -34,14 +52,21 @@ def _gauss_jacobi_01(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+def rule_info(dim: int, order: int) -> dict:
+    """Exact degree and node count of `simplex_rule(dim, order)`."""
+    return {"degree": 2 * ((order + 2) // 2) - 1,
+            "nodes": len(simplex_rule(dim, order)[1])}
+
+
 @lru_cache(maxsize=None)
 def simplex_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature rule on the reference `dim`-simplex.
+    """Quadrature rule on the reference `dim`-simplex: symmetric for
+    (dim, order) = (3, 4|5) and (2, 6|7), else the conical product.
 
     Parameters
     ----------
     dim : simplex dimension k (0, 1, 2 or 3)
-    order : polynomial exactness degree, >= 1
+    order : >= 1; the rule is exact to degree 2 floor((order+2)/2) - 1
 
     Returns
     -------
@@ -56,6 +81,10 @@ def simplex_rule(dim: int, order: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("dimension out of range")
 
     n = (order + 2) // 2  # n-point Gauss is exact to degree 2n-1
+    if (dim, 2 * n - 1) in _SYMMETRIC:
+        group, orbits = _SYMMETRIC[dim, 2 * n - 1]
+        nodes = [(p, w) for g, w in orbits for p in sorted(set(group(g)))]
+        return tuple(np.array(a) for a in zip(*nodes))
     axes = [_gauss_jacobi_01(n, dim - 1 - i) for i in range(dim)]
 
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")

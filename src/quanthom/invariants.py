@@ -23,6 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import de_rham_project, integrate_wedge
+from .geometry.forms import DEFAULT_ORDER
+from .geometry.quadrature import rule_info
 # hodge_operator is not called here; it stays an attribute of this module
 # because perfbench/tracing.py wraps quanthom.invariants.hodge_operator
 from .hodge import d_inverse, hodge_operator  # noqa: F401
@@ -81,6 +83,7 @@ class InvariantResult:
     per_term: list
     mesh_level: int
     residuals: dict
+    quadrature: dict    # stage -> exact degree and nodes per simplex
     nearest_int: int = field(init=False)
     int_distance: float = field(init=False)
 
@@ -122,8 +125,8 @@ def s2xs2_alpha_structure(i: int) -> DegreeStructure:
 
 # -- evaluators -----------------------------------------------------------
 
-# quadrature order of the de Rham projection of every d^{-1} factor; the
-# wedge integrates at geometry.forms.DEFAULT_ORDER
+# quadrature order of the de Rham projection of every d^{-1} factor: 12
+# nodes per triangle, exact to degree 7; the wedge uses forms.DEFAULT_ORDER
 PROJECT_ORDER = 6
 
 
@@ -149,11 +152,13 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
 
     per_term = []
     residuals: dict = {}
+    quadrature = {"wedge": rule_info(mesh.dim, DEFAULT_ORDER)}
     for kterm, term in enumerate(structure.terms):
         factors = [pullback_form(f, term.forms[0])]
         for i, om in enumerate(term.forms[1:], start=1):
             eta = de_rham_project(pullback_form(f, om), mesh,
                                   order=PROJECT_ORDER)
+            quadrature["projection"] = rule_info(om.degree, PROJECT_ORDER)
             xi, residuals[f"term{kterm}.d_inverse{i}"] = d_inverse(
                 eta, closed_tol=closed_tol)
             factors.append(xi)
@@ -161,7 +166,7 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
         per_term.append(val)
     value = float(sum(float(t.coefficient) * v
                       for t, v in zip(structure.terms, per_term)))
-    return InvariantResult(value, per_term, mesh.level, residuals)
+    return InvariantResult(value, per_term, mesh.level, residuals, quadrature)
 
 
 def winding_number(f: SmoothMap, mesh) -> InvariantResult:

@@ -1,7 +1,9 @@
 """Meshes, boundary operators, quadrature, and the mesh file format."""
 
 import hashlib
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quanthom.geometry import SPHERE_VOLUMES, SimplicialSphere, build_sphere_mesh
-from quanthom.geometry.quadrature import simplex_rule
+from quanthom.geometry.quadrature import rule_info, simplex_rule
 
 from conftest import cached_mesh
 
@@ -23,23 +25,110 @@ def exact_monomial(dim, alphas):
     return num / factorial(dim + sum(alphas))
 
 
+def _tet_orbits(p):
+    """(barycentric node, weight) of the S31 orbits (a, a, a, 1-3a) and
+    the S22 orbit (b, b, 1/2-b, 1/2-b) of p = (a1, w1, a2, w2, b, w3)."""
+    a1, w1, a2, w2, b, w3 = p
+    out = [([a] * i + [1 - 3 * a] + [a] * (3 - i), w)
+           for a, w in ((a1, w1), (a2, w2)) for i in range(4)]
+    for i, j in combinations(range(4), 2):
+        node = [Fraction(1, 2) - b] * 4
+        node[i] = node[j] = b
+        out.append((node, w3))
+    return out
+
+
+def _triangle_orbits(p):
+    """(barycentric node, weight) of the cyclic shifts of (a, b, 1-a-b)
+    for p = (a1, b1, w1, .., a4, b4, w4)."""
+    p = list(p)
+    out = []
+    for a, b, w in zip(p[0::3], p[1::3], p[2::3]):
+        g = [a, b, 1 - a - b]
+        out += [(g[i:] + g[:i], w) for i in range(3)]
+    return out
+
+
+def _moment_residual(expand, dim, degree, p):
+    """Rule over exact integral, minus 1, of every monomial in the last
+    `dim` barycentric coordinates up to `degree`; exact for Fractions."""
+    nodes = expand(p)
+    out = []
+    for alphas in product(range(degree + 1), repeat=dim):
+        if sum(alphas) <= degree:
+            exact = Fraction(prod(map(factorial, alphas)) * factorial(dim),
+                             factorial(dim + sum(alphas)))
+            out.append(sum(w * prod(x ** a for x, a in zip(node[1:], alphas))
+                           for node, w in nodes) / exact - 1)
+    return out
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("order", [1, 2, 4, 6])
+    @pytest.mark.parametrize("order", [1, 2, 4, 5, 6, 7])
     def test_monomial_exactness(self, dim, order):
-        from itertools import product
-        from math import factorial
+        # n = floor((q+2)/2) Gauss points per axis are exact to degree
+        # 2n-1; the symmetric rules (tet at 4|5, triangle at 6|7) match it
         bary, w = simplex_rule(dim, order)
         assert (w > 0).all()
         assert (bary > 0).all()
         assert abs(w.sum() - 1.0) < 1e-14
+        degree = 2 * ((order + 2) // 2) - 1
+        assert rule_info(dim, order)["degree"] == degree
         x = bary[:, 1:]
         vol = 1.0 / factorial(dim)
-        for alphas in product(range(order + 1), repeat=dim):
-            if sum(alphas) > order:
+        for alphas in product(range(degree + 1), repeat=dim):
+            if sum(alphas) > degree:
                 continue
             approx = vol * (w * np.prod(x ** np.array(alphas), axis=1)).sum()
             assert approx == pytest.approx(exact_monomial(dim, alphas), abs=1e-14)
+
+    @pytest.mark.parametrize("dim,order,n_nodes,group", [
+        (3, 4, 14, list(permutations(range(4)))),
+        (3, 5, 14, list(permutations(range(4)))),
+        (2, 6, 12, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+        (2, 7, 12, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])])
+    def test_symmetric_rule_is_invariant(self, dim, order, n_nodes, group):
+        # S4 on the tet, C3 on the triangle: every image of a node is a
+        # node of the same weight
+        bary, w = simplex_rule(dim, order)
+        assert bary.shape == (n_nodes, dim + 1) and w.shape == (n_nodes,)
+        assert (w > 0).all() and (bary > 0).all()
+        for g in group:
+            img = bary[:, list(g)]
+            dist = np.abs(img[:, None, :] - bary[None, :, :]).max(axis=2)
+            match = dist.argmin(axis=1)
+            assert dist.min(axis=1).max() < 1e-15
+            assert np.abs(w[match] - w).max() < 1e-15
+
+    @pytest.mark.parametrize("dim,degree,expand,seeds", [
+        (3, 5, _tet_orbits, [0.31089, 0.11269, 0.09274, 0.07349,
+                             0.04550, 0.04255]),
+        (2, 7, _triangle_orbits, [0.05523, 0.32150, 0.08776, 0.06238,
+                                  0.06752, 0.05303, 0.51584, 0.27772,
+                                  0.13499, 0.03432, 0.66095, 0.05755])])
+    def test_orbit_parameters_solve_the_moment_equations(self, dim, degree,
+                                                         expand, seeds):
+        # Gauss-Newton on the relative moment residuals of every monomial
+        # up to the degree, from 4-5 digit seeds: residuals in exact
+        # rational arithmetic, the Jacobian by complex steps
+        p = np.array(seeds)
+        for _ in range(6):
+            r = [float(v) for v in
+                 _moment_residual(expand, dim, degree, map(Fraction, p))]
+            J = np.array([np.imag(_moment_residual(expand, dim, degree,
+                                                   p + 1e-30j * e)) / 1e-30
+                          for e in np.eye(len(p))]).T
+            p = p - np.linalg.lstsq(J, r, rcond=None)[0]
+        assert max(abs(float(v)) for v in _moment_residual(
+            expand, dim, degree, map(Fraction, p))) < 1e-15
+        # the rule's nodes and weights are the orbits of that solution
+        ref_bary, ref_w = (np.array(a, dtype=float)
+                           for a in zip(*expand(p)))
+        bary, w = simplex_rule(dim, degree)
+        got, ref = np.lexsort(bary.T), np.lexsort(ref_bary.T)
+        assert np.abs(bary[got] - ref_bary[ref]).max() <= 1e-15
+        assert np.abs(w[got] - ref_w[ref]).max() <= 1e-15
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

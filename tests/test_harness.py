@@ -405,6 +405,16 @@ class TestCli:
         assert oracle["min_transverse_sv"] > 1e-3
         assert [len(side) for side in oracle["points"]] == [1, 1]
 
+    def test_invariant_reports_quadrature(self, tmp_path):
+        out = tmp_path / "inv.json"
+        code, _, _ = self.run_cli(
+            "invariant", "--map", "hopf", "--structure", "hopf:n=1",
+            "--level", "1", "--json-out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["quadrature"] == {
+            "wedge": {"degree": 5, "nodes": 14},
+            "projection": {"degree": 7, "nodes": 12}}
+
     def test_seminorm_command(self):
         code, stdout, _ = self.run_cli(
             "seminorm", "--map", "circle-power:d=1", "--kind", "sobolev",

@@ -134,6 +134,15 @@ class TestHopf:
         assert stats["gauge_residual"] < 1e-12
         assert "closedness" in stats
 
+    def test_quadrature_reported(self):
+        # exact degree and nodes per simplex of each stage's rule; a
+        # degree needs no projection
+        r = hopf_invariant(make_hopf(), cached_mesh(3, 1))
+        assert r.quadrature == {"wedge": {"degree": 5, "nodes": 14},
+                                "projection": {"degree": 7, "nodes": 12}}
+        d = mapping_degree(make_sphere_suspension(2), cached_mesh(2, 0))
+        assert d.quadrature == {"wedge": {"degree": 5, "nodes": 9}}
+
 
 class TestProductStructures:
     def test_beta1_reduces_to_hopf(self):

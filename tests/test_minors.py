@@ -115,10 +115,23 @@ def test_whitney_basis_top_form_is_volume(rng):
         assert abs(val[0, 0] - factorial(N)) < 1e-12 * factorial(N)
 
 
-@pytest.mark.parametrize("level,value", [(1, float.fromhex("0x1.e5d0ea3e4dbe0p-1")),
-                                         (2, float.fromhex("0x1.f956f5ecf0f60p-1"))])
+@pytest.mark.parametrize("level,value", [(1, float.fromhex("0x1.e5d13bd6b0f58p-1")),
+                                         (2, float.fromhex("0x1.f956f76e64bf3p-1"))])
 def test_hopf_pinned(level, value):
-    # reference values from LU determinants; closed-form minors round
-    # differently, so the pin is 1e-12, not bitwise
+    # values with the 14-node tet and 12-node triangle rules; the pin is
+    # 1e-12, not bitwise, so a reordered sum may move the last digits
     r = hopf_invariant(make_hopf(), cached_mesh(3, level))
     assert abs(r.value - value) < 1e-12
+
+
+@pytest.mark.parametrize("level,conical,bound", [
+    (1, float.fromhex("0x1.e5d0ea3e4dbe0p-1"), 5e-6),
+    (2, float.fromhex("0x1.f956f5ecf0f60p-1"), 1e-7),
+    (3, float.fromhex("0x1.fe59dfe8e9ef5p-1"), 2e-9)])
+def test_hopf_moves_little_from_the_conical_rules(level, conical, bound):
+    # `conical`: the value with the 27-node tet and 16-node triangle
+    # conical products of the same degrees (5 and 7); the symmetric rules
+    # move it by a quadrature term that falls about 60-fold per level,
+    # far below the O(h^2) discretization error
+    r = hopf_invariant(make_hopf(), cached_mesh(3, level))
+    assert abs(r.value - conical) < bound
