@@ -44,8 +44,7 @@ mesh3 = build_sphere_mesh(3, 1)
 from quanthom.maps import S2 as target
 from quanthom.maps import make_hopf, pullback_form, volume_form
 
-eta3 = de_rham_project(pullback_form(make_hopf(), volume_form(target)),
-                       mesh3, order=6)
+eta3 = de_rham_project(pullback_form(make_hopf(), volume_form(target)), mesh3)
 xi3, stats3 = d_inverse(eta3, closed_tol=1e-3)
 op2 = hodge_operator(mesh3, 2)
 print(f"\nS^3 level 1, Hopf pullback:")

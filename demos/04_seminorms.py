@@ -1,7 +1,7 @@
 """Fractional seminorm estimators.
 
-Gagliardo seminorms by tensor quadrature (S^1) and chord-stratified
-Monte Carlo (S^2, S^3), the Hoelder sampled sup, the BMO mean
+Gagliardo seminorms, by tensor quadrature on S^1 and by chord-stratified
+Monte Carlo on S^2 and S^3, the Hoelder sampled sup, the BMO mean
 oscillation, and the Poisson extension probe.
 """
 
@@ -18,10 +18,13 @@ ident = make_circle_power(1)
 est = sobolev_seminorm(ident, 0.5, 2.0)
 print(f"  identity, beta=1/2, p=2 (tensor):   {est.value:.6f} "
       f"+- {est.error:.1e}   [2*pi = {2 * np.pi:.6f}]")
-mc = sobolev_seminorm(ident, 0.5, 2.0, samples=10 ** 6,
-                      method="stratified-mc", seed=1)
-print(f"  same by stratified Monte Carlo:     {mc.value:.6f} "
-      f"+- {mc.error:.1e}   ({mc.samples} map evaluations)")
+
+print("\n== Gagliardo seminorm on S^2 ==")
+mc = sobolev_seminorm(make_sphere_suspension(1), 0.5, 4.0, samples=200_000,
+                      seed=1)
+print(f"  identity, beta=1/2, p=4 ({mc.method}): {mc.value:.6f} "
+      f"+- {mc.error:.1e}   [sqrt(4*pi) = {np.sqrt(4 * np.pi):.6f}, "
+      f"{mc.samples} map evaluations]")
 
 print("\n== S^3 family, beta = 4/5, p = N/beta ==")
 hopf = make_hopf()

@@ -61,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sem.add_argument("--p", type=float)
     sem.add_argument("--samples", type=int, default=200_000)
     sem.add_argument("--seed", type=int, default=0)
-    sem.add_argument("--method", default="auto")
     sem.add_argument("--json-out")
 
     ver = sub.add_parser("verify", help="run verification experiments")
@@ -174,7 +173,7 @@ def _cmd_seminorm(args) -> int:
     if args.kind == "sobolev":
         p = args.p if args.p else f.domain_dim / args.beta
         est = sobolev_seminorm(f, args.beta, p, samples=args.samples,
-                               seed=args.seed, method=args.method)
+                               seed=args.seed)
     elif args.kind == "holder":
         est = holder_seminorm(f, args.beta, samples=args.samples,
                               seed=args.seed)

@@ -28,10 +28,12 @@ and u = x/r at its nodes x, one (nodes x dim) @ (dim x k) product gives
 e.u for all k edge vectors e of the simplex, and the frame vectors are
 dP_x(e) = (e - (e.u) u)/r.
 
-Projections, wedge integrals and the sphere quadrature run over the
-simplices in blocks of a fixed size (mesh.blocks), so the nodes and
-frames of the whole mesh are never held at once; block integrals are
-added in block order, which keeps every result the same from run to run.
+Each stage owns its simplex rule (quadrature.simplex_rule), named by its
+exact degree: PROJECT_DEGREE for projections, WEDGE_DEGREE for wedge
+integrals and the sphere quadrature.  All three run over the simplices in
+blocks of a fixed size (mesh.blocks), so the nodes and frames of the
+whole mesh are never held at once; block integrals are added in block
+order, which keeps every result the same from run to run.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ from .mesh import blocks, permutation_sign
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
-# quadrature order of projections and wedge integrals unless a caller asks
-# for another: exact to degree 5, 14 nodes per tet and 9 per triangle
-DEFAULT_ORDER = 4
+# nodes per segment / triangle / tet: 3 / 7 / 14 at WEDGE_DEGREE and
+# 4 / 12 / - at PROJECT_DEGREE (no tet rule: no 3-form is projected)
+WEDGE_DEGREE = 5
+PROJECT_DEGREE = 7
 
 
 class FormField:
@@ -113,54 +116,49 @@ def _arc_nodes_frames(pts: np.ndarray, u: np.ndarray):
     return nodes, tang[:, :, None, :]
 
 
-def _nodes_and_frames(mesh, k: int, order: int, curved: bool, rows: slice):
-    """Quadrature nodes of the k-simplices `rows` with their edge-vector
-    frames.
+def _nodes_and_frames(mesh, bary: np.ndarray, rows: slice):
+    """Curved quadrature nodes of the k-simplices `rows` at the barycentric
+    points `bary` (n_q, k+1), with their curved edge-vector frames.
 
-    Returns (points, frames, weights) with shapes (n_b, n_q, dim),
-    (n_b, n_q, k, dim) and (n_q,) for the n_b simplices of the block.
-    With `curved` the nodes are radially projected and the simplex's edge
-    vectors are pushed through dP at each node (radial_projection); circle
-    edges use the angle parametrization instead.
+    Returns (points, frames) with shapes (n_b, n_q, dim) and
+    (n_b, n_q, k, dim) for the n_b simplices of the block.  The nodes are
+    radially projected and the simplex's edge vectors are pushed through
+    dP at each node (radial_projection); circle edges use the angle
+    parametrization instead.
     """
-    bary, w = simplex_rule(k, order)
+    k = bary.shape[1] - 1
     pts = mesh.verts[mesh.simplices[k][rows]]     # (n_b, k+1, dim)
-    if curved and mesh.dim == 1 and k == 1:
-        nodes, frames = _arc_nodes_frames(pts, bary[:, 1])
-        return nodes, frames, w
+    if mesh.dim == 1:
+        return _arc_nodes_frames(pts, bary[:, 1])
     nodes = bary @ pts                            # (n_b, n_q, dim)
     edges = pts[:, 1:, :] - pts[:, :1, :]         # (n_b, k, dim)
-    if curved:
-        return (*radial_projection(nodes, edges), w)
-    return nodes, np.repeat(edges[:, None], len(w), axis=1), w
+    return radial_projection(nodes, edges)
 
 
-def de_rham_project(form, mesh, degree: int | None = None,
-                    order: int = DEFAULT_ORDER, curved: bool = True) -> Cochain:
+def de_rham_project(form, mesh) -> Cochain:
     """Cochain of quadrature integrals of `form` over the k-simplices.
 
     `form` is a k-form evaluator; its integral over each simplex is the
-    integral over the curved (radially projected) patch unless
-    `curved=False`, which integrates over the flat simplex instead.  The
-    simplices are integrated block by block (mesh.blocks).
+    integral over the curved (radially projected) patch, by the rule of
+    degree PROJECT_DEGREE.  The simplices are integrated block by block
+    (mesh.blocks).
     """
-    k = form.degree if degree is None else degree
-    if k > 0 and order < 2:
-        raise ValueError("projection quadrature order must be >= 2")
+    k = form.degree
     if k == 0:
         pts = mesh.verts
         vals = form(pts, np.zeros((len(pts), 0, pts.shape[1])))
         return Cochain(mesh, 0, vals)
+    bary, w = simplex_rule(k, PROJECT_DEGREE)
     integrals = np.empty(mesh.n_simplices(k))
     for rows in blocks(len(integrals)):
-        nodes, frames, w = _nodes_and_frames(mesh, k, order, curved, rows)
+        nodes, frames = _nodes_and_frames(mesh, bary, rows)
         n_b, n_q, _, dim = frames.shape
         vals = form(nodes.reshape(-1, dim), frames.reshape(-1, k, dim))
         integrals[rows] = vals.reshape(n_b, n_q) @ w / factorial(k)
     return Cochain(mesh, k, integrals)
 
 
-def sphere_quadrature(mesh, order: int = DEFAULT_ORDER):
+def sphere_quadrature(mesh):
     """Global quadrature for scalar surface integrals over the sphere.
 
     Returns (points, weights) with points on the unit sphere; weights
@@ -168,11 +166,11 @@ def sphere_quadrature(mesh, order: int = DEFAULT_ORDER):
     sphere volume |S^N|.
     """
     N = mesh.dim
-    n_q = len(simplex_rule(N, order)[1])
-    points = np.empty((mesh.n_simplices(N), n_q, mesh.verts.shape[1]))
-    weights = np.empty((mesh.n_simplices(N), n_q))
+    bary, w = simplex_rule(N, WEDGE_DEGREE)
+    points = np.empty((mesh.n_simplices(N), len(w), mesh.verts.shape[1]))
+    weights = np.empty((mesh.n_simplices(N), len(w)))
     for rows in blocks(len(points)):
-        nodes, frames, w = _nodes_and_frames(mesh, N, order, True, rows)
+        nodes, frames = _nodes_and_frames(mesh, bary, rows)
         mats = np.concatenate([nodes[:, :, None, :], frames], axis=2)
         points[rows] = nodes
         weights[rows] = det(mats) * w / factorial(N)  # curved area density
@@ -204,14 +202,14 @@ def _whitney_basis(lam: np.ndarray, dl: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _whitney_edge_tensor(N: int, k: int, order: int):
+def _whitney_edge_tensor(N: int, k: int):
     """Reference tensor W[slot, node, subset]: Whitney forms of the local
-    k-faces evaluated on edge-vector subsets at the quadrature nodes.
+    k-faces evaluated on edge-vector subsets at the wedge's nodes.
 
     Simplex-independent: dlambda_j(e_i) = delta(j, i+1) - delta(j, 0)
     for the edge vectors e_i = p_i - p_0 of any affine simplex.
     """
-    bary, _ = simplex_rule(N, order)
+    bary, _ = simplex_rule(N, WEDGE_DEGREE)
     dl = np.eye(N + 1, N, k=-1)
     dl[0] = -1.0
     sub_dl = np.stack([dl[:, list(sub)] for sub in _edge_subsets(N, k)])
@@ -291,7 +289,7 @@ def _shuffles(degrees: tuple, N: int) -> tuple:
     return tuple(out)
 
 
-def integrate_wedge(factors, mesh, order: int = DEFAULT_ORDER) -> float:
+def integrate_wedge(factors, mesh) -> float:
     """Integral over the sphere of the wedge of the given factors.
 
     Each factor is either an analytic k-form evaluator (pulled back
@@ -306,24 +304,24 @@ def integrate_wedge(factors, mesh, order: int = DEFAULT_ORDER) -> float:
         raise ValueError("wedge degree != N")
     if any(isinstance(f, Cochain) and f.mesh is not mesh for f in factors):
         raise ValueError("cochain belongs to a different mesh")
-    _, w = simplex_rule(N, order)
+    bary, w = simplex_rule(N, WEDGE_DEGREE)
     total = 0.0
     for rows in blocks(mesh.n_simplices(N)):
-        total += float((_wedge_integrand(factors, mesh, order, rows) @ w).sum())
+        total += float((_wedge_integrand(factors, mesh, bary, rows) @ w).sum())
     return total / factorial(N)
 
 
-def _wedge_integrand(factors, mesh, order: int, rows: slice) -> np.ndarray:
-    """Wedge of the factors at the quadrature nodes of the tops `rows`,
-    on their edge frames: (n_b, n_q)."""
+def _wedge_integrand(factors, mesh, bary, rows: slice) -> np.ndarray:
+    """Wedge of the factors at the quadrature nodes `bary` of the tops
+    `rows`, on their edge frames: (n_b, n_q)."""
     N = mesh.dim
     dim = mesh.verts.shape[1]
-    n_q = len(simplex_rule(N, order)[1])
+    n_q = len(bary)
     if any(not isinstance(f, Cochain) for f in factors):
         # curved nodes and frames of the projection; on S^1 the single
         # factor is analytic here, so the exact arc parametrization is
         # never shared with a flat Whitney factor
-        pts_c, frames_c, _ = _nodes_and_frames(mesh, N, order, True, rows)
+        pts_c, frames_c = _nodes_and_frames(mesh, bary, rows)
         pts_c, frames_c = pts_c.reshape(-1, dim), frames_c.reshape(-1, N, dim)
 
     # factor values per edge subset; an analytic factor sees the whole
@@ -332,7 +330,7 @@ def _wedge_integrand(factors, mesh, order: int, rows: slice) -> np.ndarray:
     for f in factors:
         subsets = _edge_subsets(N, f.degree)
         if isinstance(f, Cochain):
-            W = _whitney_edge_tensor(N, f.degree, order)   # (slots, q, subs)
+            W = _whitney_edge_tensor(N, f.degree)   # (slots, q, subs)
             vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
         else:
             vals = f.on_frame_subsets(pts_c, frames_c, subsets)

@@ -153,6 +153,18 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seminorm not in ("sobolev", "holder"):
             raise ConfigError(f"unknown seminorm kind {self.seminorm!r}")
+        if self.kind == "scaling":
+            if self.samples < 1:
+                raise ConfigError(f"samples must be >= 1, got {self.samples}")
+            # W^{beta, N/beta} needs beta < 1; the Hoelder seminorm takes 1
+            holder = self.seminorm == "holder"
+            bad = [str(b) for b in self.betas
+                   if not (0 < b < 1 or holder and b == 1)]
+            if bad:
+                raise ConfigError(
+                    f"beta values {', '.join(bad)} lie outside (0, 1"
+                    f"{']' if holder else ')'}, the range of the "
+                    f"{self.seminorm} seminorm")
         entry = lookup(self.structure)
         if not entry.evaluable:
             raise ConfigError(f"structure {self.structure!r} is not "

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import de_rham_project, integrate_wedge
-from .geometry.forms import DEFAULT_ORDER
+from .geometry.forms import PROJECT_DEGREE, WEDGE_DEGREE
 from .geometry.quadrature import rule_info
 # hodge_operator is not called here; it stays an attribute of this module
 # because perfbench/tracing.py wraps quanthom.invariants.hodge_operator
@@ -125,11 +125,6 @@ def s2xs2_alpha_structure(i: int) -> DegreeStructure:
 
 # -- evaluators -----------------------------------------------------------
 
-# quadrature order of the de Rham projection of every d^{-1} factor: 12
-# nodes per triangle, exact to degree 7; the wedge uses forms.DEFAULT_ORDER
-PROJECT_ORDER = 6
-
-
 def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
                   closed_tol: float = 1e-3) -> InvariantResult:
     """General multi-term invariant evaluation on a mesh.
@@ -152,13 +147,12 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
 
     per_term = []
     residuals: dict = {}
-    quadrature = {"wedge": rule_info(mesh.dim, DEFAULT_ORDER)}
+    quadrature = {"wedge": rule_info(mesh.dim, WEDGE_DEGREE)}
     for kterm, term in enumerate(structure.terms):
         factors = [pullback_form(f, term.forms[0])]
         for i, om in enumerate(term.forms[1:], start=1):
-            eta = de_rham_project(pullback_form(f, om), mesh,
-                                  order=PROJECT_ORDER)
-            quadrature["projection"] = rule_info(om.degree, PROJECT_ORDER)
+            eta = de_rham_project(pullback_form(f, om), mesh)
+            quadrature["projection"] = rule_info(om.degree, PROJECT_DEGREE)
             xi, residuals[f"term{kterm}.d_inverse{i}"] = d_inverse(
                 eta, closed_tol=closed_tol)
             factors.append(xi)

@@ -79,13 +79,12 @@ class SmoothMap:
     """Analytic map from S^N into a target manifold."""
 
     def __init__(self, domain_dim: int, target: Target, value, jacobian,
-                 name: str = "", params: dict | None = None):
+                 name: str = ""):
         self.domain_dim = domain_dim
         self.target = target
         self._value = value
         self._jacobian = jacobian
         self.name = name
-        self.params = params or {}
 
     def value(self, X: np.ndarray) -> np.ndarray:
         return self._value(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -117,8 +116,7 @@ def make_circle_power(d: int) -> SmoothMap:
         col = np.stack([-np.sin(d * th), np.cos(d * th)], axis=1) * d
         return col[:, :, None] * gth[:, None, :]
 
-    return SmoothMap(1, S1, value, jacobian,
-                     name=f"circle-power:d={d}", params={"d": d})
+    return SmoothMap(1, S1, value, jacobian, name=f"circle-power:d={d}")
 
 
 def make_sphere_suspension(d: int) -> SmoothMap:
@@ -148,8 +146,7 @@ def make_sphere_suspension(d: int) -> SmoothMap:
         J[:, 2, 2] = 1.0
         return J
 
-    return SmoothMap(2, S2, value, jacobian,
-                     name=f"suspension:d={d}", params={"d": d})
+    return SmoothMap(2, S2, value, jacobian, name=f"suspension:d={d}")
 
 
 # Df of the Hopf map is linear in X: row i is 2 * sign * X[columns]
@@ -325,8 +322,7 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
         return out
 
     return SmoothMap(f.domain_dim, tgt, value, jacobian,
-                     name=f"perturb:eps={eps},m={m}|{f.name}",
-                     params={"eps": eps, "m": m})
+                     name=f"perturb:eps={eps},m={m}|{f.name}")
 
 
 # ----------------------------------------------------------------------
@@ -336,12 +332,9 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
 class TargetForm(FormField):
     """Closed reference form on a target manifold."""
 
-    def __init__(self, target: Target, degree: int, evaluator,
-                 name: str = "", normalized: bool = True, closed: bool = True):
+    def __init__(self, target: Target, degree: int, evaluator, name: str = ""):
         super().__init__(degree, evaluator, name=name)
         self.target = target
-        self.normalized = normalized
-        self.closed = closed
 
 
 def volume_form(target: Target) -> TargetForm:

@@ -162,7 +162,8 @@ def _jacobian_moment(f, p) -> np.ndarray:
 
 
 def _sobolev_mc(f, beta, p, samples, seed, stratified=True):
-    """[f]^p by Monte Carlo, its error and the rows passed to f.value."""
+    """[f]^p by Monte Carlo, its error and the rows passed to f.value;
+    `stratified=False` is plain Monte Carlo, the tests' reference."""
     N = f.domain_dim
     amb = N + 1
     expo = N + beta * p
@@ -308,29 +309,22 @@ def _sobolev_circle_quadrature(f, beta, p):
 
 
 def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
-                     samples: int = 200_000, seed: int = 0,
-                     method: str = "auto") -> SeminormEstimate:
-    """Gagliardo seminorm [f]_{W^{beta,p}(S^N)} with an error bound.
-
-    method: "auto" (tensor quadrature on S^1, stratified Monte Carlo
-    otherwise), or one of "tensor", "stratified-mc", "plain-mc".
-    """
+                     samples: int = 200_000,
+                     seed: int = 0) -> SeminormEstimate:
+    """Gagliardo seminorm [f]_{W^{beta,p}(S^N)} with an error bound: by
+    tensor quadrature on S^1 and by stratified Monte Carlo on S^2, S^3."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    if method == "auto":
-        method = "tensor" if f.domain_dim == 1 else "stratified-mc"
-    if method == "tensor":
-        if f.domain_dim != 1:
-            raise ValueError("tensor quadrature implemented on S^1 only")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if f.domain_dim == 1:
         total, err, used = _sobolev_circle_quadrature(f, beta, p)
         name, seed = "tensor-quadrature", None
     else:
-        stratified = method == "stratified-mc"
-        total, err, used = _sobolev_mc(f, beta, p, samples, seed,
-                                       stratified=stratified)
-        name = "stratified-MC" if stratified else "plain-MC"
+        total, err, used = _sobolev_mc(f, beta, p, samples, seed)
+        name = "stratified-MC"
     value = total ** (1.0 / p)
     verr = err / p * max(total, 1e-300) ** (1.0 / p - 1.0)
     return SeminormEstimate(value, verr, name, used, seed)
@@ -360,6 +354,8 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     and refinement steps together."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     N = f.domain_dim
     amb = N + 1
     rng = _rng(seed, 0)

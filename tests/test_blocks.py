@@ -13,7 +13,7 @@ from quanthom.geometry import (FormField, de_rham_project, integrate_wedge,
                                sphere_quadrature)
 from quanthom.geometry import mesh as mesh_module
 from quanthom.hodge import d_inverse, mass_matrix
-from quanthom.invariants import PROJECT_ORDER, hopf_invariant
+from quanthom.invariants import hopf_invariant
 from quanthom.maps import S2, make_hopf, pullback_form, volume_form
 
 from conftest import cached_mesh
@@ -64,8 +64,7 @@ def test_hopf_wedge_block_equivalence(monkeypatch):
     m = cached_mesh(3, 1)
     assert_uneven(m.n_simplices(3))
     fstar = pullback_form(make_hopf(), volume_form(S2))
-    xi, _ = d_inverse(de_rham_project(fstar, m, order=PROJECT_ORDER),
-                      closed_tol=1e-3)
+    xi, _ = d_inverse(de_rham_project(fstar, m), closed_tol=1e-3)
     odd = at_block(monkeypatch, ODD, lambda: integrate_wedge([fstar, xi], m))
     one = at_block(monkeypatch, ONE, lambda: integrate_wedge([fstar, xi], m))
     assert odd == pytest.approx(one, rel=1e-13, abs=0)

@@ -83,7 +83,7 @@ class TestDeRhamProjection:
         # projection of an exact form vs d of the projected potential
         m = cached_mesh(2, 3)
         g = FormField(0, lambda p, f: p[:, 0] * p[:, 1] + 0.3 * p[:, 2])
-        lhs = de_rham_project(FormField(1, smooth_exact_1form), m, order=6)
+        lhs = de_rham_project(FormField(1, smooth_exact_1form), m)
         rhs = de_rham_project(g, m).d()
         assert np.abs(lhs.values - rhs.values).max() < 1e-8
 
@@ -117,11 +117,11 @@ class TestWhitney:
         assert np.abs(vals - bc @ a).max() < 1e-13
 
     def test_constant_form_reproduction(self, mesh_s2):
-        # flat projection of a constant-coefficient 1-form is reproduced
-        # exactly inside every affine simplex
+        # the flat cochain of a constant-coefficient 1-form, each edge
+        # vector . w, is reproduced exactly inside every affine simplex
         w = np.array([0.2, 0.5, -0.3])
-        c = de_rham_project(FormField(1, lambda p, f: f[:, 0, :] @ w),
-                            mesh_s2, curved=False)
+        ends = mesh_s2.verts[mesh_s2.simplices[1]]
+        c = Cochain(mesh_s2, 1, (ends[:, 1] - ends[:, 0]) @ w)
         idx = np.arange(mesh_s2.n_simplices(2))
         bary = np.full((len(idx), 3), 1.0 / 3.0)
         fr = mesh_s2.top_edges[:, :1, :]
@@ -143,12 +143,11 @@ class TestWhitney:
             # L2 error via quadrature on top simplices, frames = edges
             from quanthom.geometry.forms import _nodes_and_frames
             from quanthom.geometry.quadrature import simplex_rule
-            bary, w = simplex_rule(2, 4)
+            bary, w = simplex_rule(2, 5)
             idx = np.repeat(np.arange(m.n_simplices(2)), len(w))
             lam = np.tile(bary, (m.n_simplices(2), 1))
             err2 = 0.0
-            nodes, frames, _ = _nodes_and_frames(m, 2, 4, curved=True,
-                                                 rows=slice(None))
+            nodes, frames = _nodes_and_frames(m, bary, slice(None))
             flat_nodes = np.einsum("qj,tjd->tqd", bary, m.top_points)
             for e in range(2):
                 fr_flat = np.repeat(m.top_edges[:, e:e + 1, :], len(w), axis=0)
@@ -237,8 +236,9 @@ def test_curved_frames_are_dP_of_the_edges(dim, level):
     h = 1e-5
     for k in range(1, dim + 1):
         pts = m.verts[m.simplices[k]]                   # (n, k+1, dim+1)
-        flat = simplex_rule(k, 4)[0] @ pts              # (n, q, dim+1)
-        nodes, frames, _ = _nodes_and_frames(m, k, 4, True, slice(None))
+        bary = simplex_rule(k, 5)[0]
+        flat = bary @ pts                               # (n, q, dim+1)
+        nodes, frames = _nodes_and_frames(m, bary, slice(None))
         assert frames.shape == flat.shape[:2] + (k, dim + 1)
         assert np.array_equal(nodes, P(flat))
         for i in range(k):

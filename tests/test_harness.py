@@ -71,6 +71,31 @@ class TestConfig:
         cfg = ExperimentConfig.from_string(text)
         assert cfg.allow_beta_below_threshold
 
+    @pytest.mark.parametrize("seminorm,beta,message", [
+        ("sobolev", "1", "beta values 1 lie outside (0, 1), the range of the "
+                         "sobolev seminorm"),
+        ("sobolev", "9/10, 1, 3/2", "beta values 1, 3/2 lie outside (0, 1)"),
+        ("holder", "9/10, 6/5", "beta values 6/5 lie outside (0, 1], the "
+                                "range of the holder seminorm")])
+    def test_beta_outside_the_seminorm_range_rejected(self, seminorm, beta,
+                                                      message):
+        text = (FAST_SCALING.replace("beta = 9/10", f"beta = {beta}")
+                .replace("seminorm = sobolev", f"seminorm = {seminorm}"))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_string(text)
+
+    def test_beta_one_accepted_for_holder_and_bmo(self):
+        text = (FAST_SCALING.replace("beta = 9/10", "beta = 1")
+                .replace("seminorm = sobolev", "seminorm = holder"))
+        assert ExperimentConfig.from_string(text).betas == [F(1)]
+        assert ExperimentConfig.from_string(BMO_PROBE).betas == [F(1)]
+
+    def test_zero_samples_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "samples must be >= 1, got 0")):
+            ExperimentConfig.from_string(
+                FAST_SCALING.replace("samples = 20000", "samples = 0"))
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig.from_string(
@@ -423,6 +448,31 @@ class TestCli:
         doc = json.loads(stdout)
         assert doc["method"] == "tensor-quadrature"
         assert abs(doc["value"] - 2 * np.pi) < 1e-2
+
+    def test_removed_method_option_is_usage_error(self):
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "suspension:d=1", "--kind", "sobolev",
+            "--method", "stratified")
+        assert code == 2 and not stdout
+        assert "unrecognized arguments: --method stratified" in err
+
+    @pytest.mark.parametrize("kind", ["sobolev", "holder"])
+    def test_seminorm_zero_samples_exit2(self, kind):
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "suspension:d=1", "--kind", kind,
+            "--samples", "0")
+        assert code == 2 and not stdout
+        assert "error: samples must be >= 1" in err
+
+    def test_verify_scaling_default_beta_exit2(self, tmp_path):
+        # the default beta = 1 lies outside the Sobolev range (0, 1)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING.replace("beta = 9/10\n", ""))
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert ("config error: beta values 1 lie outside (0, 1), the range "
+                "of the sobolev seminorm") in err
 
     def test_verify_scaling_pass_exit0(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -168,8 +168,7 @@ class TestDInverse:
         m = cached_mesh(3, 1)
         rng = np.random.default_rng(3)
         exact = Cochain(m, 1, rng.standard_normal(m.n_simplices(1))).d()
-        hopf = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
-                               m, order=6)
+        hopf = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)), m)
         _, s_exact = d_inverse(exact)
         _, s_hopf = d_inverse(hopf, closed_tol=1e-3)
         op = hodge_operator(m, 2)
@@ -191,8 +190,7 @@ class TestDInverse:
         m = cached_mesh(3, 1)
         from quanthom.maps import S2 as tgt
         from quanthom.maps import make_hopf, pullback_form, volume_form
-        eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
-                              m, order=6)
+        eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)), m)
         xi, _ = d_inverse(eta, closed_tol=1e-3)
         op1 = hodge_operator(m, 1)
         op2 = hodge_operator(m, 2)
@@ -247,7 +245,7 @@ class TestDInverse:
             from quanthom.maps import S2 as tgt
             from quanthom.maps import make_hopf, pullback_form, volume_form
             eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
-                                  m, order=6)
+                                  m)
         xi = d_inverse(eta, closed_tol=1e-3)[0].values
         op = hodge_operator(m, eta.degree)
         D = m.coboundary(eta.degree - 1).toarray().astype(float)
@@ -269,7 +267,7 @@ class TestDInverse:
         res = []
         for level in (0, 1):
             m = cached_mesh(3, level)
-            eta = de_rham_project(fw, m, order=6)
+            eta = de_rham_project(fw, m)
             xi, _ = d_inverse(eta, closed_tol=1e-2)
             op = hodge_operator(m, 2)
             res.append(op.norm(xi.d() - eta) / op.norm(eta))

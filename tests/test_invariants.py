@@ -141,7 +141,7 @@ class TestHopf:
         assert r.quadrature == {"wedge": {"degree": 5, "nodes": 14},
                                 "projection": {"degree": 7, "nodes": 12}}
         d = mapping_degree(make_sphere_suspension(2), cached_mesh(2, 0))
-        assert d.quadrature == {"wedge": {"degree": 5, "nodes": 9}}
+        assert d.quadrature == {"wedge": {"degree": 5, "nodes": 7}}
 
 
 class TestProductStructures:

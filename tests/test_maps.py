@@ -236,7 +236,7 @@ class TestTargetForms:
                                                   make_hopf()))
         for i in (0, 1):
             om = product_factor_form(S2xS2, i)
-            eta = de_rham_project(pullback_form(f, om), m, order=6)
+            eta = de_rham_project(pullback_form(f, om), m)
             op = hodge_operator(m, 2)
             assert op.norm(eta.d()) / op.norm(eta) < 1e-4
 

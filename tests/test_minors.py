@@ -80,12 +80,12 @@ def test_minors_against_submatrices(rng, n, m, k):
 def test_mass_blocks_match_quadrature_of_basis(rng, N, k):
     # M[a, b] = int_T <W_a, W_b>, and <alpha, beta> = sum over increasing
     # k-subsets I of an orthonormal tangent frame of alpha(e_I) beta(e_I)
-    # (Cauchy-Binet); W is degree 1 in lambda, so an order-2 rule is exact
+    # (Cauchy-Binet); W is degree 1 in lambda, so the degree-5 rule is exact
     pts = rng.standard_normal((4, N + 1, N + 1))
     _, vol, grads, g = simplex_geometry(pts)
     q, _ = np.linalg.qr(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))
     frames = np.swapaxes(q, 1, 2)                        # (t, N, N+1)
-    bary, w = simplex_rule(N, 2)
+    bary, w = simplex_rule(N, 5)
     ref = 0.0
     for sub in combinations(range(N), k):
         dl = grads @ np.swapaxes(frames[:, list(sub)], 1, 2)   # (t, N+1, k)
