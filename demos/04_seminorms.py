@@ -11,7 +11,7 @@ from quanthom import (bmo_seminorm, build_sphere_mesh, holder_seminorm,
                       poisson_extension_distance, sobolev_seminorm)
 from quanthom.maps import (make_circle_power, make_constant, make_hopf,
                            make_oscillation_perturbation,
-                           make_sphere_suspension, S2)
+                           make_sphere_suspension)
 
 print("== Gagliardo seminorm on S^1 ==")
 ident = make_circle_power(1)
@@ -39,14 +39,14 @@ for d in (2, 3):
 
 print("\n== BMO mean oscillation ==")
 for eps in (0.02, 0.05, 0.1):
-    f = make_oscillation_perturbation(make_constant(2, S2), eps, 3)
+    f = make_oscillation_perturbation(make_constant(2), eps, 3)
     b = bmo_seminorm(f, seed=4)
     print(f"  perturbed constant eps={eps}: {b.value:.5f} +- {b.error:.5f}")
 
 print("\n== Poisson extension distance ==")
 mesh = build_sphere_mesh(2, 3)
 probes = np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.0, 0.85]])
-for name, f in (("constant", make_constant(2, S2)),
+for name, f in (("constant", make_constant(2)),
                 ("identity", make_sphere_suspension(1))):
     out = poisson_extension_distance(f, probes, mesh)
     dists = ", ".join(f"{d:.2e}" for _, d in out)

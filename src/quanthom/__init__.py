@@ -17,11 +17,10 @@ from .invariants import (DegreeStructure, InvariantResult, Term,
                          hardt_riviere, hopf_invariant, mapping_degree,
                          winding_number, winding_number_oracle)
 from .linking import gauss_linking_oracle
-from .maps import (SmoothMap, TargetForm, make_circle_power, make_constant,
-                   make_hopf, make_map_composition,
-                   make_oscillation_perturbation, make_product_map,
-                   make_sphere_suspension, parse_map_spec, pullback,
-                   pullback_form)
+from .maps import (SmoothMap, make_circle_power, make_constant, make_hopf,
+                   make_map_composition, make_oscillation_perturbation,
+                   make_product_map, make_sphere_suspension, parse_map_spec,
+                   pullback, pullback_form)
 from .registry import beta0, catalogue, exponent, lookup, sigma
 from .seminorms import (SeminormEstimate, bmo_seminorm, holder_seminorm,
                         poisson_extension_distance, sobolev_seminorm)
@@ -32,7 +31,7 @@ __all__ = [
     "exterior_derivative", "de_rham_project", "integrate_wedge",
     "whitney_interpolate",
     "HodgeOperator", "hodge_operator", "codifferential", "d_inverse",
-    "SmoothMap", "TargetForm", "make_circle_power", "make_sphere_suspension",
+    "SmoothMap", "make_circle_power", "make_sphere_suspension",
     "make_hopf", "make_product_map", "make_constant",
     "make_map_composition", "make_oscillation_perturbation",
     "parse_map_spec", "pullback", "pullback_form",

@@ -57,9 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sem.add_argument("--map", required=True, dest="map_spec")
     sem.add_argument("--kind", choices=["sobolev", "holder", "bmo"],
                      required=True)
-    sem.add_argument("--beta", type=float, default=0.5)
-    sem.add_argument("--p", type=float)
-    sem.add_argument("--samples", type=int, default=200_000)
+    sem.add_argument("--beta", type=float)      # default 0.5
+    sem.add_argument("--p", type=float)         # default N / beta
+    sem.add_argument("--samples", type=int)     # default 200000
     sem.add_argument("--seed", type=int, default=0)
     sem.add_argument("--json-out")
 
@@ -169,14 +169,20 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_seminorm(args) -> int:
+    # a flag the chosen kind would not read is an error, not ignored
+    unread = {"sobolev": (), "holder": ("p",), "bmo": ("beta", "p", "samples")}
+    for flag in unread[args.kind]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"argument --{flag}: not allowed with --kind "
+                             f"{args.kind}")
     f = parse_map_spec(args.map_spec)
+    beta = 0.5 if args.beta is None else args.beta
+    samples = 200_000 if args.samples is None else args.samples
     if args.kind == "sobolev":
-        p = args.p if args.p else f.domain_dim / args.beta
-        est = sobolev_seminorm(f, args.beta, p, samples=args.samples,
-                               seed=args.seed)
+        p = f.domain_dim / beta if args.p is None else args.p
+        est = sobolev_seminorm(f, beta, p, samples=samples, seed=args.seed)
     elif args.kind == "holder":
-        est = holder_seminorm(f, args.beta, samples=args.samples,
-                              seed=args.seed)
+        est = holder_seminorm(f, beta, samples=samples, seed=args.seed)
     else:
         est = bmo_seminorm(f, seed=args.seed)
     out = asdict(est)

@@ -43,6 +43,7 @@ SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 # rows per block of every batched loop over a mesh: the simplices of
 # one degree in quadrature and mass assembly, the query points in `locate`
 BLOCK = 4096
+_LOCATE_TOL = 1e-10      # how far outside its top `locate` accepts a point
 
 
 def blocks(n: int):
@@ -346,7 +347,7 @@ class SimplicialSphere:
 
     # -- point location ----------------------------------------------------
 
-    def locate(self, points: np.ndarray, tol: float = 1e-10):
+    def locate(self, points: np.ndarray):
         """Top simplex hit by the ray through each point, with barycentric
         coordinates of the radial intersection.
 
@@ -355,7 +356,7 @@ class SimplicialSphere:
         top.  Among the tops holding a point the one holding it deepest
         (largest smallest coordinate) is returned.  Returns (indices,
         bary) and raises "point off mesh" if some point is zero, not
-        finite, or in no top within `tol`.
+        finite, or in no top within _LOCATE_TOL.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         norms = np.linalg.norm(points, axis=1, keepdims=True)
@@ -376,11 +377,11 @@ class SimplicialSphere:
             mu = np.einsum("mcij,mj->mci", dual[cand], unit[blk])
             idx[blk], bary[blk], depth[blk] = _deepest_cone(cand, mu)
         every = np.arange(len(dual))[None]
-        for i in np.flatnonzero(depth < -tol):
+        for i in np.flatnonzero(depth < -_LOCATE_TOL):
             one = slice(i, i + 1)
             idx[one], bary[one], depth[one] = _deepest_cone(
                 every, (dual @ unit[i])[None])
-        if (depth < -tol).any():
+        if (depth < -_LOCATE_TOL).any():
             raise ValueError("point off mesh")
         return idx, bary
 

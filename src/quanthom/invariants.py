@@ -28,8 +28,11 @@ from .geometry.quadrature import rule_info
 # hodge_operator is not called here; it stays an attribute of this module
 # because perfbench/tracing.py wraps quanthom.invariants.hodge_operator
 from .hodge import d_inverse, hodge_operator  # noqa: F401
-from .maps import (S1, S2, S2xS2, SmoothMap, Target, product_factor_form,
-                   pullback_form, sphere_target, volume_form)
+from .maps import (S1, S2, S2xS2, SmoothMap, Target, pullback_form,
+                   sphere_target, volume_form)
+
+CLOSED_TOL = 1e-3        # relative closedness defect a d^{-1} input may have
+_ORACLE_POINTS = 8192    # polygon vertices of the winding-number oracle
 
 
 @dataclass(frozen=True)
@@ -112,21 +115,20 @@ def hopf_structure() -> DegreeStructure:
 
 
 def s2xs2_beta_structure(i: int) -> DegreeStructure:
-    om = product_factor_form(S2xS2, i - 1)
+    om = volume_form(S2xS2, i - 1)
     return DegreeStructure(f"s2xs2:beta{i}", 3,
                            (Term(Fraction(1), (2, 2), (om, om)),), S2xS2)
 
 
 def s2xs2_alpha_structure(i: int) -> DegreeStructure:
-    om = product_factor_form(S2xS2, i - 1)
+    om = volume_form(S2xS2, i - 1)
     return DegreeStructure(f"s2xs2:alpha{i}", 2,
                            (Term(Fraction(1), (2,), (om,)),), S2xS2)
 
 
 # -- evaluators -----------------------------------------------------------
 
-def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
-                  closed_tol: float = 1e-3) -> InvariantResult:
+def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantResult:
     """General multi-term invariant evaluation on a mesh.
 
     For each term the first pulled-back form enters the wedge
@@ -154,7 +156,7 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh,
             eta = de_rham_project(pullback_form(f, om), mesh)
             quadrature["projection"] = rule_info(om.degree, PROJECT_DEGREE)
             xi, residuals[f"term{kterm}.d_inverse{i}"] = d_inverse(
-                eta, closed_tol=closed_tol)
+                eta, closed_tol=CLOSED_TOL)
             factors.append(xi)
         val = integrate_wedge(factors, mesh)
         per_term.append(val)
@@ -180,17 +182,16 @@ def mapping_degree(f: SmoothMap, mesh) -> InvariantResult:
     return hardt_riviere(f, degree_structure(f.domain_dim), mesh)
 
 
-def hopf_invariant(f: SmoothMap, mesh,
-                   closed_tol: float = 1e-3) -> InvariantResult:
+def hopf_invariant(f: SmoothMap, mesh) -> InvariantResult:
     """Integral Hopf invariant of f: S^3 -> S^2."""
     if f.domain_dim != 3 or f.target != S2:
         raise ValueError("hopf invariant requires a map S3 -> S2")
-    return hardt_riviere(f, hopf_structure(), mesh, closed_tol=closed_tol)
+    return hardt_riviere(f, hopf_structure(), mesh)
 
 
-def winding_number_oracle(f: SmoothMap, n_points: int = 8192) -> int:
+def winding_number_oracle(f: SmoothMap) -> int:
     """Branch-tracking oracle: continuous argument along a fine polygon."""
-    th = np.linspace(0.0, 2 * np.pi, n_points, endpoint=False)
+    th = np.linspace(0.0, 2 * np.pi, _ORACLE_POINTS, endpoint=False)
     X = np.stack([np.cos(th), np.sin(th)], axis=1)
     Y = f.value(X)
     ang = np.arctan2(Y[:, 1], Y[:, 0])

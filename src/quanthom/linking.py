@@ -26,6 +26,8 @@ import numpy as np
 
 _COARSE = 8          # coarse trace step over output spacing
 _GAUSS_ROWS = 256    # rows per block of the Gauss double sum
+_STARTS = 64         # random starts that seek every preimage component
+_MAX_STEPS = 100000  # coarse steps before a trace counts as open
 
 
 class NonRegularValueError(ValueError):
@@ -105,15 +107,15 @@ def _project(f, X: np.ndarray, p: np.ndarray, tol: float = 1e-12,
 
 
 def trace_fiber(f, p: np.ndarray, x0: np.ndarray, step: float,
-                reg_tol: float = 1e-3, max_steps: int = 100000) -> FiberCurve:
+                reg_tol: float = 1e-3) -> FiberCurve:
     """Closed preimage curve of the regular value p through x0, with
-    points about `step` apart (at most max_steps coarse steps)."""
+    points about `step` apart (at most _MAX_STEPS coarse steps)."""
     X, ok, V, S = _project(f, np.asarray(x0, dtype=float)[None], p)
     if not ok[0]:
         raise RuntimeError("could not land on the preimage")
     h = _COARSE * step
     pts = [X[0]]
-    for n in range(max_steps):
+    for n in range(_MAX_STEPS):
         if not S[0] > reg_tol:
             raise NonRegularValueError("non-regular value")
         pred = X[0] + h * V[0]
@@ -140,10 +142,10 @@ def trace_fiber(f, p: np.ndarray, x0: np.ndarray, step: float,
 
 
 def preimage_link(f, p: np.ndarray, step: float, seed: int = 0,
-                  n_starts: int = 64, reg_tol: float = 1e-3) -> list[FiberCurve]:
+                  reg_tol: float = 1e-3) -> list[FiberCurve]:
     """All components of f^{-1}(p), each traced as a closed polyline."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_starts, 4))
+    X = rng.standard_normal((_STARTS, 4))
     X, ok, _, _ = _project(f, X / np.linalg.norm(X, axis=1, keepdims=True), p)
     curves: list[FiberCurve] = []
     for x in X[ok]:

@@ -171,48 +171,46 @@ def make_hopf() -> SmoothMap:
     return SmoothMap(3, S2, value, jacobian, name="hopf")
 
 
-def make_constant(domain_dim: int, target: Target = S2,
-                  point: np.ndarray | None = None) -> SmoothMap:
-    if point is None:
-        point = np.zeros(target.ambient)
-        point[[b.start for b in target.blocks]] = 1.0
-    point = np.asarray(point, dtype=float)
+def make_constant(domain_dim: int) -> SmoothMap:
+    """S^N -> S^2 onto the first basis vector."""
+    point = np.array([1.0, 0.0, 0.0])
 
     def value(X):
-        return np.broadcast_to(point, (len(X), len(point))).copy()
+        return np.broadcast_to(point, (len(X), 3)).copy()
 
     def jacobian(X):
-        return np.zeros((len(X), len(point), domain_dim + 1))
+        return np.zeros((len(X), 3, domain_dim + 1))
 
-    return SmoothMap(domain_dim, target, value, jacobian, name="const")
+    return SmoothMap(domain_dim, S2, value, jacobian,
+                     name=f"const:n={domain_dim}")
 
 
-def make_reflection(domain_dim: int, axis: int = 0) -> SmoothMap:
-    """Orientation-reversing isometry of S^N (one coordinate negated)."""
-    tgt = sphere_target(domain_dim)
-    sign = np.ones(domain_dim + 1)
-    sign[axis] = -1.0
+def _sign_map(sign: np.ndarray, name: str) -> SmoothMap:
+    """x -> sign * x, an isometry of S^N for N + 1 signs."""
+    n = len(sign)
 
     def value(X):
         return X * sign
 
     def jacobian(X):
-        return np.broadcast_to(np.diag(sign), (len(X), len(sign), len(sign))).copy()
+        return np.broadcast_to(np.diag(sign), (len(X), n, n)).copy()
 
-    return SmoothMap(domain_dim, tgt, value, jacobian, name=f"reflect:axis={axis}")
+    return SmoothMap(n - 1, sphere_target(n - 1), value, jacobian, name=name)
+
+
+def make_reflection(domain_dim: int, axis: int = 0) -> SmoothMap:
+    """Orientation-reversing isometry of S^N (one coordinate negated)."""
+    if not 0 <= axis <= domain_dim:
+        raise ValueError(f"reflection axis {axis} is not a coordinate of "
+                         f"S^{domain_dim}")
+    sign = np.ones(domain_dim + 1)
+    sign[axis] = -1.0
+    return _sign_map(sign, f"reflect:n={domain_dim},axis={axis}")
 
 
 def make_antipodal(domain_dim: int) -> SmoothMap:
-    tgt = sphere_target(domain_dim)
-
-    def value(X):
-        return -X
-
-    def jacobian(X):
-        n = domain_dim + 1
-        return np.broadcast_to(-np.eye(n), (len(X), n, n)).copy()
-
-    return SmoothMap(domain_dim, tgt, value, jacobian, name="antipodal")
+    """x -> -x on S^N, of degree (-1)^(N+1)."""
+    return _sign_map(-np.ones(domain_dim + 1), f"antipodal:n={domain_dim}")
 
 
 def make_product_map(f1: SmoothMap, f2: SmoothMap) -> SmoothMap:
@@ -232,7 +230,7 @@ def make_product_map(f1: SmoothMap, f2: SmoothMap) -> SmoothMap:
         return np.concatenate([f1.jacobian(X), f2.jacobian(X)], axis=1)
 
     return SmoothMap(f1.domain_dim, tgt, value, jacobian,
-                     name=f"product:{f1.name},{f2.name}")
+                     name=f"product:{f1.name}|{f2.name}")
 
 
 def make_map_composition(g: SmoothMap, f: SmoothMap) -> SmoothMap:
@@ -293,11 +291,12 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
     """x -> Pi(f(x) + eps g(m x)): homotopic wiggle at fixed invariant.
 
     The straight-line homotopy stays inside the tubular neighborhood of
-    the target for eps < 0.2, so the homotopy class of f is unchanged.
+    the target for |eps| < 0.2, so the homotopy class of f is unchanged.
     """
-    if eps >= 0.2:
-        raise ValueError("leaves tubular neighborhood")
     eps = float(eps)
+    if not abs(eps) < 0.2:              # also false for a NaN
+        raise ValueError(f"perturbation eps={eps} leaves tubular neighborhood; "
+                         "need a finite |eps| < 0.2")
     m = int(m)
     tgt = f.target
     g, dg = _osc_field(tgt.ambient, f.domain_dim + 1)
@@ -329,42 +328,23 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
 # target forms
 # ----------------------------------------------------------------------
 
-class TargetForm(FormField):
-    """Closed reference form on a target manifold."""
-
-    def __init__(self, target: Target, degree: int, evaluator, name: str = ""):
-        super().__init__(degree, evaluator, name=name)
-        self.target = target
-
-
-def volume_form(target: Target) -> TargetForm:
-    """Normalized volume form of a sphere target (integral 1).
+def volume_form(target: Target, i: int = 0) -> FormField:
+    """Normalized volume form of the i-th sphere factor of the target
+    (integral 1 over the factor), pulled back under its coordinate
+    projection; a sphere target is its own single factor.
 
     For S^1 this is dtheta/2pi, the generator of H^1.
     """
-    if target.kind != "sphere":
-        raise ValueError("volume form defined for sphere targets")
-    M = target.dim
-    scale = 1.0 / SPHERE_VOLUMES[M]
-
-    def ev(points, frames):
-        return det(np.concatenate([points[:, None, :], frames], axis=1)) * scale
-
-    return TargetForm(target, M, ev, name=f"vol[S{M}]")
-
-
-def product_factor_form(target: Target, i: int) -> TargetForm:
-    """Pullback of the S^2 generator under the i-th coordinate projection."""
-    if target.kind != "product":
-        raise ValueError("factor form requires a product target")
     b = target.blocks[i]
-    scale = 1.0 / SPHERE_VOLUMES[target.factors[i].dim]
+    M = (target.factors or (target,))[i].dim
+    scale = 1.0 / SPHERE_VOLUMES[M]
 
     def ev(points, frames):
         return det(np.concatenate([points[:, None, b], frames[:, :, b]],
                                   axis=1)) * scale
 
-    return TargetForm(target, target.factors[i].dim, ev, name=f"omega_{i + 1}")
+    return FormField(M, ev, name=f"vol[{target}]" if target.kind == "sphere"
+                     else f"omega_{i + 1}")
 
 
 class PullbackForm(FormField):
@@ -410,14 +390,14 @@ def pullback_form(f: SmoothMap, omega) -> FormField:
 # verification helpers and the map-spec grammar
 # ----------------------------------------------------------------------
 
-def jacobian_fd_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0,
-                      step: float = 1e-5) -> float:
+def jacobian_fd_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:
     """Worst relative error of Df against central finite differences.
 
     Probes random points and random tangent directions; differences are
     taken along renormalized chords so all evaluations stay on the
     domain sphere.
     """
+    step = 1e-5                     # central-difference step along the chords
     rng = np.random.default_rng(seed)
     n = f.domain_dim + 1
     X = rng.standard_normal((n_probes, n))
@@ -445,71 +425,80 @@ def target_distance_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> 
     return float(distance_to_target(f.value(X), f.target).max())
 
 
-def _spec_keys(spec: str, args: str, required=(), optional=()) -> dict:
-    """The key=value parameters of a map spec, checked against the keys
-    its family takes; an unknown, repeated or missing key is named."""
+# head -> (builder, {key: (type,) or (type, default)}, number of
+# sub-maps); a key without a default is required.  The builder takes the
+# sub-maps, then the keys' values in table order.
+MAP_FAMILIES = {
+    "circle-power": (make_circle_power, {"d": (int,)}, 0),
+    "suspension": (make_sphere_suspension, {"d": (int,)}, 0),
+    "hopf": (make_hopf, {}, 0),
+    "const": (make_constant, {"n": (int, 3)}, 0),
+    "antipodal": (make_antipodal, {"n": (int, 2)}, 0),
+    "reflect": (make_reflection, {"n": (int, 2), "axis": (int, 0)}, 0),
+    "compose": (make_map_composition, {}, 2),
+    "product": (make_product_map, {}, 2),
+    "perturb": (make_oscillation_perturbation,
+                {"eps": (float,), "m": (int, 1)}, 1),
+}
+
+
+def _params(spec: str, text: str, keys: dict) -> list:
+    """The values of a family's keys, in table order, from its
+    `key=value,...` text; an unknown, repeated or missing key is named."""
     kv = {}
-    for part in args.split(",") if args else ():
+    for part in text.split(",") if text else ():
         key, eq, val = (x.strip() for x in part.partition("="))
         if not eq:
             raise ValueError(f"parameter {part!r} is not key=value in map "
                              f"spec {spec!r}")
-        if key not in required and key not in optional:
+        if key not in keys:
             raise ValueError(f"unknown key {key!r} in map spec {spec!r}")
         if key in kv:
             raise ValueError(f"repeated key {key!r} in map spec {spec!r}")
         kv[key] = val
-    for key in required:
-        if key not in kv:
+    values = []
+    for key, (kind, *default) in keys.items():
+        if key not in kv and not default:
             raise ValueError(f"missing key {key!r} in map spec {spec!r}")
-    return kv
+        values.append(kind(kv[key]) if key in kv else default[0])
+    return values
+
+
+def _walk(spec: str, items: list, i: int) -> tuple:
+    """The map whose spec starts at items[i], and the index of the item
+    after its last sub-map."""
+    head, _, rest = items[i].strip().partition(":")
+    if head not in MAP_FAMILIES:
+        raise ValueError(f"unknown map spec {spec!r}: no family {head!r}")
+    build, keys, n_sub = MAP_FAMILIES[head]
+    if n_sub and not keys:
+        items[i], params = rest, []     # the first sub-map follows the ':'
+    else:
+        params, i = _params(spec, rest, keys), i + 1
+    subs = []
+    for _ in range(n_sub):
+        if i == len(items):
+            raise ValueError(f"missing sub-map of {head!r} in map spec {spec!r}")
+        f, i = _walk(spec, items, i)
+        subs.append(f)
+    return build(*subs, *params), i
 
 
 def parse_map_spec(spec: str) -> SmoothMap:
-    """Build a map family from its CLI string.
+    """Build a map from its spec; every map's name but `f∘R` is a spec.
 
-    Grammar: `circle-power:d=3`, `suspension:d=2`, `hopf`, `const`,
-    `antipodal:n=2`, `compose:OUTER|INNER`, `product:SPEC,SPEC`,
-    `perturb:eps=0.1,m=7|SPEC`.  Unknown, repeated and missing keys
-    raise ValueError naming the key and the spec.
+    Grammar: a family head (a key of MAP_FAMILIES), its `key=value`
+    parameters after a `:`, separated by commas, then each sub-map after
+    a `|`; a family without parameters takes its first sub-map right
+    after its `:`.  So `compose:OUTER|INNER`, `product:FIRST|SECOND` and
+    `perturb:eps=0.1,m=7|SPEC` nest to any depth, e.g.
+    `compose:perturb:eps=0.1,m=3|suspension:d=2|hopf`.  Unknown,
+    repeated and missing keys raise ValueError naming the key and spec.
     """
     spec = spec.strip()
-    if spec.startswith("compose:"):
-        outer, _, inner = spec[len("compose:"):].partition("|")
-        if not inner:
-            raise ValueError(f"compose needs OUTER|INNER in {spec!r}")
-        return make_map_composition(parse_map_spec(outer), parse_map_spec(inner))
-    if spec.startswith("perturb:"):
-        args, _, inner = spec[len("perturb:"):].partition("|")
-        if not inner:
-            raise ValueError(f"perturb needs parameters|SPEC in {spec!r}")
-        kv = _spec_keys(spec, args, required=("eps",), optional=("m",))
-        return make_oscillation_perturbation(
-            parse_map_spec(inner), float(kv["eps"]), int(kv.get("m", 1)))
-    if spec.startswith("product:"):
-        parts = spec[len("product:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"product needs two factor specs in {spec!r}")
-        maps = []
-        for p in parts:
-            p = p.strip()
-            if p == "const":
-                maps.append(None)
-            else:
-                maps.append(parse_map_spec(p))
-        dom = next(m.domain_dim for m in maps if m is not None)
-        maps = [m if m is not None else make_constant(dom, S2) for m in maps]
-        return make_product_map(*maps)
-    head, _, args = spec.partition(":")
-    if head in ("circle-power", "suspension"):
-        d = int(_spec_keys(spec, args, required=("d",))["d"])
-        return make_circle_power(d) if head == "circle-power" else make_sphere_suspension(d)
-    if head == "hopf":
-        _spec_keys(spec, args)
-        return make_hopf()
-    if head in ("antipodal", "const"):
-        n = _spec_keys(spec, args, optional=("n",)).get("n")
-        if head == "antipodal":
-            return make_antipodal(int(n or 2))
-        return make_constant(int(n or 3), S2)
-    raise ValueError(f"unknown map spec {spec!r}")
+    items = spec.split("|")
+    f, end = _walk(spec, items, 0)
+    if end < len(items):
+        raise ValueError(f"extra sub-map {'|'.join(items[end:])!r} in map "
+                         f"spec {spec!r}")
+    return f

@@ -232,6 +232,7 @@ _DYADIC = 15                 # initial far panels [pi 2^-k-1, pi 2^-k]
 _T_MIN = np.pi * 2.0 ** -_DYADIC   # near part [0, T_MIN]
 _PANEL_RTOL = 1e-9           # target of sum |K15 - G7| over the total
 _MAX_PANELS = 128            # far panels, so at most 241 f.value calls
+_REFINE_ITERS = 60           # hill-climbing steps per best Hoelder pair
 
 
 def _sobolev_circle_quadrature(f, beta, p):
@@ -347,7 +348,7 @@ def _holder_ratio(f, X, Y, beta):
 
 
 def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
-                    seed: int = 0, refine_iters: int = 60) -> SeminormEstimate:
+                    seed: int = 0) -> SeminormEstimate:
     """Sampled sup of |f(x)-f(y)| / |x-y|^beta, hill-climbed from the
     best pairs.  A lower bound of the true seminorm by construction;
     `samples` of the estimate counts the rows passed to f.value, pairs
@@ -379,7 +380,7 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     for j, (x, y, r) in enumerate(best_pairs):
         rng_j = _rng(seed, 1, j)
         r_cur, x_cur, y_cur = r, x, y
-        for it in range(refine_iters):
+        for it in range(_REFINE_ITERS):
             s = max(np.linalg.norm(x_cur - y_cur), 1e-8) * 0.4 * 0.85 ** it
             P = np.repeat(np.vstack([x_cur, y_cur])[None], 8, axis=0)
             noise = rng_j.standard_normal((8, 2, amb)) * s

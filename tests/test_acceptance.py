@@ -186,7 +186,7 @@ def test_criterion_06_hopf_invariant():
 
 def test_criterion_07_product_structures():
     mesh = cached_mesh(3, 1)
-    prod = make_product_map(make_hopf(), make_constant(3, S2))
+    prod = make_product_map(make_hopf(), make_constant(3))
     b1 = hardt_riviere(prod, s2xs2_beta_structure(1), mesh)
     b2 = hardt_riviere(prod, s2xs2_beta_structure(2), mesh)
     h = hopf_invariant(make_hopf(), mesh)
@@ -204,7 +204,7 @@ def test_criterion_08_seminorm_oracle():
     est = sobolev_seminorm(ident, 0.5, 2.0)
     assert abs(est.value - oracle) / oracle < 0.01
 
-    zero = sobolev_seminorm(make_constant(2, S2), 0.5, 2.0, samples=2000)
+    zero = sobolev_seminorm(make_constant(2), 0.5, 2.0, samples=2000)
     assert zero.value == 0.0
 
     f = make_sphere_suspension(2)

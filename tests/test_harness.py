@@ -242,7 +242,8 @@ class TestRowErrors:
         rep = run_scaling(fast_config(map_template="perturb:eps={d},m=3|hopf",
                                       sweep_values=[1]))
         assert rep.blocks[0].rows[0].error == (
-            "ValueError: leaves tubular neighborhood")
+            "ValueError: perturbation eps=1.0 leaves tubular neighborhood; "
+            "need a finite |eps| < 0.2")
 
     @pytest.mark.parametrize("run", ["scaling", "bmo"])
     def test_row_records_type_and_message(self, monkeypatch, run):
@@ -297,7 +298,8 @@ class TestReports:
         assert text[2] == (
             "  parameter=0.3  map_spec=perturb:eps=0.3,m=3|const:n=2  bmo=nan"
             "  bmo_err=nan  max_extension_distance=nan  invariant=nan"
-            "  ratio=nan  error=ValueError: leaves tubular neighborhood")
+            "  ratio=nan  error=ValueError: perturbation eps=0.3 leaves "
+            "tubular neighborhood; need a finite |eps| < 0.2")
 
     def test_json_roundtrip(self, tmp_path):
         rep = run_scaling(fast_config())
@@ -455,6 +457,23 @@ class TestCli:
             "--method", "stratified")
         assert code == 2 and not stdout
         assert "unrecognized arguments: --method stratified" in err
+
+    @pytest.mark.parametrize("kind,flag", [
+        ("bmo", "--samples"), ("bmo", "--beta"), ("bmo", "--p"),
+        ("holder", "--p")])
+    def test_seminorm_unread_flag_exit2(self, kind, flag):
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "suspension:d=1", "--kind", kind, flag, "2")
+        assert code == 2 and not stdout
+        assert f"argument {flag}: not allowed with --kind {kind}" in err
+
+    def test_seminorm_zero_p_exit2(self):
+        # p = 0 is an error, not a request for the default N / beta
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "suspension:d=1", "--kind", "sobolev",
+            "--p", "0")
+        assert code == 2 and not stdout
+        assert "error: p must be >= 1" in err
 
     @pytest.mark.parametrize("kind", ["sobolev", "holder"])
     def test_seminorm_zero_samples_exit2(self, kind):

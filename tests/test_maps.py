@@ -1,20 +1,26 @@
 """Map families: values, Jacobians, pullbacks, perturbations, spec strings."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quanthom.maps import (S1, S2, S2xS2, compose_with_isometry,
+from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, compose_with_isometry,
                            distance_to_target, jacobian_fd_error,
                            make_antipodal, make_circle_power, make_constant,
                            make_hopf, make_map_composition,
                            make_oscillation_perturbation, make_product_map,
                            make_reflection, make_sphere_suspension,
-                           parse_map_spec, product_factor_form,
-                           project_to_target, pullback, pullback_form,
-                           target_distance_error, volume_form)
+                           parse_map_spec, project_to_target, pullback,
+                           pullback_form, target_distance_error, volume_form)
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# a test id is the map's name; the explicit ids are the names these maps
+# had before every name became a spec, kept so the ids stay stable
 ALL_FAMILIES = [
     make_circle_power(0),
     make_circle_power(1),
@@ -22,17 +28,24 @@ ALL_FAMILIES = [
     make_sphere_suspension(1),
     make_sphere_suspension(2),
     make_hopf(),
-    make_antipodal(2),
-    make_product_map(make_hopf(), make_constant(3, S2)),
+    pytest.param(make_antipodal(2), id="antipodal"),
+    pytest.param(make_product_map(make_hopf(), make_constant(3)),
+                 id="product:hopf,const"),
     make_map_composition(make_sphere_suspension(2), make_hopf()),
     # more chain rules Dg(f(x)) Df(x), one of them nested
     parse_map_spec("compose:suspension:d=3|hopf"),
-    parse_map_spec("compose:hopf|antipodal:n=3"),
+    pytest.param(parse_map_spec("compose:hopf|antipodal:n=3"),
+                 id="compose:hopf|antipodal"),
     parse_map_spec("compose:circle-power:d=2|circle-power:d=-3"),
-    parse_map_spec("compose:antipodal:n=2|suspension:d=2"),
-    parse_map_spec("compose:suspension:d=2|compose:hopf|antipodal:n=3"),
+    pytest.param(parse_map_spec("compose:antipodal:n=2|suspension:d=2"),
+                 id="compose:antipodal|suspension:d=2"),
+    pytest.param(parse_map_spec(
+        "compose:suspension:d=2|compose:hopf|antipodal:n=3"),
+        id="compose:suspension:d=2|compose:hopf|antipodal"),
     make_oscillation_perturbation(make_hopf(), 0.1, 3),
     make_oscillation_perturbation(make_circle_power(2), 0.1, 7),
+    make_reflection(3, 2),
+    parse_map_spec("compose:reflect:n=2,axis=1|const:n=3"),
 ]
 
 
@@ -91,7 +104,7 @@ class TestFamilies:
         assert np.abs(vals - np.array([1.0, 0.0, 0.0])).max() < 1e-12
 
     def test_product_blocks(self):
-        f1, f2 = make_hopf(), make_constant(3, S2)
+        f1, f2 = make_hopf(), make_constant(3)
         prod = make_product_map(f1, f2)
         pts = np.random.default_rng(2).standard_normal((5, 4))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -102,8 +115,10 @@ class TestFamilies:
     def test_target_blocks(self):
         assert S2.blocks == (slice(0, 3),)
         assert S2xS2.blocks == (slice(0, 3), slice(3, 6))
-        # the default constant sits at the first basis vector of each factor
-        assert make_constant(3, S2xS2).value(np.eye(4)[:1]).tolist() == [
+        # the constant sits at the first basis vector of each factor
+        const = make_product_map(make_constant(3), make_constant(3))
+        assert const.target == S2xS2
+        assert const.value(np.eye(4)[:1]).tolist() == [
             [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]
         y = np.array([[2.0, 0.0, 0.0, 0.0, 3.0, 0.0]])
         assert distance_to_target(y, S2xS2)[0] == np.sqrt(5.0)
@@ -112,7 +127,7 @@ class TestFamilies:
 
     def test_product_domain_mismatch(self):
         with pytest.raises(ValueError, match="domain"):
-            make_product_map(make_hopf(), make_constant(2, S2))
+            make_product_map(make_hopf(), make_constant(2))
 
     def test_perturbation_eps_zero(self):
         f = make_hopf()
@@ -125,10 +140,17 @@ class TestFamilies:
         with pytest.raises(ValueError, match="leaves tubular neighborhood"):
             make_oscillation_perturbation(make_hopf(), 0.25, 3)
 
+    @pytest.mark.parametrize("eps", ["-0.9", "nan"])
+    def test_perturbation_eps_outside_neighborhood_named(self, eps):
+        # a negative eps past the neighborhood read degree 0.0589, not 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"perturbation eps={eps} leaves tubular neighborhood")):
+            parse_map_spec(f"perturb:eps={eps},m=3|suspension:d=1")
+
 
 class TestPullback:
     def test_constant_map_vanishes(self):
-        f = make_constant(2, S2)
+        f = make_constant(2)
         om = volume_form(S2)
         x = np.array([0.0, 0.0, 1.0])
         u, v = np.array([1.0, 0, 0]), np.array([0.0, 1, 0])
@@ -196,9 +218,10 @@ class TestPullback:
 @pytest.mark.parametrize("f, omega", [
     (make_hopf(), volume_form(S2)),
     (parse_map_spec("compose:suspension:d=2|hopf"), volume_form(S2)),
-    (make_product_map(make_hopf(),
-                      parse_map_spec("compose:suspension:d=2|hopf")),
-     product_factor_form(S2xS2, 1)),
+    pytest.param(make_product_map(
+        make_hopf(), parse_map_spec("compose:suspension:d=2|hopf")),
+        volume_form(S2xS2, 1),
+        id="product:hopf,compose:suspension:d=2|hopf-omega_2"),
 ], ids=lambda x: getattr(x, "name", None))
 def test_frame_subsets_match_pointwise_pullback(f, omega):
     # one push of the whole 3-frame per point, then the 2-subsets, equals
@@ -235,7 +258,7 @@ class TestTargetForms:
                              make_map_composition(make_sphere_suspension(2),
                                                   make_hopf()))
         for i in (0, 1):
-            om = product_factor_form(S2xS2, i)
+            om = volume_form(S2xS2, i)
             eta = de_rham_project(pullback_form(f, om), m)
             op = hodge_operator(m, 2)
             assert op.norm(eta.d()) / op.norm(eta) < 1e-4
@@ -247,7 +270,7 @@ class TestSpecStrings:
         ("suspension:d=2", "suspension:d=2"),
         ("hopf", "hopf"),
         ("compose:suspension:d=2|hopf", "compose:suspension:d=2|hopf"),
-        ("product:hopf,const", "product:hopf,const"),
+        ("product:hopf|const", "product:hopf|const:n=3"),
         ("perturb:eps=0.1,m=7|hopf", "perturb:eps=0.1,m=7|hopf"),
     ])
     def test_roundtrip(self, spec, name):
@@ -276,8 +299,9 @@ class TestSpecStrings:
             parse_map_spec(spec)
 
     @pytest.mark.parametrize("spec,name", [
-        ("antipodal:n=2", "antipodal"), ("const", "const"), ("hopf:", "hopf"),
-        ("perturb:eps=0.05,m=3|const:n=2", "perturb:eps=0.05,m=3|const"),
+        ("antipodal:n=2", "antipodal:n=2"), ("const", "const:n=3"),
+        ("hopf:", "hopf"),
+        ("perturb:eps=0.05,m=3|const:n=2", "perturb:eps=0.05,m=3|const:n=2"),
         ("circle-power:d=-2", "circle-power:d=-2"),
     ])
     def test_optional_keys(self, spec, name):
@@ -286,6 +310,106 @@ class TestSpecStrings:
     def test_composition_checks_domain(self):
         with pytest.raises(ValueError, match="mismatch"):
             make_map_composition(make_circle_power(2), make_hopf())
+
+    @pytest.mark.parametrize("spec,name,domain", [
+        ("const:n=2", "const:n=2", 2),
+        ("antipodal:n=3", "antipodal:n=3", 3),
+        ("product:perturb:eps=0.1,m=7|hopf|const",
+         "product:perturb:eps=0.1,m=7|hopf|const:n=3", 3),
+        ("compose:perturb:eps=0.1,m=3|suspension:d=2|hopf",
+         "compose:perturb:eps=0.1,m=3|suspension:d=2|hopf", 3),
+    ])
+    def test_names_keep_domain_and_nesting(self, spec, name, domain):
+        f = parse_map_spec(spec)
+        assert f.name == name
+        assert parse_map_spec(f.name).domain_dim == domain
+
+    def test_compose_takes_a_nested_outer_map(self):
+        # the outer map is perturb(suspension:d=2), the inner one hopf
+        f = parse_map_spec("compose:perturb:eps=0.1,m=3|suspension:d=2|hopf")
+        outer = make_oscillation_perturbation(make_sphere_suspension(2), 0.1, 3)
+        X = np.random.default_rng(10).standard_normal((20, 4))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        assert np.array_equal(f.value(X), outer.value(make_hopf().value(X)))
+
+    def test_comma_between_sub_maps_named(self):
+        with pytest.raises(ValueError, match="'hopf,const'"):
+            parse_map_spec("product:hopf,const")
+
+    @pytest.mark.parametrize("spec,message", [
+        ("compose:hopf", "missing sub-map of 'compose'"),
+        ("hopf|hopf", "extra sub-map 'hopf'"),
+        ("reflect:n=2,axis=3", "reflection axis 3 is not a coordinate of S^2"),
+    ])
+    def test_sub_map_count_and_axis_checked(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_map_spec(spec)
+
+    def test_readme_examples_round_trip(self):
+        # every example of the README's "Map-spec examples" paragraph is a
+        # canonical name, and together they cover every family
+        text = README.read_text()
+        para = text[text.index("Map-spec examples"):].split("\n\n")[0]
+        examples = re.findall(r"`([^`]+)`", para)
+        assert {s.partition(":")[0] for s in examples} == set(MAP_FAMILIES)
+        for spec in examples:
+            assert parse_map_spec(spec).name == spec
+
+
+# every head the generated trees use, which is every family of the table
+TREE_HEADS = {1: "circle-power", 2: "suspension", 3: "hopf"}
+
+
+@st.composite
+def map_trees(draw, N: int, depth: int, sphere: bool = False):
+    """A map out of S^N nested at most `depth` deep, into a sphere if
+    `sphere` (a product or composition needs sphere-valued factors)."""
+    heads = [TREE_HEADS[N], "const", "antipodal", "reflect"]
+    if depth > 0:
+        heads += ["compose", "perturb"] + ([] if sphere else ["product"])
+    head = draw(st.sampled_from(heads))
+    if head == "circle-power":
+        return make_circle_power(draw(st.integers(-3, 3)))
+    if head == "suspension":
+        return make_sphere_suspension(draw(st.integers(-3, 3)))
+    if head == "hopf":
+        return make_hopf()
+    if head == "const":
+        return make_constant(N)
+    if head == "antipodal":
+        return make_antipodal(N)
+    if head == "reflect":
+        return make_reflection(N, draw(st.integers(0, N)))
+    if head == "perturb":
+        return make_oscillation_perturbation(
+            draw(map_trees(N, depth - 1, sphere)),
+            draw(st.floats(-0.19, 0.19)), draw(st.integers(0, 9)))
+    if head == "product":
+        return make_product_map(draw(map_trees(N, depth - 1, True)),
+                                draw(map_trees(N, depth - 1, True)))
+    inner = draw(map_trees(N, depth - 1, True))
+    return make_map_composition(
+        draw(map_trees(inner.target.dim, depth - 1, sphere)), inner)
+
+
+def test_trees_use_every_family():
+    heads = set(TREE_HEADS.values()) | {"const", "antipodal", "reflect",
+                                        "compose", "perturb", "product"}
+    assert heads == set(MAP_FAMILIES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.integers(1, 3).flatmap(lambda N: map_trees(N, 3)),
+       seed=st.integers(0, 2 ** 16))
+def test_names_round_trip(f, seed):
+    # parse(f.name) is f: the same name, and bitwise the same values and
+    # Jacobians at random points
+    back = parse_map_spec(f.name)
+    assert back.name == f.name
+    X = np.random.default_rng(seed).standard_normal((16, f.domain_dim + 1))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    assert back.value(X).tobytes() == f.value(X).tobytes()
+    assert back.jacobian(X).tobytes() == f.jacobian(X).tobytes()
 
 
 def test_reflection_distance():

@@ -10,7 +10,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
 from quanthom.geometry import SPHERE_VOLUMES
-from quanthom.maps import (S2, SmoothMap, compose_with_isometry,
+from quanthom.maps import (SmoothMap, compose_with_isometry,
                            make_antipodal, make_circle_power, make_constant,
                            make_hopf, make_oscillation_perturbation,
                            make_sphere_suspension, parse_map_spec)
@@ -280,7 +280,7 @@ class TestSobolev:
         assert abs(total ** 0.5 - oracle) / oracle < 0.01
 
     def test_constant_is_zero(self):
-        est = sobolev_seminorm(make_constant(2, S2), 0.5, 2.0, samples=2000)
+        est = sobolev_seminorm(make_constant(2), 0.5, 2.0, samples=2000)
         assert est.value == 0.0 and est.error == 0.0
 
     def test_beta_range(self):
@@ -332,7 +332,7 @@ class TestSobolev:
 
 class TestHolder:
     def test_constant(self):
-        est = holder_seminorm(make_constant(2, S2), 0.5, samples=2000)
+        est = holder_seminorm(make_constant(2), 0.5, samples=2000)
         assert est.value == 0.0
 
     def test_identity_s2_lipschitz(self):
@@ -370,7 +370,7 @@ class TestHolder:
 
 class TestBMO:
     def test_constant(self):
-        est = bmo_seminorm(make_constant(2, S2), seed=1)
+        est = bmo_seminorm(make_constant(2), seed=1)
         assert est.value == 0.0
 
     def test_identity_circle_matches_arc_oracle(self):
@@ -390,7 +390,7 @@ class TestBMO:
     def test_perturbed_constant_linear_in_eps(self):
         vals = []
         for eps in (0.05, 0.1):
-            f = make_oscillation_perturbation(make_constant(2, S2), eps, 3)
+            f = make_oscillation_perturbation(make_constant(2), eps, 3)
             vals.append(bmo_seminorm(f, seed=5).value)
         assert vals[1] / vals[0] == pytest.approx(2.0, rel=0.15)
 
@@ -399,7 +399,7 @@ class TestPoissonExtension:
     def test_constant_reproduced(self):
         m = cached_mesh(2, 3)
         probes = np.array([[0.3, 0.1, 0.2], [0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])
-        out = poisson_extension_distance(make_constant(2, S2), probes, m)
+        out = poisson_extension_distance(make_constant(2), probes, m)
         assert max(d for _, d in out) < 1e-10
 
     def test_identity_at_center(self):
@@ -411,7 +411,7 @@ class TestPoissonExtension:
     def test_probe_outside_ball(self):
         m = cached_mesh(2, 2)
         with pytest.raises(ValueError, match="unit ball"):
-            poisson_extension_distance(make_constant(2, S2),
+            poisson_extension_distance(make_constant(2),
                                        np.array([[1.0, 0.0, 0.0]]), m)
 
     def test_perturbed_constant_quadratic_law(self):
@@ -421,7 +421,7 @@ class TestPoissonExtension:
         probes = np.array([[0.3, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.7]])
         dist, bmo = [], []
         for eps in (0.05, 0.1):
-            f = make_oscillation_perturbation(make_constant(2, S2), eps, 3)
+            f = make_oscillation_perturbation(make_constant(2), eps, 3)
             dist.append(max(d for _, d in
                             poisson_extension_distance(f, probes, m)))
             bmo.append(bmo_seminorm(f, seed=6).value)
