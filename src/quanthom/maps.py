@@ -425,6 +425,18 @@ def target_distance_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> 
     return float(distance_to_target(f.value(X), f.target).max())
 
 
+def _dim(text: str) -> int:
+    """A sphere dimension: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise ValueError
+    return n
+
+
+# what each value type of MAP_FAMILIES accepts, for error messages
+_VALUE_TYPES = {int: "an integer", float: "a number",
+                _dim: "an integer >= 1"}
+
 # head -> (builder, {key: (type,) or (type, default)}, number of
 # sub-maps); a key without a default is required.  The builder takes the
 # sub-maps, then the keys' values in table order.
@@ -432,9 +444,9 @@ MAP_FAMILIES = {
     "circle-power": (make_circle_power, {"d": (int,)}, 0),
     "suspension": (make_sphere_suspension, {"d": (int,)}, 0),
     "hopf": (make_hopf, {}, 0),
-    "const": (make_constant, {"n": (int, 3)}, 0),
-    "antipodal": (make_antipodal, {"n": (int, 2)}, 0),
-    "reflect": (make_reflection, {"n": (int, 2), "axis": (int, 0)}, 0),
+    "const": (make_constant, {"n": (_dim, 3)}, 0),
+    "antipodal": (make_antipodal, {"n": (_dim, 2)}, 0),
+    "reflect": (make_reflection, {"n": (_dim, 2), "axis": (int, 0)}, 0),
     "compose": (make_map_composition, {}, 2),
     "product": (make_product_map, {}, 2),
     "perturb": (make_oscillation_perturbation,
@@ -444,7 +456,8 @@ MAP_FAMILIES = {
 
 def _params(spec: str, text: str, keys: dict) -> list:
     """The values of a family's keys, in table order, from its
-    `key=value,...` text; an unknown, repeated or missing key is named."""
+    `key=value,...` text; an unknown, repeated or missing key, or a value
+    its type rejects, is named."""
     kv = {}
     for part in text.split(",") if text else ():
         key, eq, val = (x.strip() for x in part.partition("="))
@@ -460,7 +473,11 @@ def _params(spec: str, text: str, keys: dict) -> list:
     for key, (kind, *default) in keys.items():
         if key not in kv and not default:
             raise ValueError(f"missing key {key!r} in map spec {spec!r}")
-        values.append(kind(kv[key]) if key in kv else default[0])
+        try:
+            values.append(kind(kv[key]) if key in kv else default[0])
+        except ValueError:
+            raise ValueError(f"key {key!r} in map spec {spec!r} must be "
+                             f"{_VALUE_TYPES[kind]}, not {kv[key]!r}") from None
     return values
 
 
@@ -493,7 +510,8 @@ def parse_map_spec(spec: str) -> SmoothMap:
     after its `:`.  So `compose:OUTER|INNER`, `product:FIRST|SECOND` and
     `perturb:eps=0.1,m=7|SPEC` nest to any depth, e.g.
     `compose:perturb:eps=0.1,m=3|suspension:d=2|hopf`.  Unknown,
-    repeated and missing keys raise ValueError naming the key and spec.
+    repeated and missing keys, a value that is not a number, and a
+    domain `n` below 1 raise ValueError naming the key and spec.
     """
     spec = spec.strip()
     items = spec.split("|")

@@ -9,11 +9,14 @@ diagonal the pair integral is carried by its leading term
 A t^p chord(t)^{-(N + beta p)}, with A = int int |Df(x) u|^p du dx over
 the unit tangent vectors u, taken from the analytic Jacobian and
 integrated in closed form in t (singularity subtraction).  On S^1 the
-rest is a single shift integral, by adaptive Gauss-Kronrod panels.  On
+rest is a single shift integral, by adaptive Gauss-Kronrod panels over
+a periodic trapezoid rule in the angle whose count (256 to 2,048) is
+fixed first, by doubling until the rule resolves the Jacobian moment.  On
 S^2 and S^3 the rest is estimated by Monte Carlo in 12 dyadic chord
 strata (the integrand is unbounded near the diagonal for beta > 1/2,
 where plain sampling has unbounded variance), and the leading term
-covers the angles below the last stratum.
+covers the angles below the last stratum.  The BMO estimate is a
+sampled sup of cap U-statistics of the pair distances.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum from the master seed, so results are reproducible for a fixed
@@ -41,6 +44,7 @@ class SeminormEstimate:
     method: str
     samples: int
     seed: int | None = None
+    angles: int | None = None    # trapezoid angles of the S^1 rule
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +231,8 @@ _GK_W = np.concatenate([_KRONROD_W[:-1], _KRONROD_W[::-1]])
 _GK_DIFF = _GK_W.copy()                 # K15 - G7 weights on the same nodes
 _GK_DIFF[1::2] -= np.concatenate([_GAUSS_W[:-1], _GAUSS_W[::-1]])
 
-_THETA = 2048                # periodic trapezoid angles of G(t)
+_THETA_MIN = 256             # periodic trapezoid angles of G(t): the
+_THETA_MAX = 2048            # first count tried, and the cap
 _DYADIC = 15                 # initial far panels [pi 2^-k-1, pi 2^-k]
 _T_MIN = np.pi * 2.0 ** -_DYADIC   # near part [0, T_MIN]
 _PANEL_RTOL = 1e-9           # target of sum |K15 - G7| over the total
@@ -240,28 +245,37 @@ def _sobolev_circle_quadrature(f, beta, p):
 
     [f]^p = 2 int_0^pi G(t) chord(t)^{-(1+beta p)} dt with
     G(t) = int |f(theta+t)-f(theta)|^p dtheta, the periodic trapezoid
-    rule on _THETA angles.  Near the diagonal G(t) = A t^p + O(t^{p+2}),
+    rule on n angles.  Near the diagonal G(t) = A t^p + O(t^{p+2}),
     A = int |f'|^p (the t^{p+1} term is a derivative and integrates to
     0), so [0, T_MIN] takes the leading term with A from the analytic
     Jacobian, by a Gauss-Jacobi rule for the weight t^{p(1-beta)-1}.
-    [T_MIN, pi] starts from dyadic panels; the panel of largest
-    |K15 - G7| is bisected until their sum is below _PANEL_RTOL of the
-    total or a tenth of the trapezoid change against every other angle,
-    which more panels cannot reduce.  The error adds that sum, the near
-    remainder (extrapolated from the lowest panel as t^{p(1-beta)+2}),
-    that trapezoid change, and a round-off floor eps/T_MIN for the
-    cancellation in f(theta+t) - f(theta).  Returns the total, its error
-    and the rows passed to f.value.
+    n is fixed before any panel: from _THETA_MIN it doubles while A on
+    n angles and on every other one differ by more than a tenth of
+    _PANEL_RTOL, up to _THETA_MAX.  [T_MIN, pi] starts from dyadic
+    panels; the panel of largest |K15 - G7| is bisected until their sum
+    is below _PANEL_RTOL of the total or a tenth of the trapezoid change
+    against every other angle, which more panels cannot reduce.  The
+    error adds that sum, the near remainder (extrapolated from the
+    lowest panel as t^{p(1-beta)+2}), that trapezoid change, and a
+    round-off floor eps/T_MIN for the cancellation in f(theta+t) -
+    f(theta).  Returns the total, its error, the rows passed to f.value
+    and n.
     """
     expo = 1.0 + beta * p
-    th = 2.0 * np.pi * np.arange(_THETA) / _THETA
-    base = np.stack([np.cos(th), np.sin(th)], axis=1)
-    tang = np.stack([-base[:, 1], base[:, 0]], axis=1)
+    n = _THETA_MIN
+    while True:
+        th = 2.0 * np.pi * np.arange(n) / n
+        base = np.stack([np.cos(th), np.sin(th)], axis=1)
+        tang = np.stack([-base[:, 1], base[:, 0]], axis=1)
+        speed = np.linalg.norm(np.einsum("nij,nj->ni", f.jacobian(base),
+                                         tang), axis=1) ** p
+        A = 2.0 * np.pi * np.array([speed.mean(), speed[::2].mean()])
+        if (n == _THETA_MAX
+                or abs(A[0] - A[1]) <= 0.1 * _PANEL_RTOL * abs(A[0])):
+            break
+        n *= 2
     f_base = f.value(base)
-    n_eval = _THETA
-    speed = np.linalg.norm(np.einsum("nij,nj->ni", f.jacobian(base), tang),
-                           axis=1) ** p
-    A = 2.0 * np.pi * np.array([speed.mean(), speed[::2].mean()])
+    n_eval = n
 
     near = 2.0 * _near_diagonal(1, beta, p, _T_MIN)
 
@@ -272,13 +286,13 @@ def _sobolev_circle_quadrature(f, beta, p):
         return t, 2.0 * half * (2.0 * np.sin(t / 2.0)) ** -expo
 
     def panel(lo, hi):
-        # one f.value call: 15 Kronrod shifts of all _THETA angles; K15
-        # on all angles and on every other one, and |K15 - G7|
+        # one f.value call: 15 Kronrod shifts of all n angles; K15 on
+        # all angles and on every other one, and |K15 - G7|
         nonlocal n_eval
         t, kern = nodes(lo, hi)
         pts = (np.cos(t)[:, None, None] * base
                + np.sin(t)[:, None, None] * tang).reshape(-1, 2)
-        diff = f.value(pts).reshape(len(t), _THETA, -1) - f_base
+        diff = f.value(pts).reshape(len(t), n, -1) - f_base
         n_eval += len(pts)
         g = np.einsum("tnk,tnk->tn", diff, diff) ** (0.5 * p)
         G = 2.0 * np.pi * np.stack([g.mean(axis=1), g[:, ::2].mean(axis=1)])
@@ -306,7 +320,7 @@ def _sobolev_circle_quadrature(f, beta, p):
             heapq.heappush(heap, panel(*half))
     err += (remainder + abs(total - coarse)
             + np.finfo(float).eps / _T_MIN * abs(total))
-    return total, float(err), n_eval
+    return total, float(err), n_eval, n
 
 
 def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
@@ -321,14 +335,14 @@ def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if f.domain_dim == 1:
-        total, err, used = _sobolev_circle_quadrature(f, beta, p)
+        total, err, used, angles = _sobolev_circle_quadrature(f, beta, p)
         name, seed = "tensor-quadrature", None
     else:
         total, err, used = _sobolev_mc(f, beta, p, samples, seed)
-        name = "stratified-MC"
+        name, angles = "stratified-MC", None
     value = total ** (1.0 / p)
     verr = err / p * max(total, 1e-300) ** (1.0 / p - 1.0)
-    return SeminormEstimate(value, verr, name, used, seed)
+    return SeminormEstimate(value, verr, name, used, seed, angles)
 
 
 # ----------------------------------------------------------------------
@@ -409,13 +423,23 @@ def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
     grid: max of the double cap average of |f(theta) - f(sigma)|.
 
     A lower bound of the BMO seminorm (finite grid of caps); the error
-    is the Monte Carlo standard error of the maximizing cap.
+    is the Monte Carlo standard error of the maximizing cap.  Raises
+    ValueError on `centers` < 1, `cap_samples` < 2 and radii that are
+    empty, not finite or not positive.
     """
     N = f.domain_dim
     amb = N + 1
     if radii is None:
         radii = 2.0 * 2.0 ** -np.arange(9, dtype=float)
     radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not radii.size or not np.all(
+            np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError(f"radii must be a nonempty list of finite positive "
+                         f"numbers, not {radii.tolist()!r}")
+    if centers < 1:
+        raise ValueError(f"centers must be >= 1, not {centers!r}")
+    if cap_samples < 2:
+        raise ValueError(f"cap_samples must be >= 2, not {cap_samples!r}")
     rng = _rng(seed, 0)
     ctrs = _uniform_sphere(rng, centers, amb)
     best, best_se = 0.0, 0.0
@@ -429,11 +453,17 @@ def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
             pts = np.cos(psi)[:, None] * x + np.sin(psi)[:, None] * U
             vals = f.value(pts)
             n_eval += cap_samples
-            diff = np.linalg.norm(vals[:, None, :] - vals[None, :, :], axis=2)
             m = len(vals)
+            # |f(x_i) - f(x_j)|^2 summed over target coordinates in the
+            # order of a norm over the last axis, without the (m, m, k) array
+            sq = np.zeros((m, m))
+            for col in vals.T:
+                d = col[:, None] - col[None, :]
+                sq += d * d
+            diff = np.sqrt(sq)
             u_stat = float(diff.sum() / (m * (m - 1)))
             row_means = (diff.sum(axis=1)) / (m - 1)
-            se = 2.0 * float(row_means.std(ddof=1)) / np.sqrt(m)
+            se = 2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)
             if u_stat > best:
                 best, best_se = u_stat, se
     return SeminormEstimate(best, best_se, "sampled-sup", n_eval, seed)

@@ -451,6 +451,19 @@ class TestCli:
         assert doc["method"] == "tensor-quadrature"
         assert abs(doc["value"] - 2 * np.pi) < 1e-2
 
+    def test_seminorm_reports_angle_count(self):
+        # the S^1 rule's angle count: 256 resolve |f'| of circle-power
+        code, stdout, _ = self.run_cli(
+            "seminorm", "--kind", "sobolev", "--map", "circle-power:d=3")
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["method"] == "tensor-quadrature"
+        assert doc["angles"] == 256
+        code, stdout, _ = self.run_cli(
+            "seminorm", "--kind", "holder", "--map", "circle-power:d=3",
+            "--samples", "200")
+        assert code == 0 and json.loads(stdout)["angles"] is None
+
     def test_removed_method_option_is_usage_error(self):
         code, stdout, err = self.run_cli(
             "seminorm", "--map", "suspension:d=1", "--kind", "sobolev",

@@ -293,6 +293,20 @@ class TestSpecStrings:
         ("circle-power:d=1,d=2", "repeated key 'd'"),
         ("antipodal:n", "parameter 'n' is not key=value"),
         ("compose:circle-power:d=2,y=0|circle-power:d=3", "unknown key 'y'"),
+        ("antipodal:n=-1", "key 'n' in map spec 'antipodal:n=-1' must be an "
+                           "integer >= 1, not '-1'"),
+        ("const:n=-2", "key 'n' in map spec 'const:n=-2' must be an "
+                       "integer >= 1"),
+        ("reflect:n=0", "key 'n' in map spec 'reflect:n=0' must be an "
+                        "integer >= 1"),
+        ("compose:hopf|const:n=0", "key 'n' in map spec "
+                                   "'compose:hopf|const:n=0'"),
+        ("circle-power:d=x", "key 'd' in map spec 'circle-power:d=x' must "
+                             "be an integer, not 'x'"),
+        ("circle-power:d=1.5", "key 'd' in map spec 'circle-power:d=1.5' "
+                               "must be an integer"),
+        ("perturb:eps=small|hopf", "key 'eps' in map spec "
+                                   "'perturb:eps=small|hopf' must be a number"),
     ])
     def test_bad_keys_named(self, spec, message):
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -1,5 +1,6 @@
 """Seminorm estimators against reduced-quadrature oracles and invariances."""
 
+import re
 import warnings
 
 import numpy as np
@@ -266,11 +267,23 @@ class TestSobolev:
                                                  **kw).value
 
     def test_circle_sweep_evaluation_budget(self):
-        # circle-power:d=1..8 at beta = 9/10 in at most 12 M map rows (the
-        # dyadic panel sum it replaced made about 36 M)
+        # circle-power:d=1..8 at beta = 9/10 in at most 1.5 M map rows (the
+        # fixed 2,048-angle rule made 11.4 M, the dyadic panel sum about 36 M)
         rows = sum(sobolev_seminorm(make_circle_power(d), 0.9, 10.0 / 9.0)
                    .samples for d in range(1, 9))
-        assert rows <= 12_000_000
+        assert rows <= 1_500_000
+
+    def test_circle_angle_count_follows_the_jacobian_moment(self):
+        # |f'| is constant on circle-power, so the first count resolves
+        # it; the folding map keeps the cap and its rows
+        for d in (1, 4, 8):
+            est = sobolev_seminorm(make_circle_power(d), 0.9, 10.0 / 9.0)
+            assert est.angles == 256
+        f = parse_map_spec("perturb:eps=0.19,m=12|circle-power:d=1")
+        est = sobolev_seminorm(f, 0.9, 10.0 / 9.0)
+        assert (est.angles, est.samples) == (2048, 585_728)
+        mc = sobolev_seminorm(make_antipodal(2), 0.6, 2 / 0.6, samples=1200)
+        assert mc.angles is None
 
     def test_stratified_mc_matches_oracle(self):
         # the Monte Carlo on S^1, where production takes the tensor rule
@@ -393,6 +406,33 @@ class TestBMO:
             f = make_oscillation_perturbation(make_constant(2), eps, 3)
             vals.append(bmo_seminorm(f, seed=5).value)
         assert vals[1] / vals[0] == pytest.approx(2.0, rel=0.15)
+
+    @pytest.mark.parametrize("spec, kw, value, error", [
+        ("suspension:d=1", dict(seed=1),
+         "0x1.56e364c32c336p+0", "0x1.6147d097f6e17p-9"),
+        ("perturb:eps=0.02,m=3|const:n=2",
+         dict(centers=48, cap_samples=96, seed=5),
+         "0x1.c477f9521ee64p-6", "0x1.6ecc7bcdb0e59p-11"),
+    ])
+    def test_pinned_bitwise(self, spec, kw, value, error):
+        # the pair distances sum their squared coordinates in the order
+        # of np.linalg.norm over the last axis, so the values stay these
+        est = bmo_seminorm(parse_map_spec(spec), **kw)
+        assert type(est.value) is float and type(est.error) is float
+        assert (est.value.hex(), est.error.hex()) == (value, error)
+        assert est.angles is None
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(cap_samples=1), "cap_samples must be >= 2"),
+        (dict(centers=0), "centers must be >= 1"),
+        (dict(radii=[]), "radii must be"),
+        (dict(radii=[-1.0]), "radii must be"),
+        (dict(radii=[0.5, np.nan]), "radii must be"),
+        (dict(radii=[[0.5]]), "radii must be"),
+    ])
+    def test_bad_arguments_named(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bmo_seminorm(make_sphere_suspension(1), **kw)
 
 
 class TestPoissonExtension:
