@@ -34,7 +34,6 @@ from math import factorial
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .minors import det
 
@@ -364,6 +363,7 @@ class SimplicialSphere:
             raise ValueError("point off mesh")
         unit = points / norms
         if self._locator is None:
+            from scipy.spatial import cKDTree  # ~50 ms import, used only here
             self._locator = (cKDTree(self.verts),
                              _vertex_stars(self.simplices[self.dim], len(self.verts)),
                              np.linalg.inv(np.swapaxes(self.top_points, 1, 2)))

@@ -11,11 +11,19 @@ v = B (r_1 x r_2) / |r_1 x r_2| has the preimage orientation, (v, w_1,
 w_2) positive in T_x S^3 (spheres oriented outward) for the min-norm
 solutions of Df w_a = t_a, as w_1 x w_2 = (r_1 x r_2) / det G.  G gives
 the transverse singular value and the Newton step is
-B R^T G^{-1} (-t.(f(x) - p)).  A coarse trace with _COARSE times the
-output spacing is refined by projecting the points of its chords onto
-the fiber in one batched Newton call.  The Gauss double integral runs in
-a stereographic chart with numerator (x - y).(dx x dy) = (x x dx).dy +
-dx.(y x dy), two matmuls per block of rows.
+B R^T G^{-1} (-t.(f(x) - p)).  The random starts landed on the preimages
+of all regular values are traced in lockstep, one batched Newton call
+per coarse step of _COARSE = 2 output spacings, each only until it comes
+within 0.75 coarse steps (1.5 output spacings) of another start of its
+value (its own counts from the third step).  That start is its
+successor; the cycles of the successor map are the components, and a
+start off every cycle lies on another's segment.  Starts within that
+radius of an earlier one are dropped first, so no trace steps over a
+start and each cycle goes round its fiber once.  One more batched call
+projects the points of the coarse chords onto the fibers.  The Gauss
+double integral runs in a stereographic chart with numerator
+(x - y).(dx x dy) = (x x dx).dy + dx.(y x dy), two matmuls per block of
+rows.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_COARSE = 8          # coarse trace step over output spacing
+_COARSE = 2          # coarse trace step over output spacing
 _GAUSS_ROWS = 256    # rows per block of the Gauss double sum
 _STARTS = 64         # random starts that seek every preimage component
 _MAX_STEPS = 100000  # coarse steps before a trace counts as open
@@ -38,6 +46,7 @@ class NonRegularValueError(ValueError):
 class FiberCurve:
     points: np.ndarray              # (n, 4), closed cyclically
     min_transverse_sv: float
+    value: int                      # index of its regular value
 
 
 @dataclass
@@ -83,10 +92,15 @@ def _fiber_geometry(f, X: np.ndarray, p: np.ndarray):
     return np.linalg.norm(res, axis=1), step, v, sv
 
 
-def _project(f, X: np.ndarray, p: np.ndarray, tol: float = 1e-12,
+def _unit(X: np.ndarray) -> np.ndarray:
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _project(f, X: np.ndarray, P: np.ndarray, tol: float = 1e-12,
              maxiter: int = 40):
-    """Newton projection of the rows of X onto f^{-1}(p) along S^3: the
-    points, the converged mask, and tangent and sv at converged rows."""
+    """Newton projection of each row of X onto f^{-1} of its row of P
+    along S^3: the points, the converged mask, and tangent and sv at
+    converged rows."""
     X = np.array(X, dtype=float)
     V, S = np.full_like(X, np.nan), np.full(len(X), np.nan)
     ok = np.zeros(len(X), dtype=bool)
@@ -94,66 +108,96 @@ def _project(f, X: np.ndarray, p: np.ndarray, tol: float = 1e-12,
     for _ in range(maxiter):
         if not act.size:
             break
-        res, step, v, sv = _fiber_geometry(f, X[act], p)
+        res, step, v, sv = _fiber_geometry(f, X[act], P[act])
         hit = res < tol
         ok[act[hit]] = True
         V[act[hit]], S[act[hit]] = v[hit], sv[hit]
         keep = ~hit & np.isfinite(step).all(axis=1)
         act, step = act[keep], step[keep]
         step *= 0.5 / np.maximum(np.linalg.norm(step, axis=1), 0.5)[:, None]
-        x = X[act] + step
-        X[act] = x / np.linalg.norm(x, axis=1, keepdims=True)
+        X[act] = _unit(X[act] + step)
     return X, ok, V, S
 
 
-def trace_fiber(f, p: np.ndarray, x0: np.ndarray, step: float,
-                reg_tol: float = 1e-3) -> FiberCurve:
-    """Closed preimage curve of the regular value p through x0, with
-    points about `step` apart (at most _MAX_STEPS coarse steps)."""
-    X, ok, V, S = _project(f, np.asarray(x0, dtype=float)[None], p)
-    if not ok[0]:
-        raise RuntimeError("could not land on the preimage")
-    h = _COARSE * step
-    pts = [X[0]]
+def _cycles(succ: np.ndarray) -> list[list[int]]:
+    """Cycles of the map i -> succ[i], in the order that following it
+    from each index in turn first meets them."""
+    cycles, seen = [], np.zeros(len(succ), dtype=bool)
+    for first in range(len(succ)):
+        path, i = [], first
+        while not seen[i]:
+            seen[i] = True
+            path.append(i)
+            i = succ[i]
+        if i in path:
+            cycles.append(path[path.index(i):])
+    return cycles
+
+
+def preimage_link(f, values: np.ndarray, step: float, seed: int = 0,
+                  reg_tol: float = 1e-3) -> list[FiberCurve]:
+    """All components of f^{-1}(p) for each value p of `values`, (3,) or
+    (m, 3), as closed polylines with points about `step` apart, tagged
+    with the index of their value.  Value j is sought from _STARTS random
+    starts of seed + j."""
+    P = np.atleast_2d(np.asarray(values, dtype=float))
+    X = np.concatenate([np.random.default_rng(seed + j)
+                        .standard_normal((_STARTS, 4)) for j in range(len(P))])
+    val = np.repeat(np.arange(len(P)), _STARTS)
+    X, ok, V, S = _project(f, _unit(X), P[val])
+    if not ok.any():
+        return []
+    X, V, S, val = X[ok], V[ok], S[ok], val[ok]
+    r2 = (0.75 * _COARSE * step) ** 2           # arrival radius, squared
+    same = val[:, None] == val[None]
+    # a start within the arrival radius of an earlier start of its value
+    # is dropped, so no trace steps over a start
+    keep = ~np.tril(same & (2.0 - 2.0 * X @ X.T < r2), -1).any(axis=1)
+    starts, val, same = X[keep], val[keep], same[np.ix_(keep, keep)]
+    x, v, s = starts, V[keep], S[keep]
+    succ = np.empty(len(starts), dtype=int)
+    act = np.arange(len(starts))
+    segs = [[x0] for x0 in starts]              # coarse points per start
     for n in range(_MAX_STEPS):
-        if not S[0] > reg_tol:
-            raise NonRegularValueError("non-regular value")
-        pred = X[0] + h * V[0]
-        X, ok, V, S = _project(f, (pred / np.linalg.norm(pred))[None], p)
-        if not ok[0]:
-            raise RuntimeError("corrector failed during fiber tracing")
-        if n >= 2 and np.linalg.norm(X[0] - pts[0]) < 0.75 * h:
+        if not act.size:
             break
-        pts.append(X[0])
-    else:
+        if not (s > reg_tol).all():
+            raise NonRegularValueError("non-regular value")
+        x, ok, v, s = _project(f, _unit(x + _COARSE * step * v), P[val[act]])
+        if not ok.all():
+            raise RuntimeError("corrector failed during fiber tracing")
+        d2 = np.where(same[act], 2.0 - 2.0 * x @ starts.T, np.inf)
+        if n < 2:
+            d2[np.arange(len(act)), act] = np.inf
+        near = np.argmin(d2, axis=1)
+        stop = d2[np.arange(len(act)), near] < r2
+        succ[act[stop]] = near[stop]
+        act, x, v, s = act[~stop], x[~stop], v[~stop], s[~stop]
+        for i, y in zip(act, x):
+            segs[i].append(y)
+    if act.size:
         raise RuntimeError("open preimage trace: no closure within step budget")
-    coarse = np.array(pts)
-    chord = np.roll(coarse, -1, axis=0) - coarse
-    m = np.maximum(1, np.rint(np.linalg.norm(chord, axis=1) / step)).astype(int)
-    seg = np.repeat(np.arange(len(coarse)), m)
-    t = (np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)) / m[seg]
-    X = coarse[seg] + t[:, None] * chord[seg]
-    X, ok, _, S = _project(f, X / np.linalg.norm(X, axis=1, keepdims=True), p)
+    cycles = _cycles(succ)
+    fine = []
+    for cyc in cycles:
+        coarse = np.array([y for i in cyc for y in segs[i]])
+        chord = np.roll(coarse, -1, axis=0) - coarse
+        m = np.maximum(1, np.rint(np.linalg.norm(chord, axis=1) / step))
+        m = m.astype(int)
+        seg = np.repeat(np.arange(len(coarse)), m)
+        t = (np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)) / m[seg]
+        fine.append(coarse[seg] + t[:, None] * chord[seg])
+    cval = val[[cyc[0] for cyc in cycles]]
+    sizes = [len(c) for c in fine]
+    X, ok, _, S = _project(f, _unit(np.concatenate(fine)),
+                           np.repeat(P[cval], sizes, axis=0))
     if not ok.all():
         raise RuntimeError("corrector failed during fiber refinement")
     if not S.min() > reg_tol:
         raise NonRegularValueError("non-regular value")
-    return FiberCurve(X, float(S.min()))
-
-
-def preimage_link(f, p: np.ndarray, step: float, seed: int = 0,
-                  reg_tol: float = 1e-3) -> list[FiberCurve]:
-    """All components of f^{-1}(p), each traced as a closed polyline."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((_STARTS, 4))
-    X, ok, _, _ = _project(f, X / np.linalg.norm(X, axis=1, keepdims=True), p)
-    curves: list[FiberCurve] = []
-    for x in X[ok]:
-        if any(np.linalg.norm(c.points - x, axis=1).min() < 2.0 * step
-               for c in curves):
-            continue
-        curves.append(trace_fiber(f, p, x, step, reg_tol=reg_tol))
-    return curves
+    cut = np.cumsum(sizes)[:-1]
+    return [FiberCurve(x, float(s.min()), int(j))
+            for x, s, j in zip(np.split(X, cut), np.split(S, cut), cval)]
 
 
 def _stereographic(points: np.ndarray, pole: np.ndarray) -> np.ndarray:
@@ -212,7 +256,7 @@ def gauss_linking_oracle(f, p, q, step: float | None = None, seed: int = 0,
 
     p and q must be distinct regular values of f: the smallest transverse
     singular value of Df along the preimages must exceed `reg_tol`.
-    Step defaults to about 2000 points per unit-circumference fiber.
+    Step defaults to 2pi/2000, 2000 points on a great circle of S^3.
     """
     if f.domain_dim != 3 or f.target.dim != 2 or f.target.kind != "sphere":
         raise ValueError("oracle requires a map S3 -> S2")
@@ -227,8 +271,10 @@ def gauss_linking_oracle(f, p, q, step: float | None = None, seed: int = 0,
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     if not reg_tol >= 0:
         raise ValueError(f"reg_tol must be >= 0, got {reg_tol!r}")
-    link_p = preimage_link(f, p, step, seed=seed, reg_tol=reg_tol)
-    link_q = preimage_link(f, q, step, seed=seed + 1, reg_tol=reg_tol)
+    curves = preimage_link(f, np.stack([p, q]), step, seed=seed,
+                           reg_tol=reg_tol)
+    link_p = [c for c in curves if c.value == 0]
+    link_q = [c for c in curves if c.value == 1]
     info = dict(n_components=(len(link_p), len(link_q)),
                 min_transverse_sv=min((c.min_transverse_sv for c in
                                        link_p + link_q), default=None),

@@ -1,6 +1,8 @@
 """Meshes, boundary operators, quadrature, and the mesh file format."""
 
 import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -223,6 +225,25 @@ class TestMeshConstruction:
     def test_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension out of range"):
             build_sphere_mesh(4, 0)
+
+    def test_scipy_spatial_imported_by_locate_alone(self):
+        # the package and its CLI start without scipy.spatial; point
+        # location imports it on first use
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import quanthom, quanthom.cli\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+            "from quanthom.geometry import Cochain, build_sphere_mesh, "
+            "whitney_interpolate\n"
+            "m = build_sphere_mesh(2, 1)\n"
+            "c = Cochain(m, 0, m.verts[:, 2].copy())\n"
+            "x = m.top_points.mean(axis=1)\n"
+            "assert np.abs(whitney_interpolate(c, x) - x[:, 2]).max() < 1e-13\n"
+            "assert 'scipy.spatial' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_locate_roundtrip(self, mesh_s2, rng):
         pts = rng.standard_normal((50, 3))

@@ -1,5 +1,7 @@
 """Kernels of the linking oracle: fiber frame, traced fibers, the Gauss
-integral, input checks, and the reflection law."""
+integral, input checks, pinned values, and the reflection law."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from quanthom import linking
 from quanthom.invariants import hopf_invariant
-from quanthom.linking import (_quaternion_frame, gauss_linking_integral,
-                              gauss_linking_oracle, preimage_link)
+from quanthom.linking import (_cycles, _quaternion_frame,
+                              gauss_linking_integral, gauss_linking_oracle,
+                              preimage_link)
 from quanthom.maps import (compose_with_isometry, make_constant, make_hopf,
-                           make_oscillation_perturbation)
+                           make_oscillation_perturbation, parse_map_spec)
 
 from conftest import cached_mesh
 
 E1 = np.array([1.0, 0.0, 0.0])
+SQUARE = "compose:suspension:d=2|hopf"
 
 
 def circle(n, center, u, v):
@@ -102,6 +107,77 @@ def test_traced_fiber_on_preimage_and_evenly_spaced(f):
         gaps = np.linalg.norm(np.roll(c.points, -1, axis=0) - c.points, axis=1)
         assert np.all((gaps >= 0.25 * step) & (gaps <= 1.5 * step))
         assert c.min_transverse_sv > 1e-3
+
+
+def test_cycles_of_successor_map_in_first_met_order():
+    # 3 -> 2 runs into the cycle (0 1 2) and lies on no cycle
+    assert _cycles(np.array([1, 2, 0, 2, 5, 4, 6])) == [[0, 1, 2], [4, 5],
+                                                        [6]]
+    assert _cycles(np.array([], dtype=int)) == []
+
+
+@pytest.mark.parametrize("gap", [0.3, 0.45])
+def test_close_starts_trace_one_loop(monkeypatch, gap):
+    # two starts `gap` output steps apart on a Hopf fiber 401.5 steps
+    # long: were neither dropped, the trace from each could pass the other
+    # and their cycle go round the fiber twice
+    f, step = make_hopf(), 2 * np.pi / 401.5
+    x = np.array([0.6, 0.0, 0.8, 0.0])
+    p = f.value(x[None])[0]
+    v = linking._fiber_geometry(f, x[None], p[None])[2][0]
+    y = np.cos(gap * step) * x + np.sin(gap * step) * v
+    planted = SimpleNamespace(standard_normal=lambda shape: np.stack([x, y]))
+    monkeypatch.setattr(linking, "_STARTS", 2)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: planted)
+    curves = preimage_link(f, p, step)
+    assert len(curves) == 1
+    assert 390 <= len(curves[0].points) <= 410
+
+
+def test_stacked_values_trace_as_single_calls():
+    # value j of a stack is sought from seed + j, as one call per value
+    f = parse_map_spec(SQUARE)
+    P = np.array([E1, -E1, [0.0, 0.6, 0.8]])
+    step = 2 * np.pi / 400
+    stacked = preimage_link(f, P, step, seed=5)
+    assert [c.value for c in stacked] == sorted(c.value for c in stacked)
+    for j, p in enumerate(P):
+        one = preimage_link(f, p, step, seed=5 + j)
+        assert len(one) == 2 and all(c.value == 0 for c in one)
+        assert ([len(c.points) for c in stacked if c.value == j]
+                == [len(c.points) for c in one])
+
+
+def test_close_components_stay_apart():
+    # the two fibers of each value lie about 2.5 output steps apart, past
+    # the 1.5-step arrival radius of the tracer
+    e = 0.008
+    p = np.array([np.sin(e), 0.0, np.cos(e)])
+    res = gauss_linking_oracle(parse_map_spec(SQUARE), p, -p,
+                               step=2 * np.pi / 2000)
+    assert res.n_components == (2, 2)
+    assert abs(res.value - 4.0) < 4e-3
+
+
+@pytest.mark.parametrize("spec, pin", [("hopf", "0x1.00000e020d7ecp+0"),
+                                       (SQUARE, "0x1.000012bb112b1p+2")])
+def test_oracle_pinned(spec, pin):
+    res = gauss_linking_oracle(parse_map_spec(spec), E1, -E1,
+                               step=2 * np.pi / 2000, seed=0)
+    assert abs(res.value - float.fromhex(pin)) < 1e-8
+    assert all(1900 <= n <= 2100 for side in res.points for n in side)
+
+
+def test_oracle_fiber_geometry_budget(monkeypatch):
+    # the starts of both values advance together, one batched Newton call
+    # per coarse step
+    calls = []
+    fiber_geometry = linking._fiber_geometry
+    monkeypatch.setattr(linking, "_fiber_geometry",
+                        lambda *a: calls.append(1) or fiber_geometry(*a))
+    res = gauss_linking_oracle(parse_map_spec(SQUARE), E1, -E1)
+    assert res.n_components == (2, 2)
+    assert len(calls) <= 300
 
 
 @pytest.mark.parametrize("kwargs,match", [
