@@ -31,9 +31,12 @@ dP_x(e) = (e - (e.u) u)/r.
 Each stage owns its simplex rule (quadrature.simplex_rule), named by its
 exact degree: PROJECT_DEGREE for projections, WEDGE_DEGREE for wedge
 integrals and the sphere quadrature.  All three run over the simplices in
-blocks of a fixed size (mesh.blocks), so the nodes and frames of the
-whole mesh are never held at once; block integrals are added in block
-order, which keeps every result the same from run to run.
+blocks of a fixed size on every core (mesh.map_blocks), so the nodes and
+frames of the whole mesh are never held at once.  A block's work is a
+pure function of its rows, with every cached table built before the
+blocks run, and block integrals are added in block order, so every
+result is the same bits from run to run and at any core count.  Form
+evaluators must therefore be safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from math import factorial
 import numpy as np
 
 from .cochain import Cochain
-from .mesh import blocks, permutation_sign
+from .mesh import map_blocks, permutation_sign, simplex_geometry
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
@@ -141,7 +144,7 @@ def de_rham_project(form, mesh) -> Cochain:
     `form` is a k-form evaluator; its integral over each simplex is the
     integral over the curved (radially projected) patch, by the rule of
     degree PROJECT_DEGREE.  The simplices are integrated block by block
-    (mesh.blocks).
+    (mesh.map_blocks).
     """
     k = form.degree
     if k == 0:
@@ -150,11 +153,14 @@ def de_rham_project(form, mesh) -> Cochain:
         return Cochain(mesh, 0, vals)
     bary, w = simplex_rule(k, PROJECT_DEGREE)
     integrals = np.empty(mesh.n_simplices(k))
-    for rows in blocks(len(integrals)):
+
+    def integrate(rows):
         nodes, frames = _nodes_and_frames(mesh, bary, rows)
         n_b, n_q, _, dim = frames.shape
         vals = form(nodes.reshape(-1, dim), frames.reshape(-1, k, dim))
         integrals[rows] = vals.reshape(n_b, n_q) @ w / factorial(k)
+
+    map_blocks(integrate, len(integrals))
     return Cochain(mesh, k, integrals)
 
 
@@ -169,11 +175,14 @@ def sphere_quadrature(mesh):
     bary, w = simplex_rule(N, WEDGE_DEGREE)
     points = np.empty((mesh.n_simplices(N), len(w), mesh.verts.shape[1]))
     weights = np.empty((mesh.n_simplices(N), len(w)))
-    for rows in blocks(len(points)):
+
+    def nodes_and_weights(rows):
         nodes, frames = _nodes_and_frames(mesh, bary, rows)
         mats = np.concatenate([nodes[:, :, None, :], frames], axis=2)
         points[rows] = nodes
         weights[rows] = det(mats) * w / factorial(N)  # curved area density
+
+    map_blocks(nodes_and_weights, len(points))
     return points.reshape(-1, points.shape[-1]), weights.reshape(-1)
 
 
@@ -232,8 +241,11 @@ def whitney_values_on_frames(c: Cochain, tri_idx: np.ndarray,
     simplices, evaluated on arbitrary tangent frames (m, k, dim)."""
     mesh = c.mesh
     coef = _whitney_coefficients(c, tri_idx)              # (m, n_slots)
-    # dlambda_j(v_i) with the true barycentric gradients of each simplex
-    dl = mesh.barygrad[tri_idx] @ np.swapaxes(frames, 1, 2)  # (m, N+1, k)
+    # dlambda_j(v_i) with the true barycentric gradients of each simplex,
+    # computed for these tops only
+    tops = mesh.simplices[mesh.dim][tri_idx]
+    _, _, grads, _ = simplex_geometry(mesh.verts[tops])
+    dl = grads @ np.swapaxes(frames, 1, 2)                # (m, N+1, k)
     return (coef * _whitney_basis(bary, dl)).sum(axis=1)
 
 
@@ -295,8 +307,8 @@ def integrate_wedge(factors, mesh) -> float:
     Each factor is either an analytic k-form evaluator (pulled back
     through the radial projection) or a Cochain (evaluated as its
     Whitney form on the flat complex).  Degrees must sum to N.  The tops
-    are integrated block by block (mesh.blocks) and the block integrals
-    added in block order.
+    are integrated block by block (mesh.map_blocks) and the block
+    integrals added in block order.
     """
     N = mesh.dim
     degrees = tuple(f.degree for f in factors)
@@ -305,19 +317,31 @@ def integrate_wedge(factors, mesh) -> float:
     if any(isinstance(f, Cochain) and f.mesh is not mesh for f in factors):
         raise ValueError("cochain belongs to a different mesh")
     bary, w = simplex_rule(N, WEDGE_DEGREE)
+    # the cached tables, built here and only read by the blocks: each
+    # factor's edge subsets and, for a cochain, its reference tensor
+    tables = [(f, _edge_subsets(N, f.degree),
+               _whitney_edge_tensor(N, f.degree) if isinstance(f, Cochain)
+               else None) for f in factors]
+    shuffles = _shuffles(degrees, N)
+
+    def block_integral(rows):
+        integrand = _wedge_integrand(tables, shuffles, mesh, bary, rows)
+        return float((integrand @ w).sum())
+
     total = 0.0
-    for rows in blocks(mesh.n_simplices(N)):
-        total += float((_wedge_integrand(factors, mesh, bary, rows) @ w).sum())
+    for part in map_blocks(block_integral, mesh.n_simplices(N)):
+        total += part
     return total / factorial(N)
 
 
-def _wedge_integrand(factors, mesh, bary, rows: slice) -> np.ndarray:
+def _wedge_integrand(tables, shuffles, mesh, bary, rows: slice) -> np.ndarray:
     """Wedge of the factors at the quadrature nodes `bary` of the tops
-    `rows`, on their edge frames: (n_b, n_q)."""
+    `rows`, on their edge frames: (n_b, n_q).  `tables` holds each factor
+    with its edge subsets and, for a cochain, its Whitney edge tensor."""
     N = mesh.dim
     dim = mesh.verts.shape[1]
     n_q = len(bary)
-    if any(not isinstance(f, Cochain) for f in factors):
+    if any(W is None for _, _, W in tables):
         # curved nodes and frames of the projection; on S^1 the single
         # factor is analytic here, so the exact arc parametrization is
         # never shared with a flat Whitney factor
@@ -327,18 +351,16 @@ def _wedge_integrand(factors, mesh, bary, rows: slice) -> np.ndarray:
     # factor values per edge subset; an analytic factor sees the whole
     # edge frame at once, so a pullback evaluates f and Df once per node
     values = []
-    for f in factors:
-        subsets = _edge_subsets(N, f.degree)
-        if isinstance(f, Cochain):
-            W = _whitney_edge_tensor(N, f.degree)   # (slots, q, subs)
-            vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
-        else:
+    for f, subsets, W in tables:
+        if W is None:
             vals = f.on_frame_subsets(pts_c, frames_c, subsets)
+        else:                                       # W (slots, q, subs)
+            vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
         index = {sub: i for i, sub in enumerate(subsets)}
         values.append((vals.reshape(-1, n_q, len(subsets)), index))
 
     integrand = 0.0
-    for parts, sign in _shuffles(tuple(f.degree for f in factors), N):
+    for parts, sign in shuffles:
         term = float(sign)
         for (vals, index), sub in zip(values, parts):
             term = term * vals[:, :, index[sub]]

@@ -29,19 +29,25 @@ satisfy boundary-of-boundary = 0 exactly.
 from __future__ import annotations
 
 import io
+import os
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from math import factorial
 
 import numpy as np
 from scipy import sparse
 
-from .minors import det
+from .minors import det, minors
 
 SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 
-# rows per block of every batched loop over a mesh: the simplices of
-# one degree in quadrature and mass assembly, the query points in `locate`
-BLOCK = 4096
+# rows per block of every batched loop over a mesh (map_blocks): the tops
+# in the mesh geometry, the simplices of one degree in quadrature and mass
+# assembly, the query points in `locate`.  Each helper thread of
+# map_blocks allocates from its own malloc arena, which keeps about one
+# block's working set; at 1,024 rows the S^3 level-3 Hopf invariant and
+# the scaling sweeps peak no higher than serial loops over 4,096 did.
+BLOCK = 1024
 _LOCATE_TOL = 1e-10      # how far outside its top `locate` accepts a point
 
 
@@ -50,6 +56,37 @@ def blocks(n: int):
     in ascending order, so block partial sums are added in a fixed order."""
     for lo in range(0, n, BLOCK):
         yield slice(lo, min(lo + BLOCK, n))
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def map_blocks(fn, n: int) -> list:
+    """[fn(rows) for rows in blocks(n)], computed on every core.
+
+    Block i runs on worker i mod w, with w = min(cores, blocks): worker 0
+    is the calling thread, the others are the threads of a pool made for
+    this call and joined before it returns; one core or one block starts
+    no thread.  The results come back in block order, so sums over them
+    in that order do not depend on w.  fn must be a pure function of its
+    rows: it may write its own rows of an output array, and any shared
+    cached table must be built before the call.  An exception raised in
+    any block propagates from the call.
+    """
+    slices = list(blocks(n))
+    w = min(_cores(), len(slices))
+    if w <= 1:
+        return [fn(rows) for rows in slices]
+
+    def share(i: int) -> list:
+        return [fn(rows) for rows in slices[i::w]]
+
+    with ThreadPoolExecutor(w - 1) as pool:
+        helpers = [pool.submit(share, i) for i in range(1, w)]
+        shares = [share(0)] + [h.result() for h in helpers]
+    return [shares[i % w][i // w] for i in range(len(slices))]
 
 
 def permutation_sign(rows) -> np.ndarray:
@@ -62,13 +99,14 @@ def permutation_sign(rows) -> np.ndarray:
 
 
 def _orient_outward(verts: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """Reorder top simplices so every frame is positive against the radius."""
+    """Reorder top simplices so every frame is positive against the radius.
+
+    The frame of a top is positive iff det[centroid; edges] > 0, which
+    equals det(vertex rows) by row operations.
+    """
     tops = tops.copy()
-    pts = verts[tops]                       # (n, N+1 vertices, dim)
-    centroid = pts.mean(axis=1)
-    frames = pts[:, 1:, :] - pts[:, :1, :]  # (n, N, dim)
-    mats = np.concatenate([centroid[:, None, :], frames], axis=1)
-    dets = np.linalg.det(mats)
+    dets = np.concatenate(map_blocks(lambda rows: det(verts[tops[rows]]),
+                                     len(tops)))
     if np.any(dets == 0.0):
         raise ValueError("degenerate top simplex")
     flip = dets < 0
@@ -83,28 +121,56 @@ def simplex_geometry(pts: np.ndarray):
     differentials (t, N+1, d) -- row j is the gradient of lambda_j
     restricted to the simplex plane -- and their Gram matrices
     (t, N+1, N+1), the metric of the Whitney-form algebra.
+
+    All in closed form from the edge Gram matrix G: its determinant gives
+    the volume, its inverse is the adjugate (the (N-1) x (N-1) minors)
+    over the determinant, the gradients of lambda_1..lambda_N are
+    G^{-1} edges, and the metric is G^{-1} bordered by minus its column
+    sums (lambda_0 = 1 - the others) with their total in the corner.
     """
     edges = pts[:, 1:, :] - pts[:, :1, :]
+    N = edges.shape[1]
     gram = np.einsum("tid,tjd->tij", edges, edges)
-    det = np.linalg.det(gram)
-    volumes = np.sqrt(np.abs(det)) / factorial(pts.shape[1] - 1)
-    inv = np.linalg.inv(gram)
+    det_g = det(gram)
+    volumes = np.sqrt(np.abs(det_g)) / factorial(N)
+    # G is symmetric, so its adjugate is the cofactor matrix; the minor
+    # without row i and column j is minors[N-1-i, N-1-j] in combinations
+    # order
+    sign = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
+    inv = sign * minors(gram, N - 1)[:, ::-1, ::-1] / det_g[:, None, None]
     grads = inv @ edges                            # j=1..N
-    grad0 = -grads.sum(axis=1, keepdims=True)
-    barygrad = np.concatenate([grad0, grads], axis=1)
-    metric = np.einsum("tid,tjd->tij", barygrad, barygrad)
+    barygrad = np.concatenate([-grads.sum(axis=1, keepdims=True), grads],
+                              axis=1)
+    metric = np.empty((len(pts), N + 1, N + 1))
+    metric[:, 1:, 1:] = inv
+    metric[:, 0, 1:] = metric[:, 1:, 0] = -inv.sum(axis=1)
+    metric[:, 0, 0] = inv.sum(axis=(1, 2))
     return edges, volumes, barygrad, metric
 
 
 def _unique_rows(rows: np.ndarray):
     """np.unique(rows, axis=0) with each row's first position and the
-    inverse map, from one stable lexsort (several times faster)."""
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    new = np.r_[True, (srt[1:] != srt[:-1]).any(axis=1)]
+    inverse map, for non-negative integer rows.
+
+    Each row is packed into one int64 key in base max + 1, first column
+    most significant, so one stable argsort of the keys orders the rows
+    as a lexicographic sort would.
+    """
+    width = rows.shape[1]
+    base = int(rows.max()) + 1 if rows.size else 1
+    if base ** width >= 2 ** 63:
+        raise ValueError(f"rows of {width} indices below {base} do not "
+                         "pack into an int64 key")
+    keys = rows[:, 0].astype(np.int64)
+    for j in range(1, width):
+        keys = keys * base + rows[:, j]
+    order = np.argsort(keys, kind="stable")
+    srt = keys[order]
+    new = np.r_[True, srt[1:] != srt[:-1]]
     inv = np.empty(len(rows), dtype=np.int64)
     inv[order] = np.cumsum(new) - 1
-    return srt[new], order[new], inv
+    first = order[new]
+    return rows[first], first, inv
 
 
 def _mesh_tables(tops: np.ndarray, dim: int):
@@ -122,7 +188,7 @@ def _mesh_tables(tops: np.ndarray, dim: int):
     combos = {k: list(combinations(range(dim + 1), k + 1)) for k in range(dim + 1)}
     simplices = {dim: tops}
     top_faces = {dim: np.arange(n_t, dtype=np.int64)[:, None]}
-    parity = {dim: np.ones((n_t, 1), dtype=np.int64)}
+    parity = {dim: np.ones((n_t, 1), dtype=np.int8)}
     coboundary = {}
     first = np.arange(n_t)      # first flat (top, slot) of each (k+1)-simplex
     for k in range(dim - 1, -1, -1):
@@ -130,7 +196,7 @@ def _mesh_tables(tops: np.ndarray, dim: int):
         simplices[k], first_k, inv = _unique_rows(
             np.sort(sub, axis=2).reshape(-1, k + 1))
         top_faces[k] = inv.reshape(n_t, len(combos[k]))
-        parity[k] = permutation_sign(sub)
+        parity[k] = permutation_sign(sub).astype(np.int8)
         t, a = np.divmod(first, len(combos[k + 1]))
         slot = {c: b for b, c in enumerate(combos[k])}
         faces = np.array([[slot[c[:i] + c[i + 1:]] for i in range(k + 2)]
@@ -291,6 +357,13 @@ class SimplicialSphere:
     top_faces[k]        (n_N, C(N+1, k+1)) index of the k-face on each
                         combination of local vertex slots of every top
     top_face_parity[k]  sign of that oriented face against its stored row
+                        (int8)
+    top_volumes, metric (n_N,) volumes and (n_N, N+1, N+1) Gram matrices
+                        of the barycentric differentials of the tops
+    top_points, top_edges, barygrad
+                        vertices, edge vectors from vertex 0 and
+                        barycentric differentials of every top, computed
+                        on each access (no pipeline reads them whole)
     coboundary(k)       sparse integer matrix taking k-cochain values to
                         (k+1)-cochain values, (dc)(s) = sum of signed
                         values of c on the boundary faces of s
@@ -309,13 +382,21 @@ class SimplicialSphere:
         _check_tops(tops, dim, len(self.verts))
         (self.simplices, self.top_faces, self.top_face_parity,
          self._coboundary) = _mesh_tables(tops, dim)
-        self.top_points = self.verts[tops]
-        flat = np.flatnonzero(det(self.top_points) == 0.0)
+        self.top_volumes = np.empty(len(tops))
+        self.metric = np.empty((len(tops), dim + 1, dim + 1))
+
+        def geometry(rows):
+            pts = self.verts[tops[rows]]
+            flat = np.flatnonzero(det(pts) == 0.0)
+            if not len(flat):
+                _, self.top_volumes[rows], _, self.metric[rows] = (
+                    simplex_geometry(pts))
+            return rows.start + flat
+
+        flat = np.concatenate(map_blocks(geometry, len(tops)))
         if len(flat):
             raise ValueError(f"top simplex {flat[0]} {tops[flat[0]].tolist()} "
                              "spans a plane through the origin")
-        (self.top_edges, self.top_volumes, self.barygrad,
-         self.metric) = simplex_geometry(self.top_points)
         self._locator = None
         self.operators: dict = {}
         for arr in (self.verts, *self.simplices.values()):
@@ -325,6 +406,19 @@ class SimplicialSphere:
 
     def n_simplices(self, k: int) -> int:
         return len(self.simplices[k])
+
+    @property
+    def top_points(self) -> np.ndarray:
+        return self.verts[self.simplices[self.dim]]
+
+    @property
+    def top_edges(self) -> np.ndarray:
+        pts = self.top_points
+        return pts[:, 1:, :] - pts[:, :1, :]
+
+    @property
+    def barygrad(self) -> np.ndarray:
+        return simplex_geometry(self.top_points)[2]
 
     def coboundary(self, k: int) -> sparse.csr_matrix:
         return self._coboundary[k]
@@ -338,10 +432,9 @@ class SimplicialSphere:
         return float(np.linalg.norm(d, axis=1).max())
 
     def signed_volume(self) -> float:
-        """Total volume of the flat top simplices, signed by orientation."""
-        centroid = self.top_points.mean(axis=1)
-        mats = np.concatenate([centroid[:, None, :], self.top_edges], axis=1)
-        signs = np.sign(np.linalg.det(mats))
+        """Total volume of the flat top simplices, signed by orientation
+        (the sign of det[centroid; edges] = det(vertex rows))."""
+        signs = np.sign(det(self.top_points))
         return float((signs * self.top_volumes).sum())
 
     # -- point location ----------------------------------------------------
@@ -372,10 +465,13 @@ class SimplicialSphere:
         idx = np.empty(len(unit), dtype=np.int64)
         bary = np.empty((len(unit), self.dim + 1))
         depth = np.empty(len(unit))
-        for blk in blocks(len(unit)):
-            cand = stars[near[blk]]
-            mu = np.einsum("mcij,mj->mci", dual[cand], unit[blk])
-            idx[blk], bary[blk], depth[blk] = _deepest_cone(cand, mu)
+
+        def nearest_stars(rows):
+            cand = stars[near[rows]]
+            mu = np.einsum("mcij,mj->mci", dual[cand], unit[rows])
+            idx[rows], bary[rows], depth[rows] = _deepest_cone(cand, mu)
+
+        map_blocks(nearest_stars, len(unit))
         every = np.arange(len(dual))[None]
         for i in np.flatnonzero(depth < -_LOCATE_TOL):
             one = slice(i, i + 1)

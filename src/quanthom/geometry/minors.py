@@ -7,7 +7,8 @@ of k x k minors of dlambda(frame), and a pulled-back volume form is
 det[f(x); Df v_1; ...; Df v_k].  `det` evaluates 1 x 1, 2 x 2 and 3 x 3
 determinants in closed form (cofactor expansion), which is several times
 faster than LU on large batches of tiny matrices, and falls back to
-np.linalg.det only for larger ones.
+np.linalg.det only for larger ones; `det_rows` does the same from a list
+of row arrays, so rows picked out of a larger array need no copy.
 """
 
 from __future__ import annotations
@@ -25,16 +26,25 @@ def det(a: np.ndarray) -> np.ndarray:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return np.ones(a.shape[:-2])
+    return det_rows([a[..., i, :] for i in range(n)])
+
+
+def det_rows(rows) -> np.ndarray:
+    """Determinants of the matrices whose i-th row is rows[i] (..., n),
+    with n = len(rows) >= 1.  The rows may be views, e.g. of chosen
+    vectors of a frame, so no matrix is gathered for n <= 3."""
+    n = len(rows)
     if n == 1:
-        return a[..., 0, 0].copy()
+        return rows[0][..., 0].copy()
     if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        r0, r1 = rows
+        return r0[..., 0] * r1[..., 1] - r0[..., 1] * r1[..., 0]
     if n == 3:
-        r0, r1, r2 = a[..., 0, :], a[..., 1, :], a[..., 2, :]
+        r0, r1, r2 = rows
         return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
                 - r0[..., 1] * (r1[..., 0] * r2[..., 2] - r1[..., 2] * r2[..., 0])
                 + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
-    return np.linalg.det(a)
+    return np.linalg.det(np.stack(rows, axis=-2))
 
 
 def minors(a: np.ndarray, k: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import blocks, simplex_geometry
+from .geometry.mesh import blocks, map_blocks, simplex_geometry
 from .geometry.minors import minors, whitney_table
 
 # relative residual of the d^{-1} curl solve
@@ -89,18 +89,22 @@ def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
 def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     """Whitney k-form mass matrix (symmetric positive definite).
 
-    The tops are assembled block by block (mesh.blocks).  Entries are
-    keyed row * n + column; each block sums its entries per key, and the
-    block sums are added in block order, so the matrix is the same from
-    run to run.  They are merged over ranges of rows (mesh.blocks again),
-    so the merge holds the keys of one range at a time.
+    The tops are assembled block by block on every core
+    (mesh.map_blocks).  Entries are keyed row * n + column; each block
+    sums its entries per key, and the block sums are added in block
+    order, so the matrix is the same bits from run to run and at any core
+    count.  They are merged over ranges of rows (mesh.map_blocks again),
+    so each merge holds the keys of one range at a time.
     """
     faces = mesh.top_faces[k]                          # (t, s)
     par = mesh.top_face_parity[k]
     s = faces.shape[1]
     n = mesh.n_simplices(k)
-    keys, values = [], []
-    for tops in blocks(len(faces)):
+    _mass_coefficients(mesh.dim, k)                    # cached before the map
+    # first key of each range of rows of the merge, and the end
+    bounds = n * np.array([rows.start for rows in blocks(n)] + [n])
+
+    def assemble(tops):
         local = _whitney_mass_blocks(mesh.metric[tops], mesh.top_volumes[tops],
                                      k)
         local *= par[tops, :, None] * par[tops, None, :]
@@ -108,24 +112,25 @@ def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
         f = faces[tops].T
         key = np.repeat(f, s, axis=0) * n + np.tile(f, (s, 1))
         uniq, summed = _summed(key.ravel(), local.transpose(1, 2, 0).ravel())
-        keys.append(uniq)
-        values.append(summed)
-    counts, columns, data = np.zeros(n + 1, dtype=np.int64), [], []
-    for rows in blocks(n):
-        cuts = [np.searchsorted(u, (rows.start * n, rows.stop * n))
-                for u in keys]
+        return uniq, summed, np.searchsorted(uniq, bounds).tolist()
+
+    keys, values, cuts = zip(*map_blocks(assemble, len(faces)))
+
+    def merge(rows):
+        j = int(np.searchsorted(bounds, rows.start * n))
         uniq, summed = _summed(
-            np.concatenate([u[a:b] for u, (a, b) in zip(keys, cuts)]),
-            np.concatenate([v[a:b] for v, (a, b) in zip(values, cuts)]))
+            np.concatenate([u[c[j]:c[j + 1]] for u, c in zip(keys, cuts)]),
+            np.concatenate([v[c[j]:c[j + 1]] for v, c in zip(values, cuts)]))
         # ascending keys are rows in order with ascending columns: CSR as is
         row, col = np.divmod(uniq, n)
-        counts[rows.start + 1:rows.stop + 1] = np.bincount(
-            row - rows.start, minlength=rows.stop - rows.start)
-        columns.append(col)
-        data.append(summed)
+        counts = np.bincount(row - rows.start, minlength=rows.stop - rows.start)
+        return counts, col, summed
+
+    counts, columns, data = zip(*map_blocks(merge, n))
     del keys, values                # freed before the final copies
     return sparse.csr_matrix((np.concatenate(data), np.concatenate(columns),
-                              np.cumsum(counts)), shape=(n, n))
+                              np.cumsum(np.concatenate([[0], *counts]))),
+                             shape=(n, n))
 
 
 def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry.forms import FormField
 from .geometry.mesh import SPHERE_VOLUMES
-from .geometry.minors import det
+from .geometry.minors import det_rows
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +328,34 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
 # target forms
 # ----------------------------------------------------------------------
 
+class VolumeForm(FormField):
+    """Normalized volume form of one sphere factor of a target:
+    omega(y; v_1..v_M) = det[y_b; v_1b; ...; v_Mb] / |S^M|, with b the
+    factor's ambient coordinates."""
+
+    def __init__(self, target: Target, i: int = 0):
+        self.coords = target.blocks[i]
+        M = (target.factors or (target,))[i].dim
+        self.scale = 1.0 / SPHERE_VOLUMES[M]
+        super().__init__(M, self._evaluate,
+                         name=f"vol[{target}]" if target.kind == "sphere"
+                         else f"omega_{i + 1}")
+
+    def _det(self, points, frames, sub):
+        """det[y_b; v_ib for i in sub] from views of the points and frames."""
+        b = self.coords
+        return det_rows([points[:, b]] + [frames[:, i, b] for i in sub])
+
+    def _evaluate(self, points, frames):
+        return self._det(points, frames, range(frames.shape[1])) * self.scale
+
+    def on_frame_subsets(self, points, frames, subsets):
+        """All subsets without gathering a sub-frame: each determinant
+        reads its rows as views of the points and the frame."""
+        return np.stack([self._det(points, frames, sub) for sub in subsets],
+                        axis=-1) * self.scale
+
+
 def volume_form(target: Target, i: int = 0) -> FormField:
     """Normalized volume form of the i-th sphere factor of the target
     (integral 1 over the factor), pulled back under its coordinate
@@ -335,16 +363,7 @@ def volume_form(target: Target, i: int = 0) -> FormField:
 
     For S^1 this is dtheta/2pi, the generator of H^1.
     """
-    b = target.blocks[i]
-    M = (target.factors or (target,))[i].dim
-    scale = 1.0 / SPHERE_VOLUMES[M]
-
-    def ev(points, frames):
-        return det(np.concatenate([points[:, None, b], frames[:, :, b]],
-                                  axis=1)) * scale
-
-    return FormField(M, ev, name=f"vol[{target}]" if target.kind == "sphere"
-                     else f"omega_{i + 1}")
+    return VolumeForm(target, i)
 
 
 class PullbackForm(FormField):
@@ -368,10 +387,9 @@ class PullbackForm(FormField):
         return self.form(*self._push(points, frames))
 
     def on_frame_subsets(self, points, frames, subsets):
-        """One evaluation of f and Df per point for all subsets."""
-        y, W = self._push(points, frames)
-        return np.stack([self.form(y, W[:, list(sub), :]) for sub in subsets],
-                        axis=-1)
+        """One evaluation of f and Df per point for all subsets; omega
+        then sees the whole pushed frame at once."""
+        return self.form.on_frame_subsets(*self._push(points, frames), subsets)
 
 
 def pullback(f: SmoothMap, omega, x, *vectors) -> float:

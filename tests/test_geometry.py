@@ -390,3 +390,24 @@ def test_bad_mesh_file_rejected(edit, message):
     lines = build_sphere_mesh(2, 0).format_ascii().splitlines()
     with pytest.raises(ValueError, match="bad mesh file: " + message):
         SimplicialSphere.parse_ascii("\n".join(edit(lines)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 40), st.integers(1, 4)),
+              elements=st.integers(0, 6)))
+def test_unique_rows_matches_numpy(rows):
+    from quanthom.geometry.mesh import _unique_rows
+    uniq, first, inv = _unique_rows(rows)
+    ref, ref_first, ref_inv = np.unique(rows, axis=0, return_index=True,
+                                        return_inverse=True)
+    assert np.array_equal(uniq, ref)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inv, ref_inv.ravel())
+
+
+def test_unique_rows_rejects_keys_beyond_int64():
+    from quanthom.geometry.mesh import _unique_rows
+    rows = np.array([[0, 0, 0, 2 ** 21 - 2]])    # base 2^21 - 1
+    with pytest.raises(ValueError, match="4 indices below 2097151"):
+        _unique_rows(rows)
+    assert len(_unique_rows(rows[:, 1:])[0]) == 1    # (2^21 - 1)^3 < 2^63
