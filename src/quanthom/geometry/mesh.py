@@ -63,30 +63,40 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def map_blocks(fn, n: int) -> list:
-    """[fn(rows) for rows in blocks(n)], computed on every core.
+def workers(n: int) -> int:
+    """Workers that map_tasks deals n tasks to: min(cores, n)."""
+    return min(_cores(), n)
 
-    Block i runs on worker i mod w, with w = min(cores, blocks): worker 0
+
+def map_tasks(fn, tasks) -> list:
+    """[fn(task) for task in tasks], a sequence, computed on every core.
+
+    Task i runs on worker i mod w, with w = workers(len(tasks)): worker 0
     is the calling thread, the others are the threads of a pool made for
-    this call and joined before it returns; one core or one block starts
-    no thread.  The results come back in block order, so sums over them
+    this call and joined before it returns; one core or one task starts
+    no thread.  The results come back in task order, so sums over them
     in that order do not depend on w.  fn must be a pure function of its
-    rows: it may write its own rows of an output array, and any shared
+    task: it may write its own rows of an output array, and any shared
     cached table must be built before the call.  An exception raised in
-    any block propagates from the call.
+    any task propagates from the call.
     """
-    slices = list(blocks(n))
-    w = min(_cores(), len(slices))
+    w = workers(len(tasks))
     if w <= 1:
-        return [fn(rows) for rows in slices]
+        return [fn(task) for task in tasks]
 
     def share(i: int) -> list:
-        return [fn(rows) for rows in slices[i::w]]
+        return [fn(task) for task in tasks[i::w]]
 
     with ThreadPoolExecutor(w - 1) as pool:
         helpers = [pool.submit(share, i) for i in range(1, w)]
         shares = [share(0)] + [h.result() for h in helpers]
-    return [shares[i % w][i // w] for i in range(len(slices))]
+    return [shares[i % w][i // w] for i in range(len(tasks))]
+
+
+def map_blocks(fn, n: int) -> list:
+    """[fn(rows) for rows in blocks(n)], computed on every core by
+    map_tasks, in block order."""
+    return map_tasks(fn, list(blocks(n)))
 
 
 def permutation_sign(rows) -> np.ndarray:

@@ -23,7 +23,10 @@ start and each cycle goes round its fiber once.  One more batched call
 projects the points of the coarse chords onto the fibers.  The Gauss
 double integral runs in a stereographic chart with numerator
 (x - y).(dx x dy) = (x x dx).dy + dx.(y x dy), two matmuls per block of
-rows.
+_GAUSS_ROWS = 128 rows.  The blocks run on every core
+(geometry.mesh.map_tasks), each worker in its own three buffers, and
+their partial sums are added in block order, so the integral is the
+same bits at any core count.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry.mesh import map_tasks, workers
+
 _COARSE = 2          # coarse trace step over output spacing
-_GAUSS_ROWS = 256    # rows per block of the Gauss double sum
+_GAUSS_ROWS = 128    # rows per block of the Gauss double sum
 _STARTS = 64         # random starts that seek every preimage component
 _MAX_STEPS = 100000  # coarse steps before a trace counts as open
 
@@ -221,23 +226,30 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
     dy = np.roll(c2, -1, axis=0) - c2
     x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
     xdx, ydy = np.cross(x, dx), np.cross(y, dy)
-    # three block buffers, reused: the block temporaries are neither
-    # allocated nor page-faulted per block
-    num, tmp, d2 = np.empty((3, min(len(x), _GAUSS_ROWS), len(y)))
-    total = 0.0
-    for i in range(0, len(x), _GAUSS_ROWS):
+
+    starts = range(0, len(x), _GAUSS_ROWS)
+    # three buffers per worker, allocated here: block j runs on worker
+    # j mod w (map_tasks) and writes each temporary in place in its set
+    w = workers(len(starts))
+    buffers = np.empty((w, 3, min(_GAUSS_ROWS, len(x)), len(y)))
+
+    def block(j):
+        i = starts[j]
         rows = slice(i, i + _GAUSS_ROWS)
-        m = min(_GAUSS_ROWS, len(x) - i)
-        nm, tm, dm = num[:m], tmp[:m], d2[:m]
-        np.matmul(xdx[rows], dy.T, out=nm)
-        np.add(nm, np.matmul(dx[rows], ydy.T, out=tm), out=nm)
-        np.square(np.subtract(x[rows, 0, None], y[None, :, 0], out=dm), out=dm)
+        num, tmp, d2 = buffers[j % w, :, :min(_GAUSS_ROWS, len(x) - i)]
+        np.matmul(xdx[rows], dy.T, out=num)
+        np.add(num, np.matmul(dx[rows], ydy.T, out=tmp), out=num)
+        np.square(np.subtract(x[rows, 0, None], y[None, :, 0], out=d2), out=d2)
         for k in (1, 2):
-            np.square(np.subtract(x[rows, k, None], y[None, :, k], out=tm),
-                      out=tm)
-            np.add(dm, tm, out=dm)
-        np.multiply(dm, np.sqrt(dm, out=tm), out=tm)
-        total += float(np.divide(nm, tm, out=nm).sum())
+            np.square(np.subtract(x[rows, k, None], y[None, :, k], out=tmp),
+                      out=tmp)
+            np.add(d2, tmp, out=d2)
+        np.multiply(d2, np.sqrt(d2, out=tmp), out=tmp)
+        return float(np.divide(num, tmp, out=num).sum())
+
+    total = 0.0
+    for part in map_tasks(block, range(len(starts))):
+        total += part
     return total / (4.0 * np.pi)
 
 

@@ -15,25 +15,31 @@ fixed first, by doubling until the rule resolves the Jacobian moment.  On
 S^2 and S^3 the rest is estimated by Monte Carlo in 12 dyadic chord
 strata (the integrand is unbounded near the diagonal for beta > 1/2,
 where plain sampling has unbounded variance), and the leading term
-covers the angles below the last stratum.  The BMO estimate is a
-sampled sup of cap U-statistics of the pair distances.
+covers the angles below the last stratum.  The strata run on every core
+(geometry.mesh.map_tasks) and are added in stratum order.  The BMO
+estimate is a sampled sup of cap U-statistics of the pair distances: the
+caps are prepared in one batch (each cap's directions and angles drawn
+from its own stream, then the cap points and one f.value call over all
+caps), and the pair distances run serially, cap by cap, in two reused
+buffers.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
-stratum from the master seed, so results are reproducible for a fixed
-seed.
+stratum (per cap for BMO) from the master seed, so results are
+reproducible for a fixed seed and the same bits at any core count.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from .geometry.forms import sphere_quadrature
-from .geometry.mesh import SPHERE_VOLUMES, build_sphere_mesh
+from .geometry.mesh import SPHERE_VOLUMES, build_sphere_mesh, map_tasks
 from .maps import SmoothMap, distance_to_target
 
 
@@ -50,6 +56,17 @@ class SeminormEstimate:
 # ----------------------------------------------------------------------
 # sampling helpers
 # ----------------------------------------------------------------------
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int >= least, or a ValueError naming the argument."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, not {value!r}")
+    return n
+
 
 def _rng(seed, *key) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
@@ -184,11 +201,12 @@ def _sobolev_mc(f, beta, p, samples, seed, stratified=True):
         return total, se, 2 * samples
 
     # dyadic chord shells [2^-k-1 D, 2^-k D], k < _STRATA, then the
-    # leading term below the last edge psi_min
+    # leading term below the last edge psi_min; the strata run on every
+    # core and their (total, variance) pairs are added in stratum order
     psi_edges = [2.0 * np.arcsin(2.0 ** -k) for k in range(_STRATA + 1)]
     n_per = max(64, samples // _STRATA)
-    total, var = 0.0, 0.0
-    for k in range(_STRATA):
+
+    def stratum(k):
         hi, lo = psi_edges[k], psi_edges[k + 1]
         rng = _rng(seed, k)
         X = _uniform_sphere(rng, n_per, amb)
@@ -199,8 +217,12 @@ def _sobolev_mc(f, beta, p, samples, seed, stratified=True):
         g = np.linalg.norm(f.value(X) - f.value(Y), axis=1) ** p / chord ** expo
         vol = SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * float(
             _sin_mass(N, hi) - _sin_mass(N, lo))
-        total += vol * float(g.mean())
-        var += (vol ** 2) * float(g.var(ddof=1)) / n_per
+        return vol * float(g.mean()), (vol ** 2) * float(g.var(ddof=1)) / n_per
+
+    total, var = 0.0, 0.0
+    for part, part_var in map_tasks(stratum, range(_STRATA)):
+        total += part
+        var += part_var
     # at angle psi along u, |f(y) - f(x)|^p = psi^p |Df(x) u|^p
     # (1 + O(psi^2)): the psi^{p+1} term is odd in u and integrates to 0
     psi_min = psi_edges[-1]
@@ -330,10 +352,11 @@ def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
     tensor quadrature on S^1 and by stratified Monte Carlo on S^2, S^3."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, not {p!r}")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count("samples", samples, 1)
     if f.domain_dim == 1:
         total, err, used, angles = _sobolev_circle_quadrature(f, beta, p)
         name, seed = "tensor-quadrature", None
@@ -369,8 +392,7 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     and refinement steps together."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = _count("samples", samples, 1)
     N = f.domain_dim
     amb = N + 1
     rng = _rng(seed, 0)
@@ -436,36 +458,46 @@ def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
             np.isfinite(radii) & (radii > 0.0)):
         raise ValueError(f"radii must be a nonempty list of finite positive "
                          f"numbers, not {radii.tolist()!r}")
-    if centers < 1:
-        raise ValueError(f"centers must be >= 1, not {centers!r}")
-    if cap_samples < 2:
-        raise ValueError(f"cap_samples must be >= 2, not {cap_samples!r}")
+    centers = _count("centers", centers, 1)
+    m = _count("cap_samples", cap_samples, 2)
     rng = _rng(seed, 0)
     ctrs = _uniform_sphere(rng, centers, amb)
+    # each cap draws its directions and angles from its own stream, in
+    # (center, radius) order; the angles stay per cap, as the S^3 Newton
+    # stop depends on its batch
+    psi_r = [2.0 * np.arcsin(min(1.0, r / 2.0)) for r in radii]
+    U = np.empty((centers * len(radii), m, amb))
+    psi = np.empty((len(U), m, 1))
+    for c in range(len(U)):
+        ci, ri = divmod(c, len(radii))
+        rng_c = _rng(seed, 1 + ci, ri)
+        rng_c.standard_normal((m, amb), out=U[c])
+        psi[c, :, 0] = _sample_angle(rng_c, m, N, 0.0, psi_r[ri])
+    # then the cap points and f.value once over all caps
+    X = np.repeat(ctrs, len(radii), axis=0)[:, None, :]
+    U -= (U * X).sum(axis=2, keepdims=True) * X
+    U /= np.linalg.norm(U, axis=2, keepdims=True)
+    U *= np.sin(psi)
+    U += np.cos(psi) * X
+    vals = f.value(U.reshape(-1, amb)).reshape(len(U), m, -1)
     best, best_se = 0.0, 0.0
-    n_eval = 0
-    for ci, x in enumerate(ctrs):
-        for ri, r in enumerate(radii):
-            psi_r = 2.0 * np.arcsin(min(1.0, r / 2.0))
-            rng_c = _rng(seed, 1 + ci, ri)
-            U = _orthogonal_directions(rng_c, np.broadcast_to(x, (cap_samples, amb)).copy())
-            psi = _sample_angle(rng_c, cap_samples, N, 0.0, psi_r)
-            pts = np.cos(psi)[:, None] * x + np.sin(psi)[:, None] * U
-            vals = f.value(pts)
-            n_eval += cap_samples
-            m = len(vals)
-            # |f(x_i) - f(x_j)|^2 summed over target coordinates in the
-            # order of a norm over the last axis, without the (m, m, k) array
-            sq = np.zeros((m, m))
-            for col in vals.T:
-                d = col[:, None] - col[None, :]
-                sq += d * d
-            diff = np.sqrt(sq)
-            u_stat = float(diff.sum() / (m * (m - 1)))
-            row_means = (diff.sum(axis=1)) / (m - 1)
-            se = 2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)
-            if u_stat > best:
-                best, best_se = u_stat, se
+    # |f(x_i) - f(x_j)| per cap, its squared target coordinates summed in
+    # the order of a norm over the last axis, in two reused (m, m) buffers
+    sq, d = np.empty((2, m, m))
+    for cap in vals:
+        for j, col in enumerate(cap.T):
+            np.subtract(col[:, None], col[None, :], out=d)
+            if j:
+                np.add(sq, np.multiply(d, d, out=d), out=sq)
+            else:
+                np.multiply(d, d, out=sq)
+        diff = np.sqrt(sq, out=sq)
+        u_stat = float(diff.sum() / (m * (m - 1)))
+        row_means = (diff.sum(axis=1)) / (m - 1)
+        se = 2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)
+        if u_stat > best:
+            best, best_se = u_stat, se
+    n_eval = len(U) * m
     return SeminormEstimate(best, best_se, "sampled-sup", n_eval, seed)
 
 

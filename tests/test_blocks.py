@@ -5,7 +5,9 @@ Every loop over the simplices of a mesh runs over the row slices of
 geometry.mesh.blocks, through geometry.mesh.map_blocks.  A block size of
 7 leaves uneven blocks with a partial last one on every mesh used here;
 it must give the one-block result up to round-off, and the default size
-the same bits every run.  One and two workers must give the same bits.
+the same bits every run.  One and two workers must give the same bits,
+as must the Sobolev strata and the Gauss row blocks, which run through
+geometry.mesh.map_tasks, and the BMO estimate.
 """
 
 import sys
@@ -19,7 +21,10 @@ from quanthom.geometry import (FormField, build_sphere_mesh, de_rham_project,
 from quanthom.geometry import mesh as mesh_module
 from quanthom.hodge import d_inverse, mass_matrix
 from quanthom.invariants import hopf_invariant
-from quanthom.maps import S2, make_hopf, pullback_form, volume_form
+from quanthom.linking import _GAUSS_ROWS, gauss_linking_integral
+from quanthom.maps import (S2, make_hopf, parse_map_spec, pullback_form,
+                           volume_form)
+from quanthom.seminorms import bmo_seminorm, sobolev_seminorm
 
 from conftest import cached_mesh
 
@@ -230,3 +235,69 @@ def test_map_blocks_stress_more_workers_than_cores(monkeypatch):
     ref = at_workers(monkeypatch, 1, lambda: sphere_quadrature(cached_mesh(2, 3)))
     for a, b in zip(quad, ref):
         assert a.tobytes() == b.tobytes()
+
+
+# ----------------------------------------------------------------------
+# map_tasks: the seminorm and linking loops, the same bits on one core
+# and on two
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", ["suspension:d=2", "hopf"])
+def test_sobolev_strata_workers_bitwise(monkeypatch, spec):
+    f = parse_map_spec(spec)
+    one, two = [at_workers(monkeypatch, w, lambda: sobolev_seminorm(
+        f, 0.8, 3.0, samples=6_000, seed=5)) for w in (1, 2)]
+    assert (one.value.hex(), one.error.hex()) == (two.value.hex(),
+                                                  two.error.hex())
+
+
+@pytest.mark.parametrize("spec", ["circle-power:d=2", "suspension:d=2",
+                                  "hopf"])
+def test_bmo_workers_bitwise(monkeypatch, spec):
+    f = parse_map_spec(spec)
+    one, two = [at_workers(monkeypatch, w, lambda: bmo_seminorm(
+        f, centers=9, cap_samples=40, seed=6)) for w in (1, 2)]
+    assert (one.value.hex(), one.error.hex()) == (two.value.hex(),
+                                                  two.error.hex())
+
+
+def test_gauss_integral_workers_bitwise(monkeypatch):
+    # three row blocks, the last partial: two workers take two and one
+    rng = np.random.default_rng(3)
+    c1 = rng.standard_normal((2 * _GAUSS_ROWS + 17, 3))
+    c2 = rng.standard_normal((301, 3)) + 0.5
+    one, two = [at_workers(monkeypatch, w, lambda: gauss_linking_integral(
+        c1, c2)) for w in (1, 2)]
+    assert one.hex() == two.hex()
+
+
+def test_map_tasks_returns_task_order(monkeypatch):
+    tasks = [f"task {i}" for i in range(7)]
+    got = at_workers(monkeypatch, 2, lambda: mesh_module.map_tasks(
+        lambda t: (t, threading.get_ident()), tasks))
+    assert [t for t, _ in got] == tasks
+    # dealt round-robin: the even tasks on the caller, the odd on a helper
+    caller = threading.get_ident()
+    assert [ident == caller for _, ident in got] == [
+        i % 2 == 0 for i in range(7)]
+
+
+def test_map_tasks_helper_exception_propagates(monkeypatch):
+    caller = threading.get_ident()
+
+    def fn(task):
+        if threading.get_ident() != caller:
+            raise ArithmeticError(f"task {task}")
+        return task
+
+    with pytest.raises(ArithmeticError, match="task 1"):
+        at_workers(monkeypatch, 2, lambda: mesh_module.map_tasks(fn, range(5)))
+
+
+def test_map_tasks_leaves_no_thread(monkeypatch):
+    before = threading.active_count()
+    f = parse_map_spec("suspension:d=2")
+    at_workers(monkeypatch, 2, lambda: sobolev_seminorm(f, 0.5, 4.0,
+                                                        samples=2_000))
+    at_workers(monkeypatch, 2, lambda: mesh_module.map_tasks(abs, [-1, 2, -3]))
+    assert threading.active_count() == before

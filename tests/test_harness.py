@@ -488,6 +488,14 @@ class TestCli:
         assert code == 2 and not stdout
         assert "error: p must be >= 1" in err
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_seminorm_non_finite_p_exit2(self, p):
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "suspension:d=2", "--kind", "sobolev",
+            "--p", p)
+        assert code == 2 and not stdout
+        assert f"error: p must be finite, not {p}" in err
+
     @pytest.mark.parametrize("kind", ["sobolev", "holder"])
     def test_seminorm_zero_samples_exit2(self, kind):
         code, stdout, err = self.run_cli(

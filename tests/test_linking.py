@@ -77,8 +77,8 @@ def test_gauss_integral_buffers_bitwise(n1, n2):
     x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
     xdx, ydy = np.cross(x, dx), np.cross(y, dy)
     total = 0.0
-    for i in range(0, n1, 256):
-        rows = slice(i, i + 256)
+    for i in range(0, n1, linking._GAUSS_ROWS):
+        rows = slice(i, i + linking._GAUSS_ROWS)
         num = xdx[rows] @ dy.T + dx[rows] @ ydy.T
         d2 = sum((x[rows, k, None] - y[None, :, k]) ** 2 for k in range(3))
         total += float((num / (d2 * np.sqrt(d2))).sum())

@@ -300,6 +300,20 @@ class TestSobolev:
         with pytest.raises(ValueError, match="beta"):
             sobolev_seminorm(make_circle_power(1), 1.2, 2.0)
 
+    @pytest.mark.parametrize("spec", ["suspension:d=2", "circle-power:d=2"])
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_non_finite_p_named_before_sampling(self, spec, p):
+        g, rows = counting(parse_map_spec(spec))
+        with pytest.raises(ValueError, match=f"p must be finite, not {p!r}"):
+            sobolev_seminorm(g, 0.5, p)
+        assert rows[0] == 0
+
+    def test_non_integer_samples_named(self):
+        with pytest.raises(ValueError,
+                           match="samples must be an integer, not 2000.0"):
+            sobolev_seminorm(make_sphere_suspension(2), 0.5, 4.0,
+                             samples=2000.0)
+
     def test_rotation_invariance_within_two_se(self):
         f = make_sphere_suspension(2)
         a = sobolev_seminorm(f, 0.6, 2 / 0.6, samples=120_000, seed=11)
@@ -364,6 +378,11 @@ class TestHolder:
         with pytest.raises(ValueError, match="beta"):
             holder_seminorm(make_circle_power(1), 1.5)
 
+    def test_non_integer_samples_named(self):
+        with pytest.raises(ValueError,
+                           match="samples must be an integer, not 400.0"):
+            holder_seminorm(make_circle_power(1), 0.5, samples=400.0)
+
     def test_samples_count_map_rows(self):
         # pair rows and refinement rows, as the Sobolev estimators count
         f = make_circle_power(3)
@@ -413,6 +432,12 @@ class TestBMO:
         ("perturb:eps=0.02,m=3|const:n=2",
          dict(centers=48, cap_samples=96, seed=5),
          "0x1.c477f9521ee64p-6", "0x1.6ecc7bcdb0e59p-11"),
+        # S^1, and S^3, where the Newton stop of each cap's angles
+        # depends on that cap's own batch
+        ("circle-power:d=3", dict(seed=2),
+         "0x1.4816ca0764ef5p+0", "0x1.11d898abf982cp-9"),
+        ("hopf", dict(centers=32, cap_samples=96, seed=2),
+         "0x1.56da77b7cb6c3p+0", "0x1.925ffc5d5b549p-8"),
     ])
     def test_pinned_bitwise(self, spec, kw, value, error):
         # the pair distances sum their squared coordinates in the order
@@ -429,6 +454,8 @@ class TestBMO:
         (dict(radii=[-1.0]), "radii must be"),
         (dict(radii=[0.5, np.nan]), "radii must be"),
         (dict(radii=[[0.5]]), "radii must be"),
+        (dict(centers=8.0), "centers must be an integer, not 8.0"),
+        (dict(cap_samples=16.5), "cap_samples must be an integer, not 16.5"),
     ])
     def test_bad_arguments_named(self, kw, message):
         with pytest.raises(ValueError, match=re.escape(message)):
