@@ -436,11 +436,6 @@ class SimplicialSphere:
     def euler_characteristic(self) -> int:
         return int(sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1)))
 
-    def max_edge_length(self) -> float:
-        e = self.simplices[1]
-        d = self.verts[e[:, 0]] - self.verts[e[:, 1]]
-        return float(np.linalg.norm(d, axis=1).max())
-
     def signed_volume(self) -> float:
         """Total volume of the flat top simplices, signed by orientation
         (the sign of det[centroid; edges] = det(vertex rows))."""

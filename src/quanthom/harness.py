@@ -153,6 +153,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seminorm not in ("sobolev", "holder"):
             raise ConfigError(f"unknown seminorm kind {self.seminorm!r}")
+        negative = [str(lvl) for lvl in self.levels if lvl < 0]
+        if negative:
+            raise ConfigError(f"levels must be >= 0, got {', '.join(negative)}")
         if self.kind == "scaling":
             if self.samples < 1:
                 raise ConfigError(f"samples must be >= 1, got {self.samples}")
@@ -279,18 +282,24 @@ def _versions() -> dict:
 
 
 def run_scaling(config: ExperimentConfig) -> Report:
-    """Sweep the family parameter and test the scaling inequality."""
+    """Sweep the family parameter and test the scaling inequality.
+
+    The invariant does not depend on beta, so each (map, level) invariant
+    is computed once per run.  Each level's mesh is built once per run
+    and shared by every map and beta, so the Hodge operators it caches
+    (hodge.hodge_operator) are assembled once per level, not per map.
+    """
     entry = config.validate()
     structure = entry.structure
     b0 = entry.report.effective_beta0()
-    # (spec, level) -> (invariant, d^{-1} statistics): the invariant does
-    # not depend on beta, so each is computed once per run
-    invariants = {}
+    # level -> mesh, and (spec, level) -> (invariant, d^{-1} statistics)
+    meshes, invariants = {}, {}
 
     def invariant(spec, f, lvl):
         if (spec, lvl) not in invariants:
-            res = hardt_riviere(
-                f, structure, build_sphere_mesh(structure.domain_dim, lvl))
+            if lvl not in meshes:
+                meshes[lvl] = build_sphere_mesh(structure.domain_dim, lvl)
+            res = hardt_riviere(f, structure, meshes[lvl])
             invariants[spec, lvl] = res.value, list(res.residuals.values())
         return invariants[spec, lvl]
 
@@ -455,11 +464,6 @@ def emit_report(report: Report, fmt: str, path: str) -> str:
     else:
         raise ValueError(f"unknown report format {fmt!r}")
     return path
-
-
-def load_report(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def format_report_text(report: Report) -> str:

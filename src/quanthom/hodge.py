@@ -41,7 +41,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import blocks, map_blocks, simplex_geometry
+from .geometry.mesh import blocks, map_blocks
 from .geometry.minors import minors, whitney_table
 
 # relative residual of the d^{-1} curl solve
@@ -131,18 +131,6 @@ def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.concatenate(data), np.concatenate(columns),
                               np.cumsum(np.concatenate([[0], *counts]))),
                              shape=(n, n))
-
-
-def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
-    """Local Whitney k-form mass matrix of one affine simplex.
-
-    Rows/columns are indexed by the k-faces in lexicographic local
-    vertex order (ascending tuples of combinations).  Used for testing
-    the assembly kernel against hand computations.
-    """
-    pts = np.asarray(vertices, dtype=float)[None]
-    _, vol, _, g = simplex_geometry(pts)
-    return _whitney_mass_blocks(g, vol, k)[0]
 
 
 def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,

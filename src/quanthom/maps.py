@@ -405,43 +405,8 @@ def pullback_form(f: SmoothMap, omega) -> FormField:
 
 
 # ----------------------------------------------------------------------
-# verification helpers and the map-spec grammar
+# the map-spec grammar
 # ----------------------------------------------------------------------
-
-def jacobian_fd_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:
-    """Worst relative error of Df against central finite differences.
-
-    Probes random points and random tangent directions; differences are
-    taken along renormalized chords so all evaluations stay on the
-    domain sphere.
-    """
-    step = 1e-5                     # central-difference step along the chords
-    rng = np.random.default_rng(seed)
-    n = f.domain_dim + 1
-    X = rng.standard_normal((n_probes, n))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    V = rng.standard_normal((n_probes, n))
-    V -= (V * X).sum(axis=1, keepdims=True) * X
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-
-    def at(t):
-        P = X + t * V
-        return f.value(P / np.linalg.norm(P, axis=1, keepdims=True))
-
-    fd = (at(step) - at(-step)) / (2 * step)
-    an = np.einsum("mij,mj->mi", f.jacobian(X), V)
-    num = np.linalg.norm(fd - an, axis=1)
-    den = np.maximum(np.linalg.norm(an, axis=1), 1.0)
-    return float((num / den).max())
-
-
-def target_distance_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:
-    """Max distance of sampled values from the target manifold."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_probes, f.domain_dim + 1))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    return float(distance_to_target(f.value(X), f.target).max())
-
 
 def _dim(text: str) -> int:
     """A sphere dimension: an integer >= 1."""

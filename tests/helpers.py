@@ -1,0 +1,70 @@
+"""Checks that only the tests use: hand-checkable mass blocks, map
+accuracy probes, mesh edge lengths and report loading."""
+
+import json
+
+import numpy as np
+
+from quanthom.geometry.mesh import simplex_geometry
+from quanthom.hodge import _whitney_mass_blocks
+from quanthom.maps import SmoothMap, distance_to_target
+
+
+def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
+    """Local Whitney k-form mass matrix of one affine simplex.
+
+    Rows/columns are indexed by the k-faces in lexicographic local
+    vertex order (ascending tuples of combinations), for checking the
+    assembly kernel against hand computations.
+    """
+    pts = np.asarray(vertices, dtype=float)[None]
+    _, vol, _, g = simplex_geometry(pts)
+    return _whitney_mass_blocks(g, vol, k)[0]
+
+
+def jacobian_fd_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:
+    """Worst relative error of Df against central finite differences.
+
+    Probes random points and random tangent directions; differences are
+    taken along renormalized chords so all evaluations stay on the
+    domain sphere.
+    """
+    step = 1e-5                     # central-difference step along the chords
+    rng = np.random.default_rng(seed)
+    n = f.domain_dim + 1
+    X = rng.standard_normal((n_probes, n))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    V = rng.standard_normal((n_probes, n))
+    V -= (V * X).sum(axis=1, keepdims=True) * X
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+
+    def at(t):
+        P = X + t * V
+        return f.value(P / np.linalg.norm(P, axis=1, keepdims=True))
+
+    fd = (at(step) - at(-step)) / (2 * step)
+    an = np.einsum("mij,mj->mi", f.jacobian(X), V)
+    num = np.linalg.norm(fd - an, axis=1)
+    den = np.maximum(np.linalg.norm(an, axis=1), 1.0)
+    return float((num / den).max())
+
+
+def target_distance_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:
+    """Max distance of sampled values from the target manifold."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_probes, f.domain_dim + 1))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    return float(distance_to_target(f.value(X), f.target).max())
+
+
+def max_edge_length(mesh) -> float:
+    """Longest chord between the two vertices of an edge of `mesh`."""
+    e = mesh.simplices[1]
+    d = mesh.verts[e[:, 0]] - mesh.verts[e[:, 1]]
+    return float(np.linalg.norm(d, axis=1).max())
+
+
+def load_report(path: str) -> dict:
+    """A JSON report written by harness.emit_report, as plain data."""
+    with open(path) as fh:
+        return json.load(fh)

@@ -17,6 +17,7 @@ from quanthom.geometry import SPHERE_VOLUMES, SimplicialSphere, build_sphere_mes
 from quanthom.geometry.quadrature import rule_info, simplex_rule
 
 from conftest import cached_mesh
+from helpers import max_edge_length
 
 
 def exact_monomial(dim, alphas):
@@ -194,7 +195,7 @@ class TestMeshConstruction:
                                             (3, (1, 2, 3))])
     def test_edge_halving(self, dim, levels):
         # asymptotic halving; the platonic-base transition sits outside
-        hs = [cached_mesh(dim, l).max_edge_length() for l in levels]
+        hs = [max_edge_length(cached_mesh(dim, l)) for l in levels]
         for a, b in zip(hs, hs[1:]):
             assert 0.45 <= b / a <= 0.55
 

@@ -4,16 +4,21 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from quanthom import harness
+from quanthom.geometry import build_sphere_mesh
 from quanthom.harness import (ConfigError, ExperimentConfig, Report,
-                              emit_report, load_report, run_bmo_probe,
-                              run_scaling)
+                              emit_report, run_bmo_probe, run_scaling)
+from quanthom.invariants import hardt_riviere
+from quanthom.maps import parse_map_spec
+from quanthom.registry import lookup
+
+from helpers import load_report
 
 FAST_SCALING = """
 [experiment]
@@ -59,6 +64,18 @@ class TestConfig:
         text = FAST_SCALING.replace("levels = 3,4", f"levels = {levels}")
         with pytest.raises(ConfigError, match=re.escape(f"levels {levels!r}")):
             ExperimentConfig.from_string(text)
+
+    @pytest.mark.parametrize("levels,bad", [("-1", "-1"), ("-2,-1,3", "-2, -1")],
+                             ids=["one", "several"])
+    def test_negative_levels_rejected(self, levels, bad):
+        text = FAST_SCALING.replace("levels = 3,4", f"levels = {levels}")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"levels must be >= 0, got {bad}")):
+            ExperimentConfig.from_string(text)
+        # the runs check the config again
+        with pytest.raises(ConfigError, match=re.escape(
+                "levels must be >= 0, got -1")):
+            run_scaling(fast_config(levels=[-1]))
 
     def test_beta_below_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):
@@ -191,12 +208,121 @@ class TestRunScaling:
             assert ((tmp_path / f"run.{fmt}").read_bytes()
                     == (tmp_path / f"joined.{fmt}").read_bytes())
 
+    def test_one_mesh_per_level(self, hopf_two_beta):
+        # 2 maps x 2 levels x 2 betas share one mesh per level
+        _, builds = hopf_two_beta
+        assert builds == [(3, 1), (3, 2)]
+
+    def test_one_level_sweep_builds_once(self, monkeypatch):
+        builds = count_builds(monkeypatch)
+        run_scaling(ExperimentConfig.from_string(
+            HOPF_TWO_BETA.replace("levels = 1,2", "levels = 1")))
+        assert builds == [(3, 1)]
+
+    def test_shared_mesh_rows_match_fresh_meshes(self, hopf_two_beta):
+        rep, _ = hopf_two_beta
+        cfg = ExperimentConfig.from_string(HOPF_TWO_BETA)
+        fresh = {}
+        for block in rep.blocks:
+            for row in block.rows:
+                if row.map_spec not in fresh:
+                    fresh[row.map_spec] = invariant_fields(
+                        row.map_spec, cfg.structure, cfg.levels)
+                assert row_invariant_fields(row) == fresh[row.map_spec]
+
+    def test_failed_row_leaves_later_rows_alone(self):
+        # eps = -0.15 fails the closedness gate at level 1 after the level-1
+        # operator is built; the rows after it read as in a run without it,
+        # whose seed moves up one row so the later rows keep their seeds
+        cfg = ExperimentConfig.from_string(PERTURBED_SWEEP)
+        rows = run_scaling(cfg).blocks[0].rows
+        assert rows[0].error.startswith("ValueError: input not closed")
+        assert not any(r.error for r in rows[1:])
+        without = replace(cfg, sweep_values=cfg.sweep_values[1:],
+                          seed=cfg.seed + 1000)
+        alone = run_scaling(without).blocks[0].rows
+        assert [asdict(r) for r in rows[1:]] == [asdict(r) for r in alone]
+        for row in rows[1:]:
+            assert row_invariant_fields(row) == invariant_fields(
+                row.map_spec, cfg.structure, cfg.levels)
+
     def test_constant_row_zero_ratio(self):
         cfg = fast_config(map_template="circle-power:d=0",
                           sweep_values=[0], levels=[3])
         rep = run_scaling(cfg)
         row = rep.blocks[0].rows[0]
         assert row.invariant == 0.0 and row.ratio == 0.0
+
+
+HOPF_TWO_BETA = """
+[experiment]
+kind = scaling
+structure = hopf:n=1
+map = compose:suspension:d={d}|hopf
+sweep = d=1..2
+beta = 4/5, 9/10
+levels = 1,2
+seminorm = sobolev
+samples = 2000
+seed = 11
+"""
+
+PERTURBED_SWEEP = """
+[experiment]
+kind = scaling
+structure = hopf:n=1
+map = compose:perturb:eps={eps},m=3|suspension:d=2|hopf
+sweep = eps=-0.15,0.0,0.002
+beta = 4/5
+levels = 1
+seminorm = sobolev
+samples = 2000
+seed = 11
+"""
+
+
+def count_builds(mp):
+    """A list that records the (dim, level) of every mesh the harness
+    builds while `mp` patches it."""
+    builds, build = [], harness.build_sphere_mesh
+
+    def counted(dim, level):
+        builds.append((dim, level))
+        return build(dim, level)
+
+    mp.setattr(harness, "build_sphere_mesh", counted)
+    return builds
+
+
+@pytest.fixture(scope="module")
+def hopf_two_beta():
+    """The HOPF_TWO_BETA report and the (dim, level) of every mesh build."""
+    with pytest.MonkeyPatch.context() as mp:
+        builds = count_builds(mp)
+        rep = run_scaling(ExperimentConfig.from_string(HOPF_TWO_BETA))
+    return rep, builds
+
+
+def invariant_fields(spec, structure, levels):
+    """A row's invariant and d^{-1} fields as float.hex, from hardt_riviere
+    on a freshly built mesh per level."""
+    entry = lookup(structure)
+    vals, stats = [], []
+    for lvl in levels[-2:]:
+        res = hardt_riviere(parse_map_spec(spec), entry.structure,
+                            build_sphere_mesh(entry.structure.domain_dim, lvl))
+        vals.append(res.value)
+        stats += res.residuals.values()
+    return (vals[-1].hex(), abs(vals[-1] - vals[0]).hex(),
+            max(s["iterations"] for s in stats),
+            max(s["residual"] for s in stats).hex(),
+            max(s["closedness"] for s in stats).hex())
+
+
+def row_invariant_fields(row):
+    return (row.invariant.hex(), row.invariant_err.hex(),
+            row.solver_iterations, row.solver_residual.hex(),
+            row.closedness.hex())
 
 
 HOLDER_TWO_BETA = """
@@ -513,6 +639,14 @@ class TestCli:
         assert code == 2 and not stdout
         assert ("config error: beta values 1 lie outside (0, 1), the range "
                 "of the sobolev seminorm") in err
+
+    def test_verify_scaling_negative_level_exit2(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING.replace("levels = 3,4", "levels = -1"))
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert "config error: levels must be >= 0, got -1" in err
 
     def test_verify_scaling_pass_exit0(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -10,10 +10,10 @@ import pytest
 from quanthom.geometry import (Cochain, FormField, build_sphere_mesh,
                                de_rham_project)
 from quanthom.hodge import (HodgeOperator, _mass_solve, codifferential,
-                            d_inverse, hodge_operator, mass_matrix,
-                            whitney_mass_local)
+                            d_inverse, hodge_operator, mass_matrix)
 
 from conftest import cached_mesh
+from helpers import whitney_mass_local
 
 
 def exact_1form(points, frames):

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, compose_with_isometry,
-                           distance_to_target, jacobian_fd_error,
-                           make_antipodal, make_circle_power, make_constant,
-                           make_hopf, make_map_composition,
-                           make_oscillation_perturbation, make_product_map,
-                           make_reflection, make_sphere_suspension,
-                           parse_map_spec, project_to_target, pullback,
-                           pullback_form, target_distance_error, volume_form)
+                           distance_to_target, make_antipodal,
+                           make_circle_power, make_constant, make_hopf,
+                           make_map_composition, make_oscillation_perturbation,
+                           make_product_map, make_reflection,
+                           make_sphere_suspension, parse_map_spec,
+                           project_to_target, pullback, pullback_form,
+                           volume_form)
+
+from helpers import jacobian_fd_error, target_distance_error
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
