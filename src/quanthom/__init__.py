@@ -10,8 +10,7 @@ the scaling inequality |deg| <= C * [f]^{(N+L)/beta} on map families.
 __version__ = "0.1.0"
 
 from .geometry import (Cochain, SimplicialSphere, build_sphere_mesh,
-                       de_rham_project, exterior_derivative, integrate_wedge,
-                       whitney_interpolate)
+                       de_rham_project, exterior_derivative, integrate_wedge)
 from .hodge import HodgeOperator, codifferential, d_inverse, hodge_operator
 from .invariants import (DegreeStructure, InvariantResult, Term,
                          hardt_riviere, hopf_invariant, mapping_degree,
@@ -29,7 +28,6 @@ __all__ = [
     "__version__",
     "SimplicialSphere", "build_sphere_mesh", "Cochain",
     "exterior_derivative", "de_rham_project", "integrate_wedge",
-    "whitney_interpolate",
     "HodgeOperator", "hodge_operator", "codifferential", "d_inverse",
     "SmoothMap", "make_circle_power", "make_sphere_suspension",
     "make_hopf", "make_product_map", "make_constant",

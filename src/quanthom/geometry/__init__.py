@@ -8,8 +8,6 @@ from .forms import (
     integrate_wedge,
     radial_projection,
     sphere_quadrature,
-    whitney_interpolate,
-    whitney_values_on_frames,
 )
 from .quadrature import simplex_rule
 
@@ -17,6 +15,5 @@ __all__ = [
     "SimplicialSphere", "build_sphere_mesh", "SPHERE_VOLUMES",
     "Cochain", "exterior_derivative",
     "FormField", "de_rham_project", "integrate_wedge", "radial_projection",
-    "sphere_quadrature", "whitney_interpolate", "whitney_values_on_frames",
-    "simplex_rule",
+    "sphere_quadrature", "simplex_rule",
 ]

@@ -20,8 +20,7 @@ vectors of a top.  An analytic factor receives the whole N-frame at once
 (FormField.on_frame_subsets); a pullback f^*(omega) evaluates f and Df
 once per quadrature node, pushes all N frame vectors through Df, and
 only selects vectors per subset.  Whitney forms are evaluated through
-the same determinant kernel (geometry.minors) on the reference simplex
-and at arbitrary points alike.
+the same determinant kernel (geometry.minors) on the reference simplex.
 
 Curved frames are built per simplex (radial_projection): with r = |x|
 and u = x/r at its nodes x, one (nodes x dim) @ (dim x k) product gives
@@ -48,7 +47,7 @@ from math import factorial
 import numpy as np
 
 from .cochain import Cochain
-from .mesh import map_blocks, permutation_sign, simplex_geometry
+from .mesh import map_blocks, permutation_sign
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
@@ -233,46 +232,6 @@ def _whitney_coefficients(c: Cochain, tops) -> np.ndarray:
     index array) with orientation parities: (n_tops, slots)."""
     mesh, k = c.mesh, c.degree
     return c.values[mesh.top_faces[k][tops]] * mesh.top_face_parity[k][tops]
-
-
-def whitney_values_on_frames(c: Cochain, tri_idx: np.ndarray,
-                             bary: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Whitney interpolant of `c` at barycentric points of given top
-    simplices, evaluated on arbitrary tangent frames (m, k, dim)."""
-    mesh = c.mesh
-    coef = _whitney_coefficients(c, tri_idx)              # (m, n_slots)
-    # dlambda_j(v_i) with the true barycentric gradients of each simplex,
-    # computed for these tops only
-    tops = mesh.simplices[mesh.dim][tri_idx]
-    _, _, grads, _ = simplex_geometry(mesh.verts[tops])
-    dl = grads @ np.swapaxes(frames, 1, 2)                # (m, N+1, k)
-    return (coef * _whitney_basis(bary, dl)).sum(axis=1)
-
-
-def whitney_interpolate(c: Cochain, x, vectors=None):
-    """Value of the Whitney form of `c` at surface point(s) x.
-
-    For a 0-cochain returns the scalar value; for k >= 1 `vectors`
-    supplies the k tangent vectors (shape (k, dim) for a single point or
-    (m, k, dim) batched).  Points are located by radial projection into
-    the flat complex.
-    """
-    mesh = c.mesh
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    idx, bary = mesh.locate(pts)
-    if c.degree == 0:
-        vals = whitney_values_on_frames(c, idx, bary,
-                                        np.zeros((len(pts), 0, pts.shape[1])))
-    else:
-        if vectors is None:
-            raise ValueError("tangent vectors required for a k-form value")
-        frames = np.asarray(vectors, dtype=float)
-        if frames.ndim == 2:
-            frames = np.broadcast_to(frames[None], (len(pts),) + frames.shape)
-        vals = whitney_values_on_frames(c, idx, bary, frames)
-    return float(vals[0]) if single else vals
 
 
 # ----------------------------------------------------------------------

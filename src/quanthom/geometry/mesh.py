@@ -43,12 +43,11 @@ SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 
 # rows per block of every batched loop over a mesh (map_blocks): the tops
 # in the mesh geometry, the simplices of one degree in quadrature and mass
-# assembly, the query points in `locate`.  Each helper thread of
-# map_blocks allocates from its own malloc arena, which keeps about one
-# block's working set; at 1,024 rows the S^3 level-3 Hopf invariant and
-# the scaling sweeps peak no higher than serial loops over 4,096 did.
+# assembly.  Each helper thread of map_blocks takes its memory from its
+# own malloc arena, which keeps about one block's working set; at 1,024
+# rows the S^3 level-3 Hopf invariant and the scaling sweeps peak no
+# higher than serial loops over 4,096 did.
 BLOCK = 1024
-_LOCATE_TOL = 1e-10      # how far outside its top `locate` accepts a point
 
 
 def blocks(n: int):
@@ -149,13 +148,12 @@ def simplex_geometry(pts: np.ndarray):
     sign = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
     inv = sign * minors(gram, N - 1)[:, ::-1, ::-1] / det_g[:, None, None]
     grads = inv @ edges                            # j=1..N
-    barygrad = np.concatenate([-grads.sum(axis=1, keepdims=True), grads],
-                              axis=1)
+    dlam = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
     metric = np.empty((len(pts), N + 1, N + 1))
     metric[:, 1:, 1:] = inv
     metric[:, 0, 1:] = metric[:, 1:, 0] = -inv.sum(axis=1)
     metric[:, 0, 0] = inv.sum(axis=(1, 2))
-    return edges, volumes, barygrad, metric
+    return edges, volumes, dlam, metric
 
 
 def _unique_rows(rows: np.ndarray):
@@ -322,35 +320,6 @@ def _check_tops(tops: np.ndarray, dim: int, n_v: int):
             raise ValueError(f"top simplex {i} {tops[i].tolist()} has {what}")
 
 
-def _vertex_stars(tops: np.ndarray, n_v: int) -> np.ndarray:
-    """Tops around each vertex (n_v, max valence), each row padded by
-    repeating its last top."""
-    vert = tops.ravel()
-    order = np.argsort(vert, kind="stable")
-    count = np.bincount(vert, minlength=n_v)
-    start = np.cumsum(count) - count
-    col = np.minimum(np.arange(count.max()), count[:, None] - 1)
-    return (order // tops.shape[1])[start[:, None] + col]
-
-
-def _deepest_cone(cand: np.ndarray, mu: np.ndarray):
-    """For each point, the candidate top whose cone holds it deepest.
-
-    `cand` (m, c) lists candidate tops per point and `mu` (m, c, N+1) the
-    point's cone coordinates in each (x = sum mu_j p_j).  Returns the
-    chosen tops, the barycentric coordinates of the radial intersection
-    and their minimum, the depth (-inf where no candidate cone faces the
-    point).
-    """
-    s = mu.sum(axis=2, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = mu / s
-    depth = np.where(s[:, :, 0] > 0, lam.min(axis=2), -np.inf)
-    best = depth.argmax(axis=1)
-    rows = np.arange(len(cand))
-    return cand[rows, best], lam[rows, best], depth[rows, best]
-
-
 # ----------------------------------------------------------------------
 # mesh
 # ----------------------------------------------------------------------
@@ -370,10 +339,8 @@ class SimplicialSphere:
                         (int8)
     top_volumes, metric (n_N,) volumes and (n_N, N+1, N+1) Gram matrices
                         of the barycentric differentials of the tops
-    top_points, top_edges, barygrad
-                        vertices, edge vectors from vertex 0 and
-                        barycentric differentials of every top, computed
-                        on each access (no pipeline reads them whole)
+    top_points          (n_N, N+1, N+1) vertices of every top, gathered
+                        on each access (signed_volume reads it)
     coboundary(k)       sparse integer matrix taking k-cochain values to
                         (k+1)-cochain values, (dc)(s) = sum of signed
                         values of c on the boundary faces of s
@@ -407,7 +374,6 @@ class SimplicialSphere:
         if len(flat):
             raise ValueError(f"top simplex {flat[0]} {tops[flat[0]].tolist()} "
                              "spans a plane through the origin")
-        self._locator = None
         self.operators: dict = {}
         for arr in (self.verts, *self.simplices.values()):
             arr.flags.writeable = False
@@ -421,15 +387,6 @@ class SimplicialSphere:
     def top_points(self) -> np.ndarray:
         return self.verts[self.simplices[self.dim]]
 
-    @property
-    def top_edges(self) -> np.ndarray:
-        pts = self.top_points
-        return pts[:, 1:, :] - pts[:, :1, :]
-
-    @property
-    def barygrad(self) -> np.ndarray:
-        return simplex_geometry(self.top_points)[2]
-
     def coboundary(self, k: int) -> sparse.csr_matrix:
         return self._coboundary[k]
 
@@ -441,50 +398,6 @@ class SimplicialSphere:
         (the sign of det[centroid; edges] = det(vertex rows))."""
         signs = np.sign(det(self.top_points))
         return float((signs * self.top_volumes).sum())
-
-    # -- point location ----------------------------------------------------
-
-    def locate(self, points: np.ndarray):
-        """Top simplex hit by the ray through each point, with barycentric
-        coordinates of the radial intersection.
-
-        The candidates are the tops around the vertex nearest to each
-        point; a point that none of them holds is checked against every
-        top.  Among the tops holding a point the one holding it deepest
-        (largest smallest coordinate) is returned.  Returns (indices,
-        bary) and raises "point off mesh" if some point is zero, not
-        finite, or in no top within _LOCATE_TOL.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        norms = np.linalg.norm(points, axis=1, keepdims=True)
-        if not np.all(np.isfinite(norms)) or np.any(norms == 0.0):
-            raise ValueError("point off mesh")
-        unit = points / norms
-        if self._locator is None:
-            from scipy.spatial import cKDTree  # ~50 ms import, used only here
-            self._locator = (cKDTree(self.verts),
-                             _vertex_stars(self.simplices[self.dim], len(self.verts)),
-                             np.linalg.inv(np.swapaxes(self.top_points, 1, 2)))
-        tree, stars, dual = self._locator
-        _, near = tree.query(unit)
-        idx = np.empty(len(unit), dtype=np.int64)
-        bary = np.empty((len(unit), self.dim + 1))
-        depth = np.empty(len(unit))
-
-        def nearest_stars(rows):
-            cand = stars[near[rows]]
-            mu = np.einsum("mcij,mj->mci", dual[cand], unit[rows])
-            idx[rows], bary[rows], depth[rows] = _deepest_cone(cand, mu)
-
-        map_blocks(nearest_stars, len(unit))
-        every = np.arange(len(dual))[None]
-        for i in np.flatnonzero(depth < -_LOCATE_TOL):
-            one = slice(i, i + 1)
-            idx[one], bary[one], depth[one] = _deepest_cone(
-                every, (dual @ unit[i])[None])
-        if (depth < -_LOCATE_TOL).any():
-            raise ValueError("point off mesh")
-        return idx, bary
 
     # -- io -----------------------------------------------------------------
 
@@ -514,29 +427,48 @@ class SimplicialSphere:
         lines = [(n, ln.split()) for n, ln in enumerate(text.splitlines(), 1)
                  if ln.strip()]
 
-        def fields(i: int, width: int, what: str) -> list:
+        def fields(i: int, what: str, *kinds) -> tuple:
+            """(line number, line i's fields converted by `kinds`)."""
             if i >= len(lines):
                 raise ValueError(f"bad mesh file: truncated, {what} missing")
             n, parts = lines[i]
-            if len(parts) != width:
+            if len(parts) != len(kinds):
                 raise ValueError(f"bad mesh file: line {n} has {len(parts)} "
-                                 f"fields, expected {width} for {what}")
-            return parts
+                                 f"fields, expected {len(kinds)} for {what}")
+            try:
+                return n, [kind(x) for kind, x in zip(kinds, parts)]
+            except ValueError as err:
+                raise ValueError(f"bad mesh file: line {n}: {err} ({what})") from None
 
-        head = fields(0, 4, "the DIM/LEVEL header")
-        if head[0] != "DIM" or head[2] != "LEVEL":
-            raise ValueError("bad mesh file: header is not DIM <n> LEVEL <l>")
-        dim, level = int(head[1]), int(head[3])
-        nv = int(fields(1, 2, "the VERTICES header")[1])
-        verts = np.array([[float(x) for x in fields(2 + i, dim + 1, f"vertex {i}")]
+        def count(i: int, key: str) -> int:
+            n, (word, value) = fields(i, f"the {key} header", str, int)
+            if word != key or value < 0:
+                raise ValueError(f"bad mesh file: line {n} is not {key} <count >= 0>")
+            return value
+
+        n, (d, dim, lv, level) = fields(0, "the DIM/LEVEL header", str, int, str, int)
+        if d != "DIM" or lv != "LEVEL":
+            raise ValueError(f"bad mesh file: line {n} is not DIM <n> LEVEL <l>")
+        nv = count(1, "VERTICES")
+        verts = np.array([fields(2 + i, f"vertex {i}", *[float] * (dim + 1))[1]
                           for i in range(nv)])
-        ns = int(fields(2 + nv, 2, "the SIMPLICES header")[1])
+        bad = np.flatnonzero(~np.isfinite(verts).all(axis=-1))
+        if len(bad):
+            raise ValueError(f"bad mesh file: line {lines[2 + bad[0]][0]} has a "
+                             f"non-finite coordinate (vertex {bad[0]})")
+        ns = count(2 + nv, "SIMPLICES")
         tops = []
         for i in range(ns):
-            *row, flag = (int(x) for x in fields(3 + nv + i, dim + 2, f"simplex {i}"))
+            n, (*row, flag) = fields(3 + nv + i, f"simplex {i}", *[int] * (dim + 2))
+            if flag not in (1, -1):
+                raise ValueError(f"bad mesh file: line {n} has orientation flag "
+                                 f"{flag}, expected +1 or -1")
             if flag < 0:
                 row[-1], row[-2] = row[-2], row[-1]
             tops.append(row)
+        if len(lines) > 3 + nv + ns:
+            raise ValueError(f"bad mesh file: line {lines[3 + nv + ns][0]} "
+                             "follows the last simplex")
         return cls(dim, verts, np.array(tops), level)
 
 

@@ -256,15 +256,16 @@ def d_inverse(eta: Cochain, closed_tol: float = 1e-6) -> tuple:
     d(xi) = eta up to curl-solve tolerance plus the input's closedness
     defect and d*(xi) = 0 up to gauge-solve tolerance.  `stats` holds the
     curl and gauge CG `iterations`, `residual`, `gauge_iterations`,
-    `gauge_residual` and the input's `closedness` defect; all are zero
-    for the zero cochain.
+    `gauge_residual` and the input's `closedness` defect.  A round-off
+    cochain, ||eta|| <= eps sqrt(vol) (its defect is noise over noise),
+    counts as zero: xi = 0 and all statistics are zero.
     """
     mesh = eta.mesh
     if not 1 <= eta.degree <= mesh.dim - 1:
         raise ValueError("degree must be between 1 and N-1")
     op = hodge_operator(mesh, eta.degree)
     nrm = op.norm(eta)
-    if nrm == 0.0:
+    if nrm <= np.finfo(float).eps * np.sqrt(mesh.top_volumes.sum()):
         return Cochain.zeros(mesh, eta.degree - 1), {
             "iterations": 0, "residual": 0.0, "gauge_iterations": 0,
             "gauge_residual": 0.0, "closedness": 0.0}

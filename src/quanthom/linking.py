@@ -228,7 +228,7 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
     xdx, ydy = np.cross(x, dx), np.cross(y, dy)
 
     starts = range(0, len(x), _GAUSS_ROWS)
-    # three buffers per worker, allocated here: block j runs on worker
+    # three buffers per worker, made here: block j runs on worker
     # j mod w (map_tasks) and writes each temporary in place in its set
     w = workers(len(starts))
     buffers = np.empty((w, 3, min(_GAUSS_ROWS, len(x)), len(y)))

@@ -1,4 +1,5 @@
-"""The call sites that perfbench/tracing.py wraps exist in the package.
+"""The call sites that perfbench/tracing.py wraps, and every public name,
+exist in the package.
 
 The tracer replaces module attributes such as quanthom.invariants.d_inverse;
 a refactor that renames or drops one would leave its span empty, so the
@@ -27,3 +28,12 @@ def test_every_traced_call_site_resolves():
                if not callable(getattr(importlib.import_module(mod), attr,
                                        None))]
     assert sites and not missing, missing
+
+
+def test_every_public_name_resolves():
+    # a stale export fails here, not in a user's `import *`
+    import quanthom.geometry
+    missing = [f"{module.__name__}.{name}"
+               for module in (quanthom, quanthom.geometry)
+               for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing

@@ -6,8 +6,10 @@ import pytest
 from quanthom.geometry import (Cochain, FormField, SimplicialSphere,
                                build_sphere_mesh, de_rham_project,
                                exterior_derivative, integrate_wedge,
-                               sphere_quadrature, whitney_interpolate,
-                               whitney_values_on_frames)
+                               sphere_quadrature)
+from quanthom.geometry.forms import (WEDGE_DEGREE, _nodes_and_frames,
+                                     _whitney_coefficients, _whitney_edge_tensor)
+from quanthom.geometry.quadrature import simplex_rule
 from quanthom.maps import S2 as S2_target
 from quanthom.maps import volume_form
 
@@ -102,19 +104,28 @@ class TestDeRhamProjection:
         assert np.abs(a.values[mask] - b.values[mask]).max() < 1e-15
 
 
+def whitney_on_edges(c):
+    """The Whitney form of c at the wedge nodes of every top, on the
+    k-subsets of the top's edge vectors: (tops, nodes, subsets)."""
+    W = _whitney_edge_tensor(c.mesh.dim, c.degree)
+    vals = _whitney_coefficients(c, slice(None)) @ W.reshape(len(W), -1)
+    return vals.reshape(-1, *W.shape[1:])
+
+
 class TestWhitney:
     def test_zero_cochain(self, mesh_s2):
         z = Cochain.zeros(mesh_s2, 1)
-        v = whitney_interpolate(z, np.array([0.0, 0.0, 1.0]),
-                                np.array([[1.0, 0.0, 0.0]]))
-        assert v == 0.0
+        assert (whitney_on_edges(z) == 0.0).all()
 
     def test_linear_reproduction_at_barycenters(self, mesh_s2):
+        # at the wedge nodes, the barycenter first among them
         a = np.array([0.3, -1.1, 0.7])
         c = de_rham_project(linear_0form(a), mesh_s2)
-        bc = mesh_s2.top_points.mean(axis=1)
-        vals = whitney_interpolate(c, bc)
-        assert np.abs(vals - bc @ a).max() < 1e-13
+        bary, _ = simplex_rule(2, WEDGE_DEGREE)
+        assert np.allclose(bary[0], 1.0 / 3.0)
+        nodes = np.einsum("qj,tjd->tqd", bary, mesh_s2.top_points)
+        vals = whitney_on_edges(c)[:, :, 0]
+        assert np.abs(vals - nodes @ a).max() < 1e-13
 
     def test_constant_form_reproduction(self, mesh_s2):
         # the flat cochain of a constant-coefficient 1-form, each edge
@@ -122,16 +133,10 @@ class TestWhitney:
         w = np.array([0.2, 0.5, -0.3])
         ends = mesh_s2.verts[mesh_s2.simplices[1]]
         c = Cochain(mesh_s2, 1, (ends[:, 1] - ends[:, 0]) @ w)
-        idx = np.arange(mesh_s2.n_simplices(2))
-        bary = np.full((len(idx), 3), 1.0 / 3.0)
-        fr = mesh_s2.top_edges[:, :1, :]
-        out = whitney_values_on_frames(c, idx, bary, fr)
-        assert np.abs(out - fr[:, 0, :] @ w).max() < 1e-13
-
-    def test_point_off_mesh(self, mesh_s2):
-        c = Cochain.zeros(mesh_s2, 0)
-        with pytest.raises(ValueError, match="point off mesh"):
-            whitney_interpolate(c, np.zeros(3))
+        pts = mesh_s2.top_points
+        edges_w = (pts[:, 1:, :] - pts[:, :1, :]) @ w       # (tops, 2)
+        out = whitney_on_edges(c)                           # (tops, q, 2)
+        assert np.abs(out - edges_w[:, None, :]).max() < 1e-13
 
     def test_l2_convergence_rate(self):
         # first-order Whitney convergence, measured across levels 3,4,5
@@ -141,24 +146,18 @@ class TestWhitney:
             form = FormField(1, smooth_exact_1form)
             c = de_rham_project(form, m)
             # L2 error via quadrature on top simplices, frames = edges
-            from quanthom.geometry.forms import _nodes_and_frames
-            from quanthom.geometry.quadrature import simplex_rule
-            bary, w = simplex_rule(2, 5)
-            idx = np.repeat(np.arange(m.n_simplices(2)), len(w))
-            lam = np.tile(bary, (m.n_simplices(2), 1))
-            err2 = 0.0
+            bary, w = simplex_rule(2, WEDGE_DEGREE)
             nodes, frames = _nodes_and_frames(m, bary, slice(None))
-            flat_nodes = np.einsum("qj,tjd->tqd", bary, m.top_points)
+            interp = whitney_on_edges(c)
+            err2 = 0.0
             for e in range(2):
-                fr_flat = np.repeat(m.top_edges[:, e:e + 1, :], len(w), axis=0)
                 smooth = smooth_exact_1form(
                     nodes.reshape(-1, 3),
                     frames[:, :, e:e + 1, :].reshape(-1, 1, 3))
-                interp = whitney_values_on_frames(c, idx, lam, fr_flat)
                 # edge-component mismatch, weighted by areas
                 areas = np.repeat(m.top_volumes, len(w))
                 err2 += float((areas * np.tile(w, m.n_simplices(2))
-                               * (smooth - interp) ** 2).sum())
+                               * (smooth - interp[:, :, e].ravel()) ** 2).sum())
             errs.append(np.sqrt(err2))
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(rates) >= 0.9
@@ -226,9 +225,6 @@ def test_curved_frames_are_dP_of_the_edges(dim, level):
     # each curved frame vector is dP(x) e for P(x) = x/|x| at the flat node
     # x and an edge e of the simplex: it matches central differences of P
     # along e and is tangent to the sphere at P(x)
-    from quanthom.geometry.forms import _nodes_and_frames
-    from quanthom.geometry.quadrature import simplex_rule
-
     def P(x):
         return x / np.linalg.norm(x, axis=-1, keepdims=True)
 

@@ -9,7 +9,7 @@ from math import factorial, prod
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -227,76 +227,19 @@ class TestMeshConstruction:
         with pytest.raises(ValueError, match="dimension out of range"):
             build_sphere_mesh(4, 0)
 
-    def test_scipy_spatial_imported_by_locate_alone(self):
-        # the package and its CLI start without scipy.spatial; point
-        # location imports it on first use
+    def test_scipy_spatial_never_imported(self):
+        # no pipeline needs scipy.spatial, a ~50 ms import: the package,
+        # its CLI and a Hopf evaluation start and run without it
         code = (
             "import sys\n"
-            "import numpy as np\n"
             "import quanthom, quanthom.cli\n"
-            "assert 'scipy.spatial' not in sys.modules\n"
-            "from quanthom.geometry import Cochain, build_sphere_mesh, "
-            "whitney_interpolate\n"
-            "m = build_sphere_mesh(2, 1)\n"
-            "c = Cochain(m, 0, m.verts[:, 2].copy())\n"
-            "x = m.top_points.mean(axis=1)\n"
-            "assert np.abs(whitney_interpolate(c, x) - x[:, 2]).max() < 1e-13\n"
-            "assert 'scipy.spatial' in sys.modules\n")
+            "m = quanthom.build_sphere_mesh(3, 1)\n"
+            "assert abs(quanthom.hopf_invariant(quanthom.make_hopf(), m).value"
+            " - 1.0) < 0.1\n"
+            "assert 'scipy.spatial' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-
-    def test_locate_roundtrip(self, mesh_s2, rng):
-        pts = rng.standard_normal((50, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        idx, bary = mesh_s2.locate(pts)
-        assert (bary > -1e-12).all()
-        rec = np.einsum("mj,mjd->md", bary, mesh_s2.top_points[idx])
-        rec /= np.linalg.norm(rec, axis=1, keepdims=True)
-        assert np.abs(rec - pts).max() < 1e-12
-
-    @settings(max_examples=200, deadline=None)
-    # 1e-7 from an S^3 level-1 vertex with 24 tops, where the 16 nearest
-    # top centroids miss the top holding some of the points
-    @example(dim=3, kind="vertex", which=35, t=0.0, offset=-7.0,
-             directions=np.linspace(-1.0, 1.0, 64).reshape(16, 4))
-    @given(dim=st.sampled_from([1, 2, 3]),
-           kind=st.sampled_from(["random", "vertex", "edge"]),
-           which=st.integers(0, 10 ** 6), t=st.floats(0.0, 1.0),
-           offset=st.floats(-12.0, -5.0),
-           directions=arrays(np.float64, (16, 4), elements=st.floats(-1.0, 1.0)))
-    def test_locate_any_point(self, dim, kind, which, t, offset, directions):
-        # random points, and points within 1e-12..1e-5 of a vertex or of a
-        # point on an edge, where up to 28 tops (S^3) meet
-        m = cached_mesh(dim, {1: 3, 2: 2, 3: 1}[dim])
-        v = directions[:, :dim + 1]
-        if kind == "random":
-            x = v[np.linalg.norm(v, axis=1) > 1e-3]
-        else:
-            table = m.simplices[0 if kind == "vertex" else 1]
-            p = m.verts[table[which % len(table)]]
-            x = (1 - t) * p[0] + t * p[-1] + 10.0 ** offset * v
-        if not len(x):
-            return
-        idx, bary = m.locate(x)
-        assert bary.min() >= -1e-10
-        assert np.abs(bary.sum(axis=1) - 1.0).max() < 1e-12
-        rec = np.einsum("mj,mjd->md", bary, m.top_points[idx])
-        rec /= np.linalg.norm(rec, axis=1, keepdims=True)
-        assert np.abs(rec - x / np.linalg.norm(x, axis=1, keepdims=True)).max() < 1e-12
-
-    def test_locate_falls_back_to_every_top(self, rng):
-        # with every vertex star replaced by top 0, all other points are
-        # found by the exhaustive check, in the same tops
-        pts = rng.standard_normal((40, 3))
-        ref_idx, ref_bary = cached_mesh(2, 2).locate(pts)
-        m = build_sphere_mesh(2, 2)
-        m.locate(pts[:1])
-        tree, stars, dual = m._locator
-        m._locator = (tree, np.zeros_like(stars), dual)
-        idx, bary = m.locate(pts)
-        assert np.array_equal(idx, ref_idx)
-        assert np.abs(bary - ref_bary).max() < 1e-15
 
 
 class TestMeshIO:
@@ -385,8 +328,23 @@ def test_bad_tops_rejected(corrupt, message):
      "line 17 has 2 fields, expected 4"),
     (lambda lines: lines[:4] + ["0.5 0.5"] + lines[5:],
      "line 5 has 2 fields, expected 3"),
+    (lambda lines: lines[:4] + ["0.5 x 0.5"] + lines[5:],
+     r"line 5: could not convert string to float: 'x' \(vertex 2\)"),
+    (lambda lines: lines[:4] + ["0.5 nan 0.5"] + lines[5:],
+     r"line 5 has a non-finite coordinate \(vertex 2\)"),
+    (lambda lines: lines[:16] + ["0 x 5 +1"] + lines[17:],
+     r"line 17: invalid literal for int\(\) with base 10: 'x' \(simplex 1\)"),
+    (lambda lines: lines[:16] + [lines[16].rsplit(" ", 1)[0] + " 0"] + lines[17:],
+     r"line 17 has orientation flag 0, expected \+1 or -1"),
+    (lambda lines: lines + ["0 1 2 +1"], "line 36 follows the last simplex"),
+    (lambda lines: lines[:1] + ["VERTICES -1"] + lines[2:],
+     "line 2 is not VERTICES <count >= 0>"),
+    (lambda lines: lines[:14] + ["SIMPLEXES 20"] + lines[15:],
+     "line 15 is not SIMPLICES <count >= 0>"),
 ], ids=["truncated-simplices", "truncated-vertices", "header-only",
-        "short-simplex", "short-vertex"])
+        "short-simplex", "short-vertex", "non-numeric-vertex",
+        "non-finite-vertex", "non-numeric-index", "orientation-flag-0",
+        "trailing-line", "negative-count", "misnamed-header"])
 def test_bad_mesh_file_rejected(edit, message):
     lines = build_sphere_mesh(2, 0).format_ascii().splitlines()
     with pytest.raises(ValueError, match="bad mesh file: " + message):
