@@ -126,16 +126,15 @@ def _orient_outward(verts: np.ndarray, tops: np.ndarray) -> np.ndarray:
 def simplex_geometry(pts: np.ndarray):
     """Affine geometry of a batch of N-simplices with vertices pts (t, N+1, d).
 
-    Returns edges (t, N, d) from vertex 0, volumes (t,), barycentric
-    differentials (t, N+1, d) -- row j is the gradient of lambda_j
-    restricted to the simplex plane -- and their Gram matrices
-    (t, N+1, N+1), the metric of the Whitney-form algebra.
+    Returns volumes (t,) and the Gram matrices (t, N+1, N+1) of the
+    barycentric differentials, the metric of the Whitney-form algebra.
 
-    All in closed form from the edge Gram matrix G: its determinant gives
-    the volume, its inverse is the adjugate (the (N-1) x (N-1) minors)
-    over the determinant, the gradients of lambda_1..lambda_N are
-    G^{-1} edges, and the metric is G^{-1} bordered by minus its column
-    sums (lambda_0 = 1 - the others) with their total in the corner.
+    Both in closed form from the Gram matrix G of the edges from vertex
+    0: its determinant gives the volume; its inverse, the adjugate (the
+    (N-1) x (N-1) minors) over the determinant, is the Gram matrix of the
+    gradients of lambda_1..lambda_N; and the metric is G^{-1} bordered by
+    minus its column sums (lambda_0 = 1 - the others) with their total in
+    the corner.
     """
     edges = pts[:, 1:, :] - pts[:, :1, :]
     N = edges.shape[1]
@@ -147,13 +146,11 @@ def simplex_geometry(pts: np.ndarray):
     # order
     sign = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
     inv = sign * minors(gram, N - 1)[:, ::-1, ::-1] / det_g[:, None, None]
-    grads = inv @ edges                            # j=1..N
-    dlam = np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
     metric = np.empty((len(pts), N + 1, N + 1))
     metric[:, 1:, 1:] = inv
     metric[:, 0, 1:] = metric[:, 1:, 0] = -inv.sum(axis=1)
     metric[:, 0, 0] = inv.sum(axis=(1, 2))
-    return edges, volumes, dlam, metric
+    return volumes, metric
 
 
 def _unique_rows(rows: np.ndarray):
@@ -366,7 +363,7 @@ class SimplicialSphere:
             pts = self.verts[tops[rows]]
             flat = np.flatnonzero(det(pts) == 0.0)
             if not len(flat):
-                _, self.top_volumes[rows], _, self.metric[rows] = (
+                self.top_volumes[rows], self.metric[rows] = (
                     simplex_geometry(pts))
             return rows.start + flat
 

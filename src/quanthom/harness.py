@@ -23,6 +23,7 @@ import csv
 import datetime
 import io
 import json
+import string
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -135,6 +136,9 @@ class ExperimentConfig:
             allow = sec.getboolean("allow_beta_below_threshold", False)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
+        except ZeroDivisionError:           # only a beta fraction divides
+            raise ConfigError(f"beta {sec['beta']!r} has a zero "
+                              f"denominator") from None
         outputs = dict(cp["output"]) if cp.has_section("output") else {}
         unknown = sorted(set(outputs) - set(REPORT_FORMATS))
         if unknown:
@@ -156,6 +160,21 @@ class ExperimentConfig:
         negative = [str(lvl) for lvl in self.levels if lvl < 0]
         if negative:
             raise ConfigError(f"levels must be >= 0, got {', '.join(negative)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if len(set(self.betas)) < len(self.betas):
+            raise ConfigError(f"beta {', '.join(map(str, self.betas))} "
+                              f"repeats a value")
+        try:
+            fields = {name for _, name, _, _
+                      in string.Formatter().parse(self.map_template)
+                      if name is not None}
+        except ValueError as exc:
+            raise ConfigError(f"map {self.map_template!r}: {exc}") from None
+        if fields != {self.sweep_name}:
+            raise ConfigError(
+                f"map {self.map_template!r} does not use the sweep key "
+                f"{self.sweep_name!r} as its one field")
         if self.kind == "scaling":
             if self.samples < 1:
                 raise ConfigError(f"samples must be >= 1, got {self.samples}")

@@ -41,7 +41,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import blocks, map_blocks
+from .geometry.mesh import map_blocks
 from .geometry.minors import minors, whitney_table
 
 # relative residual of the d^{-1} curl solve
@@ -79,58 +79,34 @@ def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
     return local.reshape(len(vol), s, s)
 
 
-def _summed(keys: np.ndarray, values: np.ndarray) -> tuple:
-    """(distinct keys ascending, the sum of the values of each key); the
-    values of one key are added in their input order."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    return uniq, np.bincount(inv, weights=values, minlength=len(uniq))
-
-
 def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     """Whitney k-form mass matrix (symmetric positive definite).
 
-    The tops are assembled block by block on every core
-    (mesh.map_blocks).  Entries are keyed row * n + column; each block
-    sums its entries per key, and the block sums are added in block
-    order, so the matrix is the same bits from run to run and at any core
-    count.  They are merged over ranges of rows (mesh.map_blocks again),
-    so each merge holds the keys of one range at a time.
+    The local blocks of the tops, signed by the face parities, are
+    computed block by block on every core (mesh.map_blocks) into one
+    (t, s, s) array; one COO to CSR conversion scatters them to the rows
+    and columns of the faces and sums the duplicate entries.  Neither
+    step depends on the cores, so the matrix is the same bits from run
+    to run and at any core count.
     """
-    faces = mesh.top_faces[k]                          # (t, s)
+    # (t, s), int32 as scipy's CSR indices, so no index array is copied
+    faces = mesh.top_faces[k].astype(np.int32)
     par = mesh.top_face_parity[k]
     s = faces.shape[1]
     n = mesh.n_simplices(k)
     _mass_coefficients(mesh.dim, k)                    # cached before the map
-    # first key of each range of rows of the merge, and the end
-    bounds = n * np.array([rows.start for rows in blocks(n)] + [n])
+    local = np.empty((len(faces), s, s))
 
     def assemble(tops):
-        local = _whitney_mass_blocks(mesh.metric[tops], mesh.top_volumes[tops],
-                                     k)
-        local *= par[tops, :, None] * par[tops, None, :]
-        # entries ordered slot pair (a, b) major, simplex minor
-        f = faces[tops].T
-        key = np.repeat(f, s, axis=0) * n + np.tile(f, (s, 1))
-        uniq, summed = _summed(key.ravel(), local.transpose(1, 2, 0).ravel())
-        return uniq, summed, np.searchsorted(uniq, bounds).tolist()
+        local[tops] = _whitney_mass_blocks(mesh.metric[tops],
+                                           mesh.top_volumes[tops], k)
+        local[tops] *= par[tops, :, None] * par[tops, None, :]
 
-    keys, values, cuts = zip(*map_blocks(assemble, len(faces)))
-
-    def merge(rows):
-        j = int(np.searchsorted(bounds, rows.start * n))
-        uniq, summed = _summed(
-            np.concatenate([u[c[j]:c[j + 1]] for u, c in zip(keys, cuts)]),
-            np.concatenate([v[c[j]:c[j + 1]] for v, c in zip(values, cuts)]))
-        # ascending keys are rows in order with ascending columns: CSR as is
-        row, col = np.divmod(uniq, n)
-        counts = np.bincount(row - rows.start, minlength=rows.stop - rows.start)
-        return counts, col, summed
-
-    counts, columns, data = zip(*map_blocks(merge, n))
-    del keys, values                # freed before the final copies
-    return sparse.csr_matrix((np.concatenate(data), np.concatenate(columns),
-                              np.cumsum(np.concatenate([[0], *counts]))),
-                             shape=(n, n))
+    map_blocks(assemble, len(faces))
+    # local[t, a, b] goes to row faces[t, a] and column faces[t, b]
+    rows = np.repeat(faces, s, axis=1).ravel()
+    cols = np.tile(faces, s).ravel()
+    return sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
 
 
 def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,

@@ -182,23 +182,12 @@ def _jacobian_moment(f, p) -> np.ndarray:
     return A * SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] / wx.sum()
 
 
-def _sobolev_mc(f, beta, p, samples, seed, stratified=True):
-    """[f]^p by Monte Carlo, its error and the rows passed to f.value;
-    `stratified=False` is plain Monte Carlo, the tests' reference."""
+def _sobolev_mc(f, beta, p, samples, seed):
+    """[f]^p by stratified Monte Carlo, its error and the rows passed to
+    f.value."""
     N = f.domain_dim
     amb = N + 1
     expo = N + beta * p
-
-    if not stratified:
-        rng = _rng(seed, 0)
-        X = _uniform_sphere(rng, samples, amb)
-        Y = _uniform_sphere(rng, samples, amb)
-        chord = np.linalg.norm(X - Y, axis=1)
-        g = np.linalg.norm(f.value(X) - f.value(Y), axis=1) ** p / chord ** expo
-        vol = SPHERE_VOLUMES[N] ** 2
-        total = vol * float(g.mean())
-        se = vol * float(g.std(ddof=1)) / np.sqrt(samples)
-        return total, se, 2 * samples
 
     # dyadic chord shells [2^-k-1 D, 2^-k D], k < _STRATA, then the
     # leading term below the last edge psi_min; the strata run on every

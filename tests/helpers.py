@@ -1,13 +1,15 @@
-"""Checks that only the tests use: hand-checkable mass blocks, map
-accuracy probes, mesh edge lengths and report loading."""
+"""Checks that only the tests use: hand-checkable mass blocks,
+barycentric gradients, plain Monte Carlo, map accuracy probes, mesh edge
+lengths and report loading."""
 
 import json
 
 import numpy as np
 
-from quanthom.geometry.mesh import simplex_geometry
+from quanthom.geometry.mesh import SPHERE_VOLUMES, simplex_geometry
 from quanthom.hodge import _whitney_mass_blocks
 from quanthom.maps import SmoothMap, distance_to_target
+from quanthom.seminorms import _rng, _uniform_sphere
 
 
 def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
@@ -18,8 +20,33 @@ def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
     assembly kernel against hand computations.
     """
     pts = np.asarray(vertices, dtype=float)[None]
-    _, vol, _, g = simplex_geometry(pts)
+    vol, g = simplex_geometry(pts)
     return _whitney_mass_blocks(g, vol, k)[0]
+
+
+def barycentric_gradients(pts: np.ndarray) -> np.ndarray:
+    """Gradients (t, N+1, d) of the barycentric coordinates of a batch of
+    affine N-simplices with vertices pts (t, N+1, d), restricted to the
+    simplex plane: row j is the gradient of lambda_j."""
+    edges = pts[:, 1:] - pts[:, :1]
+    grads = np.linalg.inv(edges @ np.swapaxes(edges, 1, 2)) @ edges
+    return np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+
+
+def plain_sobolev_mc(f: SmoothMap, beta: float, p: float, samples: int,
+                     seed: int) -> tuple:
+    """(total, standard error): [f]^p by plain Monte Carlo over pairs of
+    independent uniform points, the reference of the stratified
+    estimator seminorms._sobolev_mc."""
+    N = f.domain_dim
+    rng = _rng(seed, 0)
+    X = _uniform_sphere(rng, samples, N + 1)
+    Y = _uniform_sphere(rng, samples, N + 1)
+    chord = np.linalg.norm(X - Y, axis=1)
+    g = (np.linalg.norm(f.value(X) - f.value(Y), axis=1) ** p
+         / chord ** (N + beta * p))
+    vol = SPHERE_VOLUMES[N] ** 2
+    return vol * float(g.mean()), vol * float(g.std(ddof=1)) / np.sqrt(samples)
 
 
 def jacobian_fd_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:

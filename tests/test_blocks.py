@@ -27,6 +27,7 @@ from quanthom.maps import (S2, make_hopf, parse_map_spec, pullback_form,
 from quanthom.seminorms import bmo_seminorm, sobolev_seminorm
 
 from conftest import cached_mesh
+from helpers import barycentric_gradients
 
 ODD = 7
 ONE = 10 ** 9
@@ -200,10 +201,7 @@ def test_map_blocks_leaves_no_thread(monkeypatch):
 def test_on_demand_top_arrays_match_former_storage():
     m = cached_mesh(3, 1)
     pts = m.verts[m.simplices[3]]
-    edges = pts[:, 1:] - pts[:, :1]
-    grads = np.linalg.inv(edges @ np.swapaxes(edges, 1, 2)) @ edges
-    barygrad = np.concatenate([-grads.sum(axis=1, keepdims=True), grads],
-                              axis=1)
+    barygrad = barycentric_gradients(pts)
     assert np.array_equal(m.top_points, pts)
     metric = np.einsum("tid,tjd->tij", barygrad, barygrad)
     assert np.abs(m.metric - metric).max() <= 1e-13 * np.abs(metric).max()

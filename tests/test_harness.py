@@ -247,8 +247,7 @@ class TestRunScaling:
                 row.map_spec, cfg.structure, cfg.levels)
 
     def test_constant_row_zero_ratio(self):
-        cfg = fast_config(map_template="circle-power:d=0",
-                          sweep_values=[0], levels=[3])
+        cfg = fast_config(sweep_values=[0], levels=[3])
         rep = run_scaling(cfg)
         row = rep.blocks[0].rows[0]
         assert row.invariant == 0.0 and row.ratio == 0.0
@@ -681,6 +680,27 @@ seed = 5
         assert code == 2 and not stdout
         assert "unknown [output] key(s) txt" in err
         assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("beta = 9/10", "beta = 4/0", "beta '4/0' has a zero denominator"),
+        ("beta = 9/10", "beta = 9/10, 9/10",
+         "beta 9/10, 9/10 repeats a value"),
+        ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
+        ("sweep = d=1..3", "sweep = e=1..3",
+         "map 'circle-power:d={d}' does not use the sweep key 'e' as its "
+         "one field"),
+        ("map = circle-power:d={d}", "map = circle-power:d=2",
+         "map 'circle-power:d=2' does not use the sweep key 'd' as its "
+         "one field")],
+        ids=["zero-denominator", "duplicate-beta", "negative-seed",
+             "unused-sweep-key", "template-without-field"])
+    def test_verify_scaling_bad_key_exit2(self, tmp_path, old, new, message):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING.replace(old, new))
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert message in err
 
     def test_config_error_exit2(self, tmp_path):
         cfg = tmp_path / "bad.ini"

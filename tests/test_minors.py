@@ -19,6 +19,7 @@ from quanthom.invariants import hopf_invariant
 from quanthom.maps import make_hopf
 
 from conftest import cached_mesh
+from helpers import barycentric_gradients
 
 # magnitudes in [1e-6, 1e3] or 0, so no product underflows
 entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
@@ -82,7 +83,8 @@ def test_mass_blocks_match_quadrature_of_basis(rng, N, k):
     # k-subsets I of an orthonormal tangent frame of alpha(e_I) beta(e_I)
     # (Cauchy-Binet); W is degree 1 in lambda, so the degree-5 rule is exact
     pts = rng.standard_normal((4, N + 1, N + 1))
-    _, vol, grads, g = simplex_geometry(pts)
+    vol, g = simplex_geometry(pts)
+    grads = barycentric_gradients(pts)
     q, _ = np.linalg.qr(np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2))
     frames = np.swapaxes(q, 1, 2)                        # (t, N, N+1)
     bary, w = simplex_rule(N, 5)
@@ -106,7 +108,7 @@ def test_whitney_basis_top_form_is_volume(rng):
     # on the simplex's own edge vectors is N! (the edges' dual basis)
     for N in (1, 2, 3):
         pts = rng.standard_normal((1, N + 1, N + 1))
-        _, _, grads, _ = simplex_geometry(pts)
+        grads = barycentric_gradients(pts)
         edges = pts[:, 1:] - pts[:, :1]
         dl = grads @ np.swapaxes(edges, 1, 2)
         lam = rng.random((1, N + 1))
