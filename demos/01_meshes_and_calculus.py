@@ -14,7 +14,7 @@ print("== sphere meshes ==")
 for dim, level in ((1, 3), (2, 3), (3, 1)):
     m = build_sphere_mesh(dim, level)
     counts = [m.n_simplices(k) for k in range(dim + 1)]
-    vol = m.signed_volume()
+    vol = m.top_volumes.sum()
     exact = SPHERE_VOLUMES[dim]
     print(f"S^{dim} level {level}: simplex counts {counts}, "
           f"chi = {m.euler_characteristic()}, "

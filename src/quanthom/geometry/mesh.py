@@ -12,10 +12,11 @@ Simplices are affine (flat) with vertices on the sphere.  All simplex
 tables of degree k < N are stored with vertices in ascending index
 order (this fixes their orientation); top simplices are stored in
 positively oriented vertex order, where a frame (e_1 .. e_N) of edge
-vectors is positive iff det[c; e_1; ...; e_N] > 0 with c the outward
-(centroid) direction.  With that convention the fundamental chain is
-the sum of all top simplices with coefficient +1 and its boundary
-vanishes identically.
+vectors is positive iff det[c; e_1; ...; e_N] = det(vertex rows) > 0
+with c the outward (centroid) direction; the constructor swaps the last
+two vertices of every top given with det < 0 and refuses det = 0.  With
+that convention the fundamental chain is the sum of all top simplices
+with coefficient +1 and its boundary vanishes identically.
 
 Every face of a top simplex carries the parity of its vertex order in
 the top (the oriented sub-tuple) against its stored row: the sorting
@@ -105,22 +106,6 @@ def permutation_sign(rows) -> np.ndarray:
     for i, j in combinations(range(rows.shape[-1]), 2):
         inversions += rows[..., i] > rows[..., j]
     return 1 - 2 * (inversions % 2)
-
-
-def _orient_outward(verts: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """Reorder top simplices so every frame is positive against the radius.
-
-    The frame of a top is positive iff det[centroid; edges] > 0, which
-    equals det(vertex rows) by row operations.
-    """
-    tops = tops.copy()
-    dets = np.concatenate(map_blocks(lambda rows: det(verts[tops[rows]]),
-                                     len(tops)))
-    if np.any(dets == 0.0):
-        raise ValueError("degenerate top simplex")
-    flip = dets < 0
-    tops[flip, -2], tops[flip, -1] = tops[flip, -1], tops[flip, -2].copy()
-    return tops
 
 
 def simplex_geometry(pts: np.ndarray):
@@ -324,7 +309,8 @@ def _check_tops(tops: np.ndarray, dim: int, n_v: int):
 class SimplicialSphere:
     """Oriented simplicial approximation of S^N with its discrete calculus.
 
-    Immutable after construction.  Attributes of interest:
+    Orients the given tops by their geometry (see the module docstring)
+    and is immutable after construction.  Attributes of interest:
 
     dim, level          sphere dimension N and refinement level
     verts               (n_v, N+1) unit vectors
@@ -336,8 +322,8 @@ class SimplicialSphere:
                         (int8)
     top_volumes, metric (n_N,) volumes and (n_N, N+1, N+1) Gram matrices
                         of the barycentric differentials of the tops
-    top_points          (n_N, N+1, N+1) vertices of every top, gathered
-                        on each access (signed_volume reads it)
+    top_points          (n_N, N+1, N+1) vertices of every top in stored
+                        order, gathered on each access; det > 0 for all
     coboundary(k)       sparse integer matrix taking k-cochain values to
                         (k+1)-cochain values, (dc)(s) = sum of signed
                         values of c on the boundary faces of s
@@ -354,23 +340,29 @@ class SimplicialSphere:
         self.verts = np.ascontiguousarray(verts, dtype=float)
         tops = np.ascontiguousarray(tops, dtype=np.int64)
         _check_tops(tops, dim, len(self.verts))
+        tops = tops.copy()
+
+        # swap the last two vertices of a block's inward tops; find its flat ones
+        def orient(rows):
+            sign = det(self.verts[tops[rows]])
+            inward = rows.start + np.flatnonzero(sign < 0.0)
+            tops[inward, -2:] = tops[inward, -2:][:, ::-1]
+            return rows.start + np.flatnonzero(sign == 0.0)
+
+        flat = np.concatenate(map_blocks(orient, len(tops)))
+        if len(flat):
+            raise ValueError(f"top simplex {flat[0]} {tops[flat[0]].tolist()} "
+                             "spans a plane through the origin")
         (self.simplices, self.top_faces, self.top_face_parity,
          self._coboundary) = _mesh_tables(tops, dim)
         self.top_volumes = np.empty(len(tops))
         self.metric = np.empty((len(tops), dim + 1, dim + 1))
 
         def geometry(rows):
-            pts = self.verts[tops[rows]]
-            flat = np.flatnonzero(det(pts) == 0.0)
-            if not len(flat):
-                self.top_volumes[rows], self.metric[rows] = (
-                    simplex_geometry(pts))
-            return rows.start + flat
+            self.top_volumes[rows], self.metric[rows] = (
+                simplex_geometry(self.verts[tops[rows]]))
 
-        flat = np.concatenate(map_blocks(geometry, len(tops)))
-        if len(flat):
-            raise ValueError(f"top simplex {flat[0]} {tops[flat[0]].tolist()} "
-                             "spans a plane through the origin")
+        map_blocks(geometry, len(tops))
         self.operators: dict = {}
         for arr in (self.verts, *self.simplices.values()):
             arr.flags.writeable = False
@@ -389,12 +381,6 @@ class SimplicialSphere:
 
     def euler_characteristic(self) -> int:
         return int(sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1)))
-
-    def signed_volume(self) -> float:
-        """Total volume of the flat top simplices, signed by orientation
-        (the sign of det[centroid; edges] = det(vertex rows))."""
-        signs = np.sign(det(self.top_points))
-        return float((signs * self.top_volumes).sum())
 
     # -- io -----------------------------------------------------------------
 
@@ -460,8 +446,6 @@ class SimplicialSphere:
             if flag not in (1, -1):
                 raise ValueError(f"bad mesh file: line {n} has orientation flag "
                                  f"{flag}, expected +1 or -1")
-            if flag < 0:
-                row[-1], row[-2] = row[-2], row[-1]
             tops.append(row)
         if len(lines) > 3 + nv + ns:
             raise ValueError(f"bad mesh file: line {lines[3 + nv + ns][0]} "
@@ -493,5 +477,4 @@ def build_sphere_mesh(dim: int, level: int) -> SimplicialSphere:
             verts, tops = _subdivide_tets(verts, tops)
     norms = np.linalg.norm(verts, axis=1, keepdims=True)
     verts = verts / norms
-    tops = _orient_outward(verts, tops)
     return SimplicialSphere(dim, verts, tops, level)

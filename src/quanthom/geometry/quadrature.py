@@ -53,7 +53,8 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the reference `dim`-simplex exact to total degree `degree`.
 
     Any odd degree on the segment; degree 5 or 7 on the triangle and 5 on
-    the tetrahedron.  Any other pair raises ValueError.
+    the tetrahedron.  Any other pair raises ValueError.  The arrays are
+    read-only: the cache shares them with every caller.
 
     Returns
     -------
@@ -64,12 +65,16 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
         # n-point Gauss is exact to degree 2n-1
         x, w = roots_jacobi((degree + 1) // 2, 0.0, 0.0)
         t = 0.5 * (x + 1.0)
-        return np.stack([1.0 - t, t], axis=1), w / w.sum()
-    if (dim, degree) not in _SYMMETRIC:
+        rule = np.stack([1.0 - t, t], axis=1), w / w.sum()
+    elif (dim, degree) in _SYMMETRIC:
+        group, orbits = _SYMMETRIC[dim, degree]
+        nodes = [(p, w) for g, w in orbits for p in sorted(set(group(g)))]
+        rule = tuple(np.array(a) for a in zip(*nodes))
+    else:
         raise ValueError(
             f"no quadrature rule of degree {degree} on the {dim}-simplex: "
             f"odd degrees on the segment, 5 or 7 on the triangle and 5 on "
             f"the tetrahedron")
-    group, orbits = _SYMMETRIC[dim, degree]
-    nodes = [(p, w) for g, w in orbits for p in sorted(set(group(g)))]
-    return tuple(np.array(a) for a in zip(*nodes))
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule

@@ -44,6 +44,10 @@ INTEGRALITY_TOL = 1e-3
 # the report formats of emit_report, which are the keys of a config's
 # [output] section
 REPORT_FORMATS = ("json", "csv", "text")
+# the keys of a config's [experiment] section
+_EXPERIMENT_KEYS = ("kind", "structure", "map", "sweep", "beta", "levels",
+                    "seminorm", "samples", "seed",
+                    "allow_beta_below_threshold")
 # failures a sweep row records and runs past: bad specs and non-regular
 # values (ValueError), floating-point faults, and unconverged solves
 _ROW_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError,
@@ -120,6 +124,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_parser(cls, cp: configparser.ConfigParser) -> "ExperimentConfig":
+        for name, allowed in (("experiment", _EXPERIMENT_KEYS),
+                              ("output", REPORT_FORMATS)):
+            unknown = sorted(set(cp[name]) - set(allowed)
+                             if cp.has_section(name) else ())
+            if unknown:
+                raise ConfigError(f"unknown [{name}] key(s) "
+                                  f"{', '.join(unknown)}; allowed: "
+                                  f"{', '.join(allowed)}")
         try:
             sec = cp["experiment"]
             kind = sec.get("kind", "scaling").strip()
@@ -140,10 +152,6 @@ class ExperimentConfig:
             raise ConfigError(f"beta {sec['beta']!r} has a zero "
                               f"denominator") from None
         outputs = dict(cp["output"]) if cp.has_section("output") else {}
-        unknown = sorted(set(outputs) - set(REPORT_FORMATS))
-        if unknown:
-            raise ConfigError(f"unknown [output] key(s) {', '.join(unknown)}; "
-                              f"allowed: {', '.join(REPORT_FORMATS)}")
         cfg = cls(kind, structure, template, sweep_name, sweep_values, betas,
                   levels, seminorm, samples, seed, allow, outputs)
         cfg.validate()

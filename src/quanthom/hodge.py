@@ -46,6 +46,8 @@ from .geometry.minors import minors, whitney_table
 
 # relative residual of the d^{-1} curl solve
 CURL_TOL = 1e-9
+# relative closedness defect a d^{-1} input may have
+CLOSED_TOL = 1e-3
 
 
 @lru_cache(maxsize=None)
@@ -223,12 +225,12 @@ def codifferential(c: Cochain) -> Cochain:
     return Cochain(c.mesh, c.degree - 1, op.codifferential_values(c.values))
 
 
-def d_inverse(eta: Cochain, closed_tol: float = 1e-6) -> tuple:
+def d_inverse(eta: Cochain) -> tuple:
     """(xi, stats): the primitive d^{-1} eta = d* Delta^{-1} eta of a
     (numerically) closed cochain and the statistics of its solve.
 
     Requires 1 <= degree <= N-1 and the closedness defect
-    ||d eta|| / ||eta|| below `closed_tol` in mass norm.  xi satisfies
+    ||d eta|| / ||eta|| below CLOSED_TOL in mass norm.  xi satisfies
     d(xi) = eta up to curl-solve tolerance plus the input's closedness
     defect and d*(xi) = 0 up to gauge-solve tolerance.  `stats` holds the
     curl and gauge CG `iterations`, `residual`, `gauge_iterations`,
@@ -246,8 +248,8 @@ def d_inverse(eta: Cochain, closed_tol: float = 1e-6) -> tuple:
             "iterations": 0, "residual": 0.0, "gauge_iterations": 0,
             "gauge_residual": 0.0, "closedness": 0.0}
     defect = op.norm(eta.d()) / nrm
-    if defect > closed_tol:
+    if defect > CLOSED_TOL:
         raise ValueError(
-            f"input not closed: relative defect {defect:.3e} > {closed_tol:.1e}")
+            f"input not closed: relative defect {defect:.3e} > {CLOSED_TOL:.1e}")
     sigma, stats = op.primitive_values(eta.values)
     return Cochain(mesh, eta.degree - 1, sigma), {**stats, "closedness": defect}

@@ -31,7 +31,6 @@ from .hodge import d_inverse, hodge_operator  # noqa: F401
 from .maps import (S1, S2, S2xS2, SmoothMap, Target, pullback_form,
                    sphere_target, volume_form)
 
-CLOSED_TOL = 1e-3        # relative closedness defect a d^{-1} input may have
 _ORACLE_POINTS = 8192    # polygon vertices of the winding-number oracle
 
 
@@ -155,8 +154,7 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantRe
         for i, om in enumerate(term.forms[1:], start=1):
             eta = de_rham_project(pullback_form(f, om), mesh)
             quadrature["projection"] = rule_info(om.degree, PROJECT_DEGREE)
-            xi, residuals[f"term{kterm}.d_inverse{i}"] = d_inverse(
-                eta, closed_tol=CLOSED_TOL)
+            xi, residuals[f"term{kterm}.d_inverse{i}"] = d_inverse(eta)
             factors.append(xi)
         val = integrate_wedge(factors, mesh)
         per_term.append(val)

@@ -68,6 +68,16 @@ def _count(name: str, value, least: int) -> int:
     return n
 
 
+def _sampled_dim(f, what: str) -> int:
+    """f's domain dimension N, if the cap angles of the `what` estimator,
+    distributed like sin^{N-1}, have a sampler on S^N (N = 1, 2, 3)."""
+    N = f.domain_dim
+    if N not in (1, 2, 3):
+        raise ValueError(f"no {what} seminorm on S^{N}: its cap angles are "
+                         f"sampled on S^1, S^2 and S^3 only")
+    return N
+
+
 def _rng(seed, *key) -> np.random.Generator:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
@@ -346,7 +356,7 @@ def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
     if p < 1.0:
         raise ValueError("p must be >= 1")
     samples = _count("samples", samples, 1)
-    if f.domain_dim == 1:
+    if _sampled_dim(f, "Sobolev") == 1:
         total, err, used, angles = _sobolev_circle_quadrature(f, beta, p)
         name, seed = "tensor-quadrature", None
     else:
@@ -436,9 +446,9 @@ def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
     A lower bound of the BMO seminorm (finite grid of caps); the error
     is the Monte Carlo standard error of the maximizing cap.  Raises
     ValueError on `centers` < 1, `cap_samples` < 2 and radii that are
-    empty, not finite or not positive.
+    empty, not finite or not positive, and on S^N with N > 3.
     """
-    N = f.domain_dim
+    N = _sampled_dim(f, "BMO")
     amb = N + 1
     if radii is None:
         radii = 2.0 * 2.0 ** -np.arange(9, dtype=float)

@@ -150,7 +150,7 @@ def test_criterion_05_hodge_contract():
     for level in (1, 2, 3):
         m = cached_mesh(3, level)
         e = de_rham_project(fw, m)
-        x, _ = d_inverse(e, closed_tol=1e-3)
+        x, _ = d_inverse(e)
         o = hodge_operator(m, 2)
         residuals.append(o.norm(x.d() - e) / o.norm(e))
     assert residuals[0] > residuals[1] > residuals[2]

@@ -80,7 +80,7 @@ def test_hopf_wedge_block_equivalence(monkeypatch):
     m = cached_mesh(3, 1)
     assert_uneven(m.n_simplices(3))
     fstar = pullback_form(make_hopf(), volume_form(S2))
-    xi, _ = d_inverse(de_rham_project(fstar, m), closed_tol=1e-3)
+    xi, _ = d_inverse(de_rham_project(fstar, m))
     odd = at_block(monkeypatch, ODD, lambda: integrate_wedge([fstar, xi], m))
     one = at_block(monkeypatch, ONE, lambda: integrate_wedge([fstar, xi], m))
     assert odd == pytest.approx(one, rel=1e-13, abs=0)
@@ -143,7 +143,7 @@ def test_sphere_quadrature_workers_bitwise(monkeypatch):
 def test_hopf_wedge_workers_bitwise(monkeypatch):
     m = cached_mesh(3, 1)
     fstar = pullback_form(make_hopf(), volume_form(S2))
-    xi, _ = d_inverse(de_rham_project(fstar, m), closed_tol=1e-3)
+    xi, _ = d_inverse(de_rham_project(fstar, m))
     one, two = one_and_two_workers(
         monkeypatch, lambda: integrate_wedge([fstar, xi], m))
     assert one.hex() == two.hex()

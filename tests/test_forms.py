@@ -89,16 +89,19 @@ class TestDeRhamProjection:
         rhs = de_rham_project(g, m).d()
         assert np.abs(lhs.values - rhs.values).max() < 1e-8
 
-    def test_orientation_reversal_flips_sign(self):
-        # re-orientation round trip: swap two vertices of one stored top,
-        # project the area form again
+    def test_reversed_top_is_reoriented(self):
+        # swapping two vertices of one stored top turns it inward; the
+        # constructor turns it outward again, as a cyclic rotation of the
+        # stored row, and the area form projects as before
         m = build_sphere_mesh(2, 1)
         tops = m.simplices[2].copy()
         tops[7, [0, 1]] = tops[7, [1, 0]]
         m2 = SimplicialSphere(2, m.verts.copy(), tops, m.level)
+        assert np.array_equal(m2.simplices[2][7], np.roll(m.simplices[2][7], -1))
+        assert np.linalg.det(m2.top_points[7]) > 0
         a = de_rham_project(volume_form(S2_target), m)
         b = de_rham_project(volume_form(S2_target), m2)
-        assert b.values[7] == pytest.approx(-a.values[7], rel=1e-12)
+        assert b.values[7] == pytest.approx(a.values[7], rel=1e-15)
         mask = np.ones(len(a.values), dtype=bool)
         mask[7] = False
         assert np.abs(a.values[mask] - b.values[mask]).max() < 1e-15

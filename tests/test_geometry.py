@@ -15,6 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from quanthom.geometry import SPHERE_VOLUMES, SimplicialSphere, build_sphere_mesh
 from quanthom.geometry.quadrature import rule_info, simplex_rule
+from quanthom.invariants import mapping_degree
+from quanthom.maps import make_sphere_suspension
 
 from conftest import cached_mesh
 from helpers import max_edge_length
@@ -73,6 +75,7 @@ class TestQuadrature:
         # every rule is exact on every monomial up to its degree: Gauss-
         # Legendre on the segment, the symmetric tables above it
         bary, w = simplex_rule(dim, degree)
+        assert not bary.flags.writeable and not w.flags.writeable
         assert (w > 0).all()
         assert (bary > 0).all()
         assert abs(w.sum() - 1.0) < 1e-14
@@ -180,15 +183,15 @@ class TestMeshConstruction:
     def test_s3_volume_level1(self):
         # coarse-projection tolerance measured at build time: -12.8%
         m = cached_mesh(3, 1)
-        vol = m.signed_volume()
+        vol = m.top_volumes.sum()
         assert vol > 0
         assert abs(vol - SPHERE_VOLUMES[3]) / SPHERE_VOLUMES[3] < 0.15
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_signed_volume_converges(self, dim):
         exact = SPHERE_VOLUMES[dim]
-        lo = abs(cached_mesh(dim, 1).signed_volume() - exact)
-        hi = abs(cached_mesh(dim, 2).signed_volume() - exact)
+        lo = abs(cached_mesh(dim, 1).top_volumes.sum() - exact)
+        hi = abs(cached_mesh(dim, 2).top_volumes.sum() - exact)
         assert hi < lo / 2.5   # O(h^2) deficit
 
     @pytest.mark.parametrize("dim,levels", [(1, (1, 2, 3)), (2, (1, 2, 3)),
@@ -208,6 +211,10 @@ class TestMeshConstruction:
         # vertex coordinates to the last bit and the stored top rows
         text = cached_mesh(dim, level).format_ascii()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim,level", [(1, 3), (2, 2), (3, 1)])
+    def test_tops_outward(self, dim, level):
+        assert (np.linalg.det(cached_mesh(dim, level).top_points) > 0).all()
 
     def test_top_face_incidences(self):
         m = cached_mesh(3, 1)
@@ -274,7 +281,23 @@ class TestMeshIO:
         m2 = SimplicialSphere.parse_ascii("\n".join(flipped))
         assert np.array_equal(np.sort(m2.simplices[2], axis=1),
                               np.sort(m.simplices[2], axis=1))
-        assert m2.signed_volume() > 0
+        assert (np.linalg.det(m2.top_points) > 0).all()
+
+    def test_inward_tops_are_turned_outward(self):
+        # every other top given inward, through the constructor and
+        # through a file whose flags all read +1: the mesh stores the
+        # built tops and its degree is the built mesh's to the last bit
+        m = cached_mesh(2, 3)
+        tops = m.simplices[2].copy()
+        tops[::2, -2:] = tops[::2, -2:][:, ::-1]
+        lines = m.format_ascii().splitlines()
+        lines[-len(tops):] = [" ".join(map(str, row)) + " +1" for row in tops]
+        f = make_sphere_suspension(2)
+        degree = mapping_degree(f, m).value
+        for m2 in (SimplicialSphere(2, m.verts, tops, 3),
+                   SimplicialSphere.parse_ascii("\n".join(lines))):
+            assert np.array_equal(m2.simplices[2], m.simplices[2])
+            assert mapping_degree(f, m2).value == degree
 
 
 def _empty(tops):

@@ -629,6 +629,17 @@ class TestCli:
         assert code == 2 and not stdout
         assert "error: samples must be >= 1" in err
 
+    @pytest.mark.parametrize("kind,name", [("sobolev", "Sobolev"),
+                                           ("bmo", "BMO")])
+    def test_seminorm_beyond_s3_exit2(self, kind, name):
+        # the cap-angle samplers cover S^1..S^3; S^4 is refused by name,
+        # not sampled by the S^3 law or failed with a bare KeyError
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "antipodal:n=4", "--kind", kind)
+        assert code == 2 and not stdout
+        assert (f"error: no {name} seminorm on S^4: its cap angles are "
+                f"sampled on S^1, S^2 and S^3 only") in err
+
     def test_verify_scaling_default_beta_exit2(self, tmp_path):
         # the default beta = 1 lies outside the Sobolev range (0, 1)
         cfg = tmp_path / "cfg.ini"
@@ -646,6 +657,16 @@ class TestCli:
                                          str(cfg))
         assert code == 2 and not stdout
         assert "config error: levels must be >= 0, got -1" in err
+
+    def test_verify_scaling_unknown_experiment_key_exit2(self, tmp_path):
+        # a misspelled key would otherwise leave its default in force
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING.replace("samples = 20000",
+                                            "sample = 20000"))
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert "config error: unknown [experiment] key(s) sample;" in err
 
     def test_verify_scaling_pass_exit0(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -8,6 +8,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from quanthom import hodge
 from quanthom.geometry import (Cochain, FormField, build_sphere_mesh,
                                de_rham_project)
 from quanthom.hodge import (HodgeOperator, _mass_solve, codifferential,
@@ -202,7 +203,7 @@ class TestDInverse:
         exact = Cochain(m, 1, rng.standard_normal(m.n_simplices(1))).d()
         hopf = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)), m)
         _, s_exact = d_inverse(exact)
-        _, s_hopf = d_inverse(hopf, closed_tol=1e-3)
+        _, s_hopf = d_inverse(hopf)
         op = hodge_operator(m, 2)
         assert s_hopf["closedness"] == pytest.approx(
             op.norm(hopf.d()) / op.norm(hopf), rel=1e-12)
@@ -223,7 +224,7 @@ class TestDInverse:
         from quanthom.maps import S2 as tgt
         from quanthom.maps import make_hopf, pullback_form, volume_form
         eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)), m)
-        xi, _ = d_inverse(eta, closed_tol=1e-3)
+        xi, _ = d_inverse(eta)
         op1 = hodge_operator(m, 1)
         op2 = hodge_operator(m, 2)
         assert np.abs(op1.codifferential_values(xi.values)).max() < 1e-10
@@ -278,7 +279,7 @@ class TestDInverse:
             from quanthom.maps import make_hopf, pullback_form, volume_form
             eta = de_rham_project(pullback_form(make_hopf(), volume_form(tgt)),
                                   m)
-        xi = d_inverse(eta, closed_tol=1e-3)[0].values
+        xi = d_inverse(eta)[0].values
         op = hodge_operator(m, eta.degree)
         D = m.coboundary(eta.degree - 1).toarray().astype(float)
         Lk = np.linalg.cholesky(op.mass_k.toarray())
@@ -292,15 +293,17 @@ class TestDInverse:
             w = Md.sum(axis=1)
             assert abs(w @ xi) <= 1e-12 * np.sqrt(w.sum() * (xi @ Md @ xi))
 
-    def test_hopf_pullback_residual_decreases(self):
+    def test_hopf_pullback_residual_decreases(self, monkeypatch):
         from quanthom.maps import S2 as tgt
         from quanthom.maps import make_hopf, pullback_form, volume_form
+        # the level-0 projection's closedness defect needs a looser gate
+        monkeypatch.setattr(hodge, "CLOSED_TOL", 1e-2)
         fw = pullback_form(make_hopf(), volume_form(tgt))
         res = []
         for level in (0, 1):
             m = cached_mesh(3, level)
             eta = de_rham_project(fw, m)
-            xi, _ = d_inverse(eta, closed_tol=1e-2)
+            xi, _ = d_inverse(eta)
             op = hodge_operator(m, 2)
             res.append(op.norm(xi.d() - eta) / op.norm(eta))
         assert res[1] < res[0]

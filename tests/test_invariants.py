@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quanthom import invariants
+from quanthom import hodge
 from quanthom.invariants import (DegreeStructure, Term, degree_structure,
                                  hardt_riviere, hopf_invariant,
                                  hopf_structure, mapping_degree,
@@ -220,7 +220,7 @@ class TestIntegerProximity:
 
     def test_hopf_monotone_levels(self, monkeypatch):
         # the level-0 projection's closedness defect needs a looser gate
-        monkeypatch.setattr(invariants, "CLOSED_TOL", 1e-2)
+        monkeypatch.setattr(hodge, "CLOSED_TOL", 1e-2)
         f = make_hopf()
         dists = [hopf_invariant(f, cached_mesh(3, l)).int_distance
                  for l in (0, 1, 2)]
