@@ -19,7 +19,7 @@ from .geometry import build_sphere_mesh
 from .harness import (REPORT_FORMATS, ConfigError, ExperimentConfig,
                       emit_report, format_report_text, run_bmo_probe,
                       run_scaling)
-from .invariants import hardt_riviere
+from .invariants import check_evaluable, hardt_riviere
 from .linking import gauss_linking_oracle
 from .maps import parse_map_spec
 from .registry import beta0, catalogue, lookup
@@ -111,7 +111,13 @@ def _cmd_thresholds(args) -> int:
         raise ValueError("argument --beta: not allowed with --M0; the "
                          "exponent is printed as a function of beta")
     if args.M0 is not None:
-        Ms = [int(x) for x in args.Mi.split(",") if x.strip()] if args.Mi else []
+        Ms = []
+        for item in filter(str.strip, (args.Mi or "").split(",")):
+            try:
+                Ms.append(int(item))
+            except ValueError:
+                raise ValueError(f"argument --Mi: invalid int value: "
+                                 f"{item!r}") from None
         b0, astar = beta0(args.M0, Ms)
         N = args.M0 + sum(Ms) - len(Ms)    # degree sum rule: sum M_i = N + L
         out = {"M0": args.M0, "Mi": Ms, "beta0": str(b0),
@@ -147,7 +153,9 @@ def _cmd_thresholds(args) -> int:
 def _cmd_invariant(args) -> int:
     entry = lookup(args.structure)
     f = parse_map_spec(args.map_spec)
-    mesh = build_sphere_mesh(entry.structure.domain_dim, args.level)
+    dim = entry.structure.domain_dim
+    check_evaluable(f, entry.structure, dim)      # before the mesh build
+    mesh = build_sphere_mesh(dim, args.level)
     res = hardt_riviere(f, entry.structure, mesh)
     out = asdict(res)
     out["map"] = args.map_spec
@@ -222,7 +230,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -143,8 +143,8 @@ def _unique_rows(rows: np.ndarray):
     inverse map, for non-negative integer rows.
 
     Each row is packed into one int64 key in base max + 1, first column
-    most significant, so one stable argsort of the keys orders the rows
-    as a lexicographic sort would.
+    most significant, so np.unique of the keys orders the rows as a
+    lexicographic sort would.
     """
     width = rows.shape[1]
     base = int(rows.max()) + 1 if rows.size else 1
@@ -154,12 +154,7 @@ def _unique_rows(rows: np.ndarray):
     keys = rows[:, 0].astype(np.int64)
     for j in range(1, width):
         keys = keys * base + rows[:, j]
-    order = np.argsort(keys, kind="stable")
-    srt = keys[order]
-    new = np.r_[True, srt[1:] != srt[:-1]]
-    inv = np.empty(len(rows), dtype=np.int64)
-    inv[order] = np.cumsum(new) - 1
-    first = order[new]
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
     return rows[first], first, inv
 
 

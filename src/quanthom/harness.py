@@ -421,11 +421,9 @@ class BmoBlock:
     passed: bool = False
 
 
-def _probe_points(N: int, seed: int, n_dirs: int = 4,
-                  radii=(0.3, 0.6, 0.85)) -> np.ndarray:
-    rng = _rng(seed, 4242)
-    dirs = _uniform_sphere(rng, n_dirs, N + 1)
-    return np.concatenate([r * dirs for r in radii], axis=0)
+def _probe_points(N: int, seed: int) -> np.ndarray:
+    dirs = _uniform_sphere(_rng(seed, 4242), 4, N + 1)
+    return np.concatenate([r * dirs for r in (0.3, 0.6, 0.85)], axis=0)
 
 
 def run_bmo_probe(config: ExperimentConfig) -> Report:

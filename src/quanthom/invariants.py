@@ -127,6 +127,19 @@ def s2xs2_alpha_structure(i: int) -> DegreeStructure:
 
 # -- evaluators -----------------------------------------------------------
 
+def check_evaluable(f: SmoothMap, structure: DegreeStructure, dim: int):
+    """Raise ValueError unless hardt_riviere can evaluate `structure` for
+    f on a mesh of S^dim; cheap, so callers can check before a mesh build."""
+    if not structure.numerically_evaluable:
+        raise ValueError("structure not numerically evaluable")
+    if dim != structure.domain_dim:
+        raise ValueError("mesh dimension does not match the structure")
+    if f.domain_dim != structure.domain_dim:
+        raise ValueError("map domain does not match the structure")
+    if structure.target is not None and f.target != structure.target:
+        raise ValueError("map target does not match the structure's forms")
+
+
 def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantResult:
     """General multi-term invariant evaluation on a mesh.
 
@@ -137,15 +150,7 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantRe
     cochain.  Solve statistics and closedness defects are collected per
     term.
     """
-    if not structure.numerically_evaluable:
-        raise ValueError("structure not numerically evaluable")
-    if mesh.dim != structure.domain_dim:
-        raise ValueError("mesh dimension does not match the structure")
-    if f.domain_dim != structure.domain_dim:
-        raise ValueError("map domain does not match the structure")
-    if structure.target is not None and f.target != structure.target:
-        raise ValueError("map target does not match the structure's forms")
-
+    check_evaluable(f, structure, mesh.dim)
     per_term = []
     residuals: dict = {}
     quadrature = {"wedge": rule_info(mesh.dim, WEDGE_DEGREE)}

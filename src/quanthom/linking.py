@@ -41,6 +41,9 @@ _COARSE = 2          # coarse trace step over output spacing
 _GAUSS_ROWS = 128    # rows per block of the Gauss double sum
 _STARTS = 64         # random starts that seek every preimage component
 _MAX_STEPS = 100000  # coarse steps before a trace counts as open
+_NEWTON_TOL = 1e-12  # |f(x) - p| at which a Newton projection converges
+_NEWTON_ITERS = 40   # Newton steps before a projection counts as failed
+REG_TOL = 1e-3       # least transverse singular value of a regular value
 
 
 class NonRegularValueError(ValueError):
@@ -101,8 +104,7 @@ def _unit(X: np.ndarray) -> np.ndarray:
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
-def _project(f, X: np.ndarray, P: np.ndarray, tol: float = 1e-12,
-             maxiter: int = 40):
+def _project(f, X: np.ndarray, P: np.ndarray):
     """Newton projection of each row of X onto f^{-1} of its row of P
     along S^3: the points, the converged mask, and tangent and sv at
     converged rows."""
@@ -110,11 +112,11 @@ def _project(f, X: np.ndarray, P: np.ndarray, tol: float = 1e-12,
     V, S = np.full_like(X, np.nan), np.full(len(X), np.nan)
     ok = np.zeros(len(X), dtype=bool)
     act = np.arange(len(X))
-    for _ in range(maxiter):
+    for _ in range(_NEWTON_ITERS):
         if not act.size:
             break
         res, step, v, sv = _fiber_geometry(f, X[act], P[act])
-        hit = res < tol
+        hit = res < _NEWTON_TOL
         ok[act[hit]] = True
         V[act[hit]], S[act[hit]] = v[hit], sv[hit]
         keep = ~hit & np.isfinite(step).all(axis=1)
@@ -139,12 +141,13 @@ def _cycles(succ: np.ndarray) -> list[list[int]]:
     return cycles
 
 
-def preimage_link(f, values: np.ndarray, step: float, seed: int = 0,
-                  reg_tol: float = 1e-3) -> list[FiberCurve]:
+def preimage_link(f, values: np.ndarray, step: float,
+                  seed: int = 0) -> list[FiberCurve]:
     """All components of f^{-1}(p) for each value p of `values`, (3,) or
     (m, 3), as closed polylines with points about `step` apart, tagged
     with the index of their value.  Value j is sought from _STARTS random
-    starts of seed + j."""
+    starts of seed + j.  Raises NonRegularValueError where the transverse
+    singular value of Df along a preimage is not above REG_TOL."""
     P = np.atleast_2d(np.asarray(values, dtype=float))
     X = np.concatenate([np.random.default_rng(seed + j)
                         .standard_normal((_STARTS, 4)) for j in range(len(P))])
@@ -166,7 +169,7 @@ def preimage_link(f, values: np.ndarray, step: float, seed: int = 0,
     for n in range(_MAX_STEPS):
         if not act.size:
             break
-        if not (s > reg_tol).all():
+        if not (s > REG_TOL).all():
             raise NonRegularValueError("non-regular value")
         x, ok, v, s = _project(f, _unit(x + _COARSE * step * v), P[val[act]])
         if not ok.all():
@@ -198,7 +201,7 @@ def preimage_link(f, values: np.ndarray, step: float, seed: int = 0,
                            np.repeat(P[cval], sizes, axis=0))
     if not ok.all():
         raise RuntimeError("corrector failed during fiber refinement")
-    if not S.min() > reg_tol:
+    if not S.min() > REG_TOL:
         raise NonRegularValueError("non-regular value")
     cut = np.cumsum(sizes)[:-1]
     return [FiberCurve(x, float(s.min()), int(j))
@@ -262,12 +265,12 @@ def _chart_pole(curves: list[np.ndarray], seed: int = 1) -> np.ndarray:
     return cand[int(np.argmin(nearest))]
 
 
-def gauss_linking_oracle(f, p, q, step: float | None = None, seed: int = 0,
-                         reg_tol: float = 1e-3) -> LinkingResult:
+def gauss_linking_oracle(f, p, q, step: float | None = None,
+                         seed: int = 0) -> LinkingResult:
     """Total linking number between the preimage links of p and q.
 
     p and q must be distinct regular values of f: the smallest transverse
-    singular value of Df along the preimages must exceed `reg_tol`.
+    singular value of Df along the preimages must exceed REG_TOL = 1e-3.
     Step defaults to 2pi/2000, 2000 points on a great circle of S^3.
     """
     if f.domain_dim != 3 or f.target.dim != 2 or f.target.kind != "sphere":
@@ -281,10 +284,7 @@ def gauss_linking_oracle(f, p, q, step: float | None = None, seed: int = 0,
     step = 2 * np.pi / 2000 if step is None else step
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
-    if not reg_tol >= 0:
-        raise ValueError(f"reg_tol must be >= 0, got {reg_tol!r}")
-    curves = preimage_link(f, np.stack([p, q]), step, seed=seed,
-                           reg_tol=reg_tol)
+    curves = preimage_link(f, np.stack([p, q]), step, seed=seed)
     link_p = [c for c in curves if c.value == 0]
     link_q = [c for c in curves if c.value == 1]
     info = dict(n_components=(len(link_p), len(link_q)),

@@ -79,7 +79,7 @@ def _sampled_dim(f, what: str) -> int:
 
 
 def _rng(seed, *key) -> np.random.Generator:
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
+    ss = np.random.SeedSequence(_count("seed", seed, 0), spawn_key=tuple(key))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -259,6 +259,8 @@ _T_MIN = np.pi * 2.0 ** -_DYADIC   # near part [0, T_MIN]
 _PANEL_RTOL = 1e-9           # target of sum |K15 - G7| over the total
 _MAX_PANELS = 128            # far panels, so at most 241 f.value calls
 _REFINE_ITERS = 60           # hill-climbing steps per best Hoelder pair
+# BMO cap half-angles of the dyadic chord radii 2 * 2^-k, k = 0..8
+_BMO_ANGLES = tuple(2.0 * np.arcsin(min(1.0, 2.0 ** -k)) for k in range(9))
 
 
 def _sobolev_circle_quadrature(f, beta, p):
@@ -409,27 +411,25 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     Y = np.vstack([Y1, Y2])
     ratios, rows = _holder_ratio(f, X, Y, beta)
 
+    # the ten best pairs climb in lockstep, one f.value call per step;
+    # pair j draws its 8 candidates from its own stream, in pair order
     top = np.argsort(-ratios)[:10]
-    best_pairs = [(X[i].copy(), Y[i].copy(), ratios[i]) for i in top]
-    refined = []
-    for j, (x, y, r) in enumerate(best_pairs):
-        rng_j = _rng(seed, 1, j)
-        r_cur, x_cur, y_cur = r, x, y
-        for it in range(_REFINE_ITERS):
-            s = max(np.linalg.norm(x_cur - y_cur), 1e-8) * 0.4 * 0.85 ** it
-            P = np.repeat(np.vstack([x_cur, y_cur])[None], 8, axis=0)
-            noise = rng_j.standard_normal((8, 2, amb)) * s
-            cand = P + noise
-            cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-            rr, n = _holder_ratio(f, cand[:, 0], cand[:, 1], beta)
-            rows += n
-            i = int(np.argmax(rr))
-            if rr[i] > r_cur:
-                r_cur, x_cur, y_cur = rr[i], cand[i, 0], cand[i, 1]
-        refined.append(r_cur)
-    refined.sort(reverse=True)
-    value = float(refined[0])
-    spread = float(refined[0] - np.median(refined))
+    pairs, r = np.stack([X[top], Y[top]], axis=1), ratios[top]
+    streams = [_rng(seed, 1, j) for j in range(len(top))]
+    for it in range(_REFINE_ITERS):
+        cand = np.stack([xy + rng_j.standard_normal((8, 2, amb)) * (
+            max(np.linalg.norm(xy[0] - xy[1]), 1e-8) * 0.4 * 0.85 ** it)
+            for xy, rng_j in zip(pairs, streams)])
+        cand /= np.linalg.norm(cand, axis=3, keepdims=True)
+        rr, n = _holder_ratio(f, cand[:, :, 0].reshape(-1, amb),
+                              cand[:, :, 1].reshape(-1, amb), beta)
+        rows += n
+        rr = rr.reshape(len(top), 8)
+        i = rr.argmax(axis=1)
+        up = rr[np.arange(len(top)), i] > r
+        r[up], pairs[up] = rr[up, i[up]], cand[up, i[up]]
+    value = float(r.max())
+    spread = float(value - np.median(r))
     return SeminormEstimate(value, spread, "sampled-sup", rows, seed)
 
 
@@ -437,26 +437,18 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
 # BMO seminorm
 # ----------------------------------------------------------------------
 
-def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
-                 centers: int = 64, cap_samples: int = 128,
+def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
                  seed: int = 0) -> SeminormEstimate:
-    """Mean-oscillation sup over sampled centers and a dyadic radius
-    grid: max of the double cap average of |f(theta) - f(sigma)|.
+    """Mean-oscillation sup over sampled centers and the dyadic radii
+    2 * 2^-k, k < 9: max of the double cap average of |f(theta) - f(sigma)|.
 
     A lower bound of the BMO seminorm (finite grid of caps); the error
     is the Monte Carlo standard error of the maximizing cap.  Raises
-    ValueError on `centers` < 1, `cap_samples` < 2 and radii that are
-    empty, not finite or not positive, and on S^N with N > 3.
+    ValueError on `centers` < 1 and `cap_samples` < 2, and on S^N with
+    N > 3.
     """
     N = _sampled_dim(f, "BMO")
     amb = N + 1
-    if radii is None:
-        radii = 2.0 * 2.0 ** -np.arange(9, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or not radii.size or not np.all(
-            np.isfinite(radii) & (radii > 0.0)):
-        raise ValueError(f"radii must be a nonempty list of finite positive "
-                         f"numbers, not {radii.tolist()!r}")
     centers = _count("centers", centers, 1)
     m = _count("cap_samples", cap_samples, 2)
     rng = _rng(seed, 0)
@@ -464,16 +456,15 @@ def bmo_seminorm(f: SmoothMap, radii: np.ndarray | None = None,
     # each cap draws its directions and angles from its own stream, in
     # (center, radius) order; the angles stay per cap, as the S^3 Newton
     # stop depends on its batch
-    psi_r = [2.0 * np.arcsin(min(1.0, r / 2.0)) for r in radii]
-    U = np.empty((centers * len(radii), m, amb))
+    U = np.empty((centers * len(_BMO_ANGLES), m, amb))
     psi = np.empty((len(U), m, 1))
     for c in range(len(U)):
-        ci, ri = divmod(c, len(radii))
+        ci, ri = divmod(c, len(_BMO_ANGLES))
         rng_c = _rng(seed, 1 + ci, ri)
         rng_c.standard_normal((m, amb), out=U[c])
-        psi[c, :, 0] = _sample_angle(rng_c, m, N, 0.0, psi_r[ri])
+        psi[c, :, 0] = _sample_angle(rng_c, m, N, 0.0, _BMO_ANGLES[ri])
     # then the cap points and f.value once over all caps
-    X = np.repeat(ctrs, len(radii), axis=0)[:, None, :]
+    X = np.repeat(ctrs, len(_BMO_ANGLES), axis=0)[:, None, :]
     U -= (U * X).sum(axis=2, keepdims=True) * X
     U /= np.linalg.norm(U, axis=2, keepdims=True)
     U *= np.sin(psi)

@@ -528,6 +528,12 @@ class TestCli:
         assert code == 2 and not stdout
         assert f"argument {flag}:" in err
 
+    def test_thresholds_bad_Mi_item_exit2(self):
+        code, stdout, err = self.run_cli("thresholds", "--M0", "2",
+                                         "--Mi", "2,x")
+        assert code == 2 and not stdout
+        assert "error: argument --Mi: invalid int value: 'x'" in err
+
     def test_thresholds_beta_with_catalogue(self):
         code, stdout, _ = self.run_cli("thresholds", "--all", "--beta", "1/2",
                                        "--json")
@@ -566,6 +572,35 @@ class TestCli:
         assert json.loads(out.read_text())["quadrature"] == {
             "wedge": {"degree": 5, "nodes": 14},
             "projection": {"degree": 7, "nodes": 12}}
+
+    def test_invariant_symbolic_structure_exit2(self):
+        # refused by name, not by the S^5 mesh build it would need
+        code, stdout, err = self.run_cli(
+            "invariant", "--map", "hopf", "--structure", "cp2:beta",
+            "--level", "1")
+        assert code == 2 and not stdout
+        assert "error: structure not numerically evaluable" in err
+
+    def test_invariant_checks_map_before_mesh_build(self, monkeypatch):
+        from quanthom import cli
+
+        def no_build(*args):
+            raise AssertionError("mesh built before the map was checked")
+
+        monkeypatch.setattr(cli, "build_sphere_mesh", no_build)
+        code, stdout, err = self.run_cli(
+            "invariant", "--map", "suspension:d=2", "--structure", "hopf",
+            "--level", "4")
+        assert code == 2 and not stdout
+        assert "error: map domain does not match the structure" in err
+
+    def test_invariant_unwritable_output_exit2(self, tmp_path):
+        out = tmp_path / "missing" / "inv.json"
+        code, stdout, err = self.run_cli(
+            "invariant", "--map", "circle-power:d=2", "--structure",
+            "winding", "--level", "1", "--json-out", str(out))
+        assert code == 2 and not stdout
+        assert err.startswith("error: ") and str(out) in err
 
     def test_seminorm_command(self):
         code, stdout, _ = self.run_cli(
@@ -629,6 +664,15 @@ class TestCli:
         assert code == 2 and not stdout
         assert "error: samples must be >= 1" in err
 
+    @pytest.mark.parametrize("kind", ["sobolev", "holder", "bmo"])
+    def test_seminorm_negative_seed_exit2(self, kind):
+        # on S^2, where every kind draws from the seeded streams
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "suspension:d=2", "--kind", kind,
+            "--seed", "-1")
+        assert code == 2 and not stdout
+        assert "error: seed must be >= 0, not -1" in err
+
     @pytest.mark.parametrize("kind,name", [("sobolev", "Sobolev"),
                                            ("bmo", "BMO")])
     def test_seminorm_beyond_s3_exit2(self, kind, name):
@@ -675,6 +719,15 @@ class TestCli:
                                        str(cfg))
         assert code == 0
         assert (tmp_path / "r.json").exists()
+
+    def test_verify_scaling_unwritable_output_exit2(self, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING + f"\n[output]\njson = {out}\n")
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert err.startswith("error: ") and str(out) in err
 
     def test_verify_fail_exit1(self, tmp_path):
         # the perturbed-constant distance/BMO ratio is not stable (the

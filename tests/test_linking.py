@@ -188,9 +188,8 @@ def test_oracle_fiber_geometry_budget(monkeypatch):
     (dict(p=E1, q=-E1, step=-0.01), "step"),
     (dict(p=E1, q=-E1, step=np.inf), "step"),
     (dict(p=E1, q=-E1, step=0.0), "step"),
-    (dict(p=E1, q=-E1, reg_tol=-1e-3), "reg_tol"),
 ], ids=["off-sphere", "short", "nan", "equal", "negative-step", "inf-step",
-        "zero-step", "negative-reg_tol"])
+        "zero-step"])
 def test_oracle_rejects_bad_input(kwargs, match):
     with pytest.raises(ValueError, match=match):
         gauss_linking_oracle(make_hopf(), **kwargs)
