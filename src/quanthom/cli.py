@@ -17,8 +17,8 @@ import numpy as np
 
 from .geometry import build_sphere_mesh
 from .harness import (REPORT_FORMATS, ConfigError, ExperimentConfig,
-                      emit_report, format_report_text, run_bmo_probe,
-                      run_scaling)
+                      check_writable, emit_report, format_report_text,
+                      run_bmo_probe, run_scaling)
 from .invariants import check_evaluable, hardt_riviere
 from .linking import gauss_linking_oracle
 from .maps import parse_map_spec
@@ -205,6 +205,8 @@ def _cmd_verify(args) -> int:
     if config.kind != args.verify_command:
         raise ConfigError(f"config kind {config.kind!r} does not match "
                           f"'verify {args.verify_command}'")
+    for path in config.outputs.values():
+        check_writable(path)
     report = run_scaling(config) if config.kind == "scaling" \
         else run_bmo_probe(config)
     for fmt in REPORT_FORMATS:
@@ -217,6 +219,8 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "json_out", None):
+            check_writable(args.json_out)
         if args.command == "mesh":
             return _cmd_mesh(args)
         if args.command == "thresholds":

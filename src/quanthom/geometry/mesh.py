@@ -32,6 +32,7 @@ from __future__ import annotations
 import io
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from itertools import combinations, product
 from math import factorial
 
@@ -64,33 +65,46 @@ def _cores() -> int:
 
 
 def workers(n: int) -> int:
-    """Workers that map_tasks deals n tasks to: min(cores, n)."""
+    """Workers that task_pool deals n tasks to: min(cores, n)."""
     return min(_cores(), n)
 
 
-def map_tasks(fn, tasks) -> list:
-    """[fn(task) for task in tasks], a sequence, computed on every core.
+@contextmanager
+def task_pool(n: int):
+    """A with-block whose value run(fn, tasks) returns [fn(task) for task
+    in tasks], a sequence, computed on w = workers(n) workers.
 
-    Task i runs on worker i mod w, with w = workers(len(tasks)): worker 0
-    is the calling thread, the others are the threads of a pool made for
-    this call and joined before it returns; one core or one task starts
-    no thread.  The results come back in task order, so sums over them
-    in that order do not depend on w.  fn must be a pure function of its
-    task: it may write its own rows of an output array, and any shared
-    cached table must be built before the call.  An exception raised in
-    any task propagates from the call.
+    Task i runs on worker i mod w: worker 0 is the calling thread, the
+    others are the threads of a pool that lives for the block and is
+    joined when it ends, so a loop of many calls, such as a CG solve's
+    matvecs, starts its threads once; w = 1 starts no thread.  The
+    results come back in task order, so sums over them in that order do
+    not depend on w.  fn must be a pure function of its task: it may
+    write its own rows of an output array, and any shared cached table
+    must be built before the call.  An exception raised in any task
+    propagates from the call.
     """
-    w = workers(len(tasks))
+    w = workers(n)
     if w <= 1:
-        return [fn(task) for task in tasks]
-
-    def share(i: int) -> list:
-        return [fn(task) for task in tasks[i::w]]
-
+        yield lambda fn, tasks: [fn(task) for task in tasks]
+        return
     with ThreadPoolExecutor(w - 1) as pool:
-        helpers = [pool.submit(share, i) for i in range(1, w)]
-        shares = [share(0)] + [h.result() for h in helpers]
-    return [shares[i % w][i // w] for i in range(len(tasks))]
+        def run(fn, tasks) -> list:
+            def share(i: int) -> list:
+                return [fn(task) for task in tasks[i::w]]
+
+            helpers = [pool.submit(share, i) for i in range(1, w)]
+            shares = [share(0)] + [h.result() for h in helpers]
+            return [shares[i % w][i // w] for i in range(len(tasks))]
+
+        yield run
+
+
+def map_tasks(fn, tasks) -> list:
+    """[fn(task) for task in tasks], a sequence, computed on every core:
+    one call of a task_pool made for len(tasks) tasks."""
+    with task_pool(len(tasks)) as run:
+        return run(fn, tasks)
 
 
 def map_blocks(fn, n: int) -> list:

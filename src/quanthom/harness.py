@@ -21,8 +21,10 @@ from __future__ import annotations
 import configparser
 import csv
 import datetime
+import errno
 import io
 import json
+import os
 import string
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -462,6 +464,22 @@ def run_bmo_probe(config: ExperimentConfig) -> Report:
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
+def check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` for writing would raise when
+    its directory is missing or unwritable or it is a directory, and
+    create nothing: output paths are checked before the computation."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def emit_report(report: Report, fmt: str, path: str) -> str:

@@ -18,6 +18,9 @@ It is found on the (k-1)-cochains in two steps:
 
 Every solve is Jacobi-preconditioned conjugate gradients; the
 Jacobi-scaled mass matrix has an h-independent spectrum (Wathen 1987).
+The matvec of a large matrix runs on every core, over contiguous row
+ranges dealt to one thread pool per solve; each row is summed as in the
+unsplit product, so the iterates are the same bits at any core count.
 
 Local mass entries use the exact identities
 int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and, by the
@@ -41,13 +44,17 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
-from .geometry.mesh import map_blocks
+from .geometry.mesh import map_blocks, task_pool, workers
 from .geometry.minors import minors, whitney_table
 
 # relative residual of the d^{-1} curl solve
 CURL_TOL = 1e-9
 # relative closedness defect a d^{-1} input may have
 CLOSED_TOL = 1e-3
+# least rows of a matvec range of a CG solve (_row_ranges): the S^3
+# level-3 curl matrix (76,544 rows) splits over the cores, the scaling
+# sweeps' matrices and the level-3 gauge matrix (11,008 rows) stay one
+_CG_ROWS = 16_384
 
 
 @lru_cache(maxsize=None)
@@ -111,14 +118,39 @@ def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     return sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
 
 
+def _row_ranges(A: sparse.csr_matrix) -> list:
+    """A's rows as contiguous ranges of about equal nonzeros, one per
+    worker but none of fewer than about _CG_ROWS rows: [A] itself, or
+    CSR matrices on slices of A's `data` and `indices`, each with an
+    offset copy of its `indptr` slice."""
+    n_ranges = workers(max(1, A.shape[0] // _CG_ROWS))
+    if n_ranges == 1:
+        return [A]
+    cuts = [0, *np.searchsorted(A.indptr, np.arange(1, n_ranges) * A.nnz
+                                / n_ranges), A.shape[0]]
+    ranges = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        a, b = A.indptr[lo], A.indptr[hi]
+        ranges.append(sparse.csr_matrix(
+            (A.data[a:b], A.indices[a:b], A.indptr[lo:hi + 1] - a),
+            shape=(hi - lo, A.shape[1])))
+    return ranges
+
+
 def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
                atol: float = 0.0, maxiter: int = 400) -> tuple:
     """(x, iterations) with A x = b by Jacobi-preconditioned CG.
 
-    A is symmetric positive semidefinite with `diag` its diagonal and b
-    in its range.  Stops at ||A x - b|| <= max(rtol ||b||, atol) and
-    raises RuntimeError if that is not reached within `maxiter` steps.
+    A is a symmetric positive semidefinite CSR matrix with `diag` its
+    diagonal and b in its range.  Stops at ||A x - b|| <= max(rtol ||b||,
+    atol) and raises RuntimeError if that is not reached within
+    `maxiter` steps.  The matvec runs on every core: A's row ranges
+    (_row_ranges) go to one task_pool that lives for the whole solve,
+    and each row of A x is summed as in A @ x, so x and the iteration
+    count are the same bits at any core count.  A matrix below _CG_ROWS
+    rows is one range, multiplied as A itself, and starts no thread.
     """
+    ranges = _row_ranges(A)
     pre = LinearOperator(A.shape, matvec=lambda x: x / diag)
     its = 0
 
@@ -126,8 +158,12 @@ def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
         nonlocal its
         its += 1
 
-    x, info = cg(A, b, rtol=rtol, atol=atol, maxiter=maxiter, M=pre,
-                 callback=count)
+    with task_pool(len(ranges)) as run:
+        op = A if len(ranges) == 1 else LinearOperator(
+            A.shape, dtype=A.dtype, matvec=lambda x: np.concatenate(
+                run(lambda part: part @ x, ranges)))
+        x, info = cg(op, b, rtol=rtol, atol=atol, maxiter=maxiter, M=pre,
+                     callback=count)
     if info != 0:
         res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         raise RuntimeError(f"conjugate gradient did not converge: relative "

@@ -20,8 +20,9 @@ covers the angles below the last stratum.  The strata run on every core
 estimate is a sampled sup of cap U-statistics of the pair distances: the
 caps are prepared in one batch (each cap's directions and angles drawn
 from its own stream, then the cap points and one f.value call over all
-caps), and the pair distances run serially, cap by cap, in two reused
-buffers.
+caps), and the pair distances run on every core in tasks of _BMO_CAPS
+caps, each batched over its caps in two buffers of its worker, with the
+best cap taken in cap order.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum (per cap for BMO) from the master seed, so results are
@@ -39,7 +40,8 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .geometry.forms import sphere_quadrature
-from .geometry.mesh import SPHERE_VOLUMES, build_sphere_mesh, map_tasks
+from .geometry.mesh import (SPHERE_VOLUMES, build_sphere_mesh, map_tasks,
+                            workers)
 from .maps import SmoothMap, distance_to_target
 
 
@@ -261,6 +263,7 @@ _MAX_PANELS = 128            # far panels, so at most 241 f.value calls
 _REFINE_ITERS = 60           # hill-climbing steps per best Hoelder pair
 # BMO cap half-angles of the dyadic chord radii 2 * 2^-k, k = 0..8
 _BMO_ANGLES = tuple(2.0 * np.arcsin(min(1.0, 2.0 ** -k)) for k in range(9))
+_BMO_CAPS = 8                # caps per task of the BMO cap statistics
 
 
 def _sobolev_circle_quadrature(f, beta, p):
@@ -358,6 +361,7 @@ def sobolev_seminorm(f: SmoothMap, beta: float, p: float,
     if p < 1.0:
         raise ValueError("p must be >= 1")
     samples = _count("samples", samples, 1)
+    _count("seed", seed, 0)           # also on S^1, whose rule draws none
     if _sampled_dim(f, "Sobolev") == 1:
         total, err, used, angles = _sobolev_circle_quadrature(f, beta, p)
         name, seed = "tensor-quadrature", None
@@ -437,20 +441,12 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
 # BMO seminorm
 # ----------------------------------------------------------------------
 
-def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
-                 seed: int = 0) -> SeminormEstimate:
-    """Mean-oscillation sup over sampled centers and the dyadic radii
-    2 * 2^-k, k < 9: max of the double cap average of |f(theta) - f(sigma)|.
-
-    A lower bound of the BMO seminorm (finite grid of caps); the error
-    is the Monte Carlo standard error of the maximizing cap.  Raises
-    ValueError on `centers` < 1 and `cap_samples` < 2, and on S^N with
-    N > 3.
-    """
-    N = _sampled_dim(f, "BMO")
+def _bmo_cap_values(f: SmoothMap, centers: int, m: int,
+                    seed: int) -> np.ndarray:
+    """f at the m sampled points of every BMO cap, (caps, m, target
+    coordinates), caps in (center, radius) order."""
+    N = f.domain_dim
     amb = N + 1
-    centers = _count("centers", centers, 1)
-    m = _count("cap_samples", cap_samples, 2)
     rng = _rng(seed, 0)
     ctrs = _uniform_sphere(rng, centers, amb)
     # each cap draws its directions and angles from its own stream, in
@@ -469,26 +465,55 @@ def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
     U /= np.linalg.norm(U, axis=2, keepdims=True)
     U *= np.sin(psi)
     U += np.cos(psi) * X
-    vals = f.value(U.reshape(-1, amb)).reshape(len(U), m, -1)
-    best, best_se = 0.0, 0.0
-    # |f(x_i) - f(x_j)| per cap, its squared target coordinates summed in
-    # the order of a norm over the last axis, in two reused (m, m) buffers
-    sq, d = np.empty((2, m, m))
-    for cap in vals:
-        for j, col in enumerate(cap.T):
-            np.subtract(col[:, None], col[None, :], out=d)
-            if j:
+    return f.value(U.reshape(-1, amb)).reshape(len(U), m, -1)
+
+
+def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
+                 seed: int = 0) -> SeminormEstimate:
+    """Mean-oscillation sup over sampled centers and the dyadic radii
+    2 * 2^-k, k < 9: max of the double cap average of |f(theta) - f(sigma)|.
+
+    A lower bound of the BMO seminorm (finite grid of caps); the error
+    is the Monte Carlo standard error of the maximizing cap.  Raises
+    ValueError on `centers` < 1 and `cap_samples` < 2, and on S^N with
+    N > 3.
+    """
+    _sampled_dim(f, "BMO")
+    centers = _count("centers", centers, 1)
+    m = _count("cap_samples", cap_samples, 2)
+    vals = _bmo_cap_values(f, centers, m, seed)
+    # tasks of _BMO_CAPS caps on every core; task j works in the two
+    # (caps, m, m) buffers of worker j mod w (map_tasks), made here
+    starts = range(0, len(vals), _BMO_CAPS)
+    w = workers(len(starts))
+    buffers = np.empty((w, 2, min(_BMO_CAPS, len(vals)), m, m))
+
+    def cap_statistics(j):
+        caps = vals[starts[j]:starts[j] + _BMO_CAPS]
+        sq, d = buffers[j % w, :, :len(caps)]
+        # |f(x_i) - f(x_j)| per cap, its squared target coordinates
+        # summed in the order of a norm over the last axis
+        for k in range(caps.shape[2]):
+            col = caps[:, :, k]
+            np.subtract(col[:, :, None], col[:, None, :], out=d)
+            if k:
                 np.add(sq, np.multiply(d, d, out=d), out=sq)
             else:
                 np.multiply(d, d, out=sq)
-        diff = np.sqrt(sq, out=sq)
-        u_stat = float(diff.sum() / (m * (m - 1)))
-        row_means = (diff.sum(axis=1)) / (m - 1)
-        se = 2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)
-        if u_stat > best:
-            best, best_se = u_stat, se
-    n_eval = len(U) * m
-    return SeminormEstimate(best, best_se, "sampled-sup", n_eval, seed)
+        stats = []
+        for diff in np.sqrt(sq, out=sq):
+            row_means = diff.sum(axis=1) / (m - 1)
+            stats.append((float(diff.sum() / (m * (m - 1))),
+                          2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)))
+        return stats
+
+    best, best_se = 0.0, 0.0
+    for part in map_tasks(cap_statistics, range(len(starts))):
+        for u_stat, se in part:
+            if u_stat > best:
+                best, best_se = u_stat, se
+    return SeminormEstimate(best, best_se, "sampled-sup", vals.shape[0] * m,
+                            seed)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Checks that only the tests use: hand-checkable mass blocks,
-barycentric gradients, plain Monte Carlo, map accuracy probes, mesh edge
-lengths and report loading."""
+barycentric gradients, plain Monte Carlo, the cap-by-cap BMO statistics,
+map accuracy probes, mesh edge lengths and report loading."""
 
 import json
+import math
 
 import numpy as np
 
@@ -47,6 +48,32 @@ def plain_sobolev_mc(f: SmoothMap, beta: float, p: float, samples: int,
          / chord ** (N + beta * p))
     vol = SPHERE_VOLUMES[N] ** 2
     return vol * float(g.mean()), vol * float(g.std(ddof=1)) / np.sqrt(samples)
+
+
+def bmo_cap_by_cap(vals: np.ndarray) -> tuple:
+    """(best U-statistic, its standard error) over the caps of `vals`
+    (caps, m, target coordinates), one cap at a time in two reused (m, m)
+    buffers, the reference of the batched statistics of
+    seminorms.bmo_seminorm."""
+    m = vals.shape[1]
+    best, best_se = 0.0, 0.0
+    # |f(x_i) - f(x_j)| per cap, its squared target coordinates summed in
+    # the order of a norm over the last axis
+    sq, d = np.empty((2, m, m))
+    for cap in vals:
+        for j, col in enumerate(cap.T):
+            np.subtract(col[:, None], col[None, :], out=d)
+            if j:
+                np.add(sq, np.multiply(d, d, out=d), out=sq)
+            else:
+                np.multiply(d, d, out=sq)
+        diff = np.sqrt(sq, out=sq)
+        u_stat = float(diff.sum() / (m * (m - 1)))
+        row_means = (diff.sum(axis=1)) / (m - 1)
+        se = 2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)
+        if u_stat > best:
+            best, best_se = u_stat, se
+    return best, best_se
 
 
 def jacobian_fd_error(f: SmoothMap, n_probes: int = 1000, seed: int = 0) -> float:

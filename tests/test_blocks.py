@@ -6,8 +6,9 @@ geometry.mesh.blocks, through geometry.mesh.map_blocks.  A block size of
 7 leaves uneven blocks with a partial last one on every mesh used here;
 it must give the one-block result up to round-off, and the default size
 the same bits every run.  One and two workers must give the same bits,
-as must the Sobolev strata and the Gauss row blocks, which run through
-geometry.mesh.map_tasks, and the BMO estimate.
+as must the Sobolev strata, the Gauss row blocks and the BMO cap tasks,
+which run through geometry.mesh.map_tasks, and the CG solves, whose
+matvec row ranges run in one geometry.mesh.task_pool per solve.
 """
 
 import sys
@@ -19,15 +20,20 @@ import pytest
 from quanthom.geometry import (FormField, build_sphere_mesh, de_rham_project,
                                integrate_wedge, sphere_quadrature)
 from quanthom.geometry import mesh as mesh_module
-from quanthom.hodge import d_inverse, mass_matrix
+from scipy import sparse
+from scipy.sparse.linalg import LinearOperator, cg
+
+from quanthom.hodge import (_CG_ROWS, _jacobi_cg, _row_ranges, d_inverse,
+                            hodge_operator, mass_matrix)
 from quanthom.invariants import hopf_invariant
 from quanthom.linking import _GAUSS_ROWS, gauss_linking_integral
 from quanthom.maps import (S2, make_hopf, parse_map_spec, pullback_form,
                            volume_form)
-from quanthom.seminorms import bmo_seminorm, sobolev_seminorm
+from quanthom.seminorms import (_BMO_CAPS, _bmo_cap_values, bmo_seminorm,
+                                sobolev_seminorm)
 
 from conftest import cached_mesh
-from helpers import barycentric_gradients
+from helpers import barycentric_gradients, bmo_cap_by_cap
 
 ODD = 7
 ONE = 10 ** 9
@@ -257,6 +263,67 @@ def test_bmo_workers_bitwise(monkeypatch, spec):
                                                   two.error.hex())
 
 
+@pytest.mark.parametrize("spec", ["circle-power:d=2", "suspension:d=2",
+                                  "hopf"], ids=["N=1", "N=2", "N=3"])
+@pytest.mark.parametrize("m", [2, 128])
+def test_bmo_matches_cap_by_cap_reference(monkeypatch, spec, m):
+    # 9 and 27 caps: one partial task, and three full tasks and a partial
+    f = parse_map_spec(spec)
+    for centers in (1, 3):
+        assert (centers * 9) % _BMO_CAPS
+        for seed in (0, 6, 13):
+            ref = bmo_cap_by_cap(_bmo_cap_values(f, centers, m, seed))
+            for w in (1, 2):
+                est = at_workers(monkeypatch, w, lambda: bmo_seminorm(
+                    f, centers=centers, cap_samples=m, seed=seed))
+                assert (est.value.hex(), est.error.hex(), est.samples) == (
+                    ref[0].hex(), ref[1].hex(), centers * 9 * m)
+
+
+def spd_grid_matrix(side: int) -> sparse.csr_matrix:
+    """The 5-point Laplacian of a side x side grid plus a small shift,
+    with random positive weights: symmetric positive definite."""
+    rng = np.random.default_rng(4)
+    n = side * side
+    ij = np.arange(n).reshape(side, side)
+    rows = np.concatenate([ij[:, :-1].ravel(), ij[:-1, :].ravel()])
+    cols = np.concatenate([ij[:, 1:].ravel(), ij[1:, :].ravel()])
+    w = rng.uniform(0.5, 2.0, len(rows))
+    E = sparse.csr_matrix((w, (rows, cols)), shape=(n, n))
+    E = E + E.T
+    return (sparse.diags(np.asarray(E.sum(axis=1)).ravel() + 1e-2) - E).tocsr()
+
+
+def test_jacobi_cg_row_ranges_match_unsplit_cg(monkeypatch):
+    A = spd_grid_matrix(190)
+    assert A.shape[0] >= 2 * _CG_ROWS
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    diag = A.diagonal()
+    its = 0
+
+    def count(_):
+        nonlocal its
+        its += 1
+
+    ref, info = cg(A, b, rtol=1e-9, maxiter=2000, callback=count,
+                   M=LinearOperator(A.shape, matvec=lambda x: x / diag))
+    assert info == 0
+    for w, n_ranges in ((1, 1), (2, 2)):
+        ranges = at_workers(monkeypatch, w, lambda: _row_ranges(A))
+        assert len(ranges) == n_ranges
+        assert all(np.shares_memory(r.data, A.data)
+                   and np.shares_memory(r.indices, A.indices) for r in ranges)
+        x, n = at_workers(monkeypatch, w, lambda: _jacobi_cg(
+            A, diag, b, 1e-9, maxiter=2000))
+        assert x.tobytes() == ref.tobytes() and n == its
+
+
+def test_cg_below_row_constant_is_one_range(monkeypatch):
+    A = spd_grid_matrix(127)
+    assert A.shape[0] < _CG_ROWS
+    assert len(at_workers(monkeypatch, 2, lambda: _row_ranges(A))) == 1
+
+
 def test_gauss_integral_workers_bitwise(monkeypatch):
     # three row blocks, the last partial: two workers take two and one
     rng = np.random.default_rng(3)
@@ -297,3 +364,50 @@ def test_map_tasks_leaves_no_thread(monkeypatch):
                                                         samples=2_000))
     at_workers(monkeypatch, 2, lambda: mesh_module.map_tasks(abs, [-1, 2, -3]))
     assert threading.active_count() == before
+
+
+def test_task_pool_runs_many_calls_on_one_pool(monkeypatch):
+    with at_workers(monkeypatch, 2, lambda: mesh_module.task_pool(3)) as run:
+        first = run(lambda t: (t, threading.get_ident()), [0, 1, 2])
+        second = run(lambda t: (t, threading.get_ident()), [3, 4, 5])
+    assert [t for t, _ in first + second] == list(range(6))
+    # the same helper thread serves both calls
+    assert first[1][1] == second[1][1] != threading.get_ident()
+
+
+def level_3_hopf_eta():
+    m = cached_mesh(3, 3)
+    return de_rham_project(pullback_form(make_hopf(), volume_form(S2)), m)
+
+
+def test_pools_leave_no_thread(monkeypatch):
+    eta = level_3_hopf_eta()
+    before = threading.active_count()
+    at_workers(monkeypatch, 2, lambda: mesh_module.map_tasks(abs, [-1, 2, -3]))
+    assert threading.active_count() == before
+    with at_workers(monkeypatch, 2, lambda: mesh_module.task_pool(2)) as run:
+        run(abs, [-1, 2])
+        assert threading.active_count() == before + 1
+    assert threading.active_count() == before
+    # the level-3 curl matrix splits over two workers
+    assert len(at_workers(monkeypatch, 2, lambda: _row_ranges(
+        hodge_operator(eta.mesh, 2).curl))) == 2
+    at_workers(monkeypatch, 2, lambda: d_inverse(eta))
+    assert threading.active_count() == before
+
+
+def test_one_core_makes_no_pool(monkeypatch):
+    eta = level_3_hopf_eta()
+    hodge_operator(eta.mesh, 2)                  # assembled on every core
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made on one core")
+
+    monkeypatch.setattr(mesh_module, "ThreadPoolExecutor", no_pool)
+    at_workers(monkeypatch, 1, lambda: mesh_module.map_tasks(abs, [-1, 2]))
+    with at_workers(monkeypatch, 1, lambda: mesh_module.task_pool(5)) as run:
+        assert run(abs, [-1, 2, -3]) == [1, 2, 3]
+    xi, stats = at_workers(monkeypatch, 1, lambda: d_inverse(eta))
+    assert stats["iterations"] > 0
+    at_workers(monkeypatch, 1, lambda: bmo_seminorm(
+        parse_map_spec("hopf"), centers=3, cap_samples=16))

@@ -594,7 +594,13 @@ class TestCli:
         assert code == 2 and not stdout
         assert "error: map domain does not match the structure" in err
 
-    def test_invariant_unwritable_output_exit2(self, tmp_path):
+    def test_invariant_unwritable_output_exit2(self, tmp_path, monkeypatch):
+        from quanthom import cli
+
+        def no_build(*args):
+            raise AssertionError("mesh built before the output was checked")
+
+        monkeypatch.setattr(cli, "build_sphere_mesh", no_build)
         out = tmp_path / "missing" / "inv.json"
         code, stdout, err = self.run_cli(
             "invariant", "--map", "circle-power:d=2", "--structure",
@@ -673,6 +679,18 @@ class TestCli:
         assert code == 2 and not stdout
         assert "error: seed must be >= 0, not -1" in err
 
+    def test_seminorm_negative_seed_on_circle_exit2(self):
+        # the S^1 tensor rule draws no numbers, yet refuses the seed too
+        code, stdout, err = self.run_cli(
+            "seminorm", "--map", "circle-power:d=1", "--kind", "sobolev",
+            "--seed", "-1")
+        assert code == 2 and not stdout
+        assert "error: seed must be >= 0, not -1" in err
+        code, stdout, _ = self.run_cli(
+            "seminorm", "--map", "circle-power:d=1", "--kind", "sobolev",
+            "--seed", "3")
+        assert code == 0 and json.loads(stdout)["seed"] is None
+
     @pytest.mark.parametrize("kind,name", [("sobolev", "Sobolev"),
                                            ("bmo", "BMO")])
     def test_seminorm_beyond_s3_exit2(self, kind, name):
@@ -720,7 +738,14 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "r.json").exists()
 
-    def test_verify_scaling_unwritable_output_exit2(self, tmp_path):
+    def test_verify_scaling_unwritable_output_exit2(self, tmp_path,
+                                                    monkeypatch):
+        from quanthom import cli
+
+        def no_sweep(*args):
+            raise AssertionError("sweep run before the output was checked")
+
+        monkeypatch.setattr(cli, "run_scaling", no_sweep)
         out = tmp_path / "missing" / "r.json"
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(FAST_SCALING + f"\n[output]\njson = {out}\n")
