@@ -8,20 +8,26 @@ subdivided once (128 cells): the raw 16-cell's facet centers lie at
 radius 1/2, so no midpoint scheme on its 32 level-1 vertices can bring
 the flat volume within the documented coarse-mesh tolerance.
 
-Simplices are affine (flat) with vertices on the sphere.  All simplex
-tables of degree k < N are stored with vertices in ascending index
-order (this fixes their orientation); top simplices are stored in
-positively oriented vertex order, where a frame (e_1 .. e_N) of edge
-vectors is positive iff det[c; e_1; ...; e_N] = det(vertex rows) > 0
-with c the outward (centroid) direction; the constructor swaps the last
-two vertices of every top given with det < 0 and refuses det = 0.  With
-that convention the fundamental chain is the sum of all top simplices
-with coefficient +1 and its boundary vanishes identically.
+Simplices are affine (flat) with vertices on the sphere, and every
+vertex lies in some top.  All simplex tables of degree k < N are stored
+with vertices in ascending index order (this fixes their orientation);
+top simplices are stored in positively oriented vertex order, where a
+frame (e_1 .. e_N) of edge vectors is positive iff det[c; e_1; ...; e_N]
+= det(vertex rows) > 0 with c the outward (centroid) direction; the
+constructor swaps the last two vertices of every top given with det < 0
+and refuses det = 0.  It takes that sign in closed form, with no LAPACK
+call.  With that convention the fundamental chain is the sum of all top
+simplices with coefficient +1 and its boundary vanishes identically.
 
 Every face of a top simplex carries the parity of its vertex order in
 the top (the oriented sub-tuple) against its stored row: the sorting
 sign for k < N and +1 for the top itself, so a top cochain's Whitney
 form integrates to the sum of its values.
+
+The tables come from each top's vertices sorted once: the faces of a
+sorted row are sorted, one unique pass per degree numbers them, and
+constant tables over the (N+1)! vertex orders give each top's face and
+parity on every slot combination (_mesh_tables).
 
 The signed incidence (boundary) matrices are integer matrices and
 satisfy boundary-of-boundary = 0 exactly.
@@ -33,7 +39,9 @@ import io
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from itertools import combinations, product
+from decimal import Decimal
+from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -152,62 +160,161 @@ def simplex_geometry(pts: np.ndarray):
     return volumes, metric
 
 
-def _unique_rows(rows: np.ndarray):
-    """np.unique(rows, axis=0) with each row's first position and the
-    inverse map, for non-negative integer rows.
-
-    Each row is packed into one int64 key in base max + 1, first column
-    most significant, so np.unique of the keys orders the rows as a
-    lexicographic sort would.
-    """
-    width = rows.shape[1]
-    base = int(rows.max()) + 1 if rows.size else 1
+def _packed_keys(column, width: int, base: int) -> np.ndarray:
+    """One int64 key per row of `width` indices in [0, base), column(j)
+    giving column j of the rows: the row in base `base`, first column
+    most significant, so the keys order the rows as a lexicographic sort
+    would."""
     if base ** width >= 2 ** 63:
         raise ValueError(f"rows of {width} indices below {base} do not "
                          "pack into an int64 key")
-    keys = rows[:, 0].astype(np.int64)
+    keys = column(0).astype(np.int64)
     for j in range(1, width):
-        keys = keys * base + rows[:, j]
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], first, inv
+        keys *= base
+        keys += column(j)
+    return keys
 
 
-def _mesh_tables(tops: np.ndarray, dim: int):
+def _unique_keys(keys: np.ndarray):
+    """(first, inverse) of np.unique(keys, return_index=True,
+    return_inverse=True) for a 1-d array: the first position of each
+    distinct key in ascending key order, and the rank of every key among
+    the distinct ones.
+
+    One quicksort argsort; the first position of each run of equal keys
+    is the least of its sorted positions (np.minimum.reduceat), so no
+    stable sort is needed.
+    """
+    order = np.argsort(keys)
+    run = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(run[1:], run[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    rank = np.cumsum(new, out=run)          # the sorted keys are done with
+    rank -= 1
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    return first, inverse
+
+
+def _unique_rows(rows: np.ndarray):
+    """np.unique(rows, axis=0) with each row's first position and the
+    inverse map, for non-negative integer rows, through one packed int64
+    key per row (_packed_keys)."""
+    base = int(rows.max()) + 1 if rows.size else 1
+    first, inverse = _unique_keys(
+        _packed_keys(lambda j: rows[:, j], rows.shape[1], base))
+    return rows[first], first, inverse
+
+
+@lru_cache(maxsize=None)
+def _local_tables(dim: int):
+    """Constant tables over the (dim+1)! orders of a top's vertex slots.
+
+    Permutation p (itertools.permutations order) is the sorting
+    permutation of a top: sorted position i holds the top's slot p[i].
+    Returns
+      code      (n^n,) p's index from its code sum_i p[i] n^i (n = dim+1)
+      sign      (n!,) sign of p
+      face[k]   (n!, C(n, k+1)) the sorted-slot combination (the slot
+                of its row among the k-faces of the sorted top) on each
+                combination of the top's slots
+      parity[k] (n!, C(n, k+1)) int8 sign of that oriented sub-tuple
+                against its sorted row
+      drop[k]   (C(n, k+2), k+2) for each sorted-slot (k+1)-face, the
+                slots of its k-faces in ascending row order: without its
+                vertex k+1, k, ..., 0, with signs (-1)^(k+1), ..., 1
+    all read-only.
+    """
+    n = dim + 1
+    perms = np.array(list(permutations(range(n))))
+    code = np.full(n ** n, -1, dtype=np.int64)
+    code[perms @ n ** np.arange(n)] = np.arange(len(perms))
+    rank = np.argsort(perms, axis=1)            # slot j sits at rank[p, j]
+    face, parity, drop = {}, {}, {}
+    for k in range(dim):
+        combos = list(combinations(range(n), k + 1))
+        slot = {c: b for b, c in enumerate(combos)}
+        sub = rank[:, combos]                   # (n!, C(n, k+1), k+1)
+        face[k] = np.array([[slot[tuple(sorted(c))] for c in row]
+                            for row in sub.tolist()])
+        parity[k] = permutation_sign(sub).astype(np.int8)
+        drop[k] = np.array([[slot[c[:i] + c[i + 1:]] for i in range(k + 1, -1, -1)]
+                            for c in combinations(range(n), k + 2)])
+    tables = (code, permutation_sign(perms), face, parity, drop)
+    for arr in (code, tables[1], *face.values(), *parity.values(),
+                *drop.values()):
+        arr.flags.writeable = False
+    return tables
+
+
+def _mesh_tables(tops: np.ndarray, srt: np.ndarray, order: np.ndarray):
     """Simplex tables, top-face incidences with parities, and coboundaries.
 
-    One unique-rows pass per degree k < dim over the sorted k-faces of the
-    tops gives simplices[k] and, as the inverse, top_faces[k][t, a], the
-    k-face on local vertex-slot combination a of top t; its parity is the
-    sign of that oriented sub-tuple against the stored row (+1 for k = dim).
-    Row r of coboundary k is read off the first top holding (k+1)-simplex
-    r: dropping vertex i of slot a leaves slot b, with sign
-    (-1)^i par[k+1][t, a] par[k][t, b].
+    tops (t, N+1) are the oriented tops, which hold every vertex; srt
+    their sorted rows and order the sorting permutations (srt =
+    take_along_axis(tops, order, 1)).  Every k-face of a sorted row is
+    sorted, so one unique pass over the packed k-faces of the sorted
+    rows per degree 0 < k < N gives simplices[k] and each sorted slot's
+    face.  Each top's permutation reads off from _local_tables the
+    sorted slot and the parity of every combination a of its own slots:
+    top_faces[k][t, a] is the k-face on a, and its parity the sign of
+    that oriented sub-tuple against the stored row (+1 for k = N, and for
+    k = 0, where simplices[0] is every vertex and top_faces[0] the tops).
+    Row r of coboundary k is the boundary of stored (k+1)-simplex r,
+    read off any top that holds it: its sorted row less vertex i, with
+    sign (-1)^i, times the top's permutation sign for k + 1 = N.  The
+    faces come in ascending order, as scipy would sort them.  The unique
+    passes run as map_tasks tasks, then each degree's incidences.
     """
-    n_t = len(tops)
-    combos = {k: list(combinations(range(dim + 1), k + 1)) for k in range(dim + 1)}
-    simplices = {dim: tops}
-    top_faces = {dim: np.arange(n_t, dtype=np.int64)[:, None]}
-    parity = {dim: np.ones((n_t, 1), dtype=np.int8)}
-    coboundary = {}
-    first = np.arange(n_t)      # first flat (top, slot) of each (k+1)-simplex
-    for k in range(dim - 1, -1, -1):
-        sub = tops[:, combos[k]]                            # (t, slots, k+1)
-        simplices[k], first_k, inv = _unique_rows(
-            np.sort(sub, axis=2).reshape(-1, k + 1))
-        top_faces[k] = inv.reshape(n_t, len(combos[k]))
-        parity[k] = permutation_sign(sub).astype(np.int8)
-        t, a = np.divmod(first, len(combos[k + 1]))
-        slot = {c: b for b, c in enumerate(combos[k])}
-        faces = np.array([[slot[c[:i] + c[i + 1:]] for i in range(k + 2)]
-                          for c in combos[k + 1]])[a]       # (n_{k+1}, k+2)
-        signs = ((-1) ** np.arange(k + 2) * parity[k + 1][t, a][:, None]
-                 * parity[k][t[:, None], faces])
-        rows = np.repeat(np.arange(len(first)), k + 2)
-        coboundary[k] = sparse.csr_matrix(
-            (signs.ravel(), (rows, top_faces[k][t[:, None], faces].ravel())),
-            shape=(len(first), len(simplices[k])))
-        first = first_k
-    return simplices, top_faces, parity, coboundary
+    n_t, n = tops.shape
+    dim = n - 1
+    code, sign, face, parity_of, drop = _local_tables(dim)
+    perm = code[order @ n ** np.arange(n)]
+    n_v = int(srt[:, -1].max()) + 1
+    combos = [np.array(list(combinations(range(n), k + 1))) for k in range(n)]
+
+    def unique(k):
+        first, inverse = _unique_keys(_packed_keys(
+            lambda j: srt[:, combos[k][:, j]].ravel(), k + 1, n_v))
+        t, b = np.divmod(first, len(combos[k]))
+        return srt[t[:, None], combos[k][b]], first, inverse
+
+    # per degree: the stored rows, a flat (top, sorted slot) position of
+    # each, and the face on every flat position (the vertices for k = 0)
+    simplices = {0: np.arange(n_v, dtype=np.int64)[:, None], dim: tops}
+    held = {dim: np.arange(n_t)}
+    faces = {0: srt.ravel()}
+    for k, found in zip(range(1, dim), map_tasks(unique, range(1, dim))):
+        simplices[k], held[k], faces[k] = found
+
+    def faces_at(k, t, slots):
+        """The k-faces on sorted slots `slots` (a new array, overwritten)
+        of tops t."""
+        slots += len(combos[k]) * t
+        return faces[k][slots]
+
+    def incidences(k):
+        """Coboundary k, top_faces[k] and its parities."""
+        on_slots = (faces_at(k, np.arange(n_t)[:, None], face[k][perm]) if k
+                    else tops)
+        t, b = np.divmod(held[k + 1], len(combos[k + 1]))
+        cols = faces_at(k, t[:, None], drop[k][b])
+        signs = (-1) ** np.arange(k + 1, -1, -1)
+        signs = (sign[perm][:, None] * signs if k + 1 == dim
+                 else np.tile(signs, len(t)))
+        coboundary = sparse.csr_matrix(
+            (signs.ravel(), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
+            shape=(len(t), len(simplices[k])))
+        return coboundary, on_slots, parity_of[k][perm]
+
+    coboundaries, top_faces, parity = {}, {}, {}
+    for k, found in enumerate(map_tasks(incidences, range(dim))):
+        coboundaries[k], top_faces[k], parity[k] = found
+    top_faces[dim] = np.arange(n_t, dtype=np.int64)[:, None]
+    parity[dim] = np.ones((n_t, 1), dtype=np.int8)
+    return simplices, top_faces, parity, coboundaries
 
 
 # ----------------------------------------------------------------------
@@ -296,19 +403,40 @@ def _subdivide_tets(verts: np.ndarray, tets: np.ndarray):
 
 
 def _check_tops(tops: np.ndarray, dim: int, n_v: int):
-    """Reject top-simplex tables that cannot describe a simplicial complex."""
+    """Reject top-simplex tables that cannot describe a simplicial complex
+    on all n_v vertices; return the sorting permutation of every top and
+    its sorted row."""
     if not len(tops):
         raise ValueError("no top simplices")
     if tops.ndim != 2 or tops.shape[1] != dim + 1:
         raise ValueError(f"top simplex 0 has shape {tops.shape[1:]}, "
                          f"expected ({dim + 1},) vertex indices")
-    srt = np.sort(tops, axis=1)
+    order = np.argsort(tops, axis=1)
+    srt = np.take_along_axis(tops, order, axis=1)
     for bad, what in (((srt[:, 0] < 0) | (srt[:, -1] >= n_v),
                        f"a vertex index outside [0, {n_v})"),
                       ((srt[:, 1:] == srt[:, :-1]).any(axis=1), "a repeated vertex")):
         if bad.any():
             i = int(bad.argmax())
             raise ValueError(f"top simplex {i} {tops[i].tolist()} has {what}")
+    used = np.zeros(n_v, dtype=bool)
+    used[tops] = True
+    if not used.all():
+        raise ValueError(f"vertex {int(used.argmin())} is in no top simplex")
+    return order, srt
+
+
+def _orientation(pts: np.ndarray) -> np.ndarray:
+    """det of the vertex rows pts (t, n, n) of a batch of tops, read for
+    its sign: in closed form (minors.det) for n <= 3, and for n = 4 by
+    Laplace expansion along the first row through the closed-form 3 x 3
+    minors of the other rows, as LAPACK on blocks of 4 x 4 matrices is
+    slower (and slower still on two threads than on one)."""
+    n = pts.shape[-1]
+    if n <= 3:
+        return det(pts)
+    cofactors = minors(pts[:, 1:], n - 1)[:, 0, ::-1]   # without column j
+    return ((-1.0) ** np.arange(n) * pts[:, 0] * cofactors).sum(axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -348,14 +476,17 @@ class SimplicialSphere:
         self.level = level
         self.verts = np.ascontiguousarray(verts, dtype=float)
         tops = np.ascontiguousarray(tops, dtype=np.int64)
-        _check_tops(tops, dim, len(self.verts))
+        order, srt = _check_tops(tops, dim, len(self.verts))
         tops = tops.copy()
+        swap = np.r_[:dim - 1, dim, dim - 1]
 
-        # swap the last two vertices of a block's inward tops; find its flat ones
+        # swap the last two vertices of a block's inward tops, and the slots
+        # in their sorting permutations; find its flat ones
         def orient(rows):
-            sign = det(self.verts[tops[rows]])
+            sign = _orientation(self.verts[tops[rows]])
             inward = rows.start + np.flatnonzero(sign < 0.0)
             tops[inward, -2:] = tops[inward, -2:][:, ::-1]
+            order[inward] = swap[order[inward]]
             return rows.start + np.flatnonzero(sign == 0.0)
 
         flat = np.concatenate(map_blocks(orient, len(tops)))
@@ -363,7 +494,8 @@ class SimplicialSphere:
             raise ValueError(f"top simplex {flat[0]} {tops[flat[0]].tolist()} "
                              "spans a plane through the origin")
         (self.simplices, self.top_faces, self.top_face_parity,
-         self._coboundary) = _mesh_tables(tops, dim)
+         self._coboundary) = _mesh_tables(tops, srt, order)
+        del order, srt              # not held through the geometry pass
         self.top_volumes = np.empty(len(tops))
         self.metric = np.empty((len(tops), dim + 1, dim + 1))
 
@@ -462,18 +594,44 @@ class SimplicialSphere:
         return cls(dim, verts, np.array(tops), level)
 
 
+# peak bytes per top of the S^3 level-4 Hopf invariant, its mesh and the
+# operators built on it: 1.17 GB for 524,288 tops
+_PEAK_BYTES_PER_TOP = 2232
+_BASE_TOPS = {1: 8, 2: 20, 3: 128}
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_level_fits(dim: int, level: int):
+    """Refuse a level whose estimated peak, its tops times
+    _PEAK_BYTES_PER_TOP, exceeds physical memory, before anything is
+    allocated."""
+    if dim not in (1, 2, 3):
+        raise ValueError("dimension out of range")
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    estimate = _BASE_TOPS[dim] * 2 ** (dim * level) * _PEAK_BYTES_PER_TOP
+    memory = _physical_memory()
+    if estimate > memory:
+        raise ValueError(
+            f"S^{dim} level {level} needs an estimated "
+            f"{Decimal(estimate) / 10 ** 9:.3g} GB at its peak, more than "
+            f"the {memory / 1e9:.3g} GB of physical memory")
+
+
 def build_sphere_mesh(dim: int, level: int) -> SimplicialSphere:
     """Oriented triangulation of S^dim at the given refinement level.
 
     S^1 is a regular polygon with 8 * 2^level segments, S^2 the
     icosahedron subdivided `level` times, S^3 the once-subdivided
     16-cell boundary subdivided `level` more times; subdivision
-    midpoints are projected back to the unit sphere.
+    midpoints are projected back to the unit sphere.  A level whose
+    estimated peak exceeds physical memory is refused (check_level_fits).
     """
-    if dim not in (1, 2, 3):
-        raise ValueError("dimension out of range")
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    check_level_fits(dim, level)
     if dim == 1:
         verts, tops = _circle_mesh(level)
     elif dim == 2:

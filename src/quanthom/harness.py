@@ -32,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import build_sphere_mesh
+from .geometry.mesh import check_level_fits
 from .invariants import hardt_riviere
 from .maps import parse_map_spec
 from .registry import lookup
@@ -201,6 +202,11 @@ class ExperimentConfig:
         if not entry.evaluable:
             raise ConfigError(f"structure {self.structure!r} is not "
                               f"numerically evaluable")
+        for lvl in self.levels:
+            try:
+                check_level_fits(entry.structure.domain_dim, lvl)
+            except ValueError as exc:
+                raise ConfigError(f"levels: {exc}") from None
         b0 = entry.report.effective_beta0()
         low = [b for b in self.betas if b <= b0]
         if low and not self.allow_beta_below_threshold:

@@ -1,13 +1,17 @@
 """Checks that only the tests use: hand-checkable mass blocks,
-barycentric gradients, plain Monte Carlo, the cap-by-cap BMO statistics,
-map accuracy probes, mesh edge lengths and report loading."""
+barycentric gradients, the sort-based mesh tables, plain Monte Carlo, the
+cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths and
+report loading."""
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 
-from quanthom.geometry.mesh import SPHERE_VOLUMES, simplex_geometry
+from quanthom.geometry.mesh import (SPHERE_VOLUMES, permutation_sign,
+                                    simplex_geometry)
 from quanthom.hodge import _whitney_mass_blocks
 from quanthom.maps import SmoothMap, distance_to_target
 from quanthom.seminorms import _rng, _uniform_sphere
@@ -32,6 +36,47 @@ def barycentric_gradients(pts: np.ndarray) -> np.ndarray:
     edges = pts[:, 1:] - pts[:, :1]
     grads = np.linalg.inv(edges @ np.swapaxes(edges, 1, 2)) @ edges
     return np.concatenate([-grads.sum(axis=1, keepdims=True), grads], axis=1)
+
+
+def mesh_tables_by_sorting(tops: np.ndarray, dim: int):
+    """(simplices, top_faces, parities, coboundaries) of the oriented tops
+    by sorting every face of every top: the reference of
+    geometry.mesh._mesh_tables.
+
+    One np.unique pass per degree k < dim over the sorted k-faces of the
+    tops gives simplices[k] and, as the inverse, top_faces[k][t, a], the
+    k-face on local vertex-slot combination a of top t; its parity is the
+    sign of that oriented sub-tuple against the stored row (+1 for k = dim).
+    Row r of coboundary k is read off the first top holding (k+1)-simplex
+    r: dropping vertex i of slot a leaves slot b, with sign
+    (-1)^i par[k+1][t, a] par[k][t, b].
+    """
+    n_t = len(tops)
+    combos = {k: list(combinations(range(dim + 1), k + 1)) for k in range(dim + 1)}
+    simplices = {dim: tops}
+    top_faces = {dim: np.arange(n_t, dtype=np.int64)[:, None]}
+    parity = {dim: np.ones((n_t, 1), dtype=np.int8)}
+    coboundary = {}
+    first = np.arange(n_t)      # first flat (top, slot) of each (k+1)-simplex
+    for k in range(dim - 1, -1, -1):
+        sub = tops[:, combos[k]]                            # (t, slots, k+1)
+        simplices[k], first_k, inv = np.unique(
+            np.sort(sub, axis=2).reshape(-1, k + 1), axis=0,
+            return_index=True, return_inverse=True)
+        top_faces[k] = inv.reshape(n_t, len(combos[k]))
+        parity[k] = permutation_sign(sub).astype(np.int8)
+        t, a = np.divmod(first, len(combos[k + 1]))
+        slot = {c: b for b, c in enumerate(combos[k])}
+        faces = np.array([[slot[c[:i] + c[i + 1:]] for i in range(k + 2)]
+                          for c in combos[k + 1]])[a]       # (n_{k+1}, k+2)
+        signs = ((-1) ** np.arange(k + 2) * parity[k + 1][t, a][:, None]
+                 * parity[k][t[:, None], faces])
+        rows = np.repeat(np.arange(len(first)), k + 2)
+        coboundary[k] = sparse.csr_matrix(
+            (signs.ravel(), (rows, top_faces[k][t[:, None], faces].ravel())),
+            shape=(len(first), len(simplices[k])))
+        first = first_k
+    return simplices, top_faces, parity, coboundary
 
 
 def plain_sobolev_mc(f: SmoothMap, beta: float, p: float, samples: int,

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quanthom.geometry import SPHERE_VOLUMES, SimplicialSphere, build_sphere_mesh
+from quanthom.geometry import mesh as mesh_module
 from quanthom.geometry.quadrature import rule_info, simplex_rule
 from quanthom.invariants import mapping_degree
 from quanthom.maps import make_sphere_suspension
 
 from conftest import cached_mesh
-from helpers import max_edge_length
+from helpers import max_edge_length, mesh_tables_by_sorting
 
 
 def exact_monomial(dim, alphas):
@@ -393,3 +395,159 @@ def test_unique_rows_rejects_keys_beyond_int64():
     with pytest.raises(ValueError, match="4 indices below 2097151"):
         _unique_rows(rows)
     assert len(_unique_rows(rows[:, 1:])[0]) == 1    # (2^21 - 1)^3 < 2^63
+
+
+# ----------------------------------------------------------------------
+# mesh tables: the sorted-row build against sorting every face
+# ----------------------------------------------------------------------
+
+def built_at(cores, build):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_cores", lambda: cores)
+        return build()
+
+
+def assert_tables_match_sorting(m):
+    simplices, top_faces, parity, coboundary = mesh_tables_by_sorting(
+        m.simplices[m.dim], m.dim)
+    for k in range(m.dim + 1):
+        for got, want in ((m.simplices[k], simplices[k]),
+                          (m.top_faces[k], top_faces[k]),
+                          (m.top_face_parity[k], parity[k])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for k in range(m.dim):
+        for name in ("indptr", "indices", "data"):
+            got = getattr(m.coboundary(k), name)
+            want = getattr(coboundary[k], name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,level", [(1, lvl) for lvl in range(6)]
+                         + [(2, lvl) for lvl in range(5)]
+                         + [(3, lvl) for lvl in range(4)])
+def test_mesh_tables_match_sorting_reference(dim, level):
+    for cores in (1, 2):
+        assert_tables_match_sorting(
+            built_at(cores, lambda: build_sphere_mesh(dim, level)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 0)]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2]))
+def test_relabelled_mesh_tables_match_sorting_reference(case, seed, cores):
+    # relabelled vertices, shuffled tops, each top's slots shuffled so
+    # that every other given top is inward
+    dim, level = case
+    m = cached_mesh(dim, level)
+    rng = np.random.default_rng(seed)
+    relabel = rng.permutation(len(m.verts))
+    verts = np.empty_like(m.verts)
+    verts[relabel] = m.verts
+    n_t = m.n_simplices(dim)
+    slots = rng.permuted(np.tile(np.arange(dim + 1), (n_t, 1)), axis=1)
+    odd = mesh_module.permutation_sign(slots) != np.where(
+        np.arange(n_t) % 2, -1, 1)
+    slots[odd, :2] = slots[odd, 1::-1]
+    tops = np.take_along_axis(relabel[m.simplices[dim]], slots, axis=1)
+    tops = tops[rng.permutation(n_t)]
+    m2 = built_at(cores, lambda: SimplicialSphere(dim, verts, tops, level))
+    assert (np.linalg.det(m2.top_points) > 0).all()
+    turned = (m2.simplices[dim] != tops).any(axis=1)
+    assert np.array_equal(m2.simplices[dim][turned],
+                          tops[turned][:, list(range(dim - 1)) + [dim, dim - 1]])
+    assert turned.sum() == n_t // 2
+    assert_tables_match_sorting(m2)
+
+
+def test_unused_vertex_rejected():
+    # through the constructor and through a mesh file with one more vertex
+    m = build_sphere_mesh(2, 0)
+    extra = np.array([[0.6, 0.8, 0.0]])
+    with pytest.raises(ValueError, match="vertex 12 is in no top simplex"):
+        SimplicialSphere(2, np.vstack([m.verts, extra]), m.simplices[2], 0)
+    lines = m.format_ascii().splitlines()
+    lines[1] = "VERTICES 13"
+    lines.insert(14, "0.6 0.8 0")
+    with pytest.raises(ValueError, match="vertex 12 is in no top simplex"):
+        SimplicialSphere.parse_ascii("\n".join(lines))
+
+
+def test_mesh_build_calls_no_lapack(monkeypatch):
+    m = cached_mesh(3, 0)
+    tops = m.simplices[3].copy()
+    tops[::2, -2:] = tops[::2, -2:][:, ::-1]
+    lines = m.format_ascii().splitlines()
+    lines[-len(tops):] = [" ".join(map(str, row)) + " +1" for row in tops]
+
+    def no_lapack(a):
+        raise AssertionError("np.linalg.det called")
+
+    monkeypatch.setattr(np.linalg, "det", no_lapack)
+    build_sphere_mesh(3, 2)
+    m2 = SimplicialSphere.parse_ascii("\n".join(lines))
+    assert np.array_equal(m2.simplices[3], m.simplices[3])
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_orientation_sign_matches_lapack(level):
+    pts = cached_mesh(3, level).top_points
+    pts[1::2] = pts[1::2][:, [0, 1, 3, 2]]          # every other top inward
+    sign = np.sign(mesh_module._orientation(pts))
+    assert np.array_equal(sign, np.sign(np.linalg.det(pts)))
+    assert np.array_equal(sign, np.where(np.arange(len(pts)) % 2, -1.0, 1.0))
+
+
+def test_flat_s3_top_rejected():
+    m = cached_mesh(3, 0)
+    assert np.array_equal(m.verts[4], -m.verts[0])
+    tops = m.simplices[3].copy()
+    tops[3] = [0, 4, 1, 2]
+    with pytest.raises(ValueError, match=r"top simplex 3 \[0, 4, 1, 2\] spans "
+                                         "a plane through the origin"):
+        SimplicialSphere(3, m.verts, tops, 0)
+
+
+def kept_bytes(m) -> int:
+    """Bytes of the distinct buffers a mesh keeps."""
+    arrays = [m.verts, m.top_volumes, m.metric]
+    for table in (m.simplices, m.top_faces, m.top_face_parity):
+        arrays += table.values()
+    for k in range(m.dim):
+        c = m.coboundary(k)
+        arrays += [c.data, c.indices, c.indptr]
+    buffers = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
+def test_mesh_build_transient_memory():
+    # beyond what it keeps, the build holds the given tops, their sorted
+    # rows and permutations, one degree's packed face keys, sort order
+    # and ranks at a time on each worker, and then the geometry pass's
+    # per-block temporaries on each worker
+    build_sphere_mesh(3, 2)                 # constant tables cached
+    tracemalloc.start()
+    try:
+        m = build_sphere_mesh(3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * kept_bytes(m)
+
+
+def test_level_beyond_memory_refused(monkeypatch):
+    # 128 * 8^5 tops at 2,232 bytes each: 9.36 GB; nothing is built
+    monkeypatch.setattr(mesh_module, "_physical_memory", lambda: 2 * 10 ** 9)
+
+    def no_build(*args):
+        raise AssertionError("mesh built before the level was checked")
+
+    monkeypatch.setattr(mesh_module, "_cross_polytope", no_build)
+    with pytest.raises(ValueError, match=r"S\^3 level 5 needs an estimated "
+                                         r"9.36 GB at its peak, more than the "
+                                         r"2 GB of physical memory"):
+        build_sphere_mesh(3, 5)
+    mesh_module.check_level_fits(3, 4)     # 1.17 GB

@@ -608,6 +608,19 @@ class TestCli:
         assert code == 2 and not stdout
         assert err.startswith("error: ") and str(out) in err
 
+    def test_invariant_level_beyond_memory_exit2(self, monkeypatch):
+        from quanthom.geometry import mesh
+
+        def no_build(*args):
+            raise AssertionError("mesh built before the level was checked")
+
+        monkeypatch.setattr(mesh, "_cross_polytope", no_build)
+        code, stdout, err = self.run_cli(
+            "invariant", "--map", "hopf", "--structure", "hopf:n=1",
+            "--level", "9")
+        assert code == 2 and not stdout
+        assert "S^3 level 9 needs an estimated" in err
+
     def test_seminorm_command(self):
         code, stdout, _ = self.run_cli(
             "seminorm", "--map", "circle-power:d=1", "--kind", "sobolev",
@@ -790,9 +803,11 @@ seed = 5
          "one field"),
         ("map = circle-power:d={d}", "map = circle-power:d=2",
          "map 'circle-power:d=2' does not use the sweep key 'd' as its "
-         "one field")],
+         "one field"),
+        ("levels = 3,4", "levels = 3,99",
+         "levels: S^1 level 99 needs an estimated")],
         ids=["zero-denominator", "duplicate-beta", "negative-seed",
-             "unused-sweep-key", "template-without-field"])
+             "unused-sweep-key", "template-without-field", "level-beyond-memory"])
     def test_verify_scaling_bad_key_exit2(self, tmp_path, old, new, message):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(FAST_SCALING.replace(old, new))
