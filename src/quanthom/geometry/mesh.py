@@ -595,7 +595,11 @@ class SimplicialSphere:
 
 
 # peak bytes per top of the S^3 level-4 Hopf invariant, its mesh and the
-# operators built on it: 1.17 GB for 524,288 tops
+# operators built on it: 1.17 GB for 524,288 tops when it was set.  With
+# no M_1 in the operator that peak is 857 MB (817 MiB of RSS, 1,634 B per
+# top, on a 2-core machine with 8.4 GB), but the figure stays until S^3
+# level 5 is shown to fit: at 1,634 B its 6.9 GB estimate would pass that
+# machine's check, and level 5 has never been run
 _PEAK_BYTES_PER_TOP = 2232
 _BASE_TOPS = {1: 8, 2: 20, 3: 128}
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .geometry import build_sphere_mesh
 from .geometry.mesh import check_level_fits
-from .invariants import hardt_riviere
-from .maps import parse_map_spec
+from .invariants import check_evaluable, hardt_riviere
+from .maps import MapSpecError, parse_map_spec
 from .registry import lookup
 from .seminorms import (bmo_seminorm, holder_seminorm,
                         poisson_extension_distance, sobolev_seminorm, _rng,
@@ -163,7 +163,11 @@ class ExperimentConfig:
     def validate(self):
         """Check the config against the catalogue and return its entry.
 
-        The runs call it again: fields may be changed after loading."""
+        Every sweep value's map spec must parse and fit the structure
+        (invariants.check_evaluable); a parameter value that the map's
+        family rejects, such as a perturbation too large, is left to that
+        sweep row to record.  The runs call it again: fields may be
+        changed after loading."""
         if self.kind not in ("scaling", "bmo"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seminorm not in ("sobolev", "holder"):
@@ -202,6 +206,19 @@ class ExperimentConfig:
         if not entry.evaluable:
             raise ConfigError(f"structure {self.structure!r} is not "
                               f"numerically evaluable")
+        structure = entry.structure
+        for val in self.sweep_values:
+            spec = self.map_template.format(**{self.sweep_name: val})
+            try:
+                f = parse_map_spec(spec)
+            except MapSpecError as exc:
+                raise ConfigError(f"map {spec!r}: {exc}") from None
+            except _ROW_ERRORS:
+                continue          # a value its family rejects: the row's fault
+            try:
+                check_evaluable(f, structure, structure.domain_dim)
+            except ValueError as exc:
+                raise ConfigError(f"map {spec!r}: {exc}") from None
         for lvl in self.levels:
             try:
                 check_level_fits(entry.structure.domain_dim, lvl)

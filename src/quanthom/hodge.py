@@ -16,6 +16,16 @@ It is found on the (k-1)-cochains in two steps:
    (Z^T M_{k-1} Z) phi = Z^T M_{k-1} sigma, where Z = D_{k-2} (the
    constants for k = 1) spans the kernel of K.
 
+The gauge step needs neither M_{k-1} nor a float copy of Z.  The
+Whitney complex is exact, D_0 lambda_a = d lambda_a, so for k = 2 the
+gauge matrix D_0^T M_1 D_0 is the P1 stiffness matrix, the sum over the
+tops T of vol_T g_T on T's vertices (g the Gram matrix of the
+barycentric differentials), built from the metric alone (_gauge); for
+k = 1 it is the 1 x 1 matrix [vol S^N], the sum of the top volumes.
+The right-hand side M_{k-1} sigma is summed top by top from the local
+blocks (_mass_product).  M_{k-1} itself is assembled only when a caller
+reads it (the codifferential, the norm of a (k-1)-cochain).
+
 Every solve is Jacobi-preconditioned conjugate gradients; the
 Jacobi-scaled mass matrix has an h-independent spectrum (Wathen 1987).
 The matvec of a large matrix runs on every core, over contiguous row
@@ -30,14 +40,17 @@ a k x k minor of the Gram matrix g of the barycentric differentials.
 With W_J = k! sum_m (-1)^m lambda_{j_m} dl_{J - j_m}, every entry of the
 local k-form mass matrix is vol k!^2 sum_{I, I'} C[(J, J'), (I, I')] g_{I, I'}
 over the C(N+1, k)^2 minors g_{I, I'}, with a constant coefficient table C
-per (N, k).  So each mass matrix is one batched minors call
-(geometry.minors) and one matrix product.
+per (N, k).  So each block batch is one batched minors call
+(geometry.minors) and one matrix product.  The one Whitney N-form of a
+top is 1/vol on it, so M_N = diag(1/vol) needs no kernel at all.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -88,34 +101,109 @@ def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
     return local.reshape(len(vol), s, s)
 
 
+class _TopFaces(NamedTuple):
+    """What Whitney k-form assembly reads of a mesh, without the mesh:
+    its arrays of the k-faces of every top (`faces`, (t, s)) and of their
+    parities, the tops' Gram matrices and volumes, and n = n_k."""
+    k: int
+    faces: np.ndarray
+    parity: np.ndarray
+    metric: np.ndarray
+    volumes: np.ndarray
+    n: int
+
+
+def _top_faces(mesh, k: int) -> _TopFaces:
+    return _TopFaces(k, mesh.top_faces[k], mesh.top_face_parity[k],
+                     mesh.metric, mesh.top_volumes, mesh.n_simplices(k))
+
+
+def _signed_blocks(f: _TopFaces, tops) -> np.ndarray:
+    """The local Whitney mass blocks of `tops`, signed by the parities of
+    their faces: the (len(tops), s, s) blocks of M_k."""
+    local = _whitney_mass_blocks(f.metric[tops], f.volumes[tops], f.k)
+    par = f.parity[tops]
+    local *= par[:, :, None] * par[:, None, :]
+    return local
+
+
+def _assemble(f: _TopFaces) -> sparse.csr_matrix:
+    """M_k of the tops `f`; see mass_matrix."""
+    t = len(f.volumes)
+    if f.k == f.metric.shape[1] - 1:                  # k = N: top k-face = top
+        diag = np.arange(t + 1, dtype=np.int32)
+        M = sparse.csr_matrix((1.0 / f.volumes, diag[:-1], diag),
+                              shape=(t, t))
+    else:
+        _mass_coefficients(f.metric.shape[1] - 1, f.k)  # cached before the map
+        faces = f.faces.astype(np.int32)    # int32 as scipy's CSR indices
+        s = faces.shape[1]
+        local = np.empty((t, s, s))
+
+        def assemble(tops):
+            local[tops] = _signed_blocks(f, tops)
+
+        map_blocks(assemble, t)
+        # local[t, a, b] goes to row faces[t, a] and column faces[t, b]
+        rows = np.repeat(faces, s, axis=1).ravel()
+        cols = np.tile(faces, s).ravel()
+        M = sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(f.n, f.n))
+        del local, rows, cols
+    # scipy leaves `data` and `indices` as views, of the conversion's
+    # buffers of one entry per local entry; keep copies of the entries
+    M.data, M.indices = M.data.copy(), M.indices.copy()
+    return M
+
+
 def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     """Whitney k-form mass matrix (symmetric positive definite).
 
-    The local blocks of the tops, signed by the face parities, are
-    computed block by block on every core (mesh.map_blocks) into one
-    (t, s, s) array; one COO to CSR conversion scatters them to the rows
-    and columns of the faces and sums the duplicate entries.  Neither
-    step depends on the cores, so the matrix is the same bits from run
-    to run and at any core count.
+    For k < N the local blocks of the tops, signed by the face parities,
+    are computed block by block on every core (mesh.map_blocks) into one
+    (t, s, s) array, and one COO to CSR conversion scatters them to the
+    rows and columns of the faces and sums the duplicate entries.
+    Neither step depends on the cores, so the matrix is the same bits
+    from run to run and at any core count.  Its `data` and `indices` own
+    exactly its entries.  The one Whitney N-form of a top is 1/vol on it,
+    so M_N is diag(1/top_volumes).
     """
-    # (t, s), int32 as scipy's CSR indices, so no index array is copied
-    faces = mesh.top_faces[k].astype(np.int32)
-    par = mesh.top_face_parity[k]
-    s = faces.shape[1]
-    n = mesh.n_simplices(k)
-    _mass_coefficients(mesh.dim, k)                    # cached before the map
-    local = np.empty((len(faces), s, s))
+    return _assemble(_top_faces(mesh, k))
 
-    def assemble(tops):
-        local[tops] = _whitney_mass_blocks(mesh.metric[tops],
-                                           mesh.top_volumes[tops], k)
-        local[tops] *= par[tops, :, None] * par[tops, None, :]
 
-    map_blocks(assemble, len(faces))
-    # local[t, a, b] goes to row faces[t, a] and column faces[t, b]
-    rows = np.repeat(faces, s, axis=1).ravel()
-    cols = np.tile(faces, s).ravel()
-    return sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+def _mass_product(f: _TopFaces, x: np.ndarray) -> np.ndarray:
+    """M_k x without M_k: each top's signed block times x on its faces
+    (_signed_blocks, on every core), summed into the faces by one
+    np.bincount in top order, so it is the same bits at any core count."""
+    _mass_coefficients(f.metric.shape[1] - 1, f.k)     # cached before the map
+    local_x = np.empty(f.faces.shape)
+
+    def product(tops):
+        local_x[tops] = np.einsum("tab,tb->ta", _signed_blocks(f, tops),
+                                  x[f.faces[tops]])
+
+    map_blocks(product, len(local_x))
+    return np.bincount(f.faces.ravel(), weights=local_x.ravel(),
+                       minlength=f.n)
+
+
+def _gauge(mesh, k: int) -> sparse.csr_matrix:
+    """The gauge matrix Z^T M_{k-1} Z of d^{-1} in degree k = 1 or 2,
+    from the tops' volumes and metrics (see the module docstring).
+
+    For k = 2 it is the P1 stiffness matrix, sum_T vol_T g_T.  The rows
+    of each g_T sum to zero (the lambda_a sum to one), so it is the
+    weighted graph Laplacian D_0^T W D_0, with the weight of an edge e
+    W_e = -sum_T vol_T g_T[a, b] over the tops T whose slots a < b hold e.
+    """
+    if k == 1:
+        return sparse.csr_matrix([[mesh.top_volumes.sum()]])
+    a, b = np.array(list(combinations(range(mesh.dim + 1), 2))).T
+    w = np.bincount(mesh.top_faces[1].ravel(),
+                    weights=(mesh.top_volumes[:, None]
+                             * mesh.metric[:, a, b]).ravel(),
+                    minlength=mesh.n_simplices(1))
+    D = mesh.coboundary(0)
+    return (D.T @ sparse.diags(-w) @ D).tocsr()
 
 
 def _row_ranges(A: sparse.csr_matrix) -> list:
@@ -184,9 +272,17 @@ def _mass_solve(M: sparse.csr_matrix, diag: np.ndarray,
 class HodgeOperator:
     """Whitney mass matrices around degree k and the d^{-1} solve into k-1.
 
-    Holds M_{k-1}, M_k, M_{k+1}, and for k >= 1 the coboundary D_{k-1},
-    the curl matrix K = D_{k-1}^T M_k D_{k-1}, the gauge basis Z and the
-    gauge matrix Z^T M_{k-1} Z.  It keeps no reference to its mesh, so
+    Kept: M_k (`mass_k`), M_{k+1} (`mass_up`, None for k = N; for k = N-1
+    it is diag(1/vol)) and, for k >= 1, the integer coboundary D_{k-1}.
+    For 1 <= k <= N-1, where d^{-1} applies, also the curl matrix
+    K = D_{k-1}^T M_k D_{k-1} (`curl`), the gauge basis Z (`gauge_basis`:
+    the integer D_{k-2}, or a column of ones for k = 1) and the gauge
+    matrix Z^T M_{k-1} Z (`gauge`), built from the tops' metrics
+    (_gauge).  M_{k-1} (`mass_down`, None for k = 0) is assembled on its
+    first read; d^{-1} never reads it: its gauge right-hand side
+    M_{k-1} sigma is summed top by top (_mass_product).
+
+    It keeps views of the mesh's arrays but no reference to the mesh, so
     the mesh and the operators it caches form no reference cycle and are
     freed as soon as the mesh is dropped.
     """
@@ -197,20 +293,34 @@ class HodgeOperator:
         self.k = k
         self.mass_k = mass_matrix(mesh, k)
         self.mass_up = mass_matrix(mesh, k + 1) if k < mesh.dim else None
-        self.mass_down = mass_matrix(mesh, k - 1) if k > 0 else None
+        self._down = _top_faces(mesh, k - 1) if k > 0 else None
+        self._mass_down = None
         if k > 0:
             self.coboundary = mesh.coboundary(k - 1)
+        if 1 <= k <= mesh.dim - 1:
             D = self.coboundary.astype(float)
             self.curl = (D.T @ self.mass_k @ D).tocsr()
             # Z spans the kernel of K: gradients, or the constants for k = 1
-            self.gauge_basis = Z = (
-                mesh.coboundary(k - 2).astype(float).tocsr() if k > 1
-                else sparse.csr_matrix(np.ones((D.shape[1], 1))))
-            self.gauge = (Z.T @ self.mass_down @ Z).tocsr()
+            self.gauge_basis = (
+                mesh.coboundary(k - 2) if k > 1
+                else sparse.csr_matrix(np.ones((D.shape[1], 1), np.int8)))
+            self.gauge = _gauge(mesh, k)
+
+    @property
+    def mass_down(self) -> sparse.csr_matrix | None:
+        """M_{k-1}, assembled on the first read."""
+        if self._mass_down is None and self._down is not None:
+            self._mass_down = _assemble(self._down)
+        return self._mass_down
 
     def norm(self, c: Cochain) -> float:
-        M = {self.k: self.mass_k, self.k + 1: self.mass_up,
-             self.k - 1: self.mass_down}[c.degree]
+        """Mass norm of a cochain of degree k-1, k or k+1."""
+        if not self.k - 1 <= c.degree <= self.k + 1:
+            raise ValueError(f"no mass matrix of degree {c.degree} in the "
+                             f"operator of degree k = {self.k}, which holds "
+                             f"degrees k-1 to k+1")
+        M = (self.mass_k if c.degree == self.k else self.mass_up
+             if c.degree > self.k else self.mass_down)
         return float(np.sqrt(max(c.values @ (M @ c.values), 0.0)))
 
     def codifferential_values(self, values: np.ndarray) -> np.ndarray:
@@ -228,7 +338,7 @@ class HodgeOperator:
         b = self.coboundary.T @ (self.mass_k @ values)
         maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
         sigma, its = _jacobi_cg(K, K.diagonal(), b, CURL_TOL, maxiter=maxiter)
-        m_sigma = self.mass_down @ sigma
+        m_sigma = _mass_product(self._down, sigma)
         scale = np.linalg.norm(m_sigma)
         c = Z.T @ m_sigma
         phi, gauge_its = _jacobi_cg(G, G.diagonal(), c, 0.0,

@@ -408,6 +408,13 @@ def pullback_form(f: SmoothMap, omega) -> FormField:
 # the map-spec grammar
 # ----------------------------------------------------------------------
 
+class MapSpecError(ValueError):
+    """A map spec that the grammar rejects: an unknown family, a missing
+    or extra sub-map, or a key that is unknown, repeated, missing or of
+    the wrong type.  A value its family's builder rejects raises a plain
+    ValueError."""
+
+
 def _dim(text: str) -> int:
     """A sphere dimension: an integer >= 1."""
     n = int(text)
@@ -445,22 +452,22 @@ def _params(spec: str, text: str, keys: dict) -> list:
     for part in text.split(",") if text else ():
         key, eq, val = (x.strip() for x in part.partition("="))
         if not eq:
-            raise ValueError(f"parameter {part!r} is not key=value in map "
-                             f"spec {spec!r}")
+            raise MapSpecError(f"parameter {part!r} is not key=value in "
+                               f"map spec {spec!r}")
         if key not in keys:
-            raise ValueError(f"unknown key {key!r} in map spec {spec!r}")
+            raise MapSpecError(f"unknown key {key!r} in map spec {spec!r}")
         if key in kv:
-            raise ValueError(f"repeated key {key!r} in map spec {spec!r}")
+            raise MapSpecError(f"repeated key {key!r} in map spec {spec!r}")
         kv[key] = val
     values = []
     for key, (kind, *default) in keys.items():
         if key not in kv and not default:
-            raise ValueError(f"missing key {key!r} in map spec {spec!r}")
+            raise MapSpecError(f"missing key {key!r} in map spec {spec!r}")
         try:
             values.append(kind(kv[key]) if key in kv else default[0])
         except ValueError:
-            raise ValueError(f"key {key!r} in map spec {spec!r} must be "
-                             f"{_VALUE_TYPES[kind]}, not {kv[key]!r}") from None
+            raise MapSpecError(f"key {key!r} in map spec {spec!r} must be "
+                               f"{_VALUE_TYPES[kind]}, not {kv[key]!r}") from None
     return values
 
 
@@ -469,7 +476,7 @@ def _walk(spec: str, items: list, i: int) -> tuple:
     after its last sub-map."""
     head, _, rest = items[i].strip().partition(":")
     if head not in MAP_FAMILIES:
-        raise ValueError(f"unknown map spec {spec!r}: no family {head!r}")
+        raise MapSpecError(f"unknown map spec {spec!r}: no family {head!r}")
     build, keys, n_sub = MAP_FAMILIES[head]
     if n_sub and not keys:
         items[i], params = rest, []     # the first sub-map follows the ':'
@@ -478,7 +485,8 @@ def _walk(spec: str, items: list, i: int) -> tuple:
     subs = []
     for _ in range(n_sub):
         if i == len(items):
-            raise ValueError(f"missing sub-map of {head!r} in map spec {spec!r}")
+            raise MapSpecError(f"missing sub-map of {head!r} in map spec "
+                               f"{spec!r}")
         f, i = _walk(spec, items, i)
         subs.append(f)
     return build(*subs, *params), i
@@ -494,12 +502,12 @@ def parse_map_spec(spec: str) -> SmoothMap:
     `perturb:eps=0.1,m=7|SPEC` nest to any depth, e.g.
     `compose:perturb:eps=0.1,m=3|suspension:d=2|hopf`.  Unknown,
     repeated and missing keys, a value that is not a number, and a
-    domain `n` below 1 raise ValueError naming the key and spec.
+    domain `n` below 1 raise MapSpecError naming the key and spec.
     """
     spec = spec.strip()
     items = spec.split("|")
     f, end = _walk(spec, items, 0)
     if end < len(items):
-        raise ValueError(f"extra sub-map {'|'.join(items[end:])!r} in map "
-                         f"spec {spec!r}")
+        raise MapSpecError(f"extra sub-map {'|'.join(items[end:])!r} in "
+                           f"map spec {spec!r}")
     return f

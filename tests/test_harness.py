@@ -725,6 +725,23 @@ class TestCli:
         assert ("config error: beta values 1 lie outside (0, 1), the range "
                 "of the sobolev seminorm") in err
 
+    @pytest.mark.parametrize("template", [
+        "suspension:d={d}", "compose:suspension:d={d}", "hopf|hopf:d={d}",
+        "bogus:d={d}"])
+    def test_verify_scaling_map_unfit_for_structure_exit2(self, tmp_path,
+                                                         template):
+        # each sweep member's spec is parsed and checked against the
+        # structure at load, before any mesh is built
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING.replace("structure = winding",
+                                            "structure = hopf:n=1")
+                       .replace("circle-power:d={d}", template)
+                       .replace("beta = 9/10", "beta = 4/5"))
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert f"config error: map {template.format(d=1)!r}: " in err
+
     def test_verify_scaling_negative_level_exit2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(FAST_SCALING.replace("levels = 3,4", "levels = -1"))

@@ -107,6 +107,13 @@ class TestMassMatrices:
         result = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
         assert peak < 5 * result
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_mass_matrix_owns_its_entries(self, k):
+        # no view into the COO-sized buffers of the conversion
+        M = mass_matrix(cached_mesh(3, 1), k)
+        assert M.data.base is None and M.indices.base is None
+        assert len(M.data) == len(M.indices) == M.nnz
+
     def test_circle_edge_mass_is_inverse_length(self, mesh_s1):
         M = mass_matrix(mesh_s1, 1).toarray()
         e = mesh_s1.simplices[1]
@@ -151,6 +158,58 @@ class TestOperatorOwnership:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestLeanOperator:
+    """What d^{-1} reads in place of M_{k-1}, against the assembled M_{k-1}."""
+
+    MESHES = [(2, 3, 1), (3, 1, 2), (3, 2, 2)]
+
+    @pytest.mark.parametrize("dim,level,k", MESHES)
+    def test_gauge_matches_assembled_reference(self, dim, level, k):
+        m = cached_mesh(dim, level)
+        op = HodgeOperator(m, k)
+        Z = op.gauge_basis
+        ref = (Z.T @ mass_matrix(m, k - 1) @ Z).tocsr()
+        G = op.gauge
+        G.sort_indices()
+        ref.sort_indices()
+        assert np.array_equal(G.indptr, ref.indptr)
+        assert np.array_equal(G.indices, ref.indices)
+        assert (np.abs(G.data - ref.data).max()
+                <= 1e-14 * np.abs(ref.data).max())
+
+    @pytest.mark.parametrize("dim,level,k", MESHES)
+    def test_top_local_mass_product(self, dim, level, k, rng):
+        m = cached_mesh(dim, level)
+        x = rng.standard_normal(m.n_simplices(k - 1))
+        ref = mass_matrix(m, k - 1) @ x
+        got = hodge._mass_product(hodge._top_faces(m, k - 1), x)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_d_inverse_assembles_degrees_k_and_k_plus_1(self, monkeypatch):
+        # degree-2 d^{-1} reads M_2 (curl) and M_3 (closedness); M_1 is
+        # assembled only when mass_down is first read
+        called, assembled = [], []
+        mass, assemble = hodge.mass_matrix, hodge._assemble
+        monkeypatch.setattr(hodge, "mass_matrix", lambda mesh, k: (
+            called.append(k) or mass(mesh, k)))
+        monkeypatch.setattr(hodge, "_assemble", lambda f: (
+            assembled.append(f.k) or assemble(f)))
+        m = build_sphere_mesh(3, 1)
+        u = np.random.default_rng(5).standard_normal(m.n_simplices(1))
+        d_inverse(Cochain(m, 1, u).d())
+        assert sorted(called) == sorted(assembled) == [2, 3]
+        op = hodge_operator(m, 2)
+        assert op.mass_down is op.mass_down
+        assert assembled == [2, 3, 1]
+        assert np.array_equal(op.mass_down.data, mass(m, 1).data)
+
+    def test_norm_of_a_degree_not_held(self):
+        m = cached_mesh(3, 0)
+        with pytest.raises(ValueError, match="degree 3 in the operator of "
+                                             "degree k = 1"):
+            hodge_operator(m, 1).norm(Cochain.zeros(m, 3))
 
 
 class TestCodifferential:
