@@ -34,7 +34,7 @@ print(f"S^2 level 4: {mesh.n_simplices(1)} edges")
 report(stats)
 print(f"||d(d^-1 eta) - eta|| / ||eta||   = "
       f"{op.norm(xi.d() - eta) / op.norm(eta):.2e}")
-w = op.mass_down @ np.ones(mesh.n_simplices(0))
+w = hodge_operator(mesh, 0).mass_k @ np.ones(mesh.n_simplices(0))
 print(f"M_0-mean of d^-1 eta              = {w @ xi.values / w.sum():.2e}"
       f"  (0-cochain: the gauge fixes the constant)")
 

@@ -235,7 +235,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     return 2
 

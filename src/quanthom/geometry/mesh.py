@@ -617,13 +617,16 @@ def check_level_fits(dim: int, level: int):
         raise ValueError("dimension out of range")
     if level < 0:
         raise ValueError("level must be >= 0")
-    estimate = _BASE_TOPS[dim] * 2 ** (dim * level) * _PEAK_BYTES_PER_TOP
     memory = _physical_memory()
+    # past memory's bit length 2^(dim level) alone exceeds it: cut there
+    bits = min(dim * level, memory.bit_length())
+    estimate = _BASE_TOPS[dim] * 2 ** bits * _PEAK_BYTES_PER_TOP
     if estimate > memory:
         raise ValueError(
             f"S^{dim} level {level} needs an estimated "
-            f"{Decimal(estimate) / 10 ** 9:.3g} GB at its peak, more than "
-            f"the {memory / 1e9:.3g} GB of physical memory")
+            f"{Decimal(estimate) / 10 ** 9:.3g} GB"
+            f"{' or more' if bits < dim * level else ''} at its peak, more "
+            f"than the {memory / 1e9:.3g} GB of physical memory")
 
 
 def build_sphere_mesh(dim: int, level: int) -> SimplicialSphere:

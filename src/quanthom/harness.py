@@ -149,12 +149,12 @@ class ExperimentConfig:
             samples = sec.getint("samples", 200_000)
             seed = sec.getint("seed", 0)
             allow = sec.getboolean("allow_beta_below_threshold", False)
-        except (KeyError, ValueError) as exc:
+            outputs = dict(cp["output"]) if cp.has_section("output") else {}
+        except (KeyError, ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad experiment config: {exc}") from exc
         except ZeroDivisionError:           # only a beta fraction divides
             raise ConfigError(f"beta {sec['beta']!r} has a zero "
                               f"denominator") from None
-        outputs = dict(cp["output"]) if cp.has_section("output") else {}
         cfg = cls(kind, structure, template, sweep_name, sweep_values, betas,
                   levels, seminorm, samples, seed, allow, outputs)
         cfg.validate()
@@ -202,13 +202,19 @@ class ExperimentConfig:
                     f"beta values {', '.join(bad)} lie outside (0, 1"
                     f"{']' if holder else ')'}, the range of the "
                     f"{self.seminorm} seminorm")
-        entry = lookup(self.structure)
+        try:
+            entry = lookup(self.structure)
+        except KeyError as exc:
+            raise ConfigError(f"structure: {exc.args[0]}") from None
         if not entry.evaluable:
             raise ConfigError(f"structure {self.structure!r} is not "
                               f"numerically evaluable")
         structure = entry.structure
         for val in self.sweep_values:
-            spec = self.map_template.format(**{self.sweep_name: val})
+            try:                  # a bad conversion or format spec
+                spec = self.map_template.format(**{self.sweep_name: val})
+            except (ValueError, LookupError) as exc:
+                raise ConfigError(f"map {self.map_template!r}: {exc}") from None
             try:
                 f = parse_map_spec(spec)
             except MapSpecError as exc:

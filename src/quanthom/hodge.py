@@ -23,8 +23,9 @@ tops T of vol_T g_T on T's vertices (g the Gram matrix of the
 barycentric differentials), built from the metric alone (_gauge); for
 k = 1 it is the 1 x 1 matrix [vol S^N], the sum of the top volumes.
 The right-hand side M_{k-1} sigma is summed top by top from the local
-blocks (_mass_product).  M_{k-1} itself is assembled only when a caller
-reads it (the codifferential, the norm of a (k-1)-cochain).
+blocks (_mass_product), so d^{-1} never assembles M_{k-1}.  The operator
+of degree k holds matrices only, and its norm reads degrees k and k+1;
+the codifferential, the one reader of M_{k-1}, assembles it per call.
 
 Every solve is Jacobi-preconditioned conjugate gradients; the
 Jacobi-scaled mass matrix has an h-independent spectrum (Wathen 1987).
@@ -50,7 +51,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -101,58 +101,13 @@ def _whitney_mass_blocks(g: np.ndarray, vol: np.ndarray,
     return local.reshape(len(vol), s, s)
 
 
-class _TopFaces(NamedTuple):
-    """What Whitney k-form assembly reads of a mesh, without the mesh:
-    its arrays of the k-faces of every top (`faces`, (t, s)) and of their
-    parities, the tops' Gram matrices and volumes, and n = n_k."""
-    k: int
-    faces: np.ndarray
-    parity: np.ndarray
-    metric: np.ndarray
-    volumes: np.ndarray
-    n: int
-
-
-def _top_faces(mesh, k: int) -> _TopFaces:
-    return _TopFaces(k, mesh.top_faces[k], mesh.top_face_parity[k],
-                     mesh.metric, mesh.top_volumes, mesh.n_simplices(k))
-
-
-def _signed_blocks(f: _TopFaces, tops) -> np.ndarray:
-    """The local Whitney mass blocks of `tops`, signed by the parities of
-    their faces: the (len(tops), s, s) blocks of M_k."""
-    local = _whitney_mass_blocks(f.metric[tops], f.volumes[tops], f.k)
-    par = f.parity[tops]
+def _signed_blocks(mesh, k: int, tops) -> np.ndarray:
+    """The local Whitney k-form mass blocks of `tops`, signed by the
+    parities of their faces: the (len(tops), s, s) blocks of M_k."""
+    local = _whitney_mass_blocks(mesh.metric[tops], mesh.top_volumes[tops], k)
+    par = mesh.top_face_parity[k][tops]
     local *= par[:, :, None] * par[:, None, :]
     return local
-
-
-def _assemble(f: _TopFaces) -> sparse.csr_matrix:
-    """M_k of the tops `f`; see mass_matrix."""
-    t = len(f.volumes)
-    if f.k == f.metric.shape[1] - 1:                  # k = N: top k-face = top
-        diag = np.arange(t + 1, dtype=np.int32)
-        M = sparse.csr_matrix((1.0 / f.volumes, diag[:-1], diag),
-                              shape=(t, t))
-    else:
-        _mass_coefficients(f.metric.shape[1] - 1, f.k)  # cached before the map
-        faces = f.faces.astype(np.int32)    # int32 as scipy's CSR indices
-        s = faces.shape[1]
-        local = np.empty((t, s, s))
-
-        def assemble(tops):
-            local[tops] = _signed_blocks(f, tops)
-
-        map_blocks(assemble, t)
-        # local[t, a, b] goes to row faces[t, a] and column faces[t, b]
-        rows = np.repeat(faces, s, axis=1).ravel()
-        cols = np.tile(faces, s).ravel()
-        M = sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(f.n, f.n))
-        del local, rows, cols
-    # scipy leaves `data` and `indices` as views, of the conversion's
-    # buffers of one entry per local entry; keep copies of the entries
-    M.data, M.indices = M.data.copy(), M.indices.copy()
-    return M
 
 
 def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
@@ -167,23 +122,48 @@ def mass_matrix(mesh, k: int) -> sparse.csr_matrix:
     exactly its entries.  The one Whitney N-form of a top is 1/vol on it,
     so M_N is diag(1/top_volumes).
     """
-    return _assemble(_top_faces(mesh, k))
+    t = len(mesh.top_volumes)
+    if k == mesh.dim:                                  # top k-face = top
+        diag = np.arange(t + 1, dtype=np.int32)
+        M = sparse.csr_matrix((1.0 / mesh.top_volumes, diag[:-1], diag),
+                              shape=(t, t))
+    else:
+        _mass_coefficients(mesh.dim, k)                # cached before the map
+        faces = mesh.top_faces[k].astype(np.int32)    # int32 as CSR indices
+        s = faces.shape[1]
+        local = np.empty((t, s, s))
+
+        def assemble(tops):
+            local[tops] = _signed_blocks(mesh, k, tops)
+
+        map_blocks(assemble, t)
+        # local[t, a, b] goes to row faces[t, a] and column faces[t, b]
+        rows = np.repeat(faces, s, axis=1).ravel()
+        cols = np.tile(faces, s).ravel()
+        n = mesh.n_simplices(k)
+        M = sparse.csr_matrix((local.ravel(), (rows, cols)), shape=(n, n))
+        del local, rows, cols
+    # scipy leaves `data` and `indices` as views, of the conversion's
+    # buffers of one entry per local entry; keep copies of the entries
+    M.data, M.indices = M.data.copy(), M.indices.copy()
+    return M
 
 
-def _mass_product(f: _TopFaces, x: np.ndarray) -> np.ndarray:
+def _mass_product(mesh, k: int, x: np.ndarray) -> np.ndarray:
     """M_k x without M_k: each top's signed block times x on its faces
     (_signed_blocks, on every core), summed into the faces by one
     np.bincount in top order, so it is the same bits at any core count."""
-    _mass_coefficients(f.metric.shape[1] - 1, f.k)     # cached before the map
-    local_x = np.empty(f.faces.shape)
+    _mass_coefficients(mesh.dim, k)                    # cached before the map
+    faces = mesh.top_faces[k]
+    local_x = np.empty(faces.shape)
 
     def product(tops):
-        local_x[tops] = np.einsum("tab,tb->ta", _signed_blocks(f, tops),
-                                  x[f.faces[tops]])
+        local_x[tops] = np.einsum("tab,tb->ta", _signed_blocks(mesh, k, tops),
+                                  x[faces[tops]])
 
     map_blocks(product, len(local_x))
-    return np.bincount(f.faces.ravel(), weights=local_x.ravel(),
-                       minlength=f.n)
+    return np.bincount(faces.ravel(), weights=local_x.ravel(),
+                       minlength=mesh.n_simplices(k))
 
 
 def _gauge(mesh, k: int) -> sparse.csr_matrix:
@@ -259,32 +239,20 @@ def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
     return x, its
 
 
-def _mass_solve(M: sparse.csr_matrix, diag: np.ndarray,
-                b: np.ndarray) -> np.ndarray:
-    """x with M x = b for a Whitney mass matrix M with diagonal `diag`.
-
-    Relative residual 1e-13; the Jacobi-scaled mass spectrum does not
-    depend on h (Wathen & Rees 2009), so a few dozen iterations suffice.
-    """
-    return _jacobi_cg(M, diag, b, rtol=1e-13)[0]
-
-
 class HodgeOperator:
-    """Whitney mass matrices around degree k and the d^{-1} solve into k-1.
+    """Whitney mass matrices around degree k and the matrices of d^{-1}.
 
-    Kept: M_k (`mass_k`), M_{k+1} (`mass_up`, None for k = N; for k = N-1
-    it is diag(1/vol)) and, for k >= 1, the integer coboundary D_{k-1}.
-    For 1 <= k <= N-1, where d^{-1} applies, also the curl matrix
-    K = D_{k-1}^T M_k D_{k-1} (`curl`), the gauge basis Z (`gauge_basis`:
-    the integer D_{k-2}, or a column of ones for k = 1) and the gauge
-    matrix Z^T M_{k-1} Z (`gauge`), built from the tops' metrics
-    (_gauge).  M_{k-1} (`mass_down`, None for k = 0) is assembled on its
-    first read; d^{-1} never reads it: its gauge right-hand side
-    M_{k-1} sigma is summed top by top (_mass_product).
+    Holds matrices only: M_k (`mass_k`), M_{k+1} (`mass_up`, None for
+    k = N; for k = N-1 it is diag(1/vol)) and, for k >= 1, the integer
+    coboundary D_{k-1}.  For 1 <= k <= N-1, where d^{-1} applies, also
+    the curl matrix K = D_{k-1}^T M_k D_{k-1} (`curl`), the gauge basis Z
+    (`gauge_basis`: the integer D_{k-2}, or a column of ones for k = 1)
+    and the gauge matrix Z^T M_{k-1} Z (`gauge`), built from the tops'
+    metrics (_gauge).
 
-    It keeps views of the mesh's arrays but no reference to the mesh, so
-    the mesh and the operators it caches form no reference cycle and are
-    freed as soon as the mesh is dropped.
+    It keeps no reference to the mesh, so the mesh and the operators it
+    caches form no reference cycle and are freed as soon as the mesh is
+    dropped.
     """
 
     def __init__(self, mesh, k: int):
@@ -293,8 +261,6 @@ class HodgeOperator:
         self.k = k
         self.mass_k = mass_matrix(mesh, k)
         self.mass_up = mass_matrix(mesh, k + 1) if k < mesh.dim else None
-        self._down = _top_faces(mesh, k - 1) if k > 0 else None
-        self._mass_down = None
         if k > 0:
             self.coboundary = mesh.coboundary(k - 1)
         if 1 <= k <= mesh.dim - 1:
@@ -306,49 +272,14 @@ class HodgeOperator:
                 else sparse.csr_matrix(np.ones((D.shape[1], 1), np.int8)))
             self.gauge = _gauge(mesh, k)
 
-    @property
-    def mass_down(self) -> sparse.csr_matrix | None:
-        """M_{k-1}, assembled on the first read."""
-        if self._mass_down is None and self._down is not None:
-            self._mass_down = _assemble(self._down)
-        return self._mass_down
-
     def norm(self, c: Cochain) -> float:
-        """Mass norm of a cochain of degree k-1, k or k+1."""
-        if not self.k - 1 <= c.degree <= self.k + 1:
+        """Mass norm of a cochain of degree k or k+1."""
+        if not self.k <= c.degree <= self.k + 1:
             raise ValueError(f"no mass matrix of degree {c.degree} in the "
                              f"operator of degree k = {self.k}, which holds "
-                             f"degrees k-1 to k+1")
-        M = (self.mass_k if c.degree == self.k else self.mass_up
-             if c.degree > self.k else self.mass_down)
+                             f"degrees k and k+1")
+        M = self.mass_k if c.degree == self.k else self.mass_up
         return float(np.sqrt(max(c.values @ (M @ c.values), 0.0)))
-
-    def codifferential_values(self, values: np.ndarray) -> np.ndarray:
-        M, D = self.mass_down, self.coboundary
-        return _mass_solve(M, M.diagonal(), D.T @ (self.mass_k @ values))
-
-    def primitive_values(self, values: np.ndarray) -> tuple:
-        """(sigma, stats): the coexact least-squares solution of d sigma = eta.
-
-        The gauge tolerance is 1e-13 ||M_{k-1} sigma||, not relative to
-        the gauge right-hand side, which is round-off when the curl
-        iterate is already nearly coexact.
-        """
-        K, Z, G = self.curl, self.gauge_basis, self.gauge
-        b = self.coboundary.T @ (self.mass_k @ values)
-        maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
-        sigma, its = _jacobi_cg(K, K.diagonal(), b, CURL_TOL, maxiter=maxiter)
-        m_sigma = _mass_product(self._down, sigma)
-        scale = np.linalg.norm(m_sigma)
-        c = Z.T @ m_sigma
-        phi, gauge_its = _jacobi_cg(G, G.diagonal(), c, 0.0,
-                                    atol=1e-13 * scale, maxiter=maxiter)
-        stats = {"iterations": its,
-                 "residual": float(np.linalg.norm(K @ sigma - b)
-                                   / np.linalg.norm(b)),
-                 "gauge_iterations": gauge_its,
-                 "gauge_residual": float(np.linalg.norm(G @ phi - c) / scale)}
-        return sigma - Z @ phi, stats
 
 
 def hodge_operator(mesh, k: int) -> HodgeOperator:
@@ -364,11 +295,17 @@ def hodge_operator(mesh, k: int) -> HodgeOperator:
 
 
 def codifferential(c: Cochain) -> Cochain:
-    """Adjoint of d: solves M_{k-1} x = D^T M_k c."""
+    """Adjoint of d: solves M_{k-1} x = D^T M_k c, with M_{k-1} assembled
+    for this call, to relative residual 1e-13.  The Jacobi-scaled mass
+    spectrum does not depend on h (Wathen & Rees 2009), so a few dozen
+    CG steps suffice."""
     if c.degree == 0:
         raise ValueError("no codifferential")
     op = hodge_operator(c.mesh, c.degree)
-    return Cochain(c.mesh, c.degree - 1, op.codifferential_values(c.values))
+    M = mass_matrix(c.mesh, c.degree - 1)
+    b = op.coboundary.T @ (op.mass_k @ c.values)
+    return Cochain(c.mesh, c.degree - 1, _jacobi_cg(M, M.diagonal(), b,
+                                                    rtol=1e-13)[0])
 
 
 def d_inverse(eta: Cochain) -> tuple:
@@ -382,20 +319,36 @@ def d_inverse(eta: Cochain) -> tuple:
     curl and gauge CG `iterations`, `residual`, `gauge_iterations`,
     `gauge_residual` and the input's `closedness` defect.  A round-off
     cochain, ||eta|| <= eps sqrt(vol) (its defect is noise over noise),
-    counts as zero: xi = 0 and all statistics are zero.
+    counts as zero: xi = 0 and all statistics are zero.  The gauge
+    tolerance is 1e-13 ||M_{k-1} sigma||, not relative to the gauge
+    right-hand side, which is round-off when the curl iterate is already
+    nearly coexact.
     """
-    mesh = eta.mesh
-    if not 1 <= eta.degree <= mesh.dim - 1:
+    mesh, k = eta.mesh, eta.degree
+    if not 1 <= k <= mesh.dim - 1:
         raise ValueError("degree must be between 1 and N-1")
-    op = hodge_operator(mesh, eta.degree)
+    op = hodge_operator(mesh, k)
     nrm = op.norm(eta)
     if nrm <= np.finfo(float).eps * np.sqrt(mesh.top_volumes.sum()):
-        return Cochain.zeros(mesh, eta.degree - 1), {
+        return Cochain.zeros(mesh, k - 1), {
             "iterations": 0, "residual": 0.0, "gauge_iterations": 0,
             "gauge_residual": 0.0, "closedness": 0.0}
     defect = op.norm(eta.d()) / nrm
     if defect > CLOSED_TOL:
         raise ValueError(
             f"input not closed: relative defect {defect:.3e} > {CLOSED_TOL:.1e}")
-    sigma, stats = op.primitive_values(eta.values)
-    return Cochain(mesh, eta.degree - 1, sigma), {**stats, "closedness": defect}
+    K, Z, G = op.curl, op.gauge_basis, op.gauge
+    b = op.coboundary.T @ (op.mass_k @ eta.values)
+    maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
+    sigma, its = _jacobi_cg(K, K.diagonal(), b, CURL_TOL, maxiter=maxiter)
+    m_sigma = _mass_product(mesh, k - 1, sigma)
+    scale = np.linalg.norm(m_sigma)
+    c = Z.T @ m_sigma
+    phi, gauge_its = _jacobi_cg(G, G.diagonal(), c, 0.0,
+                                atol=1e-13 * scale, maxiter=maxiter)
+    return Cochain(mesh, k - 1, sigma - Z @ phi), {
+        "iterations": its,
+        "residual": float(np.linalg.norm(K @ sigma - b) / np.linalg.norm(b)),
+        "gauge_iterations": gauge_its,
+        "gauge_residual": float(np.linalg.norm(G @ phi - c) / scale),
+        "closedness": defect}

@@ -16,11 +16,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quanthom.cli import main as cli_main
 from quanthom.geometry import de_rham_project
 from quanthom.geometry.forms import FormField
-from quanthom.harness import ExperimentConfig, run_bmo_probe, run_scaling
+from quanthom.harness import (_EXPERIMENT_KEYS, ConfigError,
+                              ExperimentConfig, run_bmo_probe, run_scaling)
 from quanthom.hodge import codifferential, d_inverse, hodge_operator
 from quanthom.invariants import (hardt_riviere, hopf_invariant,
                                  mapping_degree, s2xs2_beta_structure,
@@ -141,8 +144,8 @@ def test_criterion_05_hodge_contract():
     xi3, _ = d_inverse(eta3)
     assert op3.norm(xi3.d() - eta3) / op3.norm(eta3) < 1e-6
     dstar = codifferential(xi3)
-    op1 = hodge_operator(m3, 1)
-    assert op1.norm(dstar) / op3.norm(eta3) < 1e-6
+    op0 = hodge_operator(m3, 0)
+    assert op0.norm(dstar) / op3.norm(eta3) < 1e-6
 
     # Hopf pullback residual decreases monotonically over levels 1 -> 3
     fw = pullback_form(make_hopf(), volume_form(S2))
@@ -302,6 +305,64 @@ def test_criterion_10_bmo_ratio_stability():
     rep = run_bmo_probe(ExperimentConfig.from_string(BMO_PROBE))
     ratios = [r.ratio for r in rep.blocks[0].rows]
     assert max(ratios) <= 3.0 * min(ratios)
+
+
+# -- 9 and 10: their configs under one-key mutations ---------------------------------
+
+ACCEPTANCE_CONFIGS = {"circle": CIRCLE_SWEEP, "hopf": HOPF_SWEEP,
+                      "bmo": BMO_PROBE}
+
+# one drawn value for an [experiment] key: numbers, fractions, empty and
+# free text, and faulty structures, sweeps and map templates.  Free text
+# has no line breaks, which would add INI lines, and no braces: templates
+# come from the list, as a drawn format width could ask for gigabytes
+CONFIG_VALUES = st.one_of(
+    st.integers().map(str), st.fractions().map(str), st.floats().map(str),
+    st.just(""),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                          blacklist_characters="{}"), max_size=12),
+    st.sampled_from(["nonexistent", "cp2:beta", "hopf:n=2", "degree:s3",
+                     "s2xs2:beta1", "winding", "scaling", "bmo", "holder",
+                     "true", "1/0", "-1", "0,1", "3,3", "1e400", "nan"]),
+    st.sampled_from(["d", "d=", "=1..3", "d=1..", "d=..3", "d=1..2..3",
+                     "d=3..1", "d=a..b", "d=1,,2", "d=0.1,x", "eps=nan,inf",
+                     "eps=0.02,0.02", "d=1;2", "e=1..3"]),
+    st.builds("{}={}..{}".format, st.sampled_from(["d", "eps", "n"]),
+              st.integers(-3, 9), st.integers(-3, 9)),
+    st.sampled_from(["{d", "d}", "{}", "{0}", "{d}{eps}", "{d!x}", "{d:q}",
+                     "{d:{e}}", "{d:{}}", "{d.real}", "{d[0]}", "50%",
+                     "%(kind)s", "bogus:d={d}", "hopf|{d}",
+                     "compose:hopf|hopf:d={d}", "circle-power:d={d}%%",
+                     "perturb:eps={eps},m=3|hopf", "suspension:d={d}",
+                     "const:n={d}", "product:hopf|hopf:d={d}"]))
+
+
+def with_key(text: str, key: str, value: str) -> str:
+    """`text` with the [experiment] `key` set to `value`, replaced in
+    place or appended."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    if line.search(text):
+        return line.sub(lambda _: f"{key} = {value}", text)
+    return f"{text}{key} = {value}\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ACCEPTANCE_CONFIGS)),
+       key=st.sampled_from(_EXPERIMENT_KEYS), value=CONFIG_VALUES)
+@example(name="hopf", key="structure", value="nonexistent")
+@example(name="circle", key="map", value="{d!x}")
+@example(name="circle", key="map", value="{d:{e}}")
+@example(name="bmo", key="kind", value="50%")
+@example(name="hopf", key="levels", value=str(10 ** 18))
+def test_acceptance_configs_refuse_bad_keys_with_config_error(name, key,
+                                                              value):
+    # a mutated acceptance config validates or raises ConfigError, never
+    # another exception; only the config is checked, no sweep runs
+    text = with_key(ACCEPTANCE_CONFIGS[name], key, value)
+    try:
+        ExperimentConfig.from_string(text)
+    except ConfigError:
+        pass
 
 
 # -- 11: reproducibility -------------------------------------------------------------

@@ -551,3 +551,13 @@ def test_level_beyond_memory_refused(monkeypatch):
                                          r"2 GB of physical memory"):
         build_sphere_mesh(3, 5)
     mesh_module.check_level_fits(3, 4)     # 1.17 GB
+
+
+def test_huge_level_refused_without_its_full_estimate(monkeypatch):
+    # 2^(3 level) is cut at memory's 31 bits: 128 * 2^31 * 2,232 bytes;
+    # the full power would have 3 * 10^18 bits
+    monkeypatch.setattr(mesh_module, "_physical_memory", lambda: 2 * 10 ** 9)
+    with pytest.raises(ValueError, match=r"S\^3 level 1000000000000000000 "
+                                         r"needs an estimated 6.14e\+5 GB or "
+                                         r"more at its peak"):
+        mesh_module.check_level_fits(3, 10 ** 18)

@@ -118,6 +118,17 @@ class TestConfig:
             ExperimentConfig.from_string(
                 FAST_SCALING.replace("kind = scaling", "kind = frob"))
 
+    def test_unknown_structure(self, tmp_path):
+        text = FAST_SCALING.replace("structure = winding",
+                                    "structure = nonexistent")
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        for load in (lambda: ExperimentConfig.from_string(text),
+                     lambda: ExperimentConfig.from_file(str(path))):
+            with pytest.raises(ConfigError, match=re.escape(
+                    "structure: unknown structure 'nonexistent'; known: [")):
+                load()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file("/nonexistent/path.ini")
@@ -759,6 +770,25 @@ class TestCli:
                                          str(cfg))
         assert code == 2 and not stdout
         assert "config error: unknown [experiment] key(s) sample;" in err
+
+    def test_verify_scaling_unknown_structure_exit2(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING.replace("structure = winding",
+                                            "structure = nonexistent"))
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        assert err.startswith("config error: structure: unknown structure "
+                              "'nonexistent'; known: [")
+
+    def test_invariant_unknown_structure_exit2(self):
+        # the lookup's KeyError is printed by its message, not its repr
+        code, stdout, err = self.run_cli(
+            "invariant", "--map", "hopf", "--structure", "nonexistent",
+            "--level", "1")
+        assert code == 2 and not stdout
+        assert err.startswith("error: unknown structure 'nonexistent'; "
+                              "known: [")
 
     def test_verify_scaling_pass_exit0(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
