@@ -44,6 +44,8 @@ RATIO_SPREAD_LIMIT = 3.0
 SLOPE_MARGIN = 1.15
 # a BMO-probe invariant counts as integral within this distance
 INTEGRALITY_TOL = 1e-3
+# the most values of a range sweep lo..hi, checked before it is expanded
+SWEEP_LIMIT = 10_000
 # the report formats of emit_report, which are the keys of a config's
 # [output] section
 REPORT_FORMATS = ("json", "csv", "text")
@@ -61,6 +63,26 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_ini(text: str, source: str) -> configparser.ConfigParser:
+    """The INI text parsed; a syntax error is a ConfigError naming the
+    first line at fault in `source`."""
+    cp = configparser.ConfigParser()
+    try:
+        cp.read_string(text, source)
+        return cp
+    except configparser.MissingSectionHeaderError as exc:
+        n, why = exc.lineno, "comes before any [section]"
+    except configparser.ParsingError as exc:
+        n, why = exc.errors[0][0], "is neither a [section] nor key = value"
+    except configparser.DuplicateSectionError as exc:
+        n, why = exc.lineno, f"repeats section [{exc.section}]"
+    except configparser.DuplicateOptionError as exc:
+        n, why = exc.lineno, f"repeats key {exc.option!r} of [{exc.section}]"
+    # configparser counts lines split at "\n" alone, as io.StringIO does
+    line = text.split("\n")[n - 1].strip()
+    raise ConfigError(f"{source} line {n}: {line!r} {why}")
+
+
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
@@ -68,7 +90,8 @@ def _parse_fraction(text: str) -> Fraction:
 def _parse_sweep(text: str):
     """`d=1..8` or `eps=0.02,0.05,0.1` -> (name, values).
 
-    Values must be strictly ascending and non-empty.
+    Values must be strictly ascending and non-empty; a range of more
+    than SWEEP_LIMIT values is refused before it is expanded.
     """
     name, _, body = text.partition("=")
     if not body:
@@ -76,8 +99,11 @@ def _parse_sweep(text: str):
     name = name.strip()
     body = body.strip()
     if ".." in body:
-        lo, hi = body.split("..")
-        values = list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(end) for end in body.split(".."))
+        if hi - lo >= SWEEP_LIMIT:
+            raise ConfigError(f"sweep {text!r} has {hi - lo + 1} values, "
+                              f"more than the limit of {SWEEP_LIMIT}")
+        values = list(range(lo, hi + 1))
     else:
         vals = [v.strip() for v in body.split(",")]
         try:
@@ -113,17 +139,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-        return cls.from_parser(cp)
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError):
+            raise ConfigError(f"cannot read config file {path!r}") from None
+        return cls.from_parser(_read_ini(text, f"config file {path!r}"))
 
     @classmethod
     def from_string(cls, text: str) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
-        cp.read_string(text)
-        return cls.from_parser(cp)
+        return cls.from_parser(_read_ini(text, "config"))
 
     @classmethod
     def from_parser(cls, cp: configparser.ConfigParser) -> "ExperimentConfig":

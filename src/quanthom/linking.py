@@ -78,8 +78,8 @@ def _quaternion_frame(X: np.ndarray) -> np.ndarray:
 def _fiber_geometry(f, X: np.ndarray, p: np.ndarray):
     """|f(x) - p|, Newton step, fiber tangent and transverse sv per row."""
     B = _quaternion_frame(X)
-    Y = f.value(X)
-    J = f.jacobian(X) @ B                           # (n, 3, 3)
+    Y, J = f.jet(X)
+    J = J @ B                                       # (n, 3, 3)
     a = np.argmin(np.abs(Y), axis=1)[:, None]       # positive frame t of T_y
     t1 = np.eye(3)[a[:, 0]] - np.take_along_axis(Y, a, axis=1) * Y
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)

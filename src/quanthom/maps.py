@@ -1,10 +1,14 @@
 """Analytic map families f: S^N -> target and the targets' reference forms.
 
 Every family provides exact pointwise values and ambient Jacobians,
-vectorized over batches of points: value(X) maps (m, N+1) -> (m, M')
-and jacobian(X) -> (m, M', N+1).  Jacobians are applied to tangent
-vectors of the domain sphere only, so the radial derivative of the
-defining formula is immaterial.
+vectorized over batches of points: value(X) maps (m, N+1) -> (m, M'),
+and jet(X) returns the value and the Jacobian (m, M', N+1) from one
+pass, computing the intermediates they share once (forward mode: a
+composition chains its factors' jets).  jacobian(X) is the second half
+of jet(X), so every family has one Jacobian formula, and jet(X)[0] is
+the same bits as value(X).  Jacobians are applied to tangent vectors of
+the domain sphere only, so the radial derivative of the defining
+formula is immaterial.
 
 Targets are unit spheres S^M in R^{M+1} and the product S^2 x S^2 in
 R^6.  Reference forms carry their normalization (volume forms integrate
@@ -76,21 +80,26 @@ def project_to_target(points: np.ndarray, target: Target) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class SmoothMap:
-    """Analytic map from S^N into a target manifold."""
+    """Analytic map from S^N into a target manifold, given by its value
+    and its jet X -> (f(X), Df(X)) on batches of points."""
 
-    def __init__(self, domain_dim: int, target: Target, value, jacobian,
+    def __init__(self, domain_dim: int, target: Target, value, jet,
                  name: str = ""):
         self.domain_dim = domain_dim
         self.target = target
         self._value = value
-        self._jacobian = jacobian
+        self._jet = jet
         self.name = name
 
     def value(self, X: np.ndarray) -> np.ndarray:
         return self._value(np.atleast_2d(np.asarray(X, dtype=float)))
 
+    def jet(self, X: np.ndarray) -> tuple:
+        """(f(X), Df(X)) from one pass over the points."""
+        return self._jet(np.atleast_2d(np.asarray(X, dtype=float)))
+
     def jacobian(self, X: np.ndarray) -> np.ndarray:
-        return self._jacobian(np.atleast_2d(np.asarray(X, dtype=float)))
+        return self.jet(X)[1]
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -105,18 +114,21 @@ def make_circle_power(d: int) -> SmoothMap:
     """theta -> d*theta on the unit circle; winding number d."""
     d = int(d)
 
+    def trig(X):
+        th = np.arctan2(X[:, 1], X[:, 0])
+        return np.cos(d * th), np.sin(d * th)
+
     def value(X):
-        th = np.arctan2(X[:, 1], X[:, 0])
-        return np.stack([np.cos(d * th), np.sin(d * th)], axis=1)
+        return np.stack(trig(X), axis=1)
 
-    def jacobian(X):
+    def jet(X):
+        c, s = trig(X)
         r2 = (X ** 2).sum(axis=1)
-        th = np.arctan2(X[:, 1], X[:, 0])
         gth = np.stack([-X[:, 1] / r2, X[:, 0] / r2], axis=1)
-        col = np.stack([-np.sin(d * th), np.cos(d * th)], axis=1) * d
-        return col[:, :, None] * gth[:, None, :]
+        col = np.stack([-s, c], axis=1) * d
+        return np.stack([c, s], axis=1), col[:, :, None] * gth[:, None, :]
 
-    return SmoothMap(1, S1, value, jacobian, name=f"circle-power:d={d}")
+    return SmoothMap(1, S1, value, jet, name=f"circle-power:d={d}")
 
 
 def make_sphere_suspension(d: int) -> SmoothMap:
@@ -132,11 +144,14 @@ def make_sphere_suspension(d: int) -> SmoothMap:
         th = np.arctan2(y, x)
         return x, y, rho, np.cos(d * th), np.sin(d * th)
 
-    def value(X):
-        x, y, rho, c, s = _trig(X)
+    def point(X, rho, c, s):
         return np.stack([rho * c, rho * s, X[:, 2]], axis=1)
 
-    def jacobian(X):
+    def value(X):
+        _, _, rho, c, s = _trig(X)
+        return point(X, rho, c, s)
+
+    def jet(X):
         x, y, rho, c, s = _trig(X)
         J = np.zeros((len(X), 3, 3))
         J[:, 0, 0] = c * x / rho + d * s * y / rho
@@ -144,9 +159,9 @@ def make_sphere_suspension(d: int) -> SmoothMap:
         J[:, 1, 0] = s * x / rho - d * c * y / rho
         J[:, 1, 1] = s * y / rho + d * c * x / rho
         J[:, 2, 2] = 1.0
-        return J
+        return point(X, rho, c, s), J
 
-    return SmoothMap(2, S2, value, jacobian, name=f"suspension:d={d}")
+    return SmoothMap(2, S2, value, jet, name=f"suspension:d={d}")
 
 
 # Df of the Hopf map is linear in X: row i is 2 * sign * X[columns]
@@ -163,12 +178,12 @@ def make_hopf() -> SmoothMap:
                          2 * (a * c + b * d),
                          2 * (b * c - a * d)], axis=1)
 
-    def jacobian(X):
+    def jet(X):
         J = X[:, _HOPF_COLUMNS]
         J *= _HOPF_SIGNS
-        return J
+        return value(X), J
 
-    return SmoothMap(3, S2, value, jacobian, name="hopf")
+    return SmoothMap(3, S2, value, jet, name="hopf")
 
 
 def make_constant(domain_dim: int) -> SmoothMap:
@@ -178,10 +193,10 @@ def make_constant(domain_dim: int) -> SmoothMap:
     def value(X):
         return np.broadcast_to(point, (len(X), 3)).copy()
 
-    def jacobian(X):
-        return np.zeros((len(X), 3, domain_dim + 1))
+    def jet(X):
+        return value(X), np.zeros((len(X), 3, domain_dim + 1))
 
-    return SmoothMap(domain_dim, S2, value, jacobian,
+    return SmoothMap(domain_dim, S2, value, jet,
                      name=f"const:n={domain_dim}")
 
 
@@ -192,10 +207,10 @@ def _sign_map(sign: np.ndarray, name: str) -> SmoothMap:
     def value(X):
         return X * sign
 
-    def jacobian(X):
-        return np.broadcast_to(np.diag(sign), (len(X), n, n)).copy()
+    def jet(X):
+        return value(X), np.broadcast_to(np.diag(sign), (len(X), n, n)).copy()
 
-    return SmoothMap(n - 1, sphere_target(n - 1), value, jacobian, name=name)
+    return SmoothMap(n - 1, sphere_target(n - 1), value, jet, name=name)
 
 
 def make_reflection(domain_dim: int, axis: int = 0) -> SmoothMap:
@@ -226,10 +241,12 @@ def make_product_map(f1: SmoothMap, f2: SmoothMap) -> SmoothMap:
     def value(X):
         return np.concatenate([f1.value(X), f2.value(X)], axis=1)
 
-    def jacobian(X):
-        return np.concatenate([f1.jacobian(X), f2.jacobian(X)], axis=1)
+    def jet(X):
+        (y1, J1), (y2, J2) = f1.jet(X), f2.jet(X)
+        return (np.concatenate([y1, y2], axis=1),
+                np.concatenate([J1, J2], axis=1))
 
-    return SmoothMap(f1.domain_dim, tgt, value, jacobian,
+    return SmoothMap(f1.domain_dim, tgt, value, jet,
                      name=f"product:{f1.name}|{f2.name}")
 
 
@@ -241,10 +258,13 @@ def make_map_composition(g: SmoothMap, f: SmoothMap) -> SmoothMap:
     def value(X):
         return g.value(f.value(X))
 
-    def jacobian(X):
-        return g.jacobian(f.value(X)) @ f.jacobian(X)
+    def jet(X):
+        # the inner value is computed once, as part of the inner jet
+        fy, fJ = f.jet(X)
+        gy, gJ = g.jet(fy)
+        return gy, gJ @ fJ
 
-    return SmoothMap(f.domain_dim, g.target, value, jacobian,
+    return SmoothMap(f.domain_dim, g.target, value, jet,
                      name=f"compose:{g.name}|{f.name}")
 
 
@@ -255,10 +275,11 @@ def compose_with_isometry(f: SmoothMap, Q: np.ndarray) -> SmoothMap:
     def value(X):
         return f.value(X @ Q.T)
 
-    def jacobian(X):
-        return f.jacobian(X @ Q.T) @ Q
+    def jet(X):
+        y, J = f.jet(X @ Q.T)
+        return y, J @ Q
 
-    return SmoothMap(f.domain_dim, f.target, value, jacobian,
+    return SmoothMap(f.domain_dim, f.target, value, jet,
                      name=f"{f.name}∘R")
 
 
@@ -266,25 +287,30 @@ _OSC_SHIFT = 0.7
 
 
 def _osc_field(ambient_out: int, n_in: int):
-    """Fixed smooth vector field used by the oscillation perturbation."""
+    """Fixed smooth vector field used by the oscillation perturbation:
+    its value and its jet, each computing the arguments once."""
+
+    def args(U):
+        return [U[:, j % n_in] + _OSC_SHIFT * U[:, (j + 1) % n_in] + j
+                for j in range(ambient_out)]
 
     def g(U):
         out = np.empty((len(U), ambient_out))
-        for j in range(ambient_out):
-            arg = U[:, j % n_in] + _OSC_SHIFT * U[:, (j + 1) % n_in] + j
+        for j, arg in enumerate(args(U)):
             out[:, j] = np.sin(arg)
         return out
 
-    def dg(U):
-        out = np.zeros((len(U), ambient_out, n_in))
-        for j in range(ambient_out):
-            arg = U[:, j % n_in] + _OSC_SHIFT * U[:, (j + 1) % n_in] + j
+    def jet(U):
+        out = np.empty((len(U), ambient_out))
+        dg = np.zeros((len(U), ambient_out, n_in))
+        for j, arg in enumerate(args(U)):
+            out[:, j] = np.sin(arg)
             c = np.cos(arg)
-            out[:, j, j % n_in] += c
-            out[:, j, (j + 1) % n_in] += _OSC_SHIFT * c
-        return out
+            dg[:, j, j % n_in] += c
+            dg[:, j, (j + 1) % n_in] += _OSC_SHIFT * c
+        return out, dg
 
-    return g, dg
+    return g, jet
 
 
 def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap:
@@ -299,18 +325,19 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
                          "need a finite |eps| < 0.2")
     m = int(m)
     tgt = f.target
-    g, dg = _osc_field(tgt.ambient, f.domain_dim + 1)
-
-    def raw(X):
-        return f.value(X) + eps * g(m * X)
+    g, g_jet = _osc_field(tgt.ambient, f.domain_dim + 1)
 
     def value(X):
-        return project_to_target(raw(X), tgt)
+        return project_to_target(f.value(X) + eps * g(m * X), tgt)
 
-    def jacobian(X):
-        Y = raw(X)
-        J = f.jacobian(X) + eps * m * dg(m * X)
-        out = np.empty_like(J)
+    def jet(X):
+        fy, fJ = f.jet(X)
+        gy, gJ = g_jet(m * X)
+        Y = fy + eps * gy
+        J = fJ + eps * m * gJ
+        # each block's unit vector is its projection, as project_to_target
+        # computes it
+        units, out = [], np.empty_like(J)
         for b in tgt.blocks:
             seg = Y[:, b]
             r = np.linalg.norm(seg, axis=1, keepdims=True)
@@ -318,9 +345,10 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
             Jb = J[:, b, :]
             rad = np.einsum("md,mdk->mk", unit, Jb)
             out[:, b, :] = (Jb - unit[:, :, None] * rad[:, None, :]) / r[:, :, None]
-        return out
+            units.append(unit)
+        return np.concatenate(units, axis=1), out
 
-    return SmoothMap(f.domain_dim, tgt, value, jacobian,
+    return SmoothMap(f.domain_dim, tgt, value, jet,
                      name=f"perturb:eps={eps},m={m}|{f.name}")
 
 
@@ -378,10 +406,13 @@ class PullbackForm(FormField):
         self.form = omega
 
     def _push(self, points, frames):
-        """f at the points and Df applied to every frame vector."""
+        """f at the points and Df applied to every frame vector, from one
+        jet of f."""
+        Y, Df = self.map.jet(points)
         # Df^T (m, n, M') made contiguous once; Df itself is freed here
-        DfT = np.swapaxes(self.map.jacobian(points), 1, 2).copy()
-        return self.map.value(points), frames @ DfT
+        DfT = np.swapaxes(Df, 1, 2).copy()
+        del Df
+        return Y, frames @ DfT
 
     def _evaluate(self, points, frames):
         return self.form(*self._push(points, frames))

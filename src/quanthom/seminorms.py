@@ -16,7 +16,10 @@ S^2 and S^3 the rest is estimated by Monte Carlo in 12 dyadic chord
 strata (the integrand is unbounded near the diagonal for beta > 1/2,
 where plain sampling has unbounded variance), and the leading term
 covers the angles below the last stratum.  The strata run on every core
-(geometry.mesh.map_tasks) and are added in stratum order.  The BMO
+(geometry.mesh.map_tasks) and are added in stratum order; the leading
+term's Jacobian moment runs in the same call, in tasks of x-nodes added
+in node order, on three rules built once per N (read-only arrays, so a
+second estimate on the same sphere builds no mesh).  The BMO
 estimate is a sampled sup of cap U-statistics of the pair distances: the
 caps are prepared in one batch (each cap's directions and angles drawn
 from its own stream, then the cap points and one f.value call over all
@@ -35,6 +38,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -152,7 +156,7 @@ def random_rotation(n: int, seed: int = 0) -> np.ndarray:
 
 _JACOBI_NODES = 6            # exact to round-off for the smooth factor
 _STRATA = 12                 # dyadic chord shells of the Monte Carlo
-_MOMENT_ROWS = 128           # x-nodes per product in _jacobian_moment
+_MOMENT_ROWS = 128           # x-nodes per task of the Jacobian moment
 
 
 def _near_diagonal(N: int, beta: float, p: float, t_max: float) -> float:
@@ -167,36 +171,50 @@ def _near_diagonal(N: int, beta: float, p: float, t_max: float) -> float:
     return (0.5 * t_max) ** (a + 1.0) * float((w * smooth).sum())
 
 
-def _jacobian_moment(f, p) -> np.ndarray:
-    """A = int_{S^N} int_{S^{N-1}_x} |Df(x) u|^p du dx by two rules.
+@lru_cache(maxsize=None)
+def _moment_rules(N: int) -> tuple:
+    """The rules of the Jacobian moment on S^N, built once per N.
 
-    x runs over the level-0 mesh rule of S^N, and the tangent directions
-    u over the level-1 and then the level-0 mesh rule of S^{N-1}
-    (u = +-1 on S^0), mapped by an orthonormal frame at each x.  Every
-    rule's weights are scaled to its sphere's volume, so constants
-    integrate exactly.  Returns A by the finer and by the coarser rule.
+    x runs over the level-0 mesh rule of S^N, with the tangent frame of
+    each node (the last N columns of the complete QR of x), and the
+    tangent directions u over the level-1 and then the level-0 mesh rule
+    of S^{N-1} (u = +-1 on S^0).  Returns the nodes, frames and weights
+    of x and, per direction rule, the flattened products u u^T and the
+    weights.  The arrays are read-only: the cache shares them with every
+    caller and every task.
     """
-    N = f.domain_dim
     X, wx = sphere_quadrature(build_sphere_mesh(N, 0))
+    frames = np.linalg.qr(X[:, :, None], "complete")[0][:, :, 1:]
     rules = [(np.array([[1.0], [-1.0]]), np.ones(2))] * 2 if N == 1 else [
         sphere_quadrature(build_sphere_mesh(N - 1, level)) for level in (1, 0)]
-    A = np.zeros(2)
-    for lo in range(0, len(X), _MOMENT_ROWS):
-        x = X[lo:lo + _MOMENT_ROWS]
-        # Df on the tangent frame Q[:, :, 1:] of the complete QR of x, and
-        # |Df u|^2 = u^T G u with G its Gram matrix
-        JT = f.jacobian(x) @ np.linalg.qr(x[:, :, None], "complete")[0][:, :, 1:]
-        G = (np.swapaxes(JT, 1, 2) @ JT).reshape(len(x), -1)
-        for i, (U, wu) in enumerate(rules):
-            uu = (U[:, :, None] * U[:, None, :]).reshape(len(U), -1)
-            sq = np.maximum(G @ uu.T, 0.0) ** (0.5 * p)
-            A[i] += wx[lo:lo + _MOMENT_ROWS] @ sq @ wu / wu.sum()
-    return A * SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] / wx.sum()
+    directions = tuple(((U[:, :, None] * U[:, None, :]).reshape(len(U), -1),
+                        wu) for U, wu in rules)
+    for arr in (X, frames, wx) + sum(directions, ()):
+        arr.flags.writeable = False
+    return X, frames, wx, directions
+
+
+def _moment_rows(f, p, rows: slice) -> np.ndarray:
+    """The x-nodes `rows` of A = int_{S^N} int_{S^{N-1}_x} |Df(x) u|^p du
+    dx (before the volume factors), by the finer and by the coarser
+    direction rule of _moment_rules."""
+    X, frames, wx, directions = _moment_rules(f.domain_dim)
+    # Df on the tangent frame, and |Df u|^2 = u^T G u with G its Gram matrix
+    JT = f.jacobian(X[rows]) @ frames[rows]
+    G = (np.swapaxes(JT, 1, 2) @ JT).reshape(len(JT), -1)
+    part = np.empty(2)
+    for i, (uu, wu) in enumerate(directions):
+        sq = np.maximum(G @ uu.T, 0.0) ** (0.5 * p)
+        part[i] = wx[rows] @ sq @ wu / wu.sum()
+    return part
 
 
 def _sobolev_mc(f, beta, p, samples, seed):
     """[f]^p by stratified Monte Carlo, its error and the rows passed to
-    f.value."""
+    f.value.  The leading term's Jacobian moment A, by the finer and the
+    coarser direction rule, comes from tasks after the strata's in the
+    same pool, its rules' weights scaled to their spheres' volumes so
+    that constants integrate exactly."""
     N = f.domain_dim
     amb = N + 1
     expo = N + beta * p
@@ -220,14 +238,25 @@ def _sobolev_mc(f, beta, p, samples, seed):
             _sin_mass(N, hi) - _sin_mass(N, lo))
         return vol * float(g.mean()), (vol ** 2) * float(g.var(ddof=1)) / n_per
 
+    X, _, wx, _ = _moment_rules(N)       # built before any task runs
+    rows = [slice(lo, lo + _MOMENT_ROWS)
+            for lo in range(0, len(X), _MOMENT_ROWS)]
+
+    def task(k):
+        return stratum(k) if isinstance(k, int) else _moment_rows(f, p, k)
+
+    parts = map_tasks(task, [*range(_STRATA), *rows])
     total, var = 0.0, 0.0
-    for part, part_var in map_tasks(stratum, range(_STRATA)):
+    for part, part_var in parts[:_STRATA]:
         total += part
         var += part_var
     # at angle psi along u, |f(y) - f(x)|^p = psi^p |Df(x) u|^p
     # (1 + O(psi^2)): the psi^{p+1} term is odd in u and integrates to 0
+    A = np.zeros(2)
+    for part in parts[_STRATA:]:
+        A += part
+    A = A * SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] / wx.sum()
     psi_min = psi_edges[-1]
-    A = _jacobian_moment(f, p)
     c = _near_diagonal(N, beta, p, psi_min)
     err = float(np.sqrt(var)) + (abs(A[0] - A[1]) + psi_min ** 2 * A[0]) * c
     return total + A[0] * c, err, 2 * n_per * _STRATA

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict, replace
 from fractions import Fraction as F
 
@@ -132,6 +133,46 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file("/nonexistent/path.ini")
+
+    @pytest.mark.parametrize("line, why", [
+        ("junk line", "is neither a [section] nor key = value"),
+        ("seed = 3", "repeats key 'seed' of [experiment]"),
+        ("[experiment]", "repeats section [experiment]")],
+        ids=["junk", "repeated-key", "repeated-section"])
+    def test_ini_syntax_error_names_the_line(self, tmp_path, line, why):
+        text = FAST_SCALING.replace("seed = 7", f"seed = 7\n{line}")
+        n = text.split("\n").index("seed = 7") + 2
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config line {n}: {line!r} {why}")):
+            ExperimentConfig.from_string(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(
+                f"config file {str(path)!r} line {n}: {line!r} {why}")):
+            ExperimentConfig.from_file(str(path))
+
+    def test_ini_line_before_any_section(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "config line 1: 'junk' comes before any [section]")):
+            ExperimentConfig.from_string("junk\n" + FAST_SCALING)
+
+    def test_huge_range_sweep_refused_before_expansion(self):
+        # 10^9 values would hold a list of 10^9 ints and validate each
+        sweep = "d=1..1000000000"
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=re.escape(
+                f"sweep {sweep!r} has 1000000000 values, more than the "
+                f"limit of {harness.SWEEP_LIMIT}")):
+            ExperimentConfig.from_string(FAST_SCALING.replace("d=1..3", sweep))
+        assert time.perf_counter() - start < 1.0
+
+    def test_range_sweep_at_the_limit_accepted(self, monkeypatch):
+        monkeypatch.setattr(harness, "SWEEP_LIMIT", 3)
+        cfg = ExperimentConfig.from_string(FAST_SCALING)
+        assert cfg.sweep_values == [1, 2, 3]
+        with pytest.raises(ConfigError, match="has 4 values"):
+            ExperimentConfig.from_string(FAST_SCALING.replace("d=1..3",
+                                                              "d=0..3"))
 
     def test_unknown_output_key_rejected(self):
         text = FAST_SCALING + "\n[output]\njson = r.json\ntxt = r.txt\n"
@@ -770,6 +811,17 @@ class TestCli:
                                          str(cfg))
         assert code == 2 and not stdout
         assert "config error: unknown [experiment] key(s) sample;" in err
+
+    def test_verify_scaling_ini_syntax_error_exit2(self, tmp_path):
+        # exit 1 is a failed check; a config that does not parse exits 2
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(FAST_SCALING + "junk line\n")
+        code, stdout, err = self.run_cli("verify", "scaling", "--config",
+                                         str(cfg))
+        assert code == 2 and not stdout
+        n = (FAST_SCALING + "junk line").count("\n") + 1
+        assert err.startswith(f"config error: config file {str(cfg)!r} "
+                              f"line {n}: 'junk line' is neither")
 
     def test_verify_scaling_unknown_structure_exit2(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, compose_with_isometry,
+from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, SmoothMap,
+                           compose_with_isometry,
                            distance_to_target, make_antipodal,
                            make_circle_power, make_constant, make_hopf,
                            make_map_composition, make_oscillation_perturbation,
@@ -16,6 +17,7 @@ from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, compose_with_isometry,
                            make_sphere_suspension, parse_map_spec,
                            project_to_target, pullback, pullback_form,
                            volume_form)
+from quanthom.seminorms import random_rotation
 
 from helpers import jacobian_fd_error, target_distance_error
 
@@ -242,6 +244,33 @@ def test_frame_subsets_match_pointwise_pullback(f, omega):
     np.testing.assert_allclose(batched, pointwise, rtol=1e-13, atol=1e-14)
 
 
+def test_pullback_evaluates_the_inner_map_once_per_batch():
+    # the pullback takes one jet of the composition per node batch, and
+    # the composition's jet computes its inner value once, inside the
+    # inner jet; a value call and a jet call each count as one
+    hopf, calls = make_hopf(), []
+
+    def value(X):
+        calls.append(len(X))
+        return hopf.value(X)
+
+    def jet(X):
+        calls.append(len(X))
+        return hopf.jet(X)
+
+    inner = SmoothMap(3, S2, value, jet, "hopf")
+    form = pullback_form(make_map_composition(make_sphere_suspension(2),
+                                              inner), volume_form(S2))
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((25, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    V = rng.standard_normal((25, 3, 4))
+    form(X, V[:, :2])
+    assert calls == [25]
+    form.on_frame_subsets(X, V, [(0, 1), (0, 2), (1, 2)])
+    assert calls == [25, 25]
+
+
 class TestTargetForms:
     def test_volume_normalization_s2(self):
         from conftest import cached_mesh
@@ -426,6 +455,24 @@ def test_names_round_trip(f, seed):
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     assert back.value(X).tobytes() == f.value(X).tobytes()
     assert back.jacobian(X).tobytes() == f.jacobian(X).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.integers(1, 3).flatmap(lambda N: map_trees(N, 3)),
+       seed=st.integers(0, 2 ** 16))
+def test_jet_is_value_and_jacobian(f, seed):
+    # one pass gives bitwise what the two calls give, also under a
+    # rotation of the domain
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((16, f.domain_dim + 1))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    for g in (f, compose_with_isometry(f, random_rotation(f.domain_dim + 1,
+                                                          seed))):
+        y, J = g.jet(X)
+        assert y.tobytes() == g.value(X).tobytes()
+        assert J.tobytes() == g.jacobian(X).tobytes()
+        assert (y.shape, J.shape) == ((16, g.target.ambient),
+                                      (16, g.target.ambient, f.domain_dim + 1))
 
 
 def test_reflection_distance():

@@ -10,13 +10,15 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
+from quanthom import seminorms
 from quanthom.geometry import SPHERE_VOLUMES
 from quanthom.maps import (SmoothMap, compose_with_isometry,
                            make_antipodal, make_circle_power, make_constant,
                            make_hopf, make_oscillation_perturbation,
                            make_sphere_suspension, parse_map_spec)
-from quanthom.seminorms import (_REFINE_ITERS, _rng, _sample_angle,
-                                _sobolev_mc, bmo_seminorm, holder_seminorm,
+from quanthom.seminorms import (_REFINE_ITERS, _moment_rules, _rng,
+                                _sample_angle, _sobolev_mc, bmo_seminorm,
+                                holder_seminorm,
                                 poisson_extension_distance, random_rotation,
                                 sobolev_seminorm)
 
@@ -140,7 +142,7 @@ def counting(f):
         rows[0] += len(X)
         return f.value(X)
 
-    return SmoothMap(f.domain_dim, f.target, value, f.jacobian, f.name), rows
+    return SmoothMap(f.domain_dim, f.target, value, f.jet, f.name), rows
 
 
 # the four (beta, p) pairs of the S^1 honest-error tests: the circle
@@ -286,6 +288,37 @@ class TestSobolev:
         mc = sobolev_seminorm(make_antipodal(2), 0.6, 2 / 0.6, samples=1200)
         assert mc.angles is None
 
+    @pytest.mark.parametrize("spec, beta, p, total, error", [
+        ("circle-power:d=1", 0.5, 2.0,
+         "0x1.3bd3cc9be5c35p+5", "0x1.921fe8a2f626ep-30"),
+        ("suspension:d=2", 0.8, 2.5,
+         "0x1.18604dd0a66bcp+9", "0x1.315387b3f65b9p+3"),
+        ("compose:suspension:d=2|hopf", 0.8, 3.75,
+         "0x1.33f164e8bf0cfp+13", "0x1.552c7f2f47c70p+8"),
+    ], ids=["N=1", "N=2", "N=3"])
+    def test_stratified_mc_pinned_bitwise(self, spec, beta, p, total, error):
+        # the moment's row tasks share the strata's pool and are added in
+        # row order; on S^1 the moment's directions are u = +-1
+        t, err, rows = _sobolev_mc(parse_map_spec(spec), beta, p, 3000, 3)
+        assert (float(t).hex(), float(err).hex(), rows) == (total, error,
+                                                            6000)
+
+    def test_moment_rules_built_once_per_dimension(self, monkeypatch):
+        # the level-0 S^2 rule and the level-1 and level-0 S^1 rules, once
+        builds = []
+        build = seminorms.build_sphere_mesh
+        monkeypatch.setattr(seminorms, "build_sphere_mesh", lambda *key: (
+            builds.append(key) or build(*key)))
+        _moment_rules.cache_clear()
+        f = make_sphere_suspension(2)
+        first = sobolev_seminorm(f, 0.5, 4.0, samples=1200)
+        assert builds == [(2, 0), (1, 1), (1, 0)]
+        second = sobolev_seminorm(f, 0.5, 4.0, samples=1200)
+        assert len(builds) == 3 and second == first
+        X, frames, wx, directions = _moment_rules(2)
+        for arr in (X, frames, wx, *(a for rule in directions for a in rule)):
+            assert not arr.flags.writeable
+
     def test_stratified_mc_matches_oracle(self):
         # the Monte Carlo on S^1, where production takes the tensor rule
         total, _, _ = _sobolev_mc(make_circle_power(1), 0.5, 2.0,
@@ -412,7 +445,7 @@ class TestHolder:
         f = parse_map_spec("suspension:d=2")
         calls = []
         g = SmoothMap(f.domain_dim, f.target,
-                      lambda X: calls.append(1) or f.value(X), f.jacobian,
+                      lambda X: calls.append(1) or f.value(X), f.jet,
                       f.name)
         holder_seminorm(g, 0.5, samples=20_000, seed=4)
         assert len(calls) <= 2 * (1 + _REFINE_ITERS)
