@@ -28,8 +28,11 @@ e.u for all k edge vectors e of the simplex, and the frame vectors are
 dP_x(e) = (e - (e.u) u)/r.
 
 Each stage owns its simplex rule (quadrature.simplex_rule), named by its
-exact degree: PROJECT_DEGREE for projections, WEDGE_DEGREE for wedge
-integrals and the sphere quadrature.  All three run over the simplices in
+exact degree: PROJECT_DEGREE for projections, WEDGE_DEGREE for the wedge
+of a top-degree pullback and the sphere quadrature, CS_WEDGE_DEGREE for
+the wedges of the corrected Hopf-type estimate (invariants.hardt_riviere),
+whose Chern-Simons term, a product of two affine Whitney forms per top,
+that rule integrates exactly.  All three run over the simplices in
 blocks of a fixed size on every core (mesh.map_blocks), so the nodes and
 frames of the whole mesh are never held at once.  A block's work is a
 pure function of its rows, with every cached table built before the
@@ -51,9 +54,11 @@ from .mesh import map_blocks, permutation_sign
 from .minors import det, minors, whitney_table
 from .quadrature import simplex_rule
 
-# nodes per segment / triangle / tet: 3 / 7 / 14 at WEDGE_DEGREE and
-# 4 / 12 / - at PROJECT_DEGREE (no tet rule: no 3-form is projected)
+# nodes per segment / triangle / tet: 3 / 7 / 14 at WEDGE_DEGREE,
+# 4 / 12 / - at PROJECT_DEGREE (no tet rule: no 3-form is projected) and
+# - / - / 4 at CS_WEDGE_DEGREE (only S^3 has terms with L = 1)
 WEDGE_DEGREE = 5
+CS_WEDGE_DEGREE = 2
 PROJECT_DEGREE = 7
 
 
@@ -210,14 +215,15 @@ def _whitney_basis(lam: np.ndarray, dl: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _whitney_edge_tensor(N: int, k: int):
+def _whitney_edge_tensor(N: int, k: int, degree: int):
     """Reference tensor W[slot, node, subset]: Whitney forms of the local
-    k-faces evaluated on edge-vector subsets at the wedge's nodes.
+    k-faces evaluated on edge-vector subsets at the nodes of the wedge
+    rule of `degree`.
 
     Simplex-independent: dlambda_j(e_i) = delta(j, i+1) - delta(j, 0)
     for the edge vectors e_i = p_i - p_0 of any affine simplex.
     """
-    bary, _ = simplex_rule(N, WEDGE_DEGREE)
+    bary, _ = simplex_rule(N, degree)
     dl = np.eye(N + 1, N, k=-1)
     dl[0] = -1.0
     sub_dl = np.stack([dl[:, list(sub)] for sub in _edge_subsets(N, k)])
@@ -260,14 +266,15 @@ def _shuffles(degrees: tuple, N: int) -> tuple:
     return tuple(out)
 
 
-def integrate_wedge(factors, mesh) -> float:
+def integrate_wedge(factors, mesh, degree: int = WEDGE_DEGREE) -> float:
     """Integral over the sphere of the wedge of the given factors.
 
     Each factor is either an analytic k-form evaluator (pulled back
     through the radial projection) or a Cochain (evaluated as its
-    Whitney form on the flat complex).  Degrees must sum to N.  The tops
-    are integrated block by block (mesh.map_blocks) and the block
-    integrals added in block order.
+    Whitney form on the flat complex).  Degrees must sum to N.  `degree`
+    names the calling stage's rule on the tops (WEDGE_DEGREE or
+    CS_WEDGE_DEGREE).  The tops are integrated block by block
+    (mesh.map_blocks) and the block integrals added in block order.
     """
     N = mesh.dim
     degrees = tuple(f.degree for f in factors)
@@ -275,12 +282,12 @@ def integrate_wedge(factors, mesh) -> float:
         raise ValueError("wedge degree != N")
     if any(isinstance(f, Cochain) and f.mesh is not mesh for f in factors):
         raise ValueError("cochain belongs to a different mesh")
-    bary, w = simplex_rule(N, WEDGE_DEGREE)
+    bary, w = simplex_rule(N, degree)
     # the cached tables, built here and only read by the blocks: each
     # factor's edge subsets and, for a cochain, its reference tensor
     tables = [(f, _edge_subsets(N, f.degree),
-               _whitney_edge_tensor(N, f.degree) if isinstance(f, Cochain)
-               else None) for f in factors]
+               _whitney_edge_tensor(N, f.degree, degree)
+               if isinstance(f, Cochain) else None) for f in factors]
     shuffles = _shuffles(degrees, N)
 
     def block_integral(rows):

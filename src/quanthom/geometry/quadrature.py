@@ -7,10 +7,12 @@ triangle Radon's 7-node rule of degree 5, the centroid and two orbits
 12-node rule of degree 7, four orbits of the cyclic shifts of
 (a,b,1-a-b) (Computing 1988); on the tetrahedron the 14-node rule of
 degree 5, two S31 orbits (a,a,a,1-3a) and one S22 orbit
-(b,b,1/2-b,1/2-b) (Keast, CMAME 1986; Walkington 2000).  Nodes are
-strictly interior, in barycentric coordinates (n_pts, k+1), and the
-positive weights sum to 1 (the reference simplex has volume 1/k!,
-handled by callers).
+(b,b,1/2-b,1/2-b) (Keast, CMAME 1986; Walkington 2000), and the 4-node
+rule of degree 2, one S31 orbit (a,a,a,1-3a) with a = (5 - sqrt 5)/20
+and weights 1/4 (Stroud T3:2-1), which integrates the product of two
+affine functions exactly.  Nodes are strictly interior, in barycentric
+coordinates (n_pts, k+1), and the positive weights sum to 1 (the
+reference simplex has volume 1/k!, handled by callers).
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from scipy.special import roots_jacobi
 
 # (dim, degree) -> (group, orbits): the nodes are the images of each
 # orbit's generator under the group; the tests solve for the parameters
-# of the degree-7 triangle and the tetrahedron
+# of the degree-7 triangle and the degree-5 tetrahedron
 _SYMMETRIC = {
+    (3, 2): (permutations, [((a, a, a, 1 - 3 * a), 0.25)
+                            for a in ((5 - sqrt(5.0)) / 20,)]),
     (3, 5): (permutations, [((a, a, a, 1 - 3 * a), w) for a, w in (
         (0.3108859192633006, 0.11268792571801585),
         (0.09273525031089122, 0.07349304311636196))] + [
@@ -52,8 +56,8 @@ def rule_info(dim: int, degree: int) -> dict:
 def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on the reference `dim`-simplex exact to total degree `degree`.
 
-    Any odd degree on the segment; degree 5 or 7 on the triangle and 5 on
-    the tetrahedron.  Any other pair raises ValueError.  The arrays are
+    Any odd degree on the segment; degree 5 or 7 on the triangle and 2 or
+    5 on the tetrahedron.  Any other pair raises ValueError.  The arrays are
     read-only: the cache shares them with every caller.
 
     Returns
@@ -73,8 +77,8 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise ValueError(
             f"no quadrature rule of degree {degree} on the {dim}-simplex: "
-            f"odd degrees on the segment, 5 or 7 on the triangle and 5 on "
-            f"the tetrahedron")
+            f"odd degrees on the segment, 5 or 7 on the triangle and 2 or 5 "
+            f"on the tetrahedron")
     for arr in rule:
         arr.flags.writeable = False
     return rule

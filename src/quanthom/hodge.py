@@ -312,7 +312,7 @@ def d_inverse(eta: Cochain) -> tuple:
     """(xi, stats): the primitive d^{-1} eta = d* Delta^{-1} eta of a
     (numerically) closed cochain and the statistics of its solve.
 
-    Requires 1 <= degree <= N-1 and the closedness defect
+    Requires 1 <= degree <= N-1, finite values and the closedness defect
     ||d eta|| / ||eta|| below CLOSED_TOL in mass norm.  xi satisfies
     d(xi) = eta up to curl-solve tolerance plus the input's closedness
     defect and d*(xi) = 0 up to gauge-solve tolerance.  `stats` holds the
@@ -327,6 +327,10 @@ def d_inverse(eta: Cochain) -> tuple:
     mesh, k = eta.mesh, eta.degree
     if not 1 <= k <= mesh.dim - 1:
         raise ValueError("degree must be between 1 and N-1")
+    bad = np.count_nonzero(~np.isfinite(eta.values))
+    if bad:
+        raise ValueError(f"input not finite: {bad} of {len(eta.values)} "
+                         f"values are NaN or infinite")
     op = hodge_operator(mesh, k)
     nrm = op.norm(eta)
     if nrm <= np.finfo(float).eps * np.sqrt(mesh.top_volumes.sum()):

@@ -6,9 +6,26 @@ integral over S^N of
     c_k * f*(omega_0) ^ d^{-1} f*(omega_1) ^ ... ^ d^{-1} f*(omega_L_k)
 
 with closed target forms omega_i of degrees M_i summing to N + L_k.
-The first factor is evaluated analytically at the quadrature points;
-the d^{-1} factors are projected to cochains, antidifferentiated by the
-Hodge solver, and interpolated back as Whitney forms.
+
+A term with L = 0 (winding number, mapping degree) is the pulled-back
+top form, evaluated analytically on the tops by the rule of degree
+WEDGE_DEGREE.
+
+A term with L = 1 evaluates Whitehead's integral H = int alpha ^ d alpha
+with d alpha = f*omega (Whitehead, PNAS 1947), so both of its forms must
+be one and the same omega.  f*omega is projected to a cochain eta,
+antidifferentiated by the Hodge solver, xi = d^{-1} eta, and interpolated
+back as the Whitney form alpha_h = W(xi).  The term's value is
+
+    H* = 2 H_A - CS(alpha_h),   H_A = int f*omega ^ alpha_h,
+                                CS(alpha_h) = int W(D xi) ^ W(xi),
+
+both on the 4-node rule of degree CS_WEDGE_DEGREE.  Whitney forms commute
+with d, D W = W d (Arnold, Falk & Winther, Acta Numerica 2006), and
+integration by parts on S^3 gives H* = H - CS(alpha - alpha_h): the
+first-order error of H_A, int d alpha ^ (alpha - alpha_h), cancels, and
+H* converges at O(h^4) where H_A does at O(h^2).  CS(alpha_h) is a product
+of two affine Whitney forms per top, which that rule integrates exactly.
 
 Winding number, mapping degree, and the Hopf invariant are the standard
 structures; values are reported raw together with the nearest integer,
@@ -23,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import de_rham_project, integrate_wedge
-from .geometry.forms import PROJECT_DEGREE, WEDGE_DEGREE
+from .geometry.forms import CS_WEDGE_DEGREE, PROJECT_DEGREE, WEDGE_DEGREE
 from .geometry.quadrature import rule_info
 # hodge_operator is not called here; it stays an attribute of this module
 # because perfbench/tracing.py wraps quanthom.invariants.hodge_operator
@@ -86,6 +103,7 @@ class InvariantResult:
     mesh_level: int
     residuals: dict
     quadrature: dict    # stage -> exact degree and nodes per simplex
+    corrections: dict   # L = 1 term -> its H_A and CS(alpha_h)
     nearest_int: int = field(init=False)
     int_distance: float = field(init=False)
 
@@ -138,34 +156,48 @@ def check_evaluable(f: SmoothMap, structure: DegreeStructure, dim: int):
         raise ValueError("map domain does not match the structure")
     if structure.target is not None and f.target != structure.target:
         raise ValueError("map target does not match the structure's forms")
+    for k, term in enumerate(structure.terms):
+        if term.L == 1 and term.forms[0] is not term.forms[1]:
+            raise ValueError(
+                f"term {k} of {structure.name} (degrees {term.degrees}) "
+                f"wedges two different forms: the corrected L = 1 estimate "
+                f"needs f*omega ^ d^{{-1}} f*omega with one omega")
 
 
 def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantResult:
     """General multi-term invariant evaluation on a mesh.
 
-    For each term the first pulled-back form enters the wedge
-    analytically; every further factor is projected, run through
-    d^{-1} = d* Delta^{-1} (a curl solve plus a gauge projection, see
-    `hodge`), and enters as the Whitney interpolant of the resulting
-    cochain.  Solve statistics and closedness defects are collected per
-    term.
+    A term with L = 0 integrates its pulled-back top form on the rule of
+    degree WEDGE_DEGREE.  A term with L = 1 projects f*omega, runs it
+    through d^{-1} = d* Delta^{-1} (a curl solve plus a gauge projection,
+    see `hodge`) and returns H* = 2 H_A - CS(alpha_h) on the rule of
+    degree CS_WEDGE_DEGREE (module docstring); its H_A and CS(alpha_h)
+    go to `corrections`.  Solve statistics and closedness defects are
+    collected per term, and `quadrature` names each stage's rule.
     """
     check_evaluable(f, structure, mesh.dim)
     per_term = []
     residuals: dict = {}
-    quadrature = {"wedge": rule_info(mesh.dim, WEDGE_DEGREE)}
+    quadrature: dict = {}
+    corrections: dict = {}
     for kterm, term in enumerate(structure.terms):
-        factors = [pullback_form(f, term.forms[0])]
-        for i, om in enumerate(term.forms[1:], start=1):
-            eta = de_rham_project(pullback_form(f, om), mesh)
-            quadrature["projection"] = rule_info(om.degree, PROJECT_DEGREE)
-            xi, residuals[f"term{kterm}.d_inverse{i}"] = d_inverse(eta)
-            factors.append(xi)
-        val = integrate_wedge(factors, mesh)
-        per_term.append(val)
+        fstar = pullback_form(f, term.forms[0])
+        if term.L == 0:
+            quadrature["wedge"] = rule_info(mesh.dim, WEDGE_DEGREE)
+            per_term.append(integrate_wedge([fstar], mesh, WEDGE_DEGREE))
+            continue
+        eta = de_rham_project(fstar, mesh)
+        quadrature["projection"] = rule_info(fstar.degree, PROJECT_DEGREE)
+        quadrature["cs_wedge"] = rule_info(mesh.dim, CS_WEDGE_DEGREE)
+        xi, residuals[f"term{kterm}.d_inverse1"] = d_inverse(eta)
+        raw = integrate_wedge([fstar, xi], mesh, CS_WEDGE_DEGREE)
+        cs = integrate_wedge([xi.d(), xi], mesh, CS_WEDGE_DEGREE)
+        corrections[f"term{kterm}"] = {"uncorrected": raw, "chern_simons": cs}
+        per_term.append(2.0 * raw - cs)
     value = float(sum(float(t.coefficient) * v
                       for t, v in zip(structure.terms, per_term)))
-    return InvariantResult(value, per_term, mesh.level, residuals, quadrature)
+    return InvariantResult(value, per_term, mesh.level, residuals, quadrature,
+                           corrections)
 
 
 def winding_number(f: SmoothMap, mesh) -> InvariantResult:

@@ -135,6 +135,8 @@ def make_sphere_suspension(d: int) -> SmoothMap:
     """(colatitude, longitude) -> (colatitude, d*longitude) on S^2.
 
     Smooth away from the poles, Lipschitz globally; classical degree d.
+    At a pole (rho = 0) the Jacobian has no limit; the jet returns its
+    limit along the meridian theta = 0, diag(1, d, 1).
     """
     d = int(d)
 
@@ -153,12 +155,15 @@ def make_sphere_suspension(d: int) -> SmoothMap:
 
     def jet(X):
         x, y, rho, c, s = _trig(X)
+        pole = rho == 0.0
+        r = np.where(pole, 1.0, rho)    # no 0/0 at the poles
         J = np.zeros((len(X), 3, 3))
-        J[:, 0, 0] = c * x / rho + d * s * y / rho
-        J[:, 0, 1] = c * y / rho - d * s * x / rho
-        J[:, 1, 0] = s * x / rho - d * c * y / rho
-        J[:, 1, 1] = s * y / rho + d * c * x / rho
+        J[:, 0, 0] = c * x / r + d * s * y / r
+        J[:, 0, 1] = c * y / r - d * s * x / r
+        J[:, 1, 0] = s * x / r - d * c * y / r
+        J[:, 1, 1] = s * y / r + d * c * x / r
         J[:, 2, 2] = 1.0
+        J[pole, :2, :2] = np.diag([1.0, d])
         return point(X, rho, c, s), J
 
     return SmoothMap(2, S2, value, jet, name=f"suspension:d={d}")

@@ -1,7 +1,7 @@
 """Checks that only the tests use: hand-checkable mass blocks,
 barycentric gradients, the sort-based mesh tables, plain Monte Carlo, the
-cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths and
-report loading."""
+cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths,
+report loading and the uncorrected Hopf wedge."""
 
 import json
 import math
@@ -10,10 +10,13 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 
+from quanthom.geometry import de_rham_project, integrate_wedge
+from quanthom.geometry.forms import WEDGE_DEGREE
 from quanthom.geometry.mesh import (SPHERE_VOLUMES, permutation_sign,
                                     simplex_geometry)
-from quanthom.hodge import _whitney_mass_blocks
-from quanthom.maps import SmoothMap, distance_to_target
+from quanthom.hodge import _whitney_mass_blocks, d_inverse
+from quanthom.maps import (S2, SmoothMap, distance_to_target, make_hopf,
+                           pullback_form, volume_form)
 from quanthom.seminorms import _rng, _uniform_sphere
 
 
@@ -167,3 +170,13 @@ def load_report(path: str) -> dict:
     """A JSON report written by harness.emit_report, as plain data."""
     with open(path) as fh:
         return json.load(fh)
+
+
+def raw_hopf_wedge(mesh) -> tuple:
+    """(H_A, stats): the uncorrected Hopf wedge int f*omega ^ W(xi) of the
+    Hopf map on the degree-5 tet rule, with xi = d^{-1} of the projected
+    f*omega and the statistics of that solve.  The projection and the
+    solve are those of hardt_riviere, so H_A pins their bits."""
+    fstar = pullback_form(make_hopf(), volume_form(S2))
+    xi, stats = d_inverse(de_rham_project(fstar, mesh))
+    return integrate_wedge([fstar, xi], mesh, WEDGE_DEGREE), stats

@@ -110,7 +110,7 @@ class TestDeRhamProjection:
 def whitney_on_edges(c):
     """The Whitney form of c at the wedge nodes of every top, on the
     k-subsets of the top's edge vectors: (tops, nodes, subsets)."""
-    W = _whitney_edge_tensor(c.mesh.dim, c.degree)
+    W = _whitney_edge_tensor(c.mesh.dim, c.degree, WEDGE_DEGREE)
     vals = _whitney_coefficients(c, slice(None)) @ W.reshape(len(W), -1)
     return vals.reshape(-1, *W.shape[1:])
 

@@ -72,7 +72,7 @@ def _moment_residual(expand, dim, degree, p):
 
 class TestQuadrature:
     @pytest.mark.parametrize("degree,dim", [
-        (1, 1), (3, 1), (5, 1), (7, 1), (5, 2), (7, 2), (5, 3)])
+        (1, 1), (3, 1), (5, 1), (7, 1), (5, 2), (7, 2), (2, 3), (5, 3)])
     def test_monomial_exactness(self, degree, dim):
         # every rule is exact on every monomial up to its degree: Gauss-
         # Legendre on the segment, the symmetric tables above it
@@ -93,10 +93,12 @@ class TestQuadrature:
     @pytest.mark.parametrize("dim,degree,n_nodes,group", [
         (2, 5, 7, list(permutations(range(3)))),
         (3, 5, 14, list(permutations(range(4)))),
-        (2, 7, 12, [(0, 1, 2), (1, 2, 0), (2, 0, 1)])])
+        (2, 7, 12, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+        (3, 2, 4, list(permutations(range(4))))])
     def test_symmetric_rule_is_invariant(self, dim, degree, n_nodes, group):
-        # S3 on the degree-5 triangle, S4 on the tet, C3 on the degree-7
-        # triangle: every image of a node is a node of the same weight
+        # S3 on the degree-5 triangle, S4 on both tet rules, C3 on the
+        # degree-7 triangle: every image of a node is a node of the same
+        # weight
         bary, w = simplex_rule(dim, degree)
         assert bary.shape == (n_nodes, dim + 1) and w.shape == (n_nodes,)
         assert (w > 0).all() and (bary > 0).all()
@@ -139,11 +141,11 @@ class TestQuadrature:
     def test_order_validation(self):
         # even degrees, dimension 4 and pairs with no table entry
         for dim, degree in ((1, 4), (2, 6), (1, 0), (1, -1), (4, 5), (0, 1),
-                            (2, 3), (3, 7)):
+                            (2, 3), (3, 3), (3, 7)):
             with pytest.raises(ValueError, match=(
                     f"no quadrature rule of degree {degree} on the "
                     f"{dim}-simplex: odd degrees on the segment, 5 or 7 on "
-                    f"the triangle and 5 on the tetrahedron")):
+                    f"the triangle and 2 or 5 on the tetrahedron")):
                 simplex_rule(dim, degree)
 
 

@@ -621,9 +621,12 @@ class TestCli:
             "invariant", "--map", "hopf", "--structure", "hopf:n=1",
             "--level", "1", "--json-out", str(out))
         assert code == 0
-        assert json.loads(out.read_text())["quadrature"] == {
-            "wedge": {"degree": 5, "nodes": 14},
-            "projection": {"degree": 7, "nodes": 12}}
+        doc = json.loads(out.read_text())
+        assert doc["quadrature"] == {
+            "projection": {"degree": 7, "nodes": 12},
+            "cs_wedge": {"degree": 2, "nodes": 4}}
+        c = doc["corrections"]["term0"]
+        assert doc["value"] == 2.0 * c["uncorrected"] - c["chern_simons"]
 
     def test_invariant_symbolic_structure_exit2(self):
         # refused by name, not by the S^5 mesh build it would need

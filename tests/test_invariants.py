@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from quanthom import hodge
-from quanthom.invariants import (DegreeStructure, Term, degree_structure,
-                                 hardt_riviere, hopf_invariant,
+from quanthom.invariants import (DegreeStructure, Term, check_evaluable,
+                                 degree_structure, hardt_riviere,
+                                 hopf_invariant,
                                  hopf_structure, mapping_degree,
                                  s2xs2_beta_structure, winding_number,
                                  winding_number_oracle, winding_structure)
 from quanthom.linking import NonRegularValueError, gauss_linking_oracle
-from quanthom.maps import (S2, compose_with_isometry, make_antipodal,
+from quanthom.maps import (S2, S2xS2, compose_with_isometry, make_antipodal,
                            make_circle_power, make_constant, make_hopf,
                            make_map_composition, make_oscillation_perturbation,
                            make_product_map, make_reflection,
-                           make_sphere_suspension, volume_form)
+                           make_sphere_suspension, parse_map_spec,
+                           volume_form)
 from quanthom.seminorms import random_rotation
 
 from conftest import cached_mesh
@@ -72,6 +74,12 @@ class TestWinding:
         assert r.nearest_int == winding_number_oracle(f) == 2
         assert r.int_distance < 1e-8
 
+    def test_bits_pinned(self):
+        # the degree-5 wedge of L = 0 terms is unchanged by the L = 1
+        # stage's rule
+        r = winding_number(make_circle_power(3), cached_mesh(1, 5))
+        assert r.value.hex() == "0x1.7fffffffffffep+1"
+
     def test_constant(self):
         m = cached_mesh(1, 5)
         r = winding_number(make_circle_power(0), m)
@@ -100,6 +108,12 @@ class TestMappingDegree:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             mapping_degree(make_hopf(), cached_mesh(3, 0))
+
+    def test_bits_pinned(self):
+        # the degree-5 wedge of L = 0 terms is unchanged by the L = 1
+        # stage's rule
+        r = mapping_degree(make_sphere_suspension(2), cached_mesh(2, 3))
+        assert r.value.hex() == "0x1.0000001eeb1a3p+1"
 
     def test_same_code_path_as_structure(self):
         m = cached_mesh(2, 2)
@@ -136,13 +150,56 @@ class TestHopf:
         assert "closedness" in stats
 
     def test_quadrature_reported(self):
-        # exact degree and nodes per simplex of each stage's rule; a
-        # degree needs no projection
+        # exact degree and nodes per simplex of each stage's rule: the
+        # L = 1 wedges on the 4-node tet rule; a degree needs no
+        # projection and keeps the degree-5 wedge
         r = hopf_invariant(make_hopf(), cached_mesh(3, 1))
-        assert r.quadrature == {"wedge": {"degree": 5, "nodes": 14},
-                                "projection": {"degree": 7, "nodes": 12}}
+        assert r.quadrature == {"projection": {"degree": 7, "nodes": 12},
+                                "cs_wedge": {"degree": 2, "nodes": 4}}
         d = mapping_degree(make_sphere_suspension(2), cached_mesh(2, 0))
         assert d.quadrature == {"wedge": {"degree": 5, "nodes": 7}}
+        assert d.corrections == {}
+
+    def test_corrections_reported(self):
+        # H* = 2 H_A - CS(alpha_h); at level 3 H* - H_A, the first-order
+        # error of the uncorrected wedge, is about 3.2e-3
+        for level, gap in ((1, (4e-2, 6e-2)), (3, (3e-3, 3.5e-3))):
+            r = hopf_invariant(make_hopf(), cached_mesh(3, level))
+            c = r.corrections["term0"]
+            assert r.value == 2.0 * c["uncorrected"] - c["chern_simons"]
+            assert gap[0] < r.value - c["uncorrected"] < gap[1]
+
+    @pytest.mark.parametrize("level,value", [(1, "0x1.fdda75f415984p-1"),
+                                             (2, "0x1.ffdc2eb1549adp-1")])
+    def test_corrected_bits_pinned(self, level, value):
+        r = hopf_invariant(make_hopf(), cached_mesh(3, level))
+        assert r.value.hex() == value
+
+    @pytest.mark.parametrize("spec,structure", [
+        ("hopf", hopf_structure()),
+        ("product:hopf|hopf", s2xs2_beta_structure(1))])
+    def test_corrected_order_four(self, spec, structure):
+        # the Chern-Simons correction cancels the O(h^2) error: the order
+        # observed against the exact value 1 is about 4 (3.94 and 4.02)
+        err = [abs(hardt_riviere(parse_map_spec(spec), structure,
+                                 cached_mesh(3, level)).value - 1.0)
+               for level in (1, 2, 3)]
+        assert min(np.log2(err[0] / err[1]), np.log2(err[1] / err[2])) >= 3.5
+        assert err[2] <= 2e-5
+
+    def test_two_forms_refused(self):
+        # an L = 1 term that wedges two different forms has no corrected
+        # estimate; it is refused by name before any mesh work
+        om1, om2 = volume_form(S2xS2, 0), volume_form(S2xS2, 1)
+        mixed = DegreeStructure("mixed", 3, (
+            Term(Fraction(1), (2, 2), (om1, om1)),
+            Term(Fraction(1), (2, 2), (om1, om2))), S2xS2)
+        f = make_product_map(make_hopf(), make_hopf())
+        with pytest.raises(ValueError, match=r"term 1 of mixed \(degrees "
+                                             r"\(2, 2\)\) wedges two different"):
+            check_evaluable(f, mixed, 3)
+        with pytest.raises(ValueError, match="wedges two different forms"):
+            hardt_riviere(f, mixed, cached_mesh(3, 0))
 
 
 class TestProductStructures:

@@ -85,6 +85,38 @@ class TestFamilies:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         assert np.abs(f.value(pts) - pts).max() < 1e-14
 
+    @pytest.mark.parametrize("d", [-2, 1, 3])
+    def test_suspension_jet_at_the_poles(self, d):
+        # rho = 0 at both poles, with either sign of zero: the limit of
+        # the Jacobian along theta = 0, diag(1, d, 1), and no NaN; the
+        # other rows of the batch are the same bits as without the poles
+        f = make_sphere_suspension(d)
+        poles = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, -1.0],
+                          [0.0, -0.0, 1.0]])
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((8, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        val, J = f.jet(np.concatenate([poles, pts]))
+        assert np.array_equal(J[:3], np.broadcast_to(np.diag([1.0, d, 1.0]),
+                                                     (3, 3, 3)))
+        assert np.array_equal(val[:3], poles * [0.0, 0.0, 1.0])
+        ref_val, ref_J = f.jet(pts)
+        assert np.array_equal(val[3:], ref_val) and np.array_equal(J[3:], ref_J)
+        # the limit along the meridian theta = 0
+        eps = 1e-9
+        near = np.array([[eps, 0.0, np.sqrt(1 - eps * eps)]])
+        assert np.abs(f.jacobian(near)[0] - J[0]).max() < 1e-8
+
+    def test_composition_jet_finite_over_the_pole(self):
+        # the Hopf image of (-sqrt 1/2, 0, 0, sqrt 1/2) is the north pole
+        f = parse_map_spec("compose:suspension:d=2|hopf")
+        x = np.array([[-np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)]])
+        val, J = f.jet(x)
+        assert np.abs(val - [0.0, 0.0, 1.0]).max() < 1e-15
+        assert np.isfinite(J).all()
+        _, Jh = make_hopf().jet(x)
+        assert np.array_equal(J[0], np.diag([1.0, 2.0, 1.0]) @ Jh[0])
+
     def test_suspension_pointwise_volume_ratio(self):
         # the longitude speed is multiplied by d and the colatitude kept,
         # so f*(vol) = d * vol identically away from the poles

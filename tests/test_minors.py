@@ -15,11 +15,9 @@ from quanthom.geometry.mesh import simplex_geometry
 from quanthom.geometry.minors import det, minors
 from quanthom.geometry.quadrature import simplex_rule
 from quanthom.hodge import _whitney_mass_blocks
-from quanthom.invariants import hopf_invariant
-from quanthom.maps import make_hopf
 
 from conftest import cached_mesh
-from helpers import barycentric_gradients
+from helpers import barycentric_gradients, raw_hopf_wedge
 
 # magnitudes in [1e-6, 1e3] or 0, so no product underflows
 entries = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
@@ -120,10 +118,11 @@ def test_whitney_basis_top_form_is_volume(rng):
 @pytest.mark.parametrize("level,value", [(1, float.fromhex("0x1.e5d13bd6b0f58p-1")),
                                          (2, float.fromhex("0x1.f956f76e64bf3p-1"))])
 def test_hopf_pinned(level, value):
-    # values with the 14-node tet and 12-node triangle rules; the pin is
-    # 1e-12, not bitwise, so a reordered sum may move the last digits
-    r = hopf_invariant(make_hopf(), cached_mesh(3, level))
-    assert abs(r.value - value) < 1e-12
+    # the uncorrected wedge with the 14-node tet and 12-node triangle
+    # rules; the pin is 1e-12, not bitwise, so a reordered sum may move
+    # the last digits
+    raw, _ = raw_hopf_wedge(cached_mesh(3, level))
+    assert abs(raw - value) < 1e-12
 
 
 @pytest.mark.parametrize("level,conical,bound", [
@@ -134,6 +133,6 @@ def test_hopf_moves_little_from_the_conical_rules(level, conical, bound):
     # `conical`: the value with the 27-node tet and 16-node triangle
     # conical products of the same degrees (5 and 7); the symmetric rules
     # move it by a quadrature term that falls about 60-fold per level,
-    # far below the O(h^2) discretization error
-    r = hopf_invariant(make_hopf(), cached_mesh(3, level))
-    assert abs(r.value - conical) < bound
+    # far below the O(h^2) discretization error of this uncorrected wedge
+    raw, _ = raw_hopf_wedge(cached_mesh(3, level))
+    assert abs(raw - conical) < bound
