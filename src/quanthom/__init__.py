@@ -5,7 +5,21 @@ general wedge-integral invariants of analytic maps f: S^N -> target via
 discrete exterior calculus with a Hodge antiderivative; estimates the
 fractional Sobolev, Hoelder and BMO seminorms bounding them; and checks
 the scaling inequality |deg| <= C * [f]^{(N+L)/beta} on map families.
+
+The batched kernels already run on every core (geometry.mesh.map_blocks),
+so BLAS gets one thread: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS default to 1 when this package is imported before numpy,
+which reads them as it loads.  A value already set in the environment is
+kept, and a numpy loaded first keeps the threads it started with.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
 
 __version__ = "0.1.0"
 

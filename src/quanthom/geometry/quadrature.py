@@ -1,6 +1,9 @@
 """Quadrature rules on reference simplices, keyed by their exact degree.
 
-The segment gets n-point Gauss-Legendre, exact to degree 2n - 1.  The
+The segment gets n-point Gauss-Legendre, exact to degree 2n - 1, from
+gauss_jacobi, which imports scipy.special when the first Gauss rule is
+built; a process that builds none (a Hopf or degree run on S^2 and S^3)
+never loads it.  The
 triangle and the tetrahedron get symmetric rules from a table: on the
 triangle Radon's 7-node rule of degree 5, the centroid and two orbits
 (a,a,1-2a) in closed form (Radon 1948; Stroud T2:5-1), and Gatermann's
@@ -22,7 +25,6 @@ from itertools import permutations
 from math import sqrt
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 # (dim, degree) -> (group, orbits): the nodes are the images of each
 # orbit's generator under the group; the tests solve for the parameters
@@ -47,6 +49,18 @@ _SYMMETRIC = {
 }
 
 
+def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple:
+    """n-point Gauss-Jacobi nodes and weights on [-1, 1] for the weight
+    (1 - x)^alpha (1 + x)^beta, exact to degree 2n - 1 against it.
+
+    scipy.special, which also loads scipy.linalg, is imported on the
+    first call, so a process that builds no Gauss rule never loads it.
+    Call it on the calling thread, before any task pool starts.
+    """
+    from scipy.special import roots_jacobi
+    return roots_jacobi(n, alpha, beta)
+
+
 def rule_info(dim: int, degree: int) -> dict:
     """Exact degree and node count of `simplex_rule(dim, degree)`."""
     return {"degree": degree, "nodes": len(simplex_rule(dim, degree)[1])}
@@ -67,7 +81,7 @@ def simplex_rule(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if dim == 1 and degree >= 1 and degree % 2:
         # n-point Gauss is exact to degree 2n-1
-        x, w = roots_jacobi((degree + 1) // 2, 0.0, 0.0)
+        x, w = gauss_jacobi((degree + 1) // 2, 0.0, 0.0)
         t = 0.5 * (x + 1.0)
         rule = np.stack([1.0 - t, t], axis=1), w / w.sum()
     elif (dim, degree) in _SYMMETRIC:

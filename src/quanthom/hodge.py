@@ -29,9 +29,13 @@ the codifferential, the one reader of M_{k-1}, assembles it per call.
 
 Every solve is Jacobi-preconditioned conjugate gradients; the
 Jacobi-scaled mass matrix has an h-independent spectrum (Wathen 1987).
-The matvec of a large matrix runs on every core, over contiguous row
-ranges dealt to one thread pool per solve; each row is summed as in the
-unsplit product, so the iterates are the same bits at any core count.
+The loop is this module's own (_jacobi_cg), in the operation order of
+scipy 1.17's `cg`, so it gives scipy's bits and iteration counts while
+the module loads scipy.sparse alone, not scipy.sparse.linalg and the
+scipy.linalg that comes with it.  The matvec of a large matrix runs on
+every core, over contiguous row ranges dealt to one thread pool per
+solve; each row is summed as in the unsplit product, so the iterates
+are the same bits at any core count.
 
 Local mass entries use the exact identities
 int_T lambda_a lambda_b = vol(1 + delta_ab)/((N+1)(N+2)) and, by the
@@ -54,7 +58,6 @@ from math import factorial
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .geometry.cochain import Cochain
 from .geometry.mesh import map_blocks, task_pool, workers
@@ -210,33 +213,44 @@ def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
     """(x, iterations) with A x = b by Jacobi-preconditioned CG.
 
     A is a symmetric positive semidefinite CSR matrix with `diag` its
-    diagonal and b in its range.  Stops at ||A x - b|| <= max(rtol ||b||,
-    atol) and raises RuntimeError if that is not reached within
-    `maxiter` steps.  The matvec runs on every core: A's row ranges
-    (_row_ranges) go to one task_pool that lives for the whole solve,
-    and each row of A x is summed as in A @ x, so x and the iteration
-    count are the same bits at any core count.  A matrix below _CG_ROWS
-    rows is one range, multiplied as A itself, and starts no thread.
+    diagonal and b in its range.  Stops at ||r|| < max(rtol ||b||, atol)
+    for the recursive residual r and raises RuntimeError if that is not
+    reached within `maxiter` steps.  The loop is conjugate gradients
+    (Hestenes & Stiefel 1952) in the operation order of scipy 1.17's
+    `cg`, so x and the count are the bits scipy would give.  The matvec
+    runs on every core: A's row ranges (_row_ranges) go to one task_pool
+    that lives for the whole solve, and each row of A x is summed as in
+    A @ x, so x and the iteration count are the same bits at any core
+    count.  A matrix below _CG_ROWS rows is one range, multiplied as A
+    itself, and starts no thread.
     """
+    b_norm = np.linalg.norm(b)
+    atol = max(atol, rtol * b_norm)
+    if b_norm == 0:
+        return b, 0
     ranges = _row_ranges(A)
-    pre = LinearOperator(A.shape, matvec=lambda x: x / diag)
-    its = 0
-
-    def count(_):
-        nonlocal its
-        its += 1
-
+    x = np.zeros(len(b))
+    r = b.copy()
     with task_pool(len(ranges)) as run:
-        op = A if len(ranges) == 1 else LinearOperator(
-            A.shape, dtype=A.dtype, matvec=lambda x: np.concatenate(
-                run(lambda part: part @ x, ranges)))
-        x, info = cg(op, b, rtol=rtol, atol=atol, maxiter=maxiter, M=pre,
-                     callback=count)
-    if info != 0:
-        res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
-        raise RuntimeError(f"conjugate gradient did not converge: relative "
-                           f"residual {res:.3e} after {its} iterations")
-    return x, its
+        for its in range(maxiter):
+            if np.linalg.norm(r) < atol:
+                return x, its
+            z = r / diag
+            rho = np.dot(r, z)
+            if its:
+                p *= rho / rho_prev
+                p += z
+            else:
+                p = z.copy()
+            q = A @ p if len(ranges) == 1 else np.concatenate(
+                run(lambda part: part @ p, ranges))
+            alpha = rho / np.dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+    res = np.linalg.norm(A @ x - b) / b_norm
+    raise RuntimeError(f"conjugate gradient did not converge: relative "
+                       f"residual {res:.3e} after {maxiter} iterations")
 
 
 class HodgeOperator:

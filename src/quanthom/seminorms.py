@@ -41,11 +41,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .geometry.forms import sphere_quadrature
 from .geometry.mesh import (SPHERE_VOLUMES, build_sphere_mesh, map_tasks,
                             workers)
+from .geometry.quadrature import gauss_jacobi
 from .maps import SmoothMap, distance_to_target
 
 
@@ -165,7 +165,7 @@ def _near_diagonal(N: int, beta: float, p: float, t_max: float) -> float:
     rule for the weight t^{p(1-beta)-1}; the rest is smooth."""
     expo = N + beta * p
     a = p - expo + (N - 1)
-    x, w = roots_jacobi(_JACOBI_NODES, 0.0, a)      # weight (1 + x)^a
+    x, w = gauss_jacobi(_JACOBI_NODES, 0.0, a)      # weight (1 + x)^a
     t = 0.5 * t_max * (x + 1.0)
     smooth = (t / (2.0 * np.sin(t / 2.0))) ** expo * (np.sin(t) / t) ** (N - 1)
     return (0.5 * t_max) ** (a + 1.0) * float((w * smooth).sum())

@@ -295,27 +295,47 @@ def spd_grid_matrix(side: int) -> sparse.csr_matrix:
 
 
 def test_jacobi_cg_row_ranges_match_unsplit_cg(monkeypatch):
+    # the own loop against scipy's cg with the same Jacobi preconditioner,
+    # at one and two row ranges: the curl form (rtol), the gauge form
+    # (atol only), b = 0 (no step) and steps that run out (the message)
     A = spd_grid_matrix(190)
     assert A.shape[0] >= 2 * _CG_ROWS
-    b = np.random.default_rng(5).standard_normal(A.shape[0])
     diag = A.diagonal()
-    its = 0
-
-    def count(_):
-        nonlocal its
-        its += 1
-
-    ref, info = cg(A, b, rtol=1e-9, maxiter=2000, callback=count,
-                   M=LinearOperator(A.shape, matvec=lambda x: x / diag))
-    assert info == 0
     for w, n_ranges in ((1, 1), (2, 2)):
         ranges = at_workers(monkeypatch, w, lambda: _row_ranges(A))
         assert len(ranges) == n_ranges
         assert all(np.shares_memory(r.data, A.data)
                    and np.shares_memory(r.indices, A.indices) for r in ranges)
-        x, n = at_workers(monkeypatch, w, lambda: _jacobi_cg(
-            A, diag, b, 1e-9, maxiter=2000))
-        assert x.tobytes() == ref.tobytes() and n == its
+    rhs = np.random.default_rng(5).standard_normal(A.shape[0])
+    for b, rtol, atol, maxiter in ((rhs, 1e-9, 0.0, 2000),
+                                   (rhs, 0.0, 1e-7, 2000),
+                                   (0.0 * rhs, 1e-9, 0.0, 2000),
+                                   (rhs, 1e-9, 0.0, 20)):
+        its = 0
+
+        def count(_):
+            nonlocal its
+            its += 1
+
+        ref, info = cg(A, b, rtol=rtol, atol=atol, maxiter=maxiter,
+                       callback=count,
+                       M=LinearOperator(A.shape, matvec=lambda x: x / diag))
+        def solve():
+            return _jacobi_cg(A, diag, b, rtol, atol=atol, maxiter=maxiter)
+
+        for w in (1, 2):
+            if info == 0:
+                x, n = at_workers(monkeypatch, w, solve)
+                assert x.tobytes() == ref.tobytes() and n == its
+            else:
+                assert info == its == maxiter
+                res = np.linalg.norm(A @ ref - b) / np.linalg.norm(b)
+                with pytest.raises(RuntimeError) as err:
+                    at_workers(monkeypatch, w, solve)
+                assert str(err.value) == (
+                    f"conjugate gradient did not converge: relative "
+                    f"residual {res:.3e} after {its} iterations")
+    assert its == maxiter            # the last input did run out of steps
 
 
 def test_cg_below_row_constant_is_one_range(monkeypatch):
