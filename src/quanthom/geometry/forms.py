@@ -246,20 +246,17 @@ def _whitney_coefficients(c: Cochain, tops) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _shuffles(degrees: tuple, N: int) -> tuple:
-    """All block-increasing partitions of range(N) with their signs."""
-    if sum(degrees) != N:
-        raise ValueError("wedge degree != N")
+    """All block-increasing partitions of range(N) with their signs, each
+    part named by its column in the _edge_subsets(N, k) order."""
     out = []
 
     def rec(remaining, blocks):
-        if not remaining and len(blocks) == len(degrees):
+        if len(blocks) == len(degrees):
             perm = [i for b in blocks for i in b]
-            out.append((tuple(blocks), int(permutation_sign(perm))))
+            cols = tuple(_edge_subsets(N, len(b)).index(b) for b in blocks)
+            out.append((cols, int(permutation_sign(perm))))
             return
-        j = len(blocks)
-        if j == len(degrees):
-            return
-        for sub in combinations(sorted(remaining), degrees[j]):
+        for sub in combinations(sorted(remaining), degrees[len(blocks)]):
             rec(remaining - set(sub), blocks + [sub])
 
     rec(set(range(N)), [])
@@ -273,10 +270,12 @@ def integrate_wedge(factors, mesh, degree: int = WEDGE_DEGREE) -> float:
     through the radial projection) or a Cochain (evaluated as its
     Whitney form on the flat complex).  Degrees must sum to N.  `degree`
     names the calling stage's rule on the tops (WEDGE_DEGREE or
-    CS_WEDGE_DEGREE).  The tops are integrated block by block
-    (mesh.map_blocks) and the block integrals added in block order.
+    CS_WEDGE_DEGREE).  On each block of tops (mesh.map_blocks, added in
+    block order) the integrand is the signed sum over the shuffles of
+    products of the factors' values on their edge subsets.
     """
     N = mesh.dim
+    dim = mesh.verts.shape[1]
     degrees = tuple(f.degree for f in factors)
     if sum(degrees) != N:
         raise ValueError("wedge degree != N")
@@ -291,44 +290,30 @@ def integrate_wedge(factors, mesh, degree: int = WEDGE_DEGREE) -> float:
     shuffles = _shuffles(degrees, N)
 
     def block_integral(rows):
-        integrand = _wedge_integrand(tables, shuffles, mesh, bary, rows)
+        if any(W is None for _, _, W in tables):
+            # curved nodes and frames of the projection; on S^1 the single
+            # factor is analytic here, so the exact arc parametrization is
+            # never shared with a flat Whitney factor
+            pts, frames = _nodes_and_frames(mesh, bary, rows)
+            pts, frames = pts.reshape(-1, dim), frames.reshape(-1, N, dim)
+        # factor values per edge subset; an analytic factor sees the whole
+        # edge frame at once, so a pullback evaluates f and Df once per node
+        values = []
+        for f, subsets, W in tables:
+            if W is None:
+                vals = f.on_frame_subsets(pts, frames, subsets)
+            else:                                   # W (slots, q, subs)
+                vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
+            values.append(vals.reshape(-1, len(w), len(subsets)))
+        integrand = 0.0
+        for cols, sign in shuffles:
+            term = float(sign)
+            for vals, col in zip(values, cols):
+                term = term * vals[:, :, col]
+            integrand = integrand + term
         return float((integrand @ w).sum())
 
     total = 0.0
     for part in map_blocks(block_integral, mesh.n_simplices(N)):
         total += part
     return total / factorial(N)
-
-
-def _wedge_integrand(tables, shuffles, mesh, bary, rows: slice) -> np.ndarray:
-    """Wedge of the factors at the quadrature nodes `bary` of the tops
-    `rows`, on their edge frames: (n_b, n_q).  `tables` holds each factor
-    with its edge subsets and, for a cochain, its Whitney edge tensor."""
-    N = mesh.dim
-    dim = mesh.verts.shape[1]
-    n_q = len(bary)
-    if any(W is None for _, _, W in tables):
-        # curved nodes and frames of the projection; on S^1 the single
-        # factor is analytic here, so the exact arc parametrization is
-        # never shared with a flat Whitney factor
-        pts_c, frames_c = _nodes_and_frames(mesh, bary, rows)
-        pts_c, frames_c = pts_c.reshape(-1, dim), frames_c.reshape(-1, N, dim)
-
-    # factor values per edge subset; an analytic factor sees the whole
-    # edge frame at once, so a pullback evaluates f and Df once per node
-    values = []
-    for f, subsets, W in tables:
-        if W is None:
-            vals = f.on_frame_subsets(pts_c, frames_c, subsets)
-        else:                                       # W (slots, q, subs)
-            vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
-        index = {sub: i for i, sub in enumerate(subsets)}
-        values.append((vals.reshape(-1, n_q, len(subsets)), index))
-
-    integrand = 0.0
-    for parts, sign in shuffles:
-        term = float(sign)
-        for (vals, index), sub in zip(values, parts):
-            term = term * vals[:, :, index[sub]]
-        integrand = integrand + term
-    return integrand

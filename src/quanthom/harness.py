@@ -49,10 +49,6 @@ SWEEP_LIMIT = 10_000
 # the report formats of emit_report, which are the keys of a config's
 # [output] section
 REPORT_FORMATS = ("json", "csv", "text")
-# the keys of a config's [experiment] section
-_EXPERIMENT_KEYS = ("kind", "structure", "map", "sweep", "beta", "levels",
-                    "seminorm", "samples", "seed",
-                    "allow_beta_below_threshold")
 # failures a sweep row records and runs past: bad specs and non-regular
 # values (ValueError), floating-point faults, and unconverged solves
 _ROW_ERRORS = (ValueError, ArithmeticError, np.linalg.LinAlgError,
@@ -81,10 +77,6 @@ def _read_ini(text: str, source: str) -> configparser.ConfigParser:
     # configparser counts lines split at "\n" alone, as io.StringIO does
     line = text.split("\n")[n - 1].strip()
     raise ConfigError(f"{source} line {n}: {line!r} {why}")
-
-
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def _parse_sweep(text: str):
@@ -120,6 +112,49 @@ def _ascending(values: list, what: str, text: str) -> list:
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigError(f"{what} {text!r} is not strictly ascending")
     return values
+
+
+# the keys of a config's [experiment] section: key -> (parser of its text,
+# default text or None if required, what the text must be, for messages)
+_EXPERIMENT_READERS = {
+    "kind": (str.strip, "scaling", None),
+    "structure": (str.strip, None, None),
+    "map": (str.strip, None, None),
+    "sweep": (_parse_sweep, None, "name=lo..hi or name=v1,v2,..."),
+    "beta": (lambda text: [Fraction(b) for b in text.split(",")], "1",
+             "a comma-separated list of fractions"),
+    "levels": (lambda text: _ascending(
+        [int(x) for x in text.split(",")] if text.strip() else [], "levels",
+        text), "3", "a comma-separated list of integers"),
+    "seminorm": (str.strip, "sobolev", None),
+    "samples": (int, "200000", "an integer"),
+    "seed": (int, "0", "an integer"),
+    "allow_beta_below_threshold": (
+        lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()],
+        "false", "a boolean"),
+}
+_EXPERIMENT_KEYS = tuple(_EXPERIMENT_READERS)
+
+
+def _read_key(sec, key: str):
+    """The value of [experiment] `key`, read from its default when it is
+    absent.  A missing required key, a bad % interpolation and a text the
+    key's parser rejects are ConfigErrors naming the key."""
+    parse, default, what = _EXPERIMENT_READERS[key]
+    try:
+        text = sec.get(key, default)
+    except configparser.Error as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if text is None:
+        raise ConfigError(f"[experiment] key {key!r} is required")
+    try:
+        return parse(text)
+    except ConfigError:
+        raise
+    except ZeroDivisionError:           # only a beta fraction divides
+        raise ConfigError(f"{key} {text!r} has a zero denominator") from None
+    except (ValueError, LookupError):
+        raise ConfigError(f"{key} {text!r} is not {what}") from None
 
 
 @dataclass
@@ -160,26 +195,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown [{name}] key(s) "
                                   f"{', '.join(unknown)}; allowed: "
                                   f"{', '.join(allowed)}")
+        sec = cp["experiment"] if cp.has_section("experiment") else {}
+        (kind, structure, template, (sweep_name, sweep_values), betas, levels,
+         seminorm, samples, seed, allow) = (_read_key(sec, key)
+                                            for key in _EXPERIMENT_KEYS)
         try:
-            sec = cp["experiment"]
-            kind = sec.get("kind", "scaling").strip()
-            structure = sec["structure"].strip()
-            template = sec["map"].strip()
-            sweep_name, sweep_values = _parse_sweep(sec["sweep"])
-            betas = [_parse_fraction(b) for b in sec.get("beta", "1").split(",")]
-            text = sec.get("levels", "3")
-            levels = _ascending([int(x) for x in text.split(",")]
-                                if text.strip() else [], "levels", text)
-            seminorm = sec.get("seminorm", "sobolev").strip()
-            samples = sec.getint("samples", 200_000)
-            seed = sec.getint("seed", 0)
-            allow = sec.getboolean("allow_beta_below_threshold", False)
             outputs = dict(cp["output"]) if cp.has_section("output") else {}
-        except (KeyError, ValueError, configparser.Error) as exc:
-            raise ConfigError(f"bad experiment config: {exc}") from exc
-        except ZeroDivisionError:           # only a beta fraction divides
-            raise ConfigError(f"beta {sec['beta']!r} has a zero "
-                              f"denominator") from None
+        except configparser.Error as exc:   # a bad % interpolation
+            raise ConfigError(f"[output]: {exc}") from None
         cfg = cls(kind, structure, template, sweep_name, sweep_values, betas,
                   levels, seminorm, samples, seed, allow, outputs)
         cfg.validate()

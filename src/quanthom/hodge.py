@@ -208,12 +208,12 @@ def _row_ranges(A: sparse.csr_matrix) -> list:
     return ranges
 
 
-def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
-               atol: float = 0.0, maxiter: int = 400) -> tuple:
+def _jacobi_cg(A, b: np.ndarray, rtol: float, atol: float = 0.0,
+               maxiter: int = 400) -> tuple:
     """(x, iterations) with A x = b by Jacobi-preconditioned CG.
 
-    A is a symmetric positive semidefinite CSR matrix with `diag` its
-    diagonal and b in its range.  Stops at ||r|| < max(rtol ||b||, atol)
+    A is a symmetric positive semidefinite CSR matrix preconditioned by its
+    diagonal, and b in its range.  Stops at ||r|| < max(rtol ||b||, atol)
     for the recursive residual r and raises RuntimeError if that is not
     reached within `maxiter` steps.  The loop is conjugate gradients
     (Hestenes & Stiefel 1952) in the operation order of scipy 1.17's
@@ -228,7 +228,7 @@ def _jacobi_cg(A, diag: np.ndarray, b: np.ndarray, rtol: float,
     atol = max(atol, rtol * b_norm)
     if b_norm == 0:
         return b, 0
-    ranges = _row_ranges(A)
+    ranges, diag = _row_ranges(A), A.diagonal()
     x = np.zeros(len(b))
     r = b.copy()
     with task_pool(len(ranges)) as run:
@@ -318,8 +318,7 @@ def codifferential(c: Cochain) -> Cochain:
     op = hodge_operator(c.mesh, c.degree)
     M = mass_matrix(c.mesh, c.degree - 1)
     b = op.coboundary.T @ (op.mass_k @ c.values)
-    return Cochain(c.mesh, c.degree - 1, _jacobi_cg(M, M.diagonal(), b,
-                                                    rtol=1e-13)[0])
+    return Cochain(c.mesh, c.degree - 1, _jacobi_cg(M, b, rtol=1e-13)[0])
 
 
 def d_inverse(eta: Cochain) -> tuple:
@@ -358,12 +357,11 @@ def d_inverse(eta: Cochain) -> tuple:
     K, Z, G = op.curl, op.gauge_basis, op.gauge
     b = op.coboundary.T @ (op.mass_k @ eta.values)
     maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
-    sigma, its = _jacobi_cg(K, K.diagonal(), b, CURL_TOL, maxiter=maxiter)
+    sigma, its = _jacobi_cg(K, b, CURL_TOL, maxiter=maxiter)
     m_sigma = _mass_product(mesh, k - 1, sigma)
     scale = np.linalg.norm(m_sigma)
     c = Z.T @ m_sigma
-    phi, gauge_its = _jacobi_cg(G, G.diagonal(), c, 0.0,
-                                atol=1e-13 * scale, maxiter=maxiter)
+    phi, gauge_its = _jacobi_cg(G, c, 0.0, atol=1e-13 * scale, maxiter=maxiter)
     return Cochain(mesh, k - 1, sigma - Z @ phi), {
         "iterations": its,
         "residual": float(np.linalg.norm(K @ sigma - b) / np.linalg.norm(b)),

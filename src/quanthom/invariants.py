@@ -213,7 +213,9 @@ def mapping_degree(f: SmoothMap, mesh) -> InvariantResult:
     if f.target.kind != "sphere" or f.target.dim != f.domain_dim:
         raise ValueError("dimension mismatch")
     if f.domain_dim not in (2, 3):
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"mapping_degree takes S^2 and S^3, not "
+                         f"S^{f.domain_dim}; the degree of a circle map is "
+                         f"its winding number (winding_number)")
     return hardt_riviere(f, degree_structure(f.domain_dim), mesh)
 
 

@@ -236,9 +236,13 @@ def make_antipodal(domain_dim: int) -> SmoothMap:
 def make_product_map(f1: SmoothMap, f2: SmoothMap) -> SmoothMap:
     """x -> (f1(x), f2(x)) into the product of the factor targets."""
     if f1.domain_dim != f2.domain_dim:
-        raise ValueError("product factors must share the domain")
+        raise MapSpecError(f"product factors must share the domain: "
+                           f"{f1.name!r} is defined on S^{f1.domain_dim}, "
+                           f"{f2.name!r} on S^{f2.domain_dim}")
     if not (f1.target.kind == "sphere" and f2.target.kind == "sphere"):
-        raise ValueError("product factors must map into spheres")
+        raise MapSpecError(f"product factors must map into spheres: "
+                           f"{f1.name!r} maps into {f1.target}, "
+                           f"{f2.name!r} into {f2.target}")
     tgt = Target("product", f1.target.dim + f2.target.dim,
                  f1.target.ambient + f2.target.ambient,
                  (f1.target, f2.target))
@@ -258,7 +262,10 @@ def make_product_map(f1: SmoothMap, f2: SmoothMap) -> SmoothMap:
 def make_map_composition(g: SmoothMap, f: SmoothMap) -> SmoothMap:
     """g after f; domains must match up."""
     if f.target.ambient != g.domain_dim + 1:
-        raise ValueError("composition domain mismatch")
+        raise MapSpecError(f"composition domain mismatch: outer {g.name!r} "
+                           f"is defined on S^{g.domain_dim} in "
+                           f"R^{g.domain_dim + 1}, inner {f.name!r} maps "
+                           f"into {f.target} in R^{f.target.ambient}")
 
     def value(X):
         return g.value(f.value(X))
@@ -446,9 +453,11 @@ def pullback_form(f: SmoothMap, omega) -> FormField:
 
 class MapSpecError(ValueError):
     """A map spec that the grammar rejects: an unknown family, a missing
-    or extra sub-map, or a key that is unknown, repeated, missing or of
-    the wrong type.  A value its family's builder rejects raises a plain
-    ValueError."""
+    or extra sub-map, a key that is unknown, repeated, missing or of the
+    wrong type, or sub-maps that do not fit together (a composition whose
+    inner target is not the outer domain, a product whose factors differ
+    in domain or do not map into spheres).  A value its family's builder
+    rejects raises a plain ValueError."""
 
 
 def _dim(text: str) -> int:

@@ -321,7 +321,7 @@ def test_jacobi_cg_row_ranges_match_unsplit_cg(monkeypatch):
                        callback=count,
                        M=LinearOperator(A.shape, matvec=lambda x: x / diag))
         def solve():
-            return _jacobi_cg(A, diag, b, rtol, atol=atol, maxiter=maxiter)
+            return _jacobi_cg(A, b, rtol, atol=atol, maxiter=maxiter)
 
         for w in (1, 2):
             if info == 0:

@@ -156,6 +156,33 @@ class TestConfig:
                 "config line 1: 'junk' comes before any [section]")):
             ExperimentConfig.from_string("junk\n" + FAST_SCALING)
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("samples = 20000", "samples = x", "samples 'x' is not an integer"),
+        ("seed = 7", "seed = 1.5", "seed '1.5' is not an integer"),
+        ("seed = 7", "seed = 7\nallow_beta_below_threshold = maybe",
+         "allow_beta_below_threshold 'maybe' is not a boolean"),
+        ("levels = 3,4", "levels = 1,x",
+         "levels '1,x' is not a comma-separated list of integers"),
+        ("beta = 9/10", "beta = 4/x",
+         "beta '4/x' is not a comma-separated list of fractions"),
+        ("sweep = d=1..3", "sweep = d=1..x",
+         "sweep 'd=1..x' is not name=lo..hi or name=v1,v2,..."),
+        ("structure = winding\n", "",
+         "[experiment] key 'structure' is required")],
+        ids=["samples", "seed", "allow", "levels", "beta", "sweep",
+             "missing-structure"])
+    def test_parse_error_names_its_key(self, old, new, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_string(FAST_SCALING.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("map = circle-power:d={d}", "map = 50%", "map: '%' must be"),
+        ("seed = 7", "seed = 7\n[output]\njson = r%.json",
+         "[output]: '%' must be")], ids=["experiment", "output"])
+    def test_bad_interpolation_is_config_error(self, old, new, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_string(FAST_SCALING.replace(old, new))
+
     def test_huge_range_sweep_refused_before_expansion(self):
         # 10^9 values would hold a list of 10^9 ints and validate each
         sweep = "d=1..1000000000"
@@ -555,6 +582,22 @@ class TestCli:
         assert by_name["sum:delta1"]["beta0"] == "3/4"
         assert by_name["hopf:n=2"]["beta0"] == "7/8"
 
+    def test_thresholds_text_table(self):
+        code, stdout, _ = self.run_cli("thresholds")
+        assert code == 0
+        lines = stdout.splitlines()
+        assert lines[0].split() == ["structure", "N", "L", "beta0", "thm",
+                                    "exponent", "evaluable"]
+        assert set(lines[1]) == {"-"} and len(lines[1]) == len(lines[0])
+        assert lines[2:] and all(len(ln) == len(lines[0]) for ln in lines[2:])
+        assert any(ln.split()[:4] == ["hopf:n=1", "3", "1", "3/4"]
+                   for ln in lines[2:])
+
+    def test_thresholds_custom_degrees_text(self):
+        code, stdout, _ = self.run_cli("thresholds", "--M0", "2", "--Mi", "2")
+        assert code == 0
+        assert stdout == "beta0 = 3/4  (alpha* = 1/2), exponent 4/beta\n"
+
     def test_thresholds_custom_degrees(self):
         code, stdout, _ = self.run_cli("thresholds", "--M0", "2",
                                        "--Mi", "2", "--json")
@@ -782,11 +825,18 @@ class TestCli:
 
     @pytest.mark.parametrize("template", [
         "suspension:d={d}", "compose:suspension:d={d}", "hopf|hopf:d={d}",
-        "bogus:d={d}"])
+        "bogus:d={d}", "compose:hopf|suspension:d={d}",
+        "product:hopf|suspension:d={d}"])
     def test_verify_scaling_map_unfit_for_structure_exit2(self, tmp_path,
+                                                         monkeypatch,
                                                          template):
         # each sweep member's spec is parsed and checked against the
-        # structure at load, before any mesh is built
+        # structure at load, before any mesh is built or any row runs
+        def no_rows(*args):
+            raise AssertionError("a row ran before the map was checked")
+
+        monkeypatch.setattr(harness, "_sweep", no_rows)
+        monkeypatch.setattr(harness, "build_sphere_mesh", no_rows)
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(FAST_SCALING.replace("structure = winding",
                                             "structure = hopf:n=1")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, SmoothMap,
+from quanthom.maps import (MAP_FAMILIES, S2, S2xS2, MapSpecError, SmoothMap,
                            compose_with_isometry,
                            distance_to_target, make_antipodal,
                            make_circle_power, make_constant, make_hopf,
@@ -387,6 +387,22 @@ class TestSpecStrings:
     def test_composition_checks_domain(self):
         with pytest.raises(ValueError, match="mismatch"):
             make_map_composition(make_circle_power(2), make_hopf())
+
+    @pytest.mark.parametrize("spec,message", [
+        ("compose:hopf|suspension:d=1",
+         "composition domain mismatch: outer 'hopf' is defined on S^3 in R^4, "
+         "inner 'suspension:d=1' maps into S2 in R^3"),
+        ("product:hopf|suspension:d=1",
+         "product factors must share the domain: 'hopf' is defined on S^3, "
+         "'suspension:d=1' on S^2"),
+        ("product:hopf|product:hopf|hopf",
+         "product factors must map into spheres: 'hopf' maps into S2, "
+         "'product:hopf|hopf' into S2xS2")],
+        ids=["compose-domain", "product-domain", "product-non-sphere"])
+    def test_sub_maps_that_do_not_fit_are_spec_errors(self, spec, message):
+        # a spec fault, refused when a config loads, naming both sub-maps
+        with pytest.raises(MapSpecError, match=re.escape(message)):
+            parse_map_spec(spec)
 
     @pytest.mark.parametrize("spec,name,domain", [
         ("const:n=2", "const:n=2", 2),

@@ -1,5 +1,6 @@
 """Exact rational thresholds: sigma, beta0, exponents, catalogue."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -92,6 +93,15 @@ class TestExponent:
     def test_beta_positive(self):
         with pytest.raises(ValueError, match="beta"):
             exponent(2, 0, 0)
+
+    @pytest.mark.parametrize("beta", ["4/5", 0.8], ids=["string", "float"])
+    def test_beta_as_string_or_float(self, beta):
+        assert exponent(3, 1, beta) == 5
+
+    def test_beta_of_no_rational_type(self):
+        with pytest.raises(TypeError, match=re.escape(
+                "cannot interpret [1] as a rational")):
+            exponent(3, 1, [1])
 
 
 class TestCatalogue:
