@@ -19,9 +19,9 @@ from .geometry import build_sphere_mesh
 from .harness import (REPORT_FORMATS, ConfigError, ExperimentConfig,
                       check_writable, emit_report, format_report_text,
                       run_bmo_probe, run_scaling)
-from .invariants import check_evaluable, hardt_riviere
+from .invariants import check_evaluable, hardt_riviere, winding_number_oracle
 from .linking import gauss_linking_oracle
-from .maps import parse_map_spec
+from .maps import S2, parse_map_spec
 from .registry import beta0, catalogue, lookup
 from .seminorms import bmo_seminorm, holder_seminorm, sobolev_seminorm
 
@@ -36,6 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--level", type=int, required=True)
     gen.add_argument("--out", required=True)
+    gen.set_defaults(run=_cmd_mesh)
 
     th = sub.add_parser("thresholds", help="exact thresholds and exponents")
     which = th.add_mutually_exclusive_group()
@@ -45,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     th.add_argument("--Mi")
     th.add_argument("--beta")
     th.add_argument("--json", action="store_true")
+    th.set_defaults(run=_cmd_thresholds)
 
     inv = sub.add_parser("invariant", help="evaluate an invariant")
     inv.add_argument("--map", required=True, dest="map_spec")
@@ -52,6 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--level", type=int, required=True)
     inv.add_argument("--oracle", action="store_true")
     inv.add_argument("--json-out")
+    inv.set_defaults(run=_cmd_invariant)
 
     sem = sub.add_parser("seminorm", help="estimate a seminorm")
     sem.add_argument("--map", required=True, dest="map_spec")
@@ -62,12 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sem.add_argument("--samples", type=int)     # default 200000
     sem.add_argument("--seed", type=int, default=0)
     sem.add_argument("--json-out")
+    sem.set_defaults(run=_cmd_seminorm)
 
     ver = sub.add_parser("verify", help="run verification experiments")
     ver_sub = ver.add_subparsers(dest="verify_command", required=True)
     for name in ("scaling", "bmo"):
         v = ver_sub.add_parser(name)
         v.add_argument("--config", required=True)
+        v.set_defaults(run=_cmd_verify)
     return ap
 
 
@@ -155,23 +160,25 @@ def _cmd_invariant(args) -> int:
     f = parse_map_spec(args.map_spec)
     dim = entry.structure.domain_dim
     check_evaluable(f, entry.structure, dim)      # before the mesh build
+    linking = f.domain_dim == 3 and f.target == S2
+    if args.oracle and not linking and f.domain_dim != 1:
+        raise ValueError(f"argument --oracle: map {args.map_spec!r} is "
+                         f"neither S^3 -> S^2 (linking) nor on S^1 (winding)")
     mesh = build_sphere_mesh(dim, args.level)
     res = hardt_riviere(f, entry.structure, mesh)
     out = asdict(res)
     out["map"] = args.map_spec
     out["structure"] = entry.name
-    if args.oracle:
-        if f.domain_dim == 3 and f.target.kind == "sphere" and f.target.dim == 2:
-            p = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
-            q = -p
-            link = gauss_linking_oracle(f, p / np.linalg.norm(p),
-                                        q / np.linalg.norm(q))
-            out["oracle"] = {"linking": link.value, "rounded": link.rounded,
-                             "min_transverse_sv": link.min_transverse_sv,
-                             "points": link.points}
-        elif f.domain_dim == 1:
-            from .invariants import winding_number_oracle
-            out["oracle"] = {"winding": winding_number_oracle(f)}
+    if args.oracle and linking:
+        p = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
+        q = -p
+        link = gauss_linking_oracle(f, p / np.linalg.norm(p),
+                                    q / np.linalg.norm(q))
+        out["oracle"] = {"linking": link.value, "rounded": link.rounded,
+                         "min_transverse_sv": link.min_transverse_sv,
+                         "points": link.points}
+    elif args.oracle:
+        out["oracle"] = {"winding": winding_number_oracle(f)}
     _print_json(out, args.json_out)
     return 0
 
@@ -219,18 +226,10 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "json_out", None):
-            check_writable(args.json_out)
-        if args.command == "mesh":
-            return _cmd_mesh(args)
-        if args.command == "thresholds":
-            return _cmd_thresholds(args)
-        if args.command == "invariant":
-            return _cmd_invariant(args)
-        if args.command == "seminorm":
-            return _cmd_seminorm(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        for flag in ("out", "json_out"):     # every output, before any work
+            if getattr(args, flag, None):
+                check_writable(getattr(args, flag))
+        return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -239,7 +238,6 @@ def main(argv=None) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -157,7 +157,7 @@ def _read_key(sec, key: str):
         raise ConfigError(f"{key} {text!r} is not {what}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     kind: str                      # "scaling" | "bmo"
     structure: str
@@ -203,19 +203,17 @@ class ExperimentConfig:
             outputs = dict(cp["output"]) if cp.has_section("output") else {}
         except configparser.Error as exc:   # a bad % interpolation
             raise ConfigError(f"[output]: {exc}") from None
-        cfg = cls(kind, structure, template, sweep_name, sweep_values, betas,
-                  levels, seminorm, samples, seed, allow, outputs)
-        cfg.validate()
-        return cfg
+        return cls(kind, structure, template, sweep_name, sweep_values, betas,
+                   levels, seminorm, samples, seed, allow, outputs)
 
-    def validate(self):
-        """Check the config against the catalogue and return its entry.
+    def __post_init__(self):
+        """Check the config against the catalogue, so that a config that
+        exists is valid: made from text or through dataclasses.replace.
 
         Every sweep value's map spec must parse and fit the structure
         (invariants.check_evaluable); a parameter value that the map's
         family rejects, such as a perturbation too large, is left to that
-        sweep row to record.  The runs call it again: fields may be
-        changed after loading."""
+        sweep row to record."""
         if self.kind not in ("scaling", "bmo"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seminorm not in ("sobolev", "holder"):
@@ -285,7 +283,6 @@ class ExperimentConfig:
                 f"beta values {low} do not exceed the threshold {b0} of "
                 f"{self.structure!r}; set allow_beta_below_threshold to run "
                 f"them as informational rows")
-        return entry
 
     def echo(self) -> dict:
         return {
@@ -395,7 +392,7 @@ def run_scaling(config: ExperimentConfig) -> Report:
     and shared by every map and beta, so the Hodge operators it caches
     (hodge.hodge_operator) are assembled once per level, not per map.
     """
-    entry = config.validate()
+    entry = lookup(config.structure)
     structure = entry.structure
     b0 = entry.report.effective_beta0()
     # level -> mesh, and (spec, level) -> (invariant, d^{-1} statistics)
@@ -508,7 +505,7 @@ def _probe_points(N: int, seed: int) -> np.ndarray:
 def run_bmo_probe(config: ExperimentConfig) -> Report:
     """Small-BMO probe: oscillation, extension distance, and invariant
     along a perturbation sweep."""
-    structure = config.validate().structure
+    structure = lookup(config.structure).structure
     N = structure.domain_dim
     mesh = build_sphere_mesh(N, config.levels[-1])
     probes = _probe_points(N, config.seed)

@@ -5,7 +5,8 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict, replace
+from collections import Counter
+from dataclasses import FrozenInstanceError, asdict, replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -36,10 +37,7 @@ seed = 7
 
 
 def fast_config(**overrides):
-    cfg = ExperimentConfig.from_string(FAST_SCALING)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return replace(ExperimentConfig.from_string(FAST_SCALING), **overrides)
 
 
 class TestConfig:
@@ -73,7 +71,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 f"levels must be >= 0, got {bad}")):
             ExperimentConfig.from_string(text)
-        # the runs check the config again
+        # a config changed through dataclasses.replace is checked again
         with pytest.raises(ConfigError, match=re.escape(
                 "levels must be >= 0, got -1")):
             run_scaling(fast_config(levels=[-1]))
@@ -229,9 +227,8 @@ class TestRunScaling:
         assert not rep.passed     # no in-hypothesis block at all
 
     def test_symbolic_structure_rejected(self):
-        cfg = fast_config(structure="cp2:beta")
         with pytest.raises(ConfigError, match="not numerically evaluable"):
-            run_scaling(cfg)
+            fast_config(structure="cp2:beta")
 
     def test_row_failure_recorded_run_continues(self):
         cfg = fast_config(map_template="perturb:eps={d},m=3|hopf")
@@ -427,6 +424,48 @@ beta = 1
 levels = 3
 seed = 5
 """
+
+
+class TestConfigChecked:
+    """A config is checked once, when it is made; the runs trust it."""
+
+    def test_loaded_config_is_frozen(self):
+        cfg = ExperimentConfig.from_string(FAST_SCALING)
+        with pytest.raises(FrozenInstanceError):
+            cfg.seed = 1
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigError, match=re.escape(
+                "seed must be >= 0, got -1")):
+            replace(ExperimentConfig.from_string(FAST_SCALING), seed=-1)
+
+    def test_each_spec_parsed_once_per_block(self, monkeypatch):
+        cfg = fast_config(betas=[F(4, 5), F(9, 10)], levels=[3])
+        specs, parse = Counter(), harness.parse_map_spec
+
+        def counted(spec):
+            specs[spec] += 1
+            return parse(spec)
+
+        monkeypatch.setattr("quanthom.harness.parse_map_spec", counted)
+        run_scaling(cfg)
+        assert specs == {f"circle-power:d={d}": 2 for d in (1, 2, 3)}
+
+    @pytest.mark.parametrize("run,text", [(run_scaling, FAST_SCALING),
+                                          (run_bmo_probe, BMO_PROBE)],
+                             ids=["scaling", "bmo"])
+    def test_one_lookup_per_run(self, monkeypatch, run, text):
+        # perfbench's registry.lookup span wraps this attribute
+        cfg = ExperimentConfig.from_string(text)
+        calls, lookup = [], harness.lookup
+
+        def counted(name):
+            calls.append(name)
+            return lookup(name)
+
+        monkeypatch.setattr("quanthom.harness.lookup", counted)
+        run(cfg)
+        assert calls == [cfg.structure]
 
 
 class TestRowErrors:
@@ -691,6 +730,35 @@ class TestCli:
             "--level", "4")
         assert code == 2 and not stdout
         assert "error: map domain does not match the structure" in err
+
+    @pytest.mark.parametrize("spec,structure", [
+        ("suspension:d=2", "degree:s2"), ("product:hopf|hopf", "s2xs2:beta1")])
+    def test_invariant_oracle_without_oracle_exit2(self, monkeypatch, spec,
+                                                   structure):
+        from quanthom import cli
+
+        def no_build(*args):
+            raise AssertionError("mesh built before the oracle was checked")
+
+        monkeypatch.setattr(cli, "build_sphere_mesh", no_build)
+        code, stdout, err = self.run_cli(
+            "invariant", "--map", spec, "--structure", structure,
+            "--level", "1", "--oracle")
+        assert code == 2 and not stdout
+        assert err == (f"error: argument --oracle: map {spec!r} is neither "
+                       f"S^3 -> S^2 (linking) nor on S^1 (winding)\n")
+
+    def test_mesh_gen_unwritable_output_exit2(self, tmp_path, monkeypatch):
+        from quanthom import cli
+        builds = []
+        monkeypatch.setattr(cli, "build_sphere_mesh",
+                            lambda *key: builds.append(key))
+        out = tmp_path / "missing" / "m.txt"
+        code, stdout, err = self.run_cli("mesh", "gen", "--dim", "3",
+                                         "--level", "1", "--out", str(out))
+        assert code == 2 and not stdout
+        assert err.startswith("error: ") and str(out) in err
+        assert builds == []
 
     def test_invariant_unwritable_output_exit2(self, tmp_path, monkeypatch):
         from quanthom import cli

@@ -51,8 +51,8 @@ def s2_trees(draw, depth: int, perturb: bool = True):
 
 @lru_cache(maxsize=None)
 def hopf_level1_and_gap() -> tuple:
-    """H(hopf) at S^3 level 1 and |H_2 - H_1| (0.038), the level-1 error
-    bar of the Hopf pipeline."""
+    """H(hopf) at S^3 level 1 and |H_2 - H_1| (about 3.9e-3), the level-1
+    error bar of the Hopf pipeline."""
     h1 = hopf_invariant(make_hopf(), cached_mesh(3, 1)).value
     h2 = hopf_invariant(make_hopf(), cached_mesh(3, 2)).value
     return h1, abs(h2 - h1)
