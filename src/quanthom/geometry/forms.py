@@ -51,7 +51,7 @@ import numpy as np
 
 from .cochain import Cochain
 from .mesh import map_blocks, permutation_sign
-from .minors import det, minors, whitney_table
+from .minors import det, minors, row_norm, row_sum, whitney_table
 from .quadrature import simplex_rule
 
 # nodes per segment / triangle / tet: 3 / 7 / 14 at WEDGE_DEGREE,
@@ -94,7 +94,7 @@ def radial_projection(points: np.ndarray, edges: np.ndarray):
     dP_x(e) = (e - (e.u) u) / r with r = |x| and u = x/r; the products
     e.u are one (q, dim) @ (dim, k) product per simplex.
     """
-    r = np.linalg.norm(points, axis=-1, keepdims=True)
+    r = row_norm(points)[..., None]
     unit = points / r
     eu = unit @ np.ascontiguousarray(np.swapaxes(edges, 1, 2))  # (n, q, k)
     frames = edges[:, None] - np.einsum("nqk,nqd->nqkd", eu, unit)
@@ -116,7 +116,7 @@ def _arc_nodes_frames(pts: np.ndarray, u: np.ndarray):
     p0, p1 = pts[:, 0, :], pts[:, 1, :]
     phi0 = np.arctan2(p0[:, 1], p0[:, 0])
     dphi = np.arctan2(p0[:, 0] * p1[:, 1] - p0[:, 1] * p1[:, 0],
-                      (p0 * p1).sum(axis=1))
+                      row_sum(p0 * p1))
     ang = phi0[:, None] + u[None, :] * dphi[:, None]
     nodes = np.stack([np.cos(ang), np.sin(ang)], axis=2)
     tang = np.stack([-np.sin(ang), np.cos(ang)], axis=2) * dphi[:, None, None]

@@ -47,7 +47,7 @@ from math import factorial
 import numpy as np
 from scipy import sparse
 
-from .minors import det, minors
+from .minors import det, minors, row_norm, row_sum
 
 SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 
@@ -336,7 +336,7 @@ def _icosahedron() -> tuple[np.ndarray, np.ndarray]:
         [0, -1, r], [0, 1, r], [0, -1, -r], [0, 1, -r],
         [r, 0, -1], [r, 0, 1], [-r, 0, -1], [-r, 0, 1],
     ], dtype=float)
-    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    verts /= row_norm(verts)[:, None]
     faces = np.array([
         [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
         [1, 5, 9], [5, 11, 4], [11, 10, 2], [10, 7, 6], [7, 1, 8],
@@ -353,7 +353,8 @@ def _cross_polytope() -> tuple[np.ndarray, np.ndarray]:
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, rounded exactly as np.linalg.norm(row)
-    (np.linalg.norm(axis=1) and einsum sum in other orders)."""
+    (minors.row_norm, np.linalg.norm(axis=1) and einsum add in other
+    orders); the refinement's midpoints rest on these bits."""
     return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
@@ -436,7 +437,7 @@ def _orientation(pts: np.ndarray) -> np.ndarray:
     if n <= 3:
         return det(pts)
     cofactors = minors(pts[:, 1:], n - 1)[:, 0, ::-1]   # without column j
-    return ((-1.0) ** np.arange(n) * pts[:, 0] * cofactors).sum(axis=1)
+    return row_sum((-1.0) ** np.arange(n) * pts[:, 0] * cofactors)
 
 
 # ----------------------------------------------------------------------
@@ -533,12 +534,10 @@ class SimplicialSphere:
         buf = io.StringIO()
         buf.write(f"DIM {self.dim} LEVEL {self.level}\n")
         buf.write(f"VERTICES {self.n_simplices(0)}\n")
-        for v in self.verts:
-            buf.write(" ".join(f"{x:.17g}" for x in v) + "\n")
+        np.savetxt(buf, self.verts, fmt="%.17g")
         tops = self.simplices[self.dim]
         buf.write(f"SIMPLICES {len(tops)}\n")
-        for row in tops:
-            buf.write(" ".join(str(int(i)) for i in row) + " +1\n")
+        np.savetxt(buf, tops, fmt="%d", newline=" +1\n")
         return buf.getvalue()
 
     @classmethod
@@ -649,6 +648,5 @@ def build_sphere_mesh(dim: int, level: int) -> SimplicialSphere:
         verts, tops = _cross_polytope()
         for _ in range(level + 1):
             verts, tops = _subdivide_tets(verts, tops)
-    norms = np.linalg.norm(verts, axis=1, keepdims=True)
-    verts = verts / norms
+    verts = verts / row_norm(verts)[:, None]
     return SimplicialSphere(dim, verts, tops, level)

@@ -9,6 +9,10 @@ determinants in closed form (cofactor expansion), which is several times
 faster than LU on large batches of tiny matrices, and falls back to
 np.linalg.det only for larger ones; `det_rows` does the same from a list
 of row arrays, so rows picked out of a larger array need no copy.
+
+The short-axis reductions `row_sum`, `row_norm` and `cross3` work the
+same way, one column at a time: numpy's reduce over a last axis of a few
+entries costs several times the column additions with the same bits.
 """
 
 from __future__ import annotations
@@ -45,6 +49,34 @@ def det_rows(rows) -> np.ndarray:
                 - r0[..., 1] * (r1[..., 0] * r2[..., 2] - r1[..., 2] * r2[..., 0])
                 + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
     return np.linalg.det(np.stack(rows, axis=-2))
+
+
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1) for a last axis of 1-7 entries, bit for bit, as
+    column additions 0.0 + x_0 + x_1 + ... from the left.
+
+    numpy's reduce starts from 0.0 too (so a row of -0.0 sums to +0.0)
+    and adds left to right below 8 entries; from 8 entries on it sums a
+    contiguous row pairwise, in 8 partial sums, so the bits differ."""
+    out = x[..., 0] + 0.0
+    for k in range(1, x.shape[-1]):
+        out += x[..., k]
+    return out
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) for a last axis of 1-7 entries, bit
+    for bit: the square root of row_sum(x * x), as numpy takes it."""
+    return np.sqrt(row_sum(x * x))
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross(a, b) of 3-vectors over the last axis, with its products
+    and differences, without its broadcasting set-up."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0], axis=-1)
 
 
 def minors(a: np.ndarray, k: int) -> np.ndarray:

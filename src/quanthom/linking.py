@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry.mesh import map_tasks, workers
+from .geometry.minors import cross3, row_norm, row_sum
 
 _COARSE = 2          # coarse trace step over output spacing
 _GAUSS_ROWS = 128    # rows per block of the Gauss double sum
@@ -82,26 +83,26 @@ def _fiber_geometry(f, X: np.ndarray, p: np.ndarray):
     J = J @ B                                       # (n, 3, 3)
     a = np.argmin(np.abs(Y), axis=1)[:, None]       # positive frame t of T_y
     t1 = np.eye(3)[a[:, 0]] - np.take_along_axis(Y, a, axis=1) * Y
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 = np.cross(Y, t1)
+    t1 /= row_norm(t1)[:, None]
+    t2 = cross3(Y, t1)
     r1 = np.einsum("ni,nij->nj", t1, J)
     r2 = np.einsum("ni,nij->nj", t2, J)
-    g11, g12, g22 = (r1 * r1).sum(1), (r1 * r2).sum(1), (r2 * r2).sum(1)
+    g11, g12, g22 = row_sum(r1 * r1), row_sum(r1 * r2), row_sum(r2 * r2)
     det = g11 * g22 - g12 ** 2
     big = 0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12)
     res = Y - p
-    b1, b2 = -(t1 * res).sum(1), -(t2 * res).sum(1)
-    k = np.cross(r1, r2)
+    b1, b2 = -row_sum(t1 * res), -row_sum(t2 * res)
+    k = cross3(r1, r2)
     with np.errstate(divide="ignore", invalid="ignore"):
         sv = np.sqrt(np.maximum(det / big, 0.0))
         c1, c2 = (g22 * b1 - g12 * b2) / det, (g11 * b2 - g12 * b1) / det
-        v = np.einsum("nij,nj->ni", B, k / np.linalg.norm(k, axis=1)[:, None])
+        v = np.einsum("nij,nj->ni", B, k / row_norm(k)[:, None])
         step = np.einsum("nij,nj->ni", B, c1[:, None] * r1 + c2[:, None] * r2)
-    return np.linalg.norm(res, axis=1), step, v, sv
+    return row_norm(res), step, v, sv
 
 
 def _unit(X: np.ndarray) -> np.ndarray:
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+    return X / row_norm(X)[:, None]
 
 
 def _project(f, X: np.ndarray, P: np.ndarray):
@@ -121,7 +122,7 @@ def _project(f, X: np.ndarray, P: np.ndarray):
         V[act[hit]], S[act[hit]] = v[hit], sv[hit]
         keep = ~hit & np.isfinite(step).all(axis=1)
         act, step = act[keep], step[keep]
-        step *= 0.5 / np.maximum(np.linalg.norm(step, axis=1), 0.5)[:, None]
+        step *= 0.5 / np.maximum(row_norm(step), 0.5)[:, None]
         X[act] = _unit(X[act] + step)
     return X, ok, V, S
 
@@ -190,7 +191,7 @@ def preimage_link(f, values: np.ndarray, step: float,
     for cyc in cycles:
         coarse = np.array([y for i in cyc for y in segs[i]])
         chord = np.roll(coarse, -1, axis=0) - coarse
-        m = np.maximum(1, np.rint(np.linalg.norm(chord, axis=1) / step))
+        m = np.maximum(1, np.rint(row_norm(chord) / step))
         m = m.astype(int)
         seg = np.repeat(np.arange(len(coarse)), m)
         t = (np.arange(len(seg)) - np.repeat(np.cumsum(m) - m, m)) / m[seg]
@@ -228,7 +229,7 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
     dx = np.roll(c1, -1, axis=0) - c1
     dy = np.roll(c2, -1, axis=0) - c2
     x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
-    xdx, ydy = np.cross(x, dx), np.cross(y, dy)
+    xdx, ydy = cross3(x, dx), cross3(y, dy)
 
     starts = range(0, len(x), _GAUSS_ROWS)
     # three buffers per worker, made here: block j runs on worker
@@ -260,7 +261,7 @@ def _chart_pole(curves: list[np.ndarray], seed: int = 1) -> np.ndarray:
     """Random candidate farthest from all curve points: |c-x|^2 = 2 - 2c.x."""
     rng = np.random.default_rng(seed)
     cand = rng.standard_normal((256, 4))
-    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    cand /= row_norm(cand)[:, None]
     nearest = np.max([(cand @ c.T).max(axis=1) for c in curves], axis=0)
     return cand[int(np.argmin(nearest))]
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry.forms import FormField
 from .geometry.mesh import SPHERE_VOLUMES
-from .geometry.minors import det_rows
+from .geometry.minors import det_rows, row_norm, row_sum
 
 
 # ----------------------------------------------------------------------
@@ -63,15 +63,14 @@ S2xS2 = Target("product", 4, 6, (S2, S2))
 def distance_to_target(points: np.ndarray, target: Target) -> np.ndarray:
     """Euclidean distance from ambient points to the target manifold."""
     pts = np.atleast_2d(points)
-    return np.sqrt(sum((np.linalg.norm(pts[:, b], axis=1) - 1.0) ** 2
+    return np.sqrt(sum((row_norm(pts[:, b]) - 1.0) ** 2
                        for b in target.blocks))
 
 
 def project_to_target(points: np.ndarray, target: Target) -> np.ndarray:
     """Analytic nearest-point projection onto the target."""
     pts = np.atleast_2d(points)
-    return np.concatenate([pts[:, b] / np.linalg.norm(pts[:, b], axis=1,
-                                                      keepdims=True)
+    return np.concatenate([pts[:, b] / row_norm(pts[:, b])[:, None]
                            for b in target.blocks], axis=1)
 
 
@@ -123,7 +122,7 @@ def make_circle_power(d: int) -> SmoothMap:
 
     def jet(X):
         c, s = trig(X)
-        r2 = (X ** 2).sum(axis=1)
+        r2 = row_sum(X ** 2)
         gth = np.stack([-X[:, 1] / r2, X[:, 0] / r2], axis=1)
         col = np.stack([-s, c], axis=1) * d
         return np.stack([c, s], axis=1), col[:, :, None] * gth[:, None, :]
@@ -352,7 +351,7 @@ def make_oscillation_perturbation(f: SmoothMap, eps: float, m: int) -> SmoothMap
         units, out = [], np.empty_like(J)
         for b in tgt.blocks:
             seg = Y[:, b]
-            r = np.linalg.norm(seg, axis=1, keepdims=True)
+            r = row_norm(seg)[:, None]
             unit = seg / r
             Jb = J[:, b, :]
             rad = np.einsum("md,mdk->mk", unit, Jb)

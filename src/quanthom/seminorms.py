@@ -21,11 +21,14 @@ term's Jacobian moment runs in the same call, in tasks of x-nodes added
 in node order, on three rules built once per N (read-only arrays, so a
 second estimate on the same sphere builds no mesh).  The BMO
 estimate is a sampled sup of cap U-statistics of the pair distances: the
-caps are prepared in one batch (each cap's directions and angles drawn
-from its own stream, then the cap points and one f.value call over all
-caps), and the pair distances run on every core in tasks of _BMO_CAPS
-caps, each batched over its caps in two buffers of its worker, with the
-best cap taken in cap order.
+caps are prepared in one batch (each cap's directions and its angles'
+uniforms drawn from its own stream, the angles of all caps in one
+closed-form transform on S^1 and S^2 and per cap on S^3, then the cap
+points and one f.value call over all caps), and the pair distances run
+on every core in tasks of _BMO_CAPS caps, each batched over its caps in
+two buffers of its worker, with the caps' U-statistics, row means and
+standard errors in three reductions per task and the best cap taken in
+cap order.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum (per cap for BMO) from the master seed, so results are
@@ -45,6 +48,7 @@ import numpy as np
 from .geometry.forms import sphere_quadrature
 from .geometry.mesh import (SPHERE_VOLUMES, build_sphere_mesh, map_tasks,
                             workers)
+from .geometry.minors import row_norm, row_sum
 from .geometry.quadrature import gauss_jacobi
 from .maps import SmoothMap, distance_to_target
 
@@ -91,13 +95,13 @@ def _rng(seed, *key) -> np.random.Generator:
 
 def _uniform_sphere(rng, n: int, dim_ambient: int) -> np.ndarray:
     X = rng.standard_normal((n, dim_ambient))
-    return X / np.linalg.norm(X, axis=1, keepdims=True)
+    return X / row_norm(X)[:, None]
 
 
 def _orthogonal_directions(rng, X: np.ndarray) -> np.ndarray:
     U = rng.standard_normal(X.shape)
-    U -= (U * X).sum(axis=1, keepdims=True) * X
-    return U / np.linalg.norm(U, axis=1, keepdims=True)
+    U -= row_sum(U * X)[:, None] * X
+    return U / row_norm(U)[:, None]
 
 
 _NEWTON_STEPS = 8            # cap of the S^3 angle sampler
@@ -120,8 +124,15 @@ def _sin_mass(N: int, a):
 def _sample_angle(rng, n: int, N: int, psi_lo: float, psi_hi: float) -> np.ndarray:
     """Geodesic angles distributed like sin^{N-1} on [psi_lo, psi_hi]:
     _sin_mass inverted at uniform targets."""
+    return _inverse_sin_mass(N, psi_lo, psi_hi, rng.random(n))
+
+
+def _inverse_sin_mass(N: int, psi_lo, psi_hi, u: np.ndarray) -> np.ndarray:
+    """The angles in [psi_lo, psi_hi] at which _sin_mass takes the
+    fractions u of its mass there.  On S^1 and S^2 the inverse is in
+    closed form and psi_lo, psi_hi may be arrays broadcast against u."""
     lo, hi = _sin_mass(N, psi_lo), _sin_mass(N, psi_hi)
-    target = lo + rng.random(n) * (hi - lo)
+    target = lo + u * (hi - lo)
     if N == 1:
         return target
     if N == 2:
@@ -233,7 +244,7 @@ def _sobolev_mc(f, beta, p, samples, seed):
         psi = _sample_angle(rng, n_per, N, lo, hi)
         Y = np.cos(psi)[:, None] * X + np.sin(psi)[:, None] * U
         chord = 2.0 * np.sin(psi / 2.0)
-        g = np.linalg.norm(f.value(X) - f.value(Y), axis=1) ** p / chord ** expo
+        g = row_norm(f.value(X) - f.value(Y)) ** p / chord ** expo
         vol = SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * float(
             _sin_mass(N, hi) - _sin_mass(N, lo))
         return vol * float(g.mean()), (vol ** 2) * float(g.var(ddof=1)) / n_per
@@ -322,8 +333,8 @@ def _sobolev_circle_quadrature(f, beta, p):
         th = 2.0 * np.pi * np.arange(n) / n
         base = np.stack([np.cos(th), np.sin(th)], axis=1)
         tang = np.stack([-base[:, 1], base[:, 0]], axis=1)
-        speed = np.linalg.norm(np.einsum("nij,nj->ni", f.jacobian(base),
-                                         tang), axis=1) ** p
+        speed = row_norm(np.einsum("nij,nj->ni", f.jacobian(base),
+                                   tang)) ** p
         A = 2.0 * np.pi * np.array([speed.mean(), speed[::2].mean()])
         if (n == _THETA_MAX
                 or abs(A[0] - A[1]) <= 0.1 * _PANEL_RTOL * abs(A[0])):
@@ -410,11 +421,10 @@ def _holder_ratio(f, X, Y, beta):
     """(ratios of the pairs, rows passed to f.value)."""
     # chords below 1e-5 are cancellation-dominated and would break the
     # lower-bound semantics of the sampled sup
-    chord = np.linalg.norm(X - Y, axis=1)
+    chord = row_norm(X - Y)
     ok = chord > 1e-5
     out = np.zeros(len(X))
-    out[ok] = (np.linalg.norm(f.value(X[ok]) - f.value(Y[ok]), axis=1)
-               / chord[ok] ** beta)
+    out[ok] = row_norm(f.value(X[ok]) - f.value(Y[ok])) / chord[ok] ** beta
     return out, 2 * int(ok.sum())
 
 
@@ -453,7 +463,7 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
         cand = np.stack([xy + rng_j.standard_normal((8, 2, amb)) * (
             max(np.linalg.norm(xy[0] - xy[1]), 1e-8) * 0.4 * 0.85 ** it)
             for xy, rng_j in zip(pairs, streams)])
-        cand /= np.linalg.norm(cand, axis=3, keepdims=True)
+        cand /= row_norm(cand)[..., None]
         rr, n = _holder_ratio(f, cand[:, :, 0].reshape(-1, amb),
                               cand[:, :, 1].reshape(-1, amb), beta)
         rows += n
@@ -478,20 +488,25 @@ def _bmo_cap_values(f: SmoothMap, centers: int, m: int,
     amb = N + 1
     rng = _rng(seed, 0)
     ctrs = _uniform_sphere(rng, centers, amb)
-    # each cap draws its directions and angles from its own stream, in
-    # (center, radius) order; the angles stay per cap, as the S^3 Newton
-    # stop depends on its batch
+    # each cap draws its directions and then its angles' uniforms from
+    # its own stream, in (center, radius) order
     U = np.empty((centers * len(_BMO_ANGLES), m, amb))
-    psi = np.empty((len(U), m, 1))
+    u = np.empty((len(U), m))
     for c in range(len(U)):
         ci, ri = divmod(c, len(_BMO_ANGLES))
         rng_c = _rng(seed, 1 + ci, ri)
         rng_c.standard_normal((m, amb), out=U[c])
-        psi[c, :, 0] = _sample_angle(rng_c, m, N, 0.0, _BMO_ANGLES[ri])
+        rng_c.random(out=u[c])
+    # the angles in one closed-form transform over all caps; on S^3 one
+    # Newton inversion per cap, as its stop depends on its batch
+    hi = np.tile(_BMO_ANGLES, centers)[:, None]
+    psi = (_inverse_sin_mass(N, 0.0, hi, u) if N < 3 else np.array(
+        [_inverse_sin_mass(N, 0.0, h, row) for h, row in zip(hi[:, 0], u)]))
+    psi = psi[:, :, None]
     # then the cap points and f.value once over all caps
     X = np.repeat(ctrs, len(_BMO_ANGLES), axis=0)[:, None, :]
-    U -= (U * X).sum(axis=2, keepdims=True) * X
-    U /= np.linalg.norm(U, axis=2, keepdims=True)
+    U -= row_sum(U * X)[:, :, None] * X
+    U /= row_norm(U)[:, :, None]
     U *= np.sin(psi)
     U += np.cos(psi) * X
     return f.value(U.reshape(-1, amb)).reshape(len(U), m, -1)
@@ -529,12 +544,11 @@ def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
                 np.add(sq, np.multiply(d, d, out=d), out=sq)
             else:
                 np.multiply(d, d, out=sq)
-        stats = []
-        for diff in np.sqrt(sq, out=sq):
-            row_means = diff.sum(axis=1) / (m - 1)
-            stats.append((float(diff.sum() / (m * (m - 1))),
-                          2.0 * float(row_means.std(ddof=1)) / math.sqrt(m)))
-        return stats
+        # per cap: the U-statistic, and the standard error from its row means
+        diff = np.sqrt(sq, out=sq)
+        row_means = diff.sum(axis=2) / (m - 1)
+        return zip((diff.sum(axis=(1, 2)) / (m * (m - 1))).tolist(),
+                   (2.0 * row_means.std(axis=1, ddof=1) / math.sqrt(m)).tolist())
 
     best, best_se = 0.0, 0.0
     for part in map_tasks(cap_statistics, range(len(starts))):
@@ -558,14 +572,14 @@ def poisson_extension_distance(f: SmoothMap, probes: np.ndarray,
     reproduced exactly.  Returns [(probe, distance), ...].
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    if np.any(np.linalg.norm(probes, axis=1) >= 1.0):
+    if np.any(row_norm(probes) >= 1.0):
         raise ValueError("probe points must lie inside the open unit ball")
     pts, wts = sphere_quadrature(mesh)
     vals = f.value(pts)
     N = mesh.dim
     out = []
     for x in probes:
-        dist = np.linalg.norm(x[None, :] - pts, axis=1)
+        dist = row_norm(x[None, :] - pts)
         kern = wts * (1.0 - float(x @ x)) / dist ** (N + 1)
         F = (kern[:, None] * vals).sum(axis=0) / kern.sum()
         out.append((x, float(distance_to_target(F[None], f.target)[0])))
