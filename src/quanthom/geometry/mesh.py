@@ -572,6 +572,9 @@ class SimplicialSphere:
         n, (d, dim, lv, level) = fields(0, "the DIM/LEVEL header", str, int, str, int)
         if d != "DIM" or lv != "LEVEL":
             raise ValueError(f"bad mesh file: line {n} is not DIM <n> LEVEL <l>")
+        if dim not in (1, 2, 3) or level < 0:
+            raise ValueError(f"bad mesh file: line {n} has DIM {dim} LEVEL "
+                             f"{level}, expected DIM 1, 2 or 3 and LEVEL >= 0")
         nv = count(1, "VERTICES")
         verts = np.array([fields(2 + i, f"vertex {i}", *[float] * (dim + 1))[1]
                           for i in range(nv)])

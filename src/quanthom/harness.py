@@ -82,8 +82,8 @@ def _read_ini(text: str, source: str) -> configparser.ConfigParser:
 def _parse_sweep(text: str):
     """`d=1..8` or `eps=0.02,0.05,0.1` -> (name, values).
 
-    Values must be strictly ascending and non-empty; a range of more
-    than SWEEP_LIMIT values is refused before it is expanded.
+    Values must be finite, strictly ascending and non-empty; a range of
+    more than SWEEP_LIMIT values is refused before it is expanded.
     """
     name, _, body = text.partition("=")
     if not body:
@@ -102,6 +102,9 @@ def _parse_sweep(text: str):
             values = [int(v) for v in vals]
         except ValueError:
             values = [float(v) for v in vals]
+            if not np.isfinite(values).all():
+                raise ConfigError(f"sweep {text!r} has a value that is not "
+                                  "a finite number")
     return name, _ascending(values, "sweep", text)
 
 

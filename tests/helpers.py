@@ -1,11 +1,14 @@
 """Checks that only the tests use: hand-checkable mass blocks,
 barycentric gradients, the sort-based mesh tables, plain Monte Carlo, the
 cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths,
-report loading and the uncorrected Hopf wedge."""
+report loading, the uncorrected Hopf wedge and scans of the package's
+syntax trees."""
 
+import ast
 import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -18,6 +21,8 @@ from quanthom.hodge import _whitney_mass_blocks, d_inverse
 from quanthom.maps import (S2, SmoothMap, distance_to_target, make_hopf,
                            pullback_form, volume_form)
 from quanthom.seminorms import _rng, _uniform_sphere
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "quanthom"
 
 
 def whitney_mass_local(vertices: np.ndarray, k: int) -> np.ndarray:
@@ -180,3 +185,18 @@ def raw_hopf_wedge(mesh) -> tuple:
     fstar = pullback_form(make_hopf(), volume_form(S2))
     xi, stats = d_inverse(de_rham_project(fstar, mesh))
     return integrate_wedge([fstar, xi], mesh, WEDGE_DEGREE), stats
+
+
+def node_lines(path: Path, match) -> list:
+    """Sorted lines of the syntax-tree nodes of `path` that match(node)."""
+    tree = ast.parse(path.read_text(), str(path))
+    return sorted({node.lineno for node in ast.walk(tree) if match(node)})
+
+
+def package_hits(match, skip=()) -> list:
+    """`file:line` of every syntax-tree node of the package's sources that
+    match(node), leaving out the files `skip` (paths under src/quanthom)."""
+    return [f"{path.relative_to(SRC.parent)}:{line}"
+            for path in sorted(SRC.rglob("*.py"))
+            if path.relative_to(SRC).as_posix() not in skip
+            for line in node_lines(path, match)]

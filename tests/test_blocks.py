@@ -11,6 +11,7 @@ which run through geometry.mesh.map_tasks, and the CG solves, whose
 matvec row ranges run in one geometry.mesh.task_pool per solve.
 """
 
+import ast
 import sys
 import threading
 
@@ -33,7 +34,8 @@ from quanthom.seminorms import (_BMO_CAPS, _bmo_cap_values, bmo_seminorm,
                                 sobolev_seminorm)
 
 from conftest import cached_mesh
-from helpers import barycentric_gradients, bmo_cap_by_cap
+from helpers import (barycentric_gradients, bmo_cap_by_cap, node_lines,
+                     package_hits)
 
 ODD = 7
 ONE = 10 ** 9
@@ -431,3 +433,43 @@ def test_one_core_makes_no_pool(monkeypatch):
     assert stats["iterations"] > 0
     at_workers(monkeypatch, 1, lambda: bmo_seminorm(
         parse_map_spec("hopf"), centers=3, cap_samples=16))
+
+
+# ----------------------------------------------------------------------
+# one place for thread pools: geometry/mesh.py
+# ----------------------------------------------------------------------
+
+THREAD_NAMES = {"ThreadPoolExecutor", "threading", "concurrent"}
+
+
+def names_threads(node) -> bool:
+    """Whether `node` imports or names ThreadPoolExecutor, threading or
+    concurrent."""
+    if isinstance(node, ast.Import):
+        names = {a.name.split(".")[0] for a in node.names}
+    elif isinstance(node, ast.ImportFrom):
+        names = {(node.module or "").split(".")[0], *(a.name for a in node.names)}
+    elif isinstance(node, ast.Name):
+        names = {node.id}
+    elif isinstance(node, ast.Attribute):
+        names = {node.attr}
+    else:
+        return False
+    return bool(names & THREAD_NAMES)
+
+
+def test_threads_only_in_geometry_mesh():
+    # every pool of the package is made by map_tasks or task_pool
+    found = package_hits(names_threads, skip={"geometry/mesh.py"})
+    assert not found, f"threads outside geometry/mesh.py at {', '.join(found)}"
+
+
+def test_thread_check_finds_a_use(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\n"
+                     "import threading\n"
+                     "from concurrent.futures import wait\n"
+                     "from concurrent import futures as f\n"
+                     "pool = f.ThreadPoolExecutor(2)\n"
+                     "x = np.threading\n")
+    assert node_lines(probe, names_threads) == [2, 3, 4, 5, 6]

@@ -368,10 +368,15 @@ def test_bad_tops_rejected(corrupt, message):
      "line 2 is not VERTICES <count >= 0>"),
     (lambda lines: lines[:14] + ["SIMPLEXES 20"] + lines[15:],
      "line 15 is not SIMPLICES <count >= 0>"),
+    (lambda lines: ["DIM 4 LEVEL 0"] + lines[1:],
+     "line 1 has DIM 4 LEVEL 0, expected DIM 1, 2 or 3 and LEVEL >= 0"),
+    (lambda lines: ["DIM 2 LEVEL -3"] + lines[1:],
+     "line 1 has DIM 2 LEVEL -3, expected DIM 1, 2 or 3 and LEVEL >= 0"),
 ], ids=["truncated-simplices", "truncated-vertices", "header-only",
         "short-simplex", "short-vertex", "non-numeric-vertex",
         "non-finite-vertex", "non-numeric-index", "orientation-flag-0",
-        "trailing-line", "negative-count", "misnamed-header"])
+        "trailing-line", "negative-count", "misnamed-header", "dim-4",
+        "negative-level"])
 def test_bad_mesh_file_rejected(edit, message):
     lines = build_sphere_mesh(2, 0).format_ascii().splitlines()
     with pytest.raises(ValueError, match="bad mesh file: " + message):

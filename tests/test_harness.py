@@ -49,9 +49,10 @@ class TestConfig:
         assert cfg.levels == [3, 4]
 
     @pytest.mark.parametrize("sweep", ["d=3,1,2", "d=1,2,2", "d=3..1",
-                                       "d=0.1,0.05"],
+                                       "d=0.1,0.05", "d=0.1,nan,0.05",
+                                       "d=-inf,1"],
                              ids=["unsorted", "duplicate", "empty-range",
-                                  "unsorted-float"])
+                                  "unsorted-float", "nan", "minus-inf"])
     def test_bad_sweep_rejected(self, sweep):
         with pytest.raises(ConfigError, match=re.escape(f"sweep {sweep!r}")):
             ExperimentConfig.from_string(FAST_SCALING.replace("d=1..3", sweep))

@@ -2,7 +2,6 @@
 package takes its row norms only through them."""
 
 import ast
-from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from quanthom.geometry.minors import cross3, row_norm, row_sum
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "quanthom"
+from helpers import node_lines, package_hits
 
 # magnitudes over 16 decades, 1e-8 to 1e8, with both signed zeros
 entries = st.one_of(
@@ -61,27 +60,21 @@ def test_row_sum_of_negative_zeros_is_positive_zero():
         assert same_bits(row_sum(x), x.sum(axis=-1))
 
 
-def axis_norm_calls(path):
-    """Lines of the np.linalg.norm(...) calls in `path` that pass an axis,
+def is_axis_norm(node) -> bool:
+    """Whether `node` is a np.linalg.norm(...) call that passes an axis,
     by keyword or as the third positional argument."""
-    lines = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "norm"
-                and isinstance(node.func.value, ast.Attribute)
-                and node.func.value.attr == "linalg"
-                and (len(node.args) >= 3
-                     or any(k.arg == "axis" for k in node.keywords))):
-            lines.append(node.lineno)
-    return lines
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"
+            and (len(node.args) >= 3
+                 or any(k.arg == "axis" for k in node.keywords)))
 
 
 def test_no_axis_norm_in_the_package():
     # row norms go through minors.row_norm: numpy's reduce over a short
     # last axis costs several times its column additions
-    found = [f"{path.relative_to(SRC.parent)}:{line}"
-             for path in sorted(SRC.rglob("*.py"))
-             for line in axis_norm_calls(path)]
+    found = package_hits(is_axis_norm)
     assert not found, f"np.linalg.norm(..., axis=...) at {', '.join(found)}"
 
 
@@ -91,4 +84,4 @@ def test_axis_norm_check_finds_a_call(tmp_path):
                      "a = np.linalg.norm(x)\n"
                      "b = np.linalg.norm(x, axis=1, keepdims=True)\n"
                      "c = np.linalg.norm(x, None, -1)\n")
-    assert axis_norm_calls(probe) == [3, 4]
+    assert node_lines(probe, is_axis_norm) == [3, 4]
