@@ -15,6 +15,9 @@ class Cochain:
     __slots__ = ("mesh", "degree", "values")
 
     def __init__(self, mesh, degree: int, values: np.ndarray):
+        if not 0 <= degree <= mesh.dim:
+            raise ValueError(f"cochain degree {degree} on S^{mesh.dim}: "
+                             f"degrees run 0..{mesh.dim}")
         values = np.asarray(values, dtype=float)
         if values.shape != (mesh.n_simplices(degree),):
             raise ValueError("cochain length does not match simplex count")
@@ -28,9 +31,6 @@ class Cochain:
 
     def d(self) -> "Cochain":
         return exterior_derivative(self)
-
-    def copy(self) -> "Cochain":
-        return Cochain(self.mesh, self.degree, self.values.copy())
 
     # -- linear structure -------------------------------------------------
 

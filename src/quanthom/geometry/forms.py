@@ -233,13 +233,6 @@ def _whitney_edge_tensor(N: int, k: int, degree: int):
     return W
 
 
-def _whitney_coefficients(c: Cochain, tops) -> np.ndarray:
-    """Cochain values gathered on the top simplices `tops` (a slice or an
-    index array) with orientation parities: (n_tops, slots)."""
-    mesh, k = c.mesh, c.degree
-    return c.values[mesh.top_faces[k][tops]] * mesh.top_face_parity[k][tops]
-
-
 # ----------------------------------------------------------------------
 # wedge integration
 # ----------------------------------------------------------------------
@@ -302,8 +295,10 @@ def integrate_wedge(factors, mesh, degree: int = WEDGE_DEGREE) -> float:
         for f, subsets, W in tables:
             if W is None:
                 vals = f.on_frame_subsets(pts, frames, subsets)
-            else:                                   # W (slots, q, subs)
-                vals = _whitney_coefficients(f, rows) @ W.reshape(len(W), -1)
+            else:      # face values signed by parity, @ W (slots, q, subs)
+                k = f.degree
+                vals = (f.values[mesh.top_faces[k][rows]]
+                        * mesh.top_face_parity[k][rows]) @ W.reshape(len(W), -1)
             values.append(vals.reshape(-1, len(w), len(subsets)))
         integrand = 0.0
         for cols, sign in shuffles:

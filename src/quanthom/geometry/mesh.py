@@ -198,16 +198,6 @@ def _unique_keys(keys: np.ndarray):
     return first, inverse
 
 
-def _unique_rows(rows: np.ndarray):
-    """np.unique(rows, axis=0) with each row's first position and the
-    inverse map, for non-negative integer rows, through one packed int64
-    key per row (_packed_keys)."""
-    base = int(rows.max()) + 1 if rows.size else 1
-    first, inverse = _unique_keys(
-        _packed_keys(lambda j: rows[:, j], rows.shape[1], base))
-    return rows[first], first, inverse
-
-
 @lru_cache(maxsize=None)
 def _local_tables(dim: int):
     """Constant tables over the (dim+1)! orders of a top's vertex slots.
@@ -362,9 +352,11 @@ def _midpoints(verts: np.ndarray, pairs: np.ndarray):
     """Append the projected midpoints of the vertex pairs (..., 2), one per
     distinct edge numbered by first appearance; returns the extended
     vertices and the new vertex number of every pair."""
-    edges, first, inv = _unique_rows(np.sort(pairs, axis=-1).reshape(-1, 2))
+    rows = np.sort(pairs, axis=-1).reshape(-1, 2)
+    first, inv = _unique_keys(_packed_keys(lambda j: rows[:, j], 2, len(verts)))
     order = np.argsort(first)
-    mid = verts[edges[order, 0]] + verts[edges[order, 1]]
+    edges = rows[first[order]]
+    mid = verts[edges[:, 0]] + verts[edges[:, 1]]
     mid = mid / _row_norms(mid)[:, None]
     return (np.vstack([verts, mid]),
             len(verts) + np.argsort(order)[inv.reshape(pairs.shape[:-1])])

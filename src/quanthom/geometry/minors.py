@@ -10,9 +10,11 @@ faster than LU on large batches of tiny matrices, and falls back to
 np.linalg.det only for larger ones; `det_rows` does the same from a list
 of row arrays, so rows picked out of a larger array need no copy.
 
-The short-axis reductions `row_sum`, `row_norm` and `cross3` work the
-same way, one column at a time: numpy's reduce over a last axis of a few
-entries costs several times the column additions with the same bits.
+The short-axis reductions `row_sum`, `row_norm`, `cross3` and
+`pair_sq_dist` work the same way, one column at a time: numpy's reduce
+over a last axis of a few entries costs several times the column
+additions with the same bits.  `pair_sq_dist` gives the squared
+distances of the BMO cap statistics and of the Gauss linking blocks.
 """
 
 from __future__ import annotations
@@ -77,6 +79,21 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
                      a0 * b1 - a1 * b0], axis=-1)
+
+
+def pair_sq_dist(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """|a_i - b_j|^2 for the rows of a (..., r, K) and b (..., n, K), into
+    `out` (..., r, n), with `tmp` of the same shape as scratch.  The
+    squared coordinate differences are added from the left, the first
+    written and the rest added, so np.sqrt of it is
+    np.linalg.norm(a_i - b_j) bit for bit for K < 8."""
+    np.subtract(a[..., :, None, 0], b[..., None, :, 0], out=out)
+    np.square(out, out=out)
+    for k in range(1, a.shape[-1]):
+        np.subtract(a[..., :, None, k], b[..., None, :, k], out=tmp)
+        out += np.square(tmp, out=tmp)
+    return out
 
 
 def minors(a: np.ndarray, k: int) -> np.ndarray:

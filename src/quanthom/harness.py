@@ -169,11 +169,11 @@ class ExperimentConfig:
     sweep_values: list
     betas: list                    # Fractions
     levels: list                   # mesh levels, ascending
-    seminorm: str = "sobolev"
-    samples: int = 200_000
-    seed: int = 0
-    allow_beta_below_threshold: bool = False
-    outputs: dict = field(default_factory=dict)
+    seminorm: str                  # "sobolev" | "holder"
+    samples: int
+    seed: int
+    allow_beta_below_threshold: bool
+    outputs: dict                  # report format -> path
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -288,15 +288,11 @@ class ExperimentConfig:
                 f"them as informational rows")
 
     def echo(self) -> dict:
-        return {
-            "kind": self.kind, "structure": self.structure,
-            "map": self.map_template, "sweep_name": self.sweep_name,
-            "sweep_values": list(self.sweep_values),
-            "beta": [str(b) for b in self.betas],
-            "levels": list(self.levels), "seminorm": self.seminorm,
-            "samples": self.samples, "seed": self.seed,
-            "allow_beta_below_threshold": self.allow_beta_below_threshold,
-        }
+        """The fields but outputs, with map_template as map and betas as
+        beta, in strings."""
+        return {{"map_template": "map", "betas": "beta"}.get(key, key):
+                [str(b) for b in value] if key == "betas" else value
+                for key, value in asdict(self).items() if key != "outputs"}
 
 
 # ----------------------------------------------------------------------

@@ -345,7 +345,8 @@ def d_inverse(eta: Cochain) -> tuple:
         raise ValueError(f"input not finite: {bad} of {len(eta.values)} "
                          f"values are NaN or infinite")
     op = hodge_operator(mesh, k)
-    nrm = op.norm(eta)
+    m_eta = op.mass_k @ eta.values        # op.norm(eta), with M_k eta kept
+    nrm = float(np.sqrt(max(eta.values @ m_eta, 0.0)))
     if nrm <= np.finfo(float).eps * np.sqrt(mesh.top_volumes.sum()):
         return Cochain.zeros(mesh, k - 1), {
             "iterations": 0, "residual": 0.0, "gauge_iterations": 0,
@@ -355,7 +356,7 @@ def d_inverse(eta: Cochain) -> tuple:
         raise ValueError(
             f"input not closed: relative defect {defect:.3e} > {CLOSED_TOL:.1e}")
     K, Z, G = op.curl, op.gauge_basis, op.gauge
-    b = op.coboundary.T @ (op.mass_k @ eta.values)
+    b = op.coboundary.T @ m_eta
     maxiter = max(2000, 40 * int(np.sqrt(K.shape[0])))
     sigma, its = _jacobi_cg(K, b, CURL_TOL, maxiter=maxiter)
     m_sigma = _mass_product(mesh, k - 1, sigma)

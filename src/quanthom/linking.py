@@ -23,10 +23,10 @@ start and each cycle goes round its fiber once.  One more batched call
 projects the points of the coarse chords onto the fibers.  The Gauss
 double integral runs in a stereographic chart with numerator
 (x - y).(dx x dy) = (x x dx).dy + dx.(y x dy), two matmuls per block of
-_GAUSS_ROWS = 128 rows.  The blocks run on every core
-(geometry.mesh.map_tasks), each worker in its own three buffers, and
-their partial sums are added in block order, so the integral is the
-same bits at any core count.
+_GAUSS_ROWS = 128 rows, and |x - y|^2 from minors.pair_sq_dist.  The
+blocks run on every core (geometry.mesh.map_tasks), each worker in its
+own three buffers, and their partial sums are added in block order, so
+the integral is the same bits at any core count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry.mesh import map_tasks, workers
-from .geometry.minors import cross3, row_norm, row_sum
+from .geometry.minors import cross3, pair_sq_dist, row_norm, row_sum
 
 _COARSE = 2          # coarse trace step over output spacing
 _GAUSS_ROWS = 128    # rows per block of the Gauss double sum
@@ -243,11 +243,7 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
         num, tmp, d2 = buffers[j % w, :, :min(_GAUSS_ROWS, len(x) - i)]
         np.matmul(xdx[rows], dy.T, out=num)
         np.add(num, np.matmul(dx[rows], ydy.T, out=tmp), out=num)
-        np.square(np.subtract(x[rows, 0, None], y[None, :, 0], out=d2), out=d2)
-        for k in (1, 2):
-            np.square(np.subtract(x[rows, k, None], y[None, :, k], out=tmp),
-                      out=tmp)
-            np.add(d2, tmp, out=d2)
+        pair_sq_dist(x[rows], y, d2, tmp)
         np.multiply(d2, np.sqrt(d2, out=tmp), out=tmp)
         return float(np.divide(num, tmp, out=num).sum())
 

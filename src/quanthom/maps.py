@@ -80,7 +80,8 @@ def project_to_target(points: np.ndarray, target: Target) -> np.ndarray:
 
 class SmoothMap:
     """Analytic map from S^N into a target manifold, given by its value
-    and its jet X -> (f(X), Df(X)) on batches of points."""
+    and its jet X -> (f(X), Df(X)) on batches of points; both refuse
+    points of another width than N+1 with a ValueError."""
 
     def __init__(self, domain_dim: int, target: Target, value, jet,
                  name: str = ""):
@@ -90,12 +91,20 @@ class SmoothMap:
         self._jet = jet
         self.name = name
 
+    def _points(self, X) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[-1] != self.domain_dim + 1:
+            raise ValueError(f"points of {X.shape[-1]} coordinates given to "
+                             f"a map on S^{self.domain_dim}, which takes "
+                             f"{self.domain_dim + 1}")
+        return X
+
     def value(self, X: np.ndarray) -> np.ndarray:
-        return self._value(np.atleast_2d(np.asarray(X, dtype=float)))
+        return self._value(self._points(X))
 
     def jet(self, X: np.ndarray) -> tuple:
         """(f(X), Df(X)) from one pass over the points."""
-        return self._jet(np.atleast_2d(np.asarray(X, dtype=float)))
+        return self._jet(self._points(X))
 
     def jacobian(self, X: np.ndarray) -> np.ndarray:
         return self.jet(X)[1]

@@ -25,10 +25,10 @@ caps are prepared in one batch (each cap's directions and its angles'
 uniforms drawn from its own stream, the angles of all caps in one
 closed-form transform on S^1 and S^2 and per cap on S^3, then the cap
 points and one f.value call over all caps), and the pair distances run
-on every core in tasks of _BMO_CAPS caps, each batched over its caps in
-two buffers of its worker, with the caps' U-statistics, row means and
-standard errors in three reductions per task and the best cap taken in
-cap order.
+on every core in tasks of _BMO_CAPS caps, each batched over its caps
+through minors.pair_sq_dist in two buffers of its worker, with the
+caps' U-statistics, row means and standard errors in three reductions
+per task and the best cap taken in cap order.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum (per cap for BMO) from the master seed, so results are
@@ -48,7 +48,7 @@ import numpy as np
 from .geometry.forms import sphere_quadrature
 from .geometry.mesh import (SPHERE_VOLUMES, build_sphere_mesh, map_tasks,
                             workers)
-from .geometry.minors import row_norm, row_sum
+from .geometry.minors import pair_sq_dist, row_norm, row_sum
 from .geometry.quadrature import gauss_jacobi
 from .maps import SmoothMap, distance_to_target
 
@@ -119,12 +119,6 @@ def _sin_mass(N: int, a):
     for k in range(8, 0, -1):    # x^3/6 (1 - x^2/20 (1 - x^2/42 (...)))
         s = 1.0 - x * x / ((2 * k + 2) * (2 * k + 3)) * s
     return np.where(x < 1.0, x ** 3 / 24.0 * s, 0.25 * (x - np.sin(x)))
-
-
-def _sample_angle(rng, n: int, N: int, psi_lo: float, psi_hi: float) -> np.ndarray:
-    """Geodesic angles distributed like sin^{N-1} on [psi_lo, psi_hi]:
-    _sin_mass inverted at uniform targets."""
-    return _inverse_sin_mass(N, psi_lo, psi_hi, rng.random(n))
 
 
 def _inverse_sin_mass(N: int, psi_lo, psi_hi, u: np.ndarray) -> np.ndarray:
@@ -241,7 +235,7 @@ def _sobolev_mc(f, beta, p, samples, seed):
         rng = _rng(seed, k)
         X = _uniform_sphere(rng, n_per, amb)
         U = _orthogonal_directions(rng, X)
-        psi = _sample_angle(rng, n_per, N, lo, hi)
+        psi = _inverse_sin_mass(N, lo, hi, rng.random(n_per))
         Y = np.cos(psi)[:, None] * X + np.sin(psi)[:, None] * U
         chord = 2.0 * np.sin(psi / 2.0)
         g = row_norm(f.value(X) - f.value(Y)) ** p / chord ** expo
@@ -534,18 +528,10 @@ def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
 
     def cap_statistics(j):
         caps = vals[starts[j]:starts[j] + _BMO_CAPS]
-        sq, d = buffers[j % w, :, :len(caps)]
-        # |f(x_i) - f(x_j)| per cap, its squared target coordinates
-        # summed in the order of a norm over the last axis
-        for k in range(caps.shape[2]):
-            col = caps[:, :, k]
-            np.subtract(col[:, :, None], col[:, None, :], out=d)
-            if k:
-                np.add(sq, np.multiply(d, d, out=d), out=sq)
-            else:
-                np.multiply(d, d, out=sq)
-        # per cap: the U-statistic, and the standard error from its row means
-        diff = np.sqrt(sq, out=sq)
+        sq, tmp = buffers[j % w, :, :len(caps)]
+        # |f(x_i) - f(x_j)| per cap; per cap the U-statistic, and the
+        # standard error from its row means
+        diff = np.sqrt(pair_sq_dist(caps, caps, sq, tmp), out=sq)
         row_means = diff.sum(axis=2) / (m - 1)
         return zip((diff.sum(axis=(1, 2)) / (m * (m - 1))).tolist(),
                    (2.0 * row_means.std(axis=1, ddof=1) / math.sqrt(m)).tolist())
@@ -569,9 +555,14 @@ def poisson_extension_distance(f: SmoothMap, probes: np.ndarray,
 
     F(x) = c int f(theta) (1-|x|^2)/|x-theta|^{N+1} dtheta evaluated by
     surface quadrature with the kernel self-normalized, so constants are
-    reproduced exactly.  Returns [(probe, distance), ...].
+    reproduced exactly.  Returns [(probe, distance), ...].  Raises
+    ValueError on a mesh of another sphere than f's domain S^N and on
+    probes outside R^{N+1}.
     """
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    if mesh.dim != f.domain_dim or probes.shape[1] != f.domain_dim + 1:
+        raise ValueError(f"probes in R^{probes.shape[1]} and a mesh of "
+                         f"S^{mesh.dim} for a map on S^{f.domain_dim}")
     if np.any(row_norm(probes) >= 1.0):
         raise ValueError("probe points must lie inside the open unit ball")
     pts, wts = sphere_quadrature(mesh)

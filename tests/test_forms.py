@@ -8,7 +8,7 @@ from quanthom.geometry import (Cochain, FormField, SimplicialSphere,
                                exterior_derivative, integrate_wedge,
                                sphere_quadrature)
 from quanthom.geometry.forms import (WEDGE_DEGREE, _nodes_and_frames,
-                                     _whitney_coefficients, _whitney_edge_tensor)
+                                     _whitney_edge_tensor)
 from quanthom.geometry.quadrature import simplex_rule
 from quanthom.maps import S2 as S2_target
 from quanthom.maps import volume_form
@@ -110,8 +110,10 @@ class TestDeRhamProjection:
 def whitney_on_edges(c):
     """The Whitney form of c at the wedge nodes of every top, on the
     k-subsets of the top's edge vectors: (tops, nodes, subsets)."""
-    W = _whitney_edge_tensor(c.mesh.dim, c.degree, WEDGE_DEGREE)
-    vals = _whitney_coefficients(c, slice(None)) @ W.reshape(len(W), -1)
+    mesh, k = c.mesh, c.degree
+    W = _whitney_edge_tensor(mesh.dim, k, WEDGE_DEGREE)
+    coef = c.values[mesh.top_faces[k]] * mesh.top_face_parity[k]
+    vals = coef @ W.reshape(len(W), -1)
     return vals.reshape(-1, *W.shape[1:])
 
 

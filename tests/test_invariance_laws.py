@@ -100,16 +100,23 @@ def test_hopf_scales_by_degree_squared(d):
 
 
 @settings(max_examples=20, deadline=None)
+# a degree-0 pair whose composition reads 1.11e-10, 1.09e-10, 8.3e-11,
+# 3.5e-11 and -4.5e-13 at levels 2-6: converging to 0, but at level 4
+# above both level differences (2.6e-11 at most)
+@example(g=(parse_map_spec("perturb:eps=0.125,m=1|suspension:d=0"), 0),
+         f=(parse_map_spec("perturb:eps=0.015625,m=1|suspension:d=0"), 0))
 @given(g=s2_trees(2), f=s2_trees(2))
 def test_degree_multiplies_over_map_trees(g, f):
     # a perturbed or folded tree converges unevenly, so the error bar is
-    # the larger of the last two level differences; over 300 random trees
-    # the level-4 error was at most 0.18 of it
+    # the larger of the last two level differences, with a floor of 1e-9
+    # (the benchmark's integrality floor; no deviation below it moves the
+    # nearest integer).  A run over 300 random trees reached 0.18 of the
+    # bar; without the floor the example reaches 3.2 of it
     (g, dg), (f, df) = g, f
     h = make_map_composition(g, f)
     v2, v3, v4 = (mapping_degree(h, cached_mesh(2, level)).value
                   for level in (2, 3, 4))
-    assert abs(v4 - dg * df) <= max(abs(v4 - v3), abs(v3 - v2), 1e-12)
+    assert abs(v4 - dg * df) <= max(abs(v4 - v3), abs(v3 - v2), 1e-9)
 
 
 @settings(max_examples=8, deadline=None)

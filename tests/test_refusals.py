@@ -18,6 +18,7 @@ from quanthom.invariants import (DegreeStructure, Term, check_evaluable,
                                  hopf_structure, mapping_degree)
 from quanthom.linking import gauss_linking_oracle
 from quanthom.maps import parse_map_spec
+from quanthom.seminorms import poisson_extension_distance
 
 from conftest import cached_mesh
 
@@ -58,6 +59,27 @@ REFUSALS = {
         lambda: integrate_wedge([Cochain.zeros(cached_mesh(2, 1), 2)],
                                 cached_mesh(2, 0)),
         ValueError, "cochain belongs to a different mesh"),
+    "suspension-value-of-r4-points": (
+        lambda: parse_map_spec("suspension:d=2").value(np.full((1, 4), 0.5)),
+        ValueError, "points of 4 coordinates given to a map on S^2, which "
+                    "takes 3"),
+    "circle-power-jet-of-r3-points": (
+        lambda: parse_map_spec("circle-power:d=2").jet(np.ones((2, 3))),
+        ValueError, "points of 3 coordinates given to a map on S^1, which "
+                    "takes 2"),
+    "poisson-probe-on-another-sphere": (
+        lambda: poisson_extension_distance(parse_map_spec("suspension:d=2"),
+                                           np.full((1, 4), 0.25),
+                                           cached_mesh(3, 0)),
+        ValueError, "probes in R^4 and a mesh of S^3 for a map on S^2"),
+    "poisson-probe-in-r4-on-s2": (
+        lambda: poisson_extension_distance(parse_map_spec("suspension:d=2"),
+                                           np.full((1, 4), 0.25),
+                                           cached_mesh(2, 0)),
+        ValueError, "probes in R^4 and a mesh of S^2 for a map on S^2"),
+    "cochain-degree-5-on-s3": (
+        lambda: Cochain(cached_mesh(3, 0), 5, np.zeros(1)),
+        ValueError, "cochain degree 5 on S^3: degrees run 0..3"),
     "linking-oracle-on-s2": (
         lambda: gauss_linking_oracle(parse_map_spec("suspension:d=1"),
                                      NORTH, -NORTH),

@@ -1,5 +1,6 @@
-"""The short-axis reductions of geometry.minors have numpy's bits, and the
-package takes its row norms only through them."""
+"""The short-axis reductions of geometry.minors, pair_sq_dist among them,
+have numpy's bits, and the package takes its row norms only through
+them."""
 
 import ast
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quanthom.geometry.minors import cross3, row_norm, row_sum
+from quanthom.geometry.minors import cross3, pair_sq_dist, row_norm, row_sum
 
 from helpers import node_lines, package_hits
 
@@ -50,6 +51,35 @@ def test_row_sum_and_row_norm_are_numpys(xs):
 def test_cross3_is_numpys(ab):
     a, b = ab
     assert same_bits(cross3(a, b), np.cross(a, b))
+
+
+@st.composite
+def point_sets(draw):
+    """a (..., r, K) and b (..., n, K), 0-1 leading axes of one length and
+    K = 1-7: each C-contiguous, or a view taking every second entry of
+    some axes of a larger array."""
+    lead = draw(st.lists(st.integers(1, 3), max_size=1))
+    K = draw(st.integers(1, 7))
+    sets = []
+    for _ in range(2):
+        shape = [*lead, draw(st.integers(1, 5)), K]
+        steps = draw(st.lists(st.sampled_from([1, 2]), min_size=len(shape),
+                              max_size=len(shape)))
+        view = tuple(slice(None, None, s) for s in steps)
+        sets.append(draw(arrays(np.float64,
+                                [n * s for n, s in zip(shape, steps)],
+                                elements=entries))[view])
+    return sets
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_pair_sq_dist_is_the_square_of_numpys_norm(ab):
+    a, b = ab
+    out, tmp = np.empty((2, *a.shape[:-1], b.shape[-2]))
+    assert pair_sq_dist(a, b, out, tmp) is out
+    assert same_bits(np.sqrt(out), np.linalg.norm(
+        a[..., :, None, :] - b[..., None, :, :], axis=-1))
 
 
 def test_row_sum_of_negative_zeros_is_positive_zero():

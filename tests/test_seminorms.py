@@ -16,9 +16,9 @@ from quanthom.maps import (SmoothMap, compose_with_isometry,
                            make_antipodal, make_circle_power, make_constant,
                            make_hopf, make_oscillation_perturbation,
                            make_sphere_suspension, parse_map_spec)
-from quanthom.seminorms import (_REFINE_ITERS, _moment_rules, _rng,
-                                _sample_angle, _sobolev_mc, bmo_seminorm,
-                                holder_seminorm,
+from quanthom.seminorms import (_REFINE_ITERS, _inverse_sin_mass,
+                                _moment_rules, _rng, _sobolev_mc,
+                                bmo_seminorm, holder_seminorm,
                                 poisson_extension_distance, random_rotation,
                                 sobolev_seminorm)
 
@@ -243,8 +243,8 @@ class TestSobolev:
         # shell k of the chord strata, [2 asin 2^-k-1, 2 asin 2^-k]
         lo, hi = 2.0 * np.arcsin(2.0 ** -(k + 1.0)), 2.0 * np.arcsin(2.0 ** -k)
         n = 20_000
-        psi = _sample_angle(_rng(5, k), n, N, lo, hi)
-        u = _rng(5, k).random(n)              # the sampler's own draws
+        u = _rng(5, k).random(n)
+        psi = _inverse_sin_mass(N, lo, hi, u)
         m_lo, m_hi = sin_mass(N, lo), sin_mass(N, hi)
         target = m_lo + u * (m_hi - m_lo)
         assert np.all((lo <= psi) & (psi <= hi))
