@@ -108,6 +108,17 @@ def _threshold_row(entry) -> dict:
     }
 
 
+def _parsed(flag: str, parse, text: str):
+    """parse(text), or a ValueError naming the flag."""
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        why = f"{text!r} has a zero denominator"
+    except ValueError:
+        why = f"invalid {parse.__name__} value: {text!r}"
+    raise ValueError(f"argument {flag}: {why}")
+
+
 def _cmd_thresholds(args) -> int:
     # a flag the chosen mode would not read is an error, not ignored
     if args.M0 is None and args.Mi is not None:
@@ -116,13 +127,8 @@ def _cmd_thresholds(args) -> int:
         raise ValueError("argument --beta: not allowed with --M0; the "
                          "exponent is printed as a function of beta")
     if args.M0 is not None:
-        Ms = []
-        for item in filter(str.strip, (args.Mi or "").split(",")):
-            try:
-                Ms.append(int(item))
-            except ValueError:
-                raise ValueError(f"argument --Mi: invalid int value: "
-                                 f"{item!r}") from None
+        Ms = [_parsed("--Mi", int, item)
+              for item in filter(str.strip, (args.Mi or "").split(","))]
         b0, astar = beta0(args.M0, Ms)
         N = args.M0 + sum(Ms) - len(Ms)    # degree sum rule: sum M_i = N + L
         out = {"M0": args.M0, "Mi": Ms, "beta0": str(b0),
@@ -138,7 +144,7 @@ def _cmd_thresholds(args) -> int:
                else list(catalogue().values()))
     rows = [_threshold_row(e) for e in entries]
     if args.beta:
-        b = Fraction(args.beta)
+        b = _parsed("--beta", Fraction, args.beta)
         for row, e in zip(rows, entries):
             row["exponent_at_beta"] = str(e.report.exponent(b))
     if args.json:

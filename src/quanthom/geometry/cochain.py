@@ -27,7 +27,8 @@ class Cochain:
 
     @classmethod
     def zeros(cls, mesh, degree: int) -> "Cochain":
-        return cls(mesh, degree, np.zeros(mesh.n_simplices(degree)))
+        """The zero cochain; the constructor refuses a degree off 0..N."""
+        return cls(mesh, degree, np.zeros(len(mesh.simplices.get(degree, ()))))
 
     def d(self) -> "Cochain":
         return exterior_derivative(self)

@@ -60,11 +60,10 @@ SPHERE_VOLUMES = {0: 2.0, 1: 2.0 * np.pi, 2: 4.0 * np.pi, 3: 2.0 * np.pi ** 2}
 BLOCK = 1024
 
 
-def blocks(n: int):
-    """Consecutive row slices of at most BLOCK rows covering range(n),
+def blocks(n: int, size: int) -> list:
+    """Consecutive row slices of at most `size` rows covering range(n),
     in ascending order, so block partial sums are added in a fixed order."""
-    for lo in range(0, n, BLOCK):
-        yield slice(lo, min(lo + BLOCK, n))
+    return [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _cores() -> int:
@@ -115,10 +114,19 @@ def map_tasks(fn, tasks) -> list:
         return run(fn, tasks)
 
 
+def map_scratch(fn, tasks, shape) -> list:
+    """[fn(task, scratch) for task in tasks] by map_tasks, scratch a float
+    array of `shape` that one worker's tasks share and no other task does,
+    made on the calling thread so that no helper thread's arena keeps it."""
+    w = workers(len(tasks))
+    scratch = np.empty((w, *shape))
+    return map_tasks(lambda i: fn(tasks[i], scratch[i % w]), range(len(tasks)))
+
+
 def map_blocks(fn, n: int) -> list:
-    """[fn(rows) for rows in blocks(n)], computed on every core by
+    """[fn(rows) for rows in blocks(n, BLOCK)], computed on every core by
     map_tasks, in block order."""
-    return map_tasks(fn, list(blocks(n)))
+    return map_tasks(fn, blocks(n, BLOCK))
 
 
 def permutation_sign(rows) -> np.ndarray:

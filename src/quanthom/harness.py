@@ -496,18 +496,14 @@ class BmoBlock:
     passed: bool = False
 
 
-def _probe_points(N: int, seed: int) -> np.ndarray:
-    dirs = _uniform_sphere(_rng(seed, 4242), 4, N + 1)
-    return np.concatenate([r * dirs for r in (0.3, 0.6, 0.85)], axis=0)
-
-
 def run_bmo_probe(config: ExperimentConfig) -> Report:
     """Small-BMO probe: oscillation, extension distance, and invariant
     along a perturbation sweep."""
     structure = lookup(config.structure).structure
     N = structure.domain_dim
     mesh = build_sphere_mesh(N, config.levels[-1])
-    probes = _probe_points(N, config.seed)
+    dirs = _uniform_sphere(_rng(config.seed, 4242), 4, N + 1)
+    probes = np.concatenate([r * dirs for r in (0.3, 0.6, 0.85)], axis=0)
 
     def evaluate(i, spec, f):
         est = bmo_seminorm(f, seed=config.seed + 1000 * i,

@@ -24,9 +24,9 @@ projects the points of the coarse chords onto the fibers.  The Gauss
 double integral runs in a stereographic chart with numerator
 (x - y).(dx x dy) = (x x dx).dy + dx.(y x dy), two matmuls per block of
 _GAUSS_ROWS = 128 rows, and |x - y|^2 from minors.pair_sq_dist.  The
-blocks run on every core (geometry.mesh.map_tasks), each worker in its
-own three buffers, and their partial sums are added in block order, so
-the integral is the same bits at any core count.
+blocks run on every core, each in three buffers of its worker
+(geometry.mesh.map_scratch), and their partial sums are added in block
+order, so the integral is the same bits at any core count.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry.mesh import map_tasks, workers
+from .geometry.mesh import blocks, map_scratch
 from .geometry.minors import cross3, pair_sq_dist, row_norm, row_sum
 
 _COARSE = 2          # coarse trace step over output spacing
@@ -231,16 +231,9 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
     x, y = c1 + 0.5 * dx, c2 + 0.5 * dy
     xdx, ydy = cross3(x, dx), cross3(y, dy)
 
-    starts = range(0, len(x), _GAUSS_ROWS)
-    # three buffers per worker, made here: block j runs on worker
-    # j mod w (map_tasks) and writes each temporary in place in its set
-    w = workers(len(starts))
-    buffers = np.empty((w, 3, min(_GAUSS_ROWS, len(x)), len(y)))
-
-    def block(j):
-        i = starts[j]
-        rows = slice(i, i + _GAUSS_ROWS)
-        num, tmp, d2 = buffers[j % w, :, :min(_GAUSS_ROWS, len(x) - i)]
+    # every temporary in place in the three buffers of the block's worker
+    def block(rows, buffers):
+        num, tmp, d2 = buffers[:, :rows.stop - rows.start]
         np.matmul(xdx[rows], dy.T, out=num)
         np.add(num, np.matmul(dx[rows], ydy.T, out=tmp), out=num)
         pair_sq_dist(x[rows], y, d2, tmp)
@@ -248,7 +241,8 @@ def gauss_linking_integral(c1: np.ndarray, c2: np.ndarray) -> float:
         return float(np.divide(num, tmp, out=num).sum())
 
     total = 0.0
-    for part in map_tasks(block, range(len(starts))):
+    for part in map_scratch(block, blocks(len(x), _GAUSS_ROWS),
+                            (3, min(_GAUSS_ROWS, len(x)), len(y))):
         total += part
     return total / (4.0 * np.pi)
 

@@ -26,9 +26,10 @@ uniforms drawn from its own stream, the angles of all caps in one
 closed-form transform on S^1 and S^2 and per cap on S^3, then the cap
 points and one f.value call over all caps), and the pair distances run
 on every core in tasks of _BMO_CAPS caps, each batched over its caps
-through minors.pair_sq_dist in two buffers of its worker, with the
-caps' U-statistics, row means and standard errors in three reductions
-per task and the best cap taken in cap order.
+through minors.pair_sq_dist in two buffers of its worker (mesh.map_scratch),
+with the caps' U-statistics, row means and standard errors in three
+reductions per task and the best cap taken in cap order.  The cap
+points, the strata and the Hoelder shell pairs share one great-circle step.
 
 All Monte Carlo draws use counter-based Philox streams spawned per
 stratum (per cap for BMO) from the master seed, so results are
@@ -46,8 +47,8 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry.forms import sphere_quadrature
-from .geometry.mesh import (SPHERE_VOLUMES, build_sphere_mesh, map_tasks,
-                            workers)
+from .geometry.mesh import (SPHERE_VOLUMES, blocks, build_sphere_mesh,
+                            map_scratch, map_tasks)
 from .geometry.minors import pair_sq_dist, row_norm, row_sum
 from .geometry.quadrature import gauss_jacobi
 from .maps import SmoothMap, distance_to_target
@@ -98,10 +99,14 @@ def _uniform_sphere(rng, n: int, dim_ambient: int) -> np.ndarray:
     return X / row_norm(X)[:, None]
 
 
-def _orthogonal_directions(rng, X: np.ndarray) -> np.ndarray:
-    U = rng.standard_normal(X.shape)
-    U -= row_sum(U * X)[:, None] * X
-    return U / row_norm(U)[:, None]
+def _tilt(X: np.ndarray, U: np.ndarray, psi) -> np.ndarray:
+    """cos psi X + sin psi U, written into U once it is made a unit tangent
+    at the unit rows X (broadcast against U); psi has U's leading shape."""
+    U -= row_sum(U * X)[..., None] * X
+    U /= row_norm(U)[..., None]
+    U *= np.sin(psi)[..., None]
+    U += np.cos(psi)[..., None] * X
+    return U
 
 
 _NEWTON_STEPS = 8            # cap of the S^3 angle sampler
@@ -234,9 +239,9 @@ def _sobolev_mc(f, beta, p, samples, seed):
         hi, lo = psi_edges[k], psi_edges[k + 1]
         rng = _rng(seed, k)
         X = _uniform_sphere(rng, n_per, amb)
-        U = _orthogonal_directions(rng, X)
+        U = rng.standard_normal(X.shape)
         psi = _inverse_sin_mass(N, lo, hi, rng.random(n_per))
-        Y = np.cos(psi)[:, None] * X + np.sin(psi)[:, None] * U
+        Y = _tilt(X, U, psi)
         chord = 2.0 * np.sin(psi / 2.0)
         g = row_norm(f.value(X) - f.value(Y)) ** p / chord ** expo
         vol = SPHERE_VOLUMES[N] * SPHERE_VOLUMES[N - 1] * float(
@@ -244,13 +249,11 @@ def _sobolev_mc(f, beta, p, samples, seed):
         return vol * float(g.mean()), (vol ** 2) * float(g.var(ddof=1)) / n_per
 
     X, _, wx, _ = _moment_rules(N)       # built before any task runs
-    rows = [slice(lo, lo + _MOMENT_ROWS)
-            for lo in range(0, len(X), _MOMENT_ROWS)]
 
     def task(k):
         return stratum(k) if isinstance(k, int) else _moment_rows(f, p, k)
 
-    parts = map_tasks(task, [*range(_STRATA), *rows])
+    parts = map_tasks(task, [*range(_STRATA), *blocks(len(X), _MOMENT_ROWS)])
     total, var = 0.0, 0.0
     for part, part_var in parts[:_STRATA]:
         total += part
@@ -440,10 +443,10 @@ def holder_seminorm(f: SmoothMap, beta: float, samples: int = 20_000,
     Y1 = _uniform_sphere(rng, half, amb)
     # shell pairs seek the near-diagonal sup relevant for beta near 1
     X2 = _uniform_sphere(rng, samples - half, amb)
-    U = _orthogonal_directions(rng, X2)
+    U = rng.standard_normal(X2.shape)
     scale = 2.0 ** -rng.integers(0, 24, size=samples - half)
     psi = scale * rng.random(samples - half) * np.pi
-    Y2 = np.cos(psi)[:, None] * X2 + np.sin(psi)[:, None] * U
+    Y2 = _tilt(X2, U, psi)
     X = np.vstack([X1, X2])
     Y = np.vstack([Y1, Y2])
     ratios, rows = _holder_ratio(f, X, Y, beta)
@@ -496,14 +499,9 @@ def _bmo_cap_values(f: SmoothMap, centers: int, m: int,
     hi = np.tile(_BMO_ANGLES, centers)[:, None]
     psi = (_inverse_sin_mass(N, 0.0, hi, u) if N < 3 else np.array(
         [_inverse_sin_mass(N, 0.0, h, row) for h, row in zip(hi[:, 0], u)]))
-    psi = psi[:, :, None]
     # then the cap points and f.value once over all caps
     X = np.repeat(ctrs, len(_BMO_ANGLES), axis=0)[:, None, :]
-    U -= row_sum(U * X)[:, :, None] * X
-    U /= row_norm(U)[:, :, None]
-    U *= np.sin(psi)
-    U += np.cos(psi) * X
-    return f.value(U.reshape(-1, amb)).reshape(len(U), m, -1)
+    return f.value(_tilt(X, U, psi).reshape(-1, amb)).reshape(len(U), m, -1)
 
 
 def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
@@ -520,15 +518,10 @@ def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
     centers = _count("centers", centers, 1)
     m = _count("cap_samples", cap_samples, 2)
     vals = _bmo_cap_values(f, centers, m, seed)
-    # tasks of _BMO_CAPS caps on every core; task j works in the two
-    # (caps, m, m) buffers of worker j mod w (map_tasks), made here
-    starts = range(0, len(vals), _BMO_CAPS)
-    w = workers(len(starts))
-    buffers = np.empty((w, 2, min(_BMO_CAPS, len(vals)), m, m))
 
-    def cap_statistics(j):
-        caps = vals[starts[j]:starts[j] + _BMO_CAPS]
-        sq, tmp = buffers[j % w, :, :len(caps)]
+    def cap_statistics(rows, buffers):
+        caps = vals[rows]
+        sq, tmp = buffers[:, :len(caps)]       # its worker's two buffers
         # |f(x_i) - f(x_j)| per cap; per cap the U-statistic, and the
         # standard error from its row means
         diff = np.sqrt(pair_sq_dist(caps, caps, sq, tmp), out=sq)
@@ -537,7 +530,8 @@ def bmo_seminorm(f: SmoothMap, centers: int = 64, cap_samples: int = 128,
                    (2.0 * row_means.std(axis=1, ddof=1) / math.sqrt(m)).tolist())
 
     best, best_se = 0.0, 0.0
-    for part in map_tasks(cap_statistics, range(len(starts))):
+    for part in map_scratch(cap_statistics, blocks(len(vals), _BMO_CAPS),
+                            (2, min(_BMO_CAPS, len(vals)), m, m)):
         for u_stat, se in part:
             if u_stat > best:
                 best, best_se = u_stat, se

@@ -7,13 +7,15 @@ geometry.mesh.blocks, through geometry.mesh.map_blocks.  A block size of
 it must give the one-block result up to round-off, and the default size
 the same bits every run.  One and two workers must give the same bits,
 as must the Sobolev strata, the Gauss row blocks and the BMO cap tasks,
-which run through geometry.mesh.map_tasks, and the CG solves, whose
+which run through geometry.mesh.map_tasks (the last two with per-worker
+scratch from geometry.mesh.map_scratch), and the CG solves, whose
 matvec row ranges run in one geometry.mesh.task_pool per solve.
 """
 
 import ast
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -388,6 +390,43 @@ def test_map_tasks_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_map_scratch_deals_one_array_per_worker(monkeypatch):
+    # seven tasks on two workers: each task fills its scratch with its own
+    # number and finds it unchanged after a pause, so no two tasks that
+    # run at once share an array
+    made = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape):
+            made.append((np.empty(shape), threading.get_ident()))
+            return made[-1][0]
+
+    monkeypatch.setattr(mesh_module, "np", RecordingNumpy())
+
+    def fn(task, scratch):
+        scratch.fill(task)
+        time.sleep(0.01)
+        assert (scratch == task).all()
+        return task, scratch.shape, scratch.__array_interface__["data"][0], \
+            threading.get_ident()
+
+    got = at_workers(monkeypatch, 2, lambda: mesh_module.map_scratch(
+        fn, list(range(7)), (3, 5)))
+    assert [g[:2] for g in got] == [(i, (3, 5)) for i in range(7)]
+    # one array of both workers' scratch, made on the calling thread
+    (whole, thread), = made
+    assert whole.shape == (2, 3, 5) and thread == threading.get_ident()
+    starts = {whole[i].__array_interface__["data"][0] for i in range(2)}
+    per_thread = {}
+    for _, _, start, ident in got:
+        per_thread.setdefault(ident, set()).add(start)
+    assert len(per_thread) == 2
+    assert sorted(per_thread.values(), key=min) == [{s} for s in sorted(starts)]
+
+
 def test_task_pool_runs_many_calls_on_one_pool(monkeypatch):
     with at_workers(monkeypatch, 2, lambda: mesh_module.task_pool(3)) as run:
         first = run(lambda t: (t, threading.get_ident()), [0, 1, 2])
@@ -473,3 +512,36 @@ def test_thread_check_finds_a_use(tmp_path):
                      "pool = f.ThreadPoolExecutor(2)\n"
                      "x = np.threading\n")
     assert node_lines(probe, names_threads) == [2, 3, 4, 5, 6]
+
+
+# ----------------------------------------------------------------------
+# one place that knows which worker runs which task: geometry/mesh.py
+# ----------------------------------------------------------------------
+
+def names_workers(node) -> bool:
+    """Whether `node` calls or imports geometry.mesh.workers."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else
+                getattr(func, "attr", None)) == "workers"
+    return isinstance(node, ast.ImportFrom) and any(
+        a.name == "workers" for a in node.names)
+
+
+def test_workers_only_in_geometry_mesh_and_the_cg():
+    # per-worker scratch comes from map_scratch; hodge sizes its CG row
+    # ranges by the worker count
+    found = package_hits(names_workers,
+                         skip={"geometry/mesh.py", "hodge.py"})
+    assert not found, f"workers() outside geometry/mesh.py and hodge.py " \
+                      f"at {', '.join(found)}"
+
+
+def test_workers_check_finds_a_use(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from quanthom.geometry.mesh import map_tasks, workers\n"
+                     "from quanthom.geometry import mesh\n"
+                     "w = workers(3)\n"
+                     "v = mesh.workers(4)\n"
+                     "workers_left = max(w, v)\n")
+    assert node_lines(probe, names_workers) == [1, 3, 4]

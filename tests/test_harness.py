@@ -669,6 +669,15 @@ class TestCli:
         assert code == 2 and not stdout
         assert "error: argument --Mi: invalid int value: 'x'" in err
 
+    @pytest.mark.parametrize("beta,why", [
+        ("1/0", "'1/0' has a zero denominator"),
+        ("abc", "invalid Fraction value: 'abc'")],
+        ids=["zero-denominator", "not-a-fraction"])
+    def test_thresholds_bad_beta_exit2(self, beta, why):
+        code, stdout, err = self.run_cli("thresholds", "--all", "--beta", beta)
+        assert code == 2 and not stdout
+        assert err == f"error: argument --beta: {why}\n"
+
     def test_thresholds_beta_with_catalogue(self):
         code, stdout, _ = self.run_cli("thresholds", "--all", "--beta", "1/2",
                                        "--json")

@@ -80,6 +80,10 @@ REFUSALS = {
     "cochain-degree-5-on-s3": (
         lambda: Cochain(cached_mesh(3, 0), 5, np.zeros(1)),
         ValueError, "cochain degree 5 on S^3: degrees run 0..3"),
+    **{f"zero-cochain-of-degree-{k}-on-s2": (
+        lambda k=k: Cochain.zeros(cached_mesh(2, 0), k),
+        ValueError, f"cochain degree {k} on S^2: degrees run 0..2")
+        for k in (3, 5, -1)},
     "linking-oracle-on-s2": (
         lambda: gauss_linking_oracle(parse_map_spec("suspension:d=1"),
                                      NORTH, -NORTH),
