@@ -108,14 +108,19 @@ def _threshold_row(entry) -> dict:
     }
 
 
-def _parsed(flag: str, parse, text: str):
-    """parse(text), or a ValueError naming the flag."""
+def _parsed(flag: str, parse, text: str, positive: bool = False):
+    """parse(text), or a ValueError naming the flag; with `positive`, a
+    value <= 0 is refused too."""
     try:
-        return parse(text)
+        value = parse(text)
     except ZeroDivisionError:
         why = f"{text!r} has a zero denominator"
     except ValueError:
         why = f"invalid {parse.__name__} value: {text!r}"
+    else:
+        if not positive or value > 0:
+            return value
+        why = f"{text!r} is not positive"
     raise ValueError(f"argument {flag}: {why}")
 
 
@@ -143,8 +148,8 @@ def _cmd_thresholds(args) -> int:
     entries = ([lookup(args.structure)] if args.structure
                else list(catalogue().values()))
     rows = [_threshold_row(e) for e in entries]
-    if args.beta:
-        b = _parsed("--beta", Fraction, args.beta)
+    if args.beta is not None:
+        b = _parsed("--beta", Fraction, args.beta, positive=True)
         for row, e in zip(rows, entries):
             row["exponent_at_beta"] = str(e.report.exponent(b))
     if args.json:

@@ -28,7 +28,10 @@ e.u for all k edge vectors e of the simplex, and the frame vectors are
 dP_x(e) = (e - (e.u) u)/r.
 
 Each stage owns its simplex rule (quadrature.simplex_rule), named by its
-exact degree: PROJECT_DEGREE for projections, WEDGE_DEGREE for the wedge
+exact degree: PROJECT_DEGREE for projections by quadrature (the
+projection of a pulled-back area form of an S^2 factor may instead take
+the solid angles of the vertex images, de_rham_project's "solid_angle"
+rule, with no nodes at all), WEDGE_DEGREE for the wedge
 of a top-degree pullback and the sphere quadrature, CS_WEDGE_DEGREE for
 the wedges of the corrected Hopf-type estimate (invariants.hardt_riviere),
 whose Chern-Simons term, a product of two affine Whitney forms per top,
@@ -51,7 +54,7 @@ import numpy as np
 
 from .cochain import Cochain
 from .mesh import map_blocks, permutation_sign
-from .minors import det, minors, row_norm, row_sum, whitney_table
+from .minors import det, det_rows, minors, row_norm, row_sum, whitney_table
 from .quadrature import simplex_rule
 
 # nodes per segment / triangle / tet: 3 / 7 / 14 at WEDGE_DEGREE,
@@ -142,14 +145,20 @@ def _nodes_and_frames(mesh, bary: np.ndarray, rows: slice):
     return radial_projection(nodes, edges)
 
 
-def de_rham_project(form, mesh) -> Cochain:
-    """Cochain of quadrature integrals of `form` over the k-simplices.
+def de_rham_project(form, mesh, rule: str = "quadrature") -> Cochain:
+    """Cochain of the integrals of `form` over the k-simplices.
 
-    `form` is a k-form evaluator; its integral over each simplex is the
-    integral over the curved (radially projected) patch, by the rule of
-    degree PROJECT_DEGREE.  The simplices are integrated block by block
-    (mesh.map_blocks).
+    By the "quadrature" rule `form` is any k-form evaluator; its integral
+    over each simplex is the integral over the curved (radially
+    projected) patch, by the rule of degree PROJECT_DEGREE.  The
+    simplices are integrated block by block (mesh.map_blocks).  The
+    "solid_angle" rule takes a pulled-back area form of an S^2 factor
+    and reads f at the vertices only (_solid_angles).
     """
+    if rule == "solid_angle":
+        return _solid_angles(form, mesh)
+    if rule != "quadrature":
+        raise ValueError(f"unknown projection rule {rule!r}")
     k = form.degree
     if k == 0:
         pts = mesh.verts
@@ -166,6 +175,32 @@ def de_rham_project(form, mesh) -> Cochain:
 
     map_blocks(integrate, len(integrals))
     return Cochain(mesh, k, integrals)
+
+
+def _solid_angles(form, mesh) -> Cochain:
+    """The 2-cochain of signed geodesic areas of the triangles' images.
+
+    `form` is f*omega for the normalized area form omega of an S^2 factor
+    (a maps.PullbackForm of a 2-form maps.VolumeForm, on the factor's
+    ambient coordinates `omega.coords`).  With a, b, c the images of a
+    triangle's vertices in stored order, from one f.value call,
+
+        eta(T) = atan2(det[a, b, c], 1 + a.b + b.c + c.a) / 2pi,
+
+    the signed solid angle of the geodesic triangle (Van Oosterom &
+    Strackee, IEEE Trans. Biomed. Eng. 1983) over the area 4pi.  d eta is
+    an integer on every tet, the lattice charge of Berg & Luscher (Nucl.
+    Phys. B 1981), and 0 where the mesh resolves f; so the cochain is
+    closed to round-off or off by O(1), never in between.
+    """
+    omega = getattr(form, "form", None)
+    if form.degree != 2 or not hasattr(omega, "coords"):
+        raise ValueError(f"no solid-angle rule for {form.name!r}: it takes "
+                         f"a pulled-back area form of an S^2 factor")
+    Y = form.map.value(mesh.verts)[:, omega.coords]
+    a, b, c = (Y[mesh.simplices[2][:, i]] for i in range(3))
+    den = 1.0 + row_sum(a * b) + row_sum(b * c) + row_sum(c * a)
+    return Cochain(mesh, 2, np.arctan2(det_rows([a, b, c]), den) / (2 * np.pi))
 
 
 def sphere_quadrature(mesh):

@@ -15,17 +15,35 @@ A term with L = 1 evaluates Whitehead's integral H = int alpha ^ d alpha
 with d alpha = f*omega (Whitehead, PNAS 1947), so both of its forms must
 be one and the same omega.  f*omega is projected to a cochain eta,
 antidifferentiated by the Hodge solver, xi = d^{-1} eta, and interpolated
-back as the Whitney form alpha_h = W(xi).  The term's value is
+back as the Whitney form alpha_h = W(xi).  The projection takes one of
+two rules, and the term's value follows from it:
 
-    H* = 2 H_A - CS(alpha_h),   H_A = int f*omega ^ alpha_h,
-                                CS(alpha_h) = int W(D xi) ^ W(xi),
+* "solid_angle", where omega is the area form of an S^2 factor (every
+  L = 1 term of the catalogue) and the solid-angle cochain of the vertex
+  images (geometry.forms._solid_angles) passes d_inverse's closedness
+  gate.  That cochain is exactly closed, so D xi = eta to the solver
+  tolerance and the value is the Chern-Simons integral
 
-both on the 4-node rule of degree CS_WEDGE_DEGREE.  Whitney forms commute
-with d, D W = W d (Arnold, Falk & Winther, Acta Numerica 2006), and
-integration by parts on S^3 gives H* = H - CS(alpha - alpha_h): the
-first-order error of H_A, int d alpha ^ (alpha - alpha_h), cancels, and
-H* converges at O(h^4) where H_A does at O(h^2).  CS(alpha_h) is a product
-of two affine Whitney forms per top, which that rule integrates exactly.
+      H = CS(alpha_h) = int W(D xi) ^ W(xi),
+
+  which converges at O(h^4) and needs no derivative of f.  A cochain the
+  mesh does not resolve is off by O(1) on some tets (the integer charge
+  of a tet whose image wraps S^2) and takes the quadrature rule.
+* "quadrature", otherwise: eta holds the integrals of f*omega on the
+  rule of degree PROJECT_DEGREE, closed only to quadrature error, and the
+  value is
+
+      H* = 2 H_A - CS(alpha_h),   H_A = int f*omega ^ alpha_h.
+
+  Whitney forms commute with d, D W = W d (Arnold, Falk & Winther, Acta
+  Numerica 2006), and integration by parts on S^3 gives H* = H -
+  CS(alpha - alpha_h): the first-order error of H_A, int d alpha ^
+  (alpha - alpha_h), cancels, and H* converges at O(h^4) where H_A does
+  at O(h^2).
+
+Both wedges run on the 4-node rule of degree CS_WEDGE_DEGREE; CS(alpha_h)
+is a product of two affine Whitney forms per top, which that rule
+integrates exactly.
 
 Winding number, mapping degree, and the Hopf invariant are the standard
 structures; values are reported raw together with the nearest integer,
@@ -39,14 +57,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import hodge
 from .geometry import de_rham_project, integrate_wedge
 from .geometry.forms import CS_WEDGE_DEGREE, PROJECT_DEGREE, WEDGE_DEGREE
 from .geometry.quadrature import rule_info
 # hodge_operator is not called here; it stays an attribute of this module
 # because perfbench/tracing.py wraps quanthom.invariants.hodge_operator
 from .hodge import d_inverse, hodge_operator  # noqa: F401
-from .maps import (S1, S2, S2xS2, SmoothMap, Target, pullback_form,
-                   sphere_target, volume_form)
+from .maps import (S1, S2, S2xS2, SmoothMap, Target, VolumeForm,
+                   pullback_form, sphere_target, volume_form)
 
 _ORACLE_POINTS = 8192    # polygon vertices of the winding-number oracle
 
@@ -102,8 +121,10 @@ class InvariantResult:
     per_term: list
     mesh_level: int
     residuals: dict
-    quadrature: dict    # stage -> exact degree and nodes per simplex
-    corrections: dict   # L = 1 term -> its H_A and CS(alpha_h)
+    quadrature: dict    # stage -> its rule: exact degree and nodes per
+                        # simplex, or the projection rule of an L = 1 term
+    corrections: dict   # L = 1 term -> its rule, CS(alpha_h) and, by
+                        # quadrature, H_A
     nearest_int: int = field(init=False)
     int_distance: float = field(init=False)
 
@@ -164,16 +185,30 @@ def check_evaluable(f: SmoothMap, structure: DegreeStructure, dim: int):
                 f"needs f*omega ^ d^{{-1}} f*omega with one omega")
 
 
+def _project(fstar, omega, mesh) -> tuple:
+    """(rule, eta): the solid-angle cochain of f*omega where omega is the
+    area form of an S^2 factor and that cochain passes d_inverse's
+    closedness gate, else the quadrature projection (module docstring)."""
+    if isinstance(omega, VolumeForm) and omega.degree == 2:
+        eta = de_rham_project(fstar, mesh, "solid_angle")
+        if hodge.closedness(eta) <= hodge.CLOSED_TOL:    # False for NaN
+            return "solid_angle", eta
+    return "quadrature", de_rham_project(fstar, mesh)
+
+
 def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantResult:
     """General multi-term invariant evaluation on a mesh.
 
     A term with L = 0 integrates its pulled-back top form on the rule of
-    degree WEDGE_DEGREE.  A term with L = 1 projects f*omega, runs it
-    through d^{-1} = d* Delta^{-1} (a curl solve plus a gauge projection,
-    see `hodge`) and returns H* = 2 H_A - CS(alpha_h) on the rule of
-    degree CS_WEDGE_DEGREE (module docstring); its H_A and CS(alpha_h)
-    go to `corrections`.  Solve statistics and closedness defects are
-    collected per term, and `quadrature` names each stage's rule.
+    degree WEDGE_DEGREE.  A term with L = 1 projects f*omega by the
+    solid-angle or the quadrature rule, runs it through d^{-1} =
+    d* Delta^{-1} (a curl solve plus a gauge projection, see `hodge`) and
+    returns H = CS(alpha_h) or H* = 2 H_A - CS(alpha_h) on the rule of
+    degree CS_WEDGE_DEGREE (module docstring).  `quadrature` names each
+    stage's rule and, as `term<k>.projection`, each L = 1 term's
+    projection rule; `corrections` holds each L = 1 term's rule, its
+    CS(alpha_h) and, by quadrature, its H_A.  Solve statistics and
+    closedness defects are collected per term.
     """
     check_evaluable(f, structure, mesh.dim)
     per_term = []
@@ -186,13 +221,21 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantRe
             quadrature["wedge"] = rule_info(mesh.dim, WEDGE_DEGREE)
             per_term.append(integrate_wedge([fstar], mesh, WEDGE_DEGREE))
             continue
-        eta = de_rham_project(fstar, mesh)
-        quadrature["projection"] = rule_info(fstar.degree, PROJECT_DEGREE)
-        quadrature["cs_wedge"] = rule_info(mesh.dim, CS_WEDGE_DEGREE)
-        xi, residuals[f"term{kterm}.d_inverse1"] = d_inverse(eta)
-        raw = integrate_wedge([fstar, xi], mesh, CS_WEDGE_DEGREE)
+        key = f"term{kterm}"
+        rule, eta = _project(fstar, term.forms[0], mesh)
+        xi, residuals[f"{key}.d_inverse1"] = d_inverse(eta)
         cs = integrate_wedge([xi.d(), xi], mesh, CS_WEDGE_DEGREE)
-        corrections[f"term{kterm}"] = {"uncorrected": raw, "chern_simons": cs}
+        quadrature["cs_wedge"] = rule_info(mesh.dim, CS_WEDGE_DEGREE)
+        if rule == "solid_angle":
+            quadrature[f"{key}.projection"] = {"rule": rule}
+            corrections[key] = {"rule": rule, "chern_simons": cs}
+            per_term.append(cs)
+            continue
+        raw = integrate_wedge([fstar, xi], mesh, CS_WEDGE_DEGREE)
+        quadrature[f"{key}.projection"] = {
+            "rule": rule, **rule_info(fstar.degree, PROJECT_DEGREE)}
+        corrections[key] = {"rule": rule, "uncorrected": raw,
+                            "chern_simons": cs}
         per_term.append(2.0 * raw - cs)
     value = float(sum(float(t.coefficient) * v
                       for t, v in zip(structure.terms, per_term)))

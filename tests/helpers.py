@@ -1,8 +1,9 @@
 """Checks that only the tests use: hand-checkable mass blocks,
 barycentric gradients, the sort-based mesh tables, plain Monte Carlo, the
 cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths,
-report loading, the uncorrected Hopf wedge and scans of the package's
-syntax trees."""
+report loading, the uncorrected Hopf wedge, the quadrature rule of the
+Hopf term composed from its primitives and scans of the package's syntax
+trees."""
 
 import ast
 import json
@@ -14,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from quanthom.geometry import de_rham_project, integrate_wedge
-from quanthom.geometry.forms import WEDGE_DEGREE
+from quanthom.geometry.forms import CS_WEDGE_DEGREE, WEDGE_DEGREE
 from quanthom.geometry.mesh import (SPHERE_VOLUMES, permutation_sign,
                                     simplex_geometry)
 from quanthom.hodge import _whitney_mass_blocks, d_inverse
@@ -181,10 +182,23 @@ def raw_hopf_wedge(mesh) -> tuple:
     """(H_A, stats): the uncorrected Hopf wedge int f*omega ^ W(xi) of the
     Hopf map on the degree-5 tet rule, with xi = d^{-1} of the projected
     f*omega and the statistics of that solve.  The projection and the
-    solve are those of hardt_riviere, so H_A pins their bits."""
+    solve are those of hardt_riviere's quadrature rule, so H_A pins their
+    bits."""
     fstar = pullback_form(make_hopf(), volume_form(S2))
     xi, stats = d_inverse(de_rham_project(fstar, mesh))
     return integrate_wedge([fstar, xi], mesh, WEDGE_DEGREE), stats
+
+
+def quadrature_hopf(f: SmoothMap, mesh) -> tuple:
+    """(H*, H_A, CS): hardt_riviere's quadrature rule for the Hopf term of
+    f, composed from the primitives (de_rham_project by quadrature,
+    d_inverse and the two wedges of degree CS_WEDGE_DEGREE), so it gives
+    that rule's bits at levels where the public value takes solid angles."""
+    fstar = pullback_form(f, volume_form(S2))
+    xi, _ = d_inverse(de_rham_project(fstar, mesh))
+    raw = integrate_wedge([fstar, xi], mesh, CS_WEDGE_DEGREE)
+    cs = integrate_wedge([xi.d(), xi], mesh, CS_WEDGE_DEGREE)
+    return 2.0 * raw - cs, raw, cs
 
 
 def node_lines(path: Path, match) -> list:

@@ -11,7 +11,7 @@ from quanthom.geometry.forms import (WEDGE_DEGREE, _nodes_and_frames,
                                      _whitney_edge_tensor)
 from quanthom.geometry.quadrature import simplex_rule
 from quanthom.maps import S2 as S2_target
-from quanthom.maps import volume_form
+from quanthom.maps import S2xS2, parse_map_spec, pullback_form, volume_form
 
 from conftest import cached_mesh
 
@@ -80,6 +80,29 @@ class TestDeRhamProjection:
         m = cached_mesh(2, 4)
         c = de_rham_project(volume_form(S2_target), m)
         assert abs(c.values.sum() - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("spec,degree", [
+        ("suspension:d=1", 1), ("suspension:d=-3", -3), ("antipodal:n=2", -1),
+        ("perturb:eps=0.1,m=3|suspension:d=2", 2)])
+    def test_solid_angles_sum_to_the_degree(self, spec, degree):
+        # the images of the triangles of S^2 cover the target `degree`
+        # times, so their solid angles sum to it to round-off, where
+        # quadrature is off by 1e-6 at level 4 (test_volume_normalization)
+        omega = pullback_form(parse_map_spec(spec), volume_form(S2_target))
+        c = de_rham_project(omega, cached_mesh(2, 3), "solid_angle")
+        assert abs(c.values.sum() - degree) < 1e-13
+
+    def test_solid_angles_of_a_product_factor(self):
+        # on S^2 x S^2 the rule reads the images in the factor's coordinates
+        f = parse_map_spec("product:hopf|compose:suspension:d=2|hopf")
+        m = cached_mesh(3, 1)
+        for i, spec in enumerate(("hopf", "compose:suspension:d=2|hopf")):
+            factor = de_rham_project(pullback_form(f, volume_form(S2xS2, i)),
+                                     m, "solid_angle")
+            alone = de_rham_project(pullback_form(parse_map_spec(spec),
+                                                  volume_form(S2_target)),
+                                    m, "solid_angle")
+            assert np.array_equal(factor.values, alone.values)
 
     def test_commutes_with_d(self):
         # projection of an exact form vs d of the projected potential

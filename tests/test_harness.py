@@ -671,8 +671,12 @@ class TestCli:
 
     @pytest.mark.parametrize("beta,why", [
         ("1/0", "'1/0' has a zero denominator"),
-        ("abc", "invalid Fraction value: 'abc'")],
-        ids=["zero-denominator", "not-a-fraction"])
+        ("abc", "invalid Fraction value: 'abc'"),
+        ("", "invalid Fraction value: ''"),
+        ("0", "'0' is not positive"),
+        ("-1", "'-1' is not positive")],
+        ids=["zero-denominator", "not-a-fraction", "empty", "zero",
+             "negative"])
     def test_thresholds_bad_beta_exit2(self, beta, why):
         code, stdout, err = self.run_cli("thresholds", "--all", "--beta", beta)
         assert code == 2 and not stdout
@@ -715,9 +719,20 @@ class TestCli:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["quadrature"] == {
-            "projection": {"degree": 7, "nodes": 12},
+            "term0.projection": {"rule": "solid_angle"},
             "cs_wedge": {"degree": 2, "nodes": 4}}
+        assert doc["corrections"] == {
+            "term0": {"rule": "solid_angle", "chern_simons": doc["value"]}}
+        # the d = 2 map's solid angles are charged at level 1: quadrature
+        code, _, _ = self.run_cli(
+            "invariant", "--map", "compose:suspension:d=2|hopf",
+            "--structure", "hopf:n=1", "--level", "1", "--json-out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["quadrature"]["term0.projection"] == {
+            "rule": "quadrature", "degree": 7, "nodes": 12}
         c = doc["corrections"]["term0"]
+        assert c["rule"] == "quadrature"
         assert doc["value"] == 2.0 * c["uncorrected"] - c["chern_simons"]
 
     def test_invariant_symbolic_structure_exit2(self):

@@ -9,7 +9,7 @@ import pytest
 
 from quanthom.geometry import SimplicialSphere
 from quanthom.geometry.cochain import Cochain
-from quanthom.geometry.forms import integrate_wedge
+from quanthom.geometry.forms import de_rham_project, integrate_wedge
 from quanthom.geometry.mesh import check_level_fits
 from quanthom.geometry.minors import det
 from quanthom.harness import Report, check_writable, emit_report
@@ -17,7 +17,7 @@ from quanthom.hodge import HodgeOperator
 from quanthom.invariants import (DegreeStructure, Term, check_evaluable,
                                  hopf_structure, mapping_degree)
 from quanthom.linking import gauss_linking_oracle
-from quanthom.maps import parse_map_spec
+from quanthom.maps import S2, parse_map_spec, volume_form
 from quanthom.seminorms import poisson_extension_distance
 
 from conftest import cached_mesh
@@ -84,6 +84,14 @@ REFUSALS = {
         lambda k=k: Cochain.zeros(cached_mesh(2, 0), k),
         ValueError, f"cochain degree {k} on S^2: degrees run 0..2")
         for k in (3, 5, -1)},
+    "projection-rule-unknown": (
+        lambda: de_rham_project(volume_form(S2), cached_mesh(2, 0), "exact"),
+        ValueError, "unknown projection rule 'exact'"),
+    "solid-angles-of-a-form-not-pulled-back": (
+        lambda: de_rham_project(volume_form(S2), cached_mesh(2, 0),
+                                "solid_angle"),
+        ValueError, "no solid-angle rule for 'vol[S2]': it takes a "
+                    "pulled-back area form of an S^2 factor"),
     "linking-oracle-on-s2": (
         lambda: gauss_linking_oracle(parse_map_spec("suspension:d=1"),
                                      NORTH, -NORTH),
