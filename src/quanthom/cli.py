@@ -155,14 +155,18 @@ def _cmd_thresholds(args) -> int:
     if args.json:
         _print_json(rows)
     else:
+        # with --beta, a last column holds the exponent at that beta
+        at = f"at beta={b}" if args.beta is not None else ""
+        w = max(9, len(at))
         hdr = f"{'structure':14s} {'N':>2} {'L':>2} {'beta0':>6} {'thm':>5} " \
-              f"{'exponent':>9} {'evaluable':>9}"
+              f"{'exponent':>9} {'evaluable':>9}" + (at and f" {at:>{w}}")
         print(hdr)
         print("-" * len(hdr))
         for row in rows:
             print(f"{row['name']:14s} {row['N']:>2} {row['L']:>2} "
                   f"{row['beta0'] or '-':>6} {row['theorem_beta0']:>5} "
-                  f"{row['exponent']:>9} {str(row['evaluable']):>9}")
+                  f"{row['exponent']:>9} {str(row['evaluable']):>9}"
+                  + (at and f" {row['exponent_at_beta']:>{w}}"))
     return 0
 
 
@@ -237,9 +241,12 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for flag in ("out", "json_out"):     # every output, before any work
-            if getattr(args, flag, None):
-                check_writable(getattr(args, flag))
+        for flag in ("--out", "--json-out"):  # every output, before any work
+            path = getattr(args, flag[2:].replace("-", "_"), None)
+            if path == "":
+                raise ValueError(f"argument {flag}: empty path")
+            if path is not None:
+                check_writable(path)
         return args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

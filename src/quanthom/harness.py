@@ -226,6 +226,9 @@ class ExperimentConfig:
             raise ConfigError(f"levels must be >= 0, got {', '.join(negative)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        empty = [fmt for fmt, path in self.outputs.items() if not path]
+        if empty:
+            raise ConfigError(f"[output] {', '.join(empty)}: empty path")
         if len(set(self.betas)) < len(self.betas):
             raise ConfigError(f"beta {', '.join(map(str, self.betas))} "
                               f"repeats a value")
@@ -542,7 +545,7 @@ def check_writable(path: str) -> None:
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(folder):
+    elif not path or not os.path.isdir(folder):
         code = errno.ENOENT
     elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
         code = errno.EACCES

@@ -321,25 +321,6 @@ def codifferential(c: Cochain) -> Cochain:
     return Cochain(c.mesh, c.degree - 1, _jacobi_cg(M, b, rtol=1e-13)[0])
 
 
-def _defect(op: HodgeOperator, eta: Cochain, m_eta: np.ndarray):
-    """||d eta|| / ||eta|| in mass norm, from m_eta = M_k eta (so
-    ||eta||_M = op.norm(eta)); None for a round-off cochain,
-    ||eta||_M <= eps sqrt(vol), whose defect is noise over noise."""
-    nrm = float(np.sqrt(max(eta.values @ m_eta, 0.0)))
-    if nrm <= np.finfo(float).eps * np.sqrt(eta.mesh.top_volumes.sum()):
-        return None
-    return op.norm(eta.d()) / nrm
-
-
-def closedness(eta: Cochain) -> float:
-    """The relative closedness defect ||d eta|| / ||eta|| in mass norm
-    that d_inverse's gate compares with CLOSED_TOL (0 for a round-off
-    cochain); eta's degree is 1..N-1."""
-    op = hodge_operator(eta.mesh, eta.degree)
-    defect = _defect(op, eta, op.mass_k @ eta.values)
-    return 0.0 if defect is None else defect
-
-
 def d_inverse(eta: Cochain) -> tuple:
     """(xi, stats): the primitive d^{-1} eta = d* Delta^{-1} eta of a
     (numerically) closed cochain and the statistics of its solve.
@@ -365,11 +346,12 @@ def d_inverse(eta: Cochain) -> tuple:
                          f"values are NaN or infinite")
     op = hodge_operator(mesh, k)
     m_eta = op.mass_k @ eta.values
-    defect = _defect(op, eta, m_eta)
-    if defect is None:
+    nrm = float(np.sqrt(max(eta.values @ m_eta, 0.0)))     # ||eta||_M
+    if nrm <= np.finfo(float).eps * np.sqrt(mesh.top_volumes.sum()):
         return Cochain.zeros(mesh, k - 1), {
             "iterations": 0, "residual": 0.0, "gauge_iterations": 0,
             "gauge_residual": 0.0, "closedness": 0.0}
+    defect = op.norm(eta.d()) / nrm
     if defect > CLOSED_TOL:
         raise ValueError(
             f"input not closed: relative defect {defect:.3e} > {CLOSED_TOL:.1e}")

@@ -15,23 +15,24 @@ A term with L = 1 evaluates Whitehead's integral H = int alpha ^ d alpha
 with d alpha = f*omega (Whitehead, PNAS 1947), so both of its forms must
 be one and the same omega.  f*omega is projected to a cochain eta,
 antidifferentiated by the Hodge solver, xi = d^{-1} eta, and interpolated
-back as the Whitney form alpha_h = W(xi).  The projection takes one of
-two rules, and the term's value follows from it:
+back as the Whitney form alpha_h = W(xi).  The term tries the first of
+two projection rules and takes the second where de_rham_project or
+d_inverse refuses the first; its value follows from the rule:
 
-* "solid_angle", where omega is the area form of an S^2 factor (every
-  L = 1 term of the catalogue) and the solid-angle cochain of the vertex
-  images (geometry.forms._solid_angles) passes d_inverse's closedness
-  gate.  That cochain is exactly closed, so D xi = eta to the solver
-  tolerance and the value is the Chern-Simons integral
+* "solid_angle": the solid-angle cochain of the vertex images
+  (geometry.forms._solid_angles), which de_rham_project makes for the
+  area form of an S^2 factor (every L = 1 term of the catalogue).  Where
+  the mesh resolves f that cochain is closed to round-off, so D xi = eta
+  to the solver tolerance and the value is the Chern-Simons integral
 
       H = CS(alpha_h) = int W(D xi) ^ W(xi),
 
-  which converges at O(h^4) and needs no derivative of f.  A cochain the
-  mesh does not resolve is off by O(1) on some tets (the integer charge
-  of a tet whose image wraps S^2) and takes the quadrature rule.
-* "quadrature", otherwise: eta holds the integrals of f*omega on the
-  rule of degree PROJECT_DEGREE, closed only to quadrature error, and the
-  value is
+  which converges at O(h^4) and needs no derivative of f.  Where it does
+  not, the cochain is off by O(1) on some tets (the integer charge of a
+  tet whose image wraps S^2) and d_inverse's closedness gate refuses it.
+* "quadrature", where the first rule is refused: eta holds the integrals
+  of f*omega on the rule of degree PROJECT_DEGREE, closed only to
+  quadrature error, and the value is
 
       H* = 2 H_A - CS(alpha_h),   H_A = int f*omega ^ alpha_h.
 
@@ -57,15 +58,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hodge
 from .geometry import de_rham_project, integrate_wedge
 from .geometry.forms import CS_WEDGE_DEGREE, PROJECT_DEGREE, WEDGE_DEGREE
 from .geometry.quadrature import rule_info
 # hodge_operator is not called here; it stays an attribute of this module
 # because perfbench/tracing.py wraps quanthom.invariants.hodge_operator
 from .hodge import d_inverse, hodge_operator  # noqa: F401
-from .maps import (S1, S2, S2xS2, SmoothMap, Target, VolumeForm,
-                   pullback_form, sphere_target, volume_form)
+from .maps import (S1, S2, S2xS2, SmoothMap, Target, pullback_form,
+                   sphere_target, volume_form)
 
 _ORACLE_POINTS = 8192    # polygon vertices of the winding-number oracle
 
@@ -185,15 +185,16 @@ def check_evaluable(f: SmoothMap, structure: DegreeStructure, dim: int):
                 f"needs f*omega ^ d^{{-1}} f*omega with one omega")
 
 
-def _project(fstar, omega, mesh) -> tuple:
-    """(rule, eta): the solid-angle cochain of f*omega where omega is the
-    area form of an S^2 factor and that cochain passes d_inverse's
-    closedness gate, else the quadrature projection (module docstring)."""
-    if isinstance(omega, VolumeForm) and omega.degree == 2:
-        eta = de_rham_project(fstar, mesh, "solid_angle")
-        if hodge.closedness(eta) <= hodge.CLOSED_TOL:    # False for NaN
-            return "solid_angle", eta
-    return "quadrature", de_rham_project(fstar, mesh)
+def _primitive(fstar, mesh) -> tuple:
+    """(rule, xi, stats): xi = d^{-1} of the solid-angle cochain of fstar,
+    or of its quadrature projection where de_rham_project or d_inverse
+    refuses that cochain (module docstring)."""
+    try:
+        return ("solid_angle",
+                *d_inverse(de_rham_project(fstar, mesh, "solid_angle")))
+    except ValueError:
+        pass
+    return ("quadrature", *d_inverse(de_rham_project(fstar, mesh)))
 
 
 def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantResult:
@@ -222,8 +223,7 @@ def hardt_riviere(f: SmoothMap, structure: DegreeStructure, mesh) -> InvariantRe
             per_term.append(integrate_wedge([fstar], mesh, WEDGE_DEGREE))
             continue
         key = f"term{kterm}"
-        rule, eta = _project(fstar, term.forms[0], mesh)
-        xi, residuals[f"{key}.d_inverse1"] = d_inverse(eta)
+        rule, xi, residuals[f"{key}.d_inverse1"] = _primitive(fstar, mesh)
         cs = integrate_wedge([xi.d(), xi], mesh, CS_WEDGE_DEGREE)
         quadrature["cs_wedge"] = rule_info(mesh.dim, CS_WEDGE_DEGREE)
         if rule == "solid_angle":

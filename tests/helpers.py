@@ -2,12 +2,13 @@
 barycentric gradients, the sort-based mesh tables, plain Monte Carlo, the
 cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths,
 report loading, the uncorrected Hopf wedge, the quadrature rule of the
-Hopf term composed from its primitives and scans of the package's syntax
-trees."""
+Hopf term composed from its primitives, scans of the package's syntax
+trees and the environment of a fresh interpreter."""
 
 import ast
 import json
 import math
+import os
 from itertools import combinations
 from pathlib import Path
 
@@ -199,6 +200,15 @@ def quadrature_hopf(f: SmoothMap, mesh) -> tuple:
     raw = integrate_wedge([fstar, xi], mesh, CS_WEDGE_DEGREE)
     cs = integrate_wedge([xi.d(), xi], mesh, CS_WEDGE_DEGREE)
     return 2.0 * raw - cs, raw, cs
+
+
+def package_env() -> dict:
+    """This process's environment with the package's sources first on
+    PYTHONPATH, for a test that starts a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 def node_lines(path: Path, match) -> list:

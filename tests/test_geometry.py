@@ -21,7 +21,7 @@ from quanthom.invariants import mapping_degree
 from quanthom.maps import make_sphere_suspension
 
 from conftest import cached_mesh
-from helpers import max_edge_length, mesh_tables_by_sorting
+from helpers import max_edge_length, mesh_tables_by_sorting, package_env
 
 
 def exact_monomial(dim, alphas):
@@ -249,7 +249,8 @@ class TestMeshConstruction:
             " - 1.0) < 0.1\n"
             "assert 'scipy.spatial' not in sys.modules\n")
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+                              env=package_env(), capture_output=True,
+                              text=True)
         assert proc.returncode == 0, proc.stderr
 
 

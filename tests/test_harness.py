@@ -20,7 +20,7 @@ from quanthom.invariants import hardt_riviere
 from quanthom.maps import parse_map_spec
 from quanthom.registry import lookup
 
-from helpers import load_report
+from helpers import load_report, package_env
 
 FAST_SCALING = """
 [experiment]
@@ -689,6 +689,17 @@ class TestCli:
         rows = {r["name"]: r for r in json.loads(stdout)}
         assert rows["hopf:n=1"]["exponent_at_beta"] == "8"
 
+    def test_thresholds_text_prints_exponent_at_beta(self):
+        # the README's example: the exponent 4/beta at beta = 4/5 is 5
+        code, stdout, _ = self.run_cli("thresholds", "--structure",
+                                       "hopf:n=1", "--beta", "4/5")
+        assert code == 0
+        head, rule, row = stdout.splitlines()
+        assert head.split()[-2:] == ["at", "beta=4/5"]
+        assert row.split() == ["hopf:n=1", "3", "1", "3/4", "3/4", "4/beta",
+                               "True", "5"]
+        assert len(head) == len(rule) == len(row)
+
     def test_invariant_command(self, tmp_path):
         out = tmp_path / "inv.json"
         code, stdout, _ = self.run_cli(
@@ -1096,6 +1107,7 @@ seed = 5
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "quanthom.cli",
                                "thresholds", "--structure", "hopf:n=1"],
-                              capture_output=True, text=True)
+                              env=package_env(), capture_output=True,
+                              text=True)
         assert proc.returncode == 0
         assert "3/4" in proc.stdout

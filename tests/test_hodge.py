@@ -1,5 +1,6 @@
 """Mass matrices, codifferential, and the antiderivative contract."""
 
+import ast
 import gc
 import tracemalloc
 import weakref
@@ -16,7 +17,8 @@ from quanthom.hodge import (HodgeOperator, _jacobi_cg, codifferential,
                             d_inverse, hodge_operator, mass_matrix)
 
 from conftest import cached_mesh
-from helpers import raw_hopf_wedge, whitney_mass_local
+from helpers import (node_lines, package_hits, raw_hopf_wedge,
+                     whitney_mass_local)
 
 
 def exact_1form(points, frames):
@@ -391,3 +393,34 @@ class TestDInverse:
             op = hodge_operator(m, 2)
             res.append(op.norm(xi.d() - eta) / op.norm(eta))
         assert res[1] < res[0]
+
+
+# ----------------------------------------------------------------------
+# one closedness gate: d_inverse's, in hodge.py
+# ----------------------------------------------------------------------
+
+def names_closed_tol(node) -> bool:
+    """Whether `node` names CLOSED_TOL, as a name, an attribute or an
+    import."""
+    if isinstance(node, ast.Name):
+        return node.id == "CLOSED_TOL"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "CLOSED_TOL"
+    return isinstance(node, ast.ImportFrom) and any(
+        a.name == "CLOSED_TOL" for a in node.names)
+
+
+def test_closed_tol_only_in_hodge():
+    # hardt_riviere takes quadrature where d_inverse refuses the solid
+    # angles, so no other module compares a defect with the gate's bound
+    found = package_hits(names_closed_tol, skip={"hodge.py"})
+    assert not found, f"CLOSED_TOL outside hodge.py at {', '.join(found)}"
+
+
+def test_closed_tol_check_finds_a_use(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from quanthom import hodge\n"
+                     "from quanthom.hodge import CLOSED_TOL\n"
+                     "ok = defect <= hodge.CLOSED_TOL\n"
+                     "tol = CLOSED_TOL\n")
+    assert node_lines(probe, names_closed_tol) == [2, 3, 4]

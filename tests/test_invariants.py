@@ -250,6 +250,26 @@ class TestHopf:
             assert r.corrections["term0"]["rule"] == "solid_angle"
             assert r.nearest_int == 4 and r.int_distance < tol
 
+    @pytest.mark.parametrize("spec,level,calls,value", [
+        ("hopf", 3, 1, None),
+        ("compose:suspension:d=2|hopf", 1, 2, "0x1.fdda75f415983p+1")],
+        ids=["resolved", "charged"])
+    def test_closedness_judged_once_per_cochain(self, monkeypatch, spec,
+                                                level, calls, value):
+        # d_inverse's gate is the one judge of a cochain: a resolved term
+        # takes one mass norm of d eta, a charged one a second for the
+        # quadrature cochain that replaces it
+        norm, degrees = hodge.HodgeOperator.norm, []
+
+        def counted(op, c):
+            degrees.append(c.degree)
+            return norm(op, c)
+
+        monkeypatch.setattr(hodge.HodgeOperator, "norm", counted)
+        r = hopf_invariant(parse_map_spec(spec), cached_mesh(3, level))
+        assert degrees == [3] * calls
+        assert value is None or r.value.hex() == value
+
     def test_two_forms_refused(self):
         # an L = 1 term that wedges two different forms has no corrected
         # estimate; it is refused by name before any mesh work

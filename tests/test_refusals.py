@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quanthom import cli
 from quanthom.geometry import SimplicialSphere
 from quanthom.geometry.cochain import Cochain
 from quanthom.geometry.forms import de_rham_project, integrate_wedge
@@ -111,8 +112,60 @@ def test_check_writable_refuses_a_directory(tmp_path):
         check_writable(str(tmp_path))
 
 
+def test_check_writable_refuses_an_empty_path():
+    # open("") raises ENOENT, though the folder of abspath("") exists
+    with pytest.raises(FileNotFoundError):
+        check_writable("")
+
+
 def test_emit_report_refuses_an_unknown_format(tmp_path):
     out = tmp_path / "r.xml"
     with pytest.raises(ValueError, match="unknown report format 'xml'"):
         emit_report(Report("scaling", {}, [], True), "xml", str(out))
     assert not out.exists()
+
+
+CONFIG = """[experiment]
+kind = scaling
+structure = winding
+map = circle-power:d={d}
+sweep = d=1..3
+beta = 9/10
+levels = 3,4
+[output]
+json =
+"""
+
+# an empty output path is refused by the name of its flag or [output]
+# key, before any work: argv ("{config}" is the config file's path) and
+# the whole of stderr
+EMPTY_OUTPUTS = {
+    "mesh-gen-out": (
+        ["mesh", "gen", "--dim", "3", "--level", "2", "--out", ""],
+        "error: argument --out: empty path\n"),
+    "invariant-json-out": (
+        ["invariant", "--map", "hopf", "--structure", "hopf:n=1", "--level",
+         "1", "--json-out", ""],
+        "error: argument --json-out: empty path\n"),
+    "seminorm-json-out": (
+        ["seminorm", "--map", "hopf", "--kind", "sobolev", "--json-out", ""],
+        "error: argument --json-out: empty path\n"),
+    "verify-output-json": (
+        ["verify", "scaling", "--config", "{config}"],
+        "config error: [output] json: empty path\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_OUTPUTS))
+def test_empty_output_path_refused_before_any_work(name, tmp_path,
+                                                   monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    for attr in ("build_sphere_mesh", "run_scaling", "sobolev_seminorm"):
+        monkeypatch.setattr(cli, attr, work)
+    config = tmp_path / "cfg.ini"
+    config.write_text(CONFIG)
+    argv, message = EMPTY_OUTPUTS[name]
+    assert cli.main([a.format(config=config) for a in argv]) == 2
+    assert capsys.readouterr() == ("", message)
