@@ -1,7 +1,8 @@
 """Exact thresholds: sigma(alpha), beta_0, and the example catalogue.
 
-All arithmetic is exact rational; the closed form of the minimizer is
-cross-validated against golden-section minimization inside beta0().
+All arithmetic is exact rational; beta0() returns the closed form of the
+minimum, which the test suite checks against golden-section
+minimization of sigma (tests/helpers.numeric_beta0).
 """
 
 from fractions import Fraction as F

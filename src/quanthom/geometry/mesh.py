@@ -427,6 +427,23 @@ def _check_tops(tops: np.ndarray, dim: int, n_v: int):
     return order, srt
 
 
+def _check_closed(simplices: dict, top_faces: dict, coboundary: dict):
+    """Refuse tops that do not close up: each (N-1)-face must lie in two
+    tops that give it opposite orientations (a zero column of coboundary
+    N-1)."""
+    k = len(simplices) - 2
+    faces = simplices[k]
+    count = np.bincount(top_faces[k].ravel(), minlength=len(faces))
+    induced = np.asarray(coboundary[k].sum(axis=0)).ravel()
+    for bad, what in ((count != 2, "lies in {} top simplices, expected 2"),
+                      (induced != 0, "gets the same orientation from its "
+                                     "two top simplices")):
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"{k}-face {i} {faces[i].tolist()} "
+                             + what.format(count[i]))
+
+
 def _orientation(pts: np.ndarray) -> np.ndarray:
     """det of the vertex rows pts (t, n, n) of a batch of tops, read for
     its sign: in closed form (minors.det) for n <= 3, and for n = 4 by
@@ -497,6 +514,7 @@ class SimplicialSphere:
         (self.simplices, self.top_faces, self.top_face_parity,
          self._coboundary) = _mesh_tables(tops, srt, order)
         del order, srt              # not held through the geometry pass
+        _check_closed(self.simplices, self.top_faces, self._coboundary)
         self.top_volumes = np.empty(len(tops))
         self.metric = np.empty((len(tops), dim + 1, dim + 1))
 

@@ -102,16 +102,17 @@ def _parse_sweep(text: str):
             values = [int(v) for v in vals]
         except ValueError:
             values = [float(v) for v in vals]
-            if not np.isfinite(values).all():
-                raise ConfigError(f"sweep {text!r} has a value that is not "
-                                  "a finite number")
     return name, _ascending(values, "sweep", text)
 
 
 def _ascending(values: list, what: str, text: str) -> list:
-    """`values` parsed from `text`, if non-empty and strictly ascending."""
+    """`values` parsed from `text`, if non-empty, finite and strictly
+    ascending."""
     if not values:
         raise ConfigError(f"empty {what} {text!r}")
+    if any(isinstance(v, float) and not np.isfinite(v) for v in values):
+        raise ConfigError(f"{what} {text!r} has a value that is not a "
+                          "finite number")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ConfigError(f"{what} {text!r} is not strictly ascending")
     return values
@@ -213,14 +214,20 @@ class ExperimentConfig:
         """Check the config against the catalogue, so that a config that
         exists is valid: made from text or through dataclasses.replace.
 
-        Every sweep value's map spec must parse and fit the structure
-        (invariants.check_evaluable); a parameter value that the map's
-        family rejects, such as a perturbation too large, is left to that
-        sweep row to record."""
+        The sweep values and levels obey the readers' rules, and beta
+        must hold a value.  Every sweep value's map spec must parse and
+        fit the structure (invariants.check_evaluable); a parameter value
+        that the map's family rejects, such as a perturbation too large,
+        is left to that sweep row to record."""
         if self.kind not in ("scaling", "bmo"):
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.seminorm not in ("sobolev", "holder"):
             raise ConfigError(f"unknown seminorm kind {self.seminorm!r}")
+        _ascending(self.sweep_values, "sweep", f"{self.sweep_name}="
+                   + ",".join(map(str, self.sweep_values)))
+        _ascending(self.levels, "levels", ",".join(map(str, self.levels)))
+        if not self.betas:
+            raise ConfigError("beta: no value given")
         negative = [str(lvl) for lvl in self.levels if lvl < 0]
         if negative:
             raise ConfigError(f"levels must be >= 0, got {', '.join(negative)}")

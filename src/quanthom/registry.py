@@ -10,8 +10,9 @@ admissible-smoothness threshold is
 
 with closed form (M0 + Mmax - 1)/(M0 + Mmax) at
 alpha* = M0/(M0 + Mmax) when L >= 1, and M0/(M0+1) when L = 0.
-Everything is computed in exact rational arithmetic; floats appear only
-in the golden-section cross-validation of the closed form.
+Everything is computed in exact rational arithmetic; the test suite
+checks the closed form against a golden-section minimization of sigma
+(tests/helpers.numeric_beta0).
 
 The catalogue lists the named example structures (complex projective
 plane, sphere products, their connected sum, and the Hopf families)
@@ -29,8 +30,6 @@ from types import MappingProxyType
 from .invariants import (DegreeStructure, Term, degree_structure,
                          hopf_structure, s2xs2_alpha_structure,
                          s2xs2_beta_structure, winding_structure)
-
-GOLDEN = (5 ** 0.5 - 1) / 2
 
 
 def _as_fraction(x) -> Fraction:
@@ -58,31 +57,8 @@ def sigma(alpha, M0: int, Ms=()) -> Fraction:
     return best
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = 1e-12) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def beta0(M0: int, Ms=(), validate: bool = True):
-    """Threshold (beta_0, alpha*) in exact rationals.
-
-    With validate=True the closed form is cross-checked against a
-    golden-section minimization of sigma to 1e-9 (sigma is the maximum
-    of a non-increasing and a non-decreasing function of alpha, hence
-    unimodal).
-    """
+def beta0(M0: int, Ms=()):
+    """Threshold (beta_0, alpha*) in exact rationals, in closed form."""
     if M0 < 2:
         raise ValueError("M0 must be at least 2")
     Ms = tuple(int(M) for M in Ms)
@@ -95,13 +71,6 @@ def beta0(M0: int, Ms=(), validate: bool = True):
     else:
         b0 = Fraction(M0, M0 + 1)
         astar = Fraction(M0, M0 + 1)
-    if validate:
-        fn = lambda a: float(sigma(Fraction(a).limit_denominator(10 ** 9), M0, Ms))
-        amin = _golden_min(fn, 0.0, 1.0)
-        numeric = fn(amin)
-        if abs(numeric - float(b0)) > 1e-9:
-            raise AssertionError(
-                f"closed form {b0} disagrees with numeric minimum {numeric}")
     return b0, astar
 
 
@@ -148,7 +117,7 @@ def threshold_report(structure: DegreeStructure,
             per_b.append(None)
             per_a.append(None)
             continue
-        b, a = beta0(t.degrees[0], t.degrees[1:], validate=False)
+        b, a = beta0(t.degrees[0], t.degrees[1:])
         per_b.append(b)
         per_a.append(a)
     known = [b for b in per_b if b is not None]
@@ -184,8 +153,7 @@ def catalogue() -> Mapping[str, CatalogueEntry]:
     symbolic only (their generator forms admit no desk-scale numerical
     model); sphere and sphere-product entries are numerically
     evaluable, as is the S^1 winding special case.  Built once, on the
-    first call, as a read-only mapping; its closed-form thresholds are
-    not re-validated here (the test suite runs that check).
+    first call, as a read-only mapping.
     """
     out: dict[str, CatalogueEntry] = {}
 

@@ -2,13 +2,15 @@
 barycentric gradients, the sort-based mesh tables, plain Monte Carlo, the
 cap-by-cap BMO statistics, map accuracy probes, mesh edge lengths,
 report loading, the uncorrected Hopf wedge, the quadrature rule of the
-Hopf term composed from its primitives, scans of the package's syntax
-trees and the environment of a fresh interpreter."""
+Hopf term composed from its primitives, the golden-section threshold,
+scans of the package's syntax trees and the environment of a fresh
+interpreter."""
 
 import ast
 import json
 import math
 import os
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from quanthom.geometry.mesh import (SPHERE_VOLUMES, permutation_sign,
 from quanthom.hodge import _whitney_mass_blocks, d_inverse
 from quanthom.maps import (S2, SmoothMap, distance_to_target, make_hopf,
                            pullback_form, volume_form)
+from quanthom.registry import sigma
 from quanthom.seminorms import _rng, _uniform_sphere
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quanthom"
@@ -200,6 +203,35 @@ def quadrature_hopf(f: SmoothMap, mesh) -> tuple:
     raw = integrate_wedge([fstar, xi], mesh, CS_WEDGE_DEGREE)
     cs = integrate_wedge([xi.d(), xi], mesh, CS_WEDGE_DEGREE)
     return 2.0 * raw - cs, raw, cs
+
+
+GOLDEN = (5 ** 0.5 - 1) / 2
+
+
+def numeric_beta0(M0: int, Ms=()) -> float:
+    """min over alpha in [0, 1] of sigma(alpha, M0, Ms) by golden-section
+    search to 1e-12, sigma evaluated at the nearest fraction of
+    denominator at most 10^9: the reference of the closed form
+    registry.beta0, which it matches to 1e-9 (sigma is the maximum of a
+    non-increasing and a non-decreasing function of alpha, hence
+    unimodal)."""
+    def fn(a):
+        return float(sigma(Fraction(a).limit_denominator(10 ** 9), M0, Ms))
+
+    a, b = 0.0, 1.0
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > 1e-12:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+    return fn(0.5 * (a + b))
 
 
 def package_env() -> dict:

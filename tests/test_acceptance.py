@@ -39,6 +39,7 @@ from quanthom.seminorms import (bmo_seminorm, poisson_extension_distance,
                                 random_rotation, sobolev_seminorm)
 
 from conftest import cached_mesh
+from helpers import numeric_beta0
 from test_seminorms import circle_power_sobolev_oracle
 
 
@@ -79,7 +80,8 @@ def test_criterion_02_beta0_exhaustive():
     assert sigma(0, 2, [2]) == 1 and sigma(1, 2, [2]) == 1
     for M0 in range(2, 11):
         for Mm in range(2, 11):
-            b, _ = beta0(M0, [Mm], validate=True)   # golden-section, 1e-9
+            b, _ = beta0(M0, [Mm])
+            assert abs(numeric_beta0(M0, [Mm]) - float(b)) <= 1e-9
             assert b == F(M0 + Mm - 1, M0 + Mm)
             assert sigma(0, M0, [Mm]) == 1 and sigma(1, M0, [Mm]) == 1
     elapsed = time.time() - t0

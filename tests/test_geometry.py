@@ -1,6 +1,7 @@
 """Meshes, boundary operators, quadrature, and the mesh file format."""
 
 import hashlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -333,6 +334,14 @@ def _through_origin(tops):
     return tops
 
 
+def _hole(tops):
+    return tops[:-1]
+
+
+def _doubled(tops):
+    return np.vstack([tops, tops[:1]])
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (_empty, "no top simplices"),
     (_bad_width, r"top simplex 0 has shape \(2,\)"),
@@ -340,12 +349,48 @@ def _through_origin(tops):
     (_negative, r"top simplex 3 .* outside \[0, 12\)"),
     (_repeated, "top simplex 3 .* has a repeated vertex"),
     (_through_origin, r"top simplex 3 \[0, 3, 5\] spans a plane through the origin"),
-], ids=["empty", "width", "out-of-range", "negative", "repeated", "through-origin"])
+    (_hole, r"1-face 7 \[1, 8\] lies in 1 top simplices, expected 2"),
+    (_doubled, r"1-face 1 \[0, 5\] lies in 3 top simplices, expected 2"),
+], ids=["empty", "width", "out-of-range", "negative", "repeated", "through-origin",
+        "hole", "doubled-top"])
 def test_bad_tops_rejected(corrupt, message):
     m = build_sphere_mesh(2, 0)
     tops = corrupt(m.simplices[2].copy())
     with pytest.raises(ValueError, match=message):
         SimplicialSphere(2, m.verts, tops, 0)
+
+
+def mesh_text(dim: int, verts: np.ndarray, tops: np.ndarray) -> str:
+    """A mesh file of level 0 with these vertices and tops, flags +1."""
+    return "\n".join([f"DIM {dim} LEVEL 0", f"VERTICES {len(verts)}"]
+                     + [" ".join(map(repr, v)) for v in verts.tolist()]
+                     + [f"SIMPLICES {len(tops)}"]
+                     + [" ".join(map(str, t)) + " +1" for t in tops.tolist()])
+
+
+@pytest.mark.parametrize("corrupt,faces", [(_hole, "7 [1, 8] lies in 1"),
+                                           (_doubled, "1 [0, 5] lies in 3")],
+                         ids=["hole", "doubled-top"])
+def test_open_tops_rejected_in_a_file(corrupt, faces):
+    m = build_sphere_mesh(2, 0)
+    text = mesh_text(2, m.verts, corrupt(m.simplices[2].copy()))
+    with pytest.raises(ValueError, match=re.escape(
+            f"1-face {faces} top simplices, expected 2")):
+        SimplicialSphere.parse_ascii(text)
+
+
+def test_tops_orienting_a_face_alike_rejected():
+    # a closed polygon around the origin that doubles back from 100 to 50
+    # degrees: vertex 1 ends both of its edges and vertex 3 starts both
+    angles = np.radians([0, 100, 200, 50, 300])
+    verts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    tops = np.array([[0, 1], [1, 3], [3, 2], [2, 4], [4, 0]])
+    message = re.escape("0-face 1 [1] gets the same orientation from its "
+                        "two top simplices")
+    with pytest.raises(ValueError, match=message):
+        SimplicialSphere(1, verts, tops, 0)
+    with pytest.raises(ValueError, match=message):
+        SimplicialSphere.parse_ascii(mesh_text(1, verts, tops))
 
 
 @pytest.mark.parametrize("edit,message", [

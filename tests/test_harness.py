@@ -77,6 +77,22 @@ class TestConfig:
                 "levels must be >= 0, got -1")):
             run_scaling(fast_config(levels=[-1]))
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"levels": []}, "empty levels ''"),
+        ({"levels": [4, 3]}, "levels '4,3' is not strictly ascending"),
+        ({"levels": [3, 3]}, "levels '3,3' is not strictly ascending"),
+        ({"sweep_values": []}, "empty sweep 'd='"),
+        ({"sweep_values": [2, 1]}, "sweep 'd=2,1' is not strictly ascending"),
+        ({"sweep_values": [1.0, float("nan")]},
+         "sweep 'd=1.0,nan' has a value that is not a finite number"),
+        ({"betas": []}, "beta: no value given")],
+        ids=["levels-empty", "levels-unsorted", "levels-duplicate",
+             "sweep-empty", "sweep-unsorted", "sweep-nan", "beta-empty"])
+    def test_replaced_config_rechecked(self, overrides, message):
+        # the readers' rules hold for a config made through replace
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            fast_config(**overrides)
+
     def test_beta_below_threshold_rejected(self):
         with pytest.raises(ConfigError, match="threshold"):
             ExperimentConfig.from_string(
@@ -167,9 +183,11 @@ class TestConfig:
         ("sweep = d=1..3", "sweep = d=1..x",
          "sweep 'd=1..x' is not name=lo..hi or name=v1,v2,..."),
         ("structure = winding\n", "",
-         "[experiment] key 'structure' is required")],
+         "[experiment] key 'structure' is required"),
+        ("map = circle-power:d={d}", "map = circle-power:d={d",
+         "map 'circle-power:d={d': expected '}' before end of string")],
         ids=["samples", "seed", "allow", "levels", "beta", "sweep",
-             "missing-structure"])
+             "missing-structure", "map-unclosed-field"])
     def test_parse_error_names_its_key(self, old, new, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             ExperimentConfig.from_string(FAST_SCALING.replace(old, new))
@@ -573,14 +591,6 @@ class TestReports:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3      # header + one row per sweep value
         assert lines[0].startswith("beta,parameter")
-
-    def test_empty_sweep_header_only(self, tmp_path):
-        cfg = fast_config(sweep_values=[])
-        rep = run_scaling(cfg)
-        path = tmp_path / "empty.csv"
-        emit_report(rep, "csv", str(path))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
 
     def test_text_format(self, tmp_path):
         rep = run_scaling(fast_config())

@@ -1,6 +1,7 @@
 """Refusals on error paths the other tests do not reach: each input is
 rejected with its exception type and message."""
 
+import ast
 import re
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from quanthom.maps import S2, parse_map_spec, volume_form
 from quanthom.seminorms import poisson_extension_distance
 
 from conftest import cached_mesh
+from helpers import node_lines, package_hits
 
 NORTH = np.array([1.0, 0.0, 0.0])
 
@@ -169,3 +171,32 @@ def test_empty_output_path_refused_before_any_work(name, tmp_path,
     argv, message = EMPTY_OUTPUTS[name]
     assert cli.main([a.format(config=config) for a in argv]) == 2
     assert capsys.readouterr() == ("", message)
+
+
+def asserts(node) -> bool:
+    """Whether `node` is an assert statement or raises AssertionError,
+    bare or called."""
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
+def test_no_assertion_in_the_package():
+    # the package refuses with ValueError or ConfigError, which cli.main
+    # maps to exit 2; an AssertionError would escape it as a traceback
+    # with exit 1, the status of a failed check
+    found = package_hits(asserts)
+    assert not found, f"assert or AssertionError at {', '.join(found)}"
+
+
+def test_assertion_check_finds_one(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("assert x\n"
+                     "raise AssertionError('no')\n"
+                     "raise AssertionError\n"
+                     "raise ValueError('no')\n"
+                     "ok = AssertionError\n")
+    assert node_lines(probe, asserts) == [1, 2, 3]

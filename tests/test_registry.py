@@ -4,9 +4,13 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quanthom.registry import (beta0, catalogue, exponent, lookup, sigma,
                                theorem_beta0, threshold_report)
+
+from helpers import numeric_beta0
 
 
 class TestSigma:
@@ -51,13 +55,21 @@ class TestBeta0:
         assert beta0(4, [4])[0] == F(7, 8)
 
     def test_closed_form_vs_numeric_exhaustive(self):
-        # golden-section cross-validation runs inside beta0 (1e-9 gate)
+        # the closed form against golden-section search (1e-9 gate)
         for M0 in range(2, 11):
             for Mm in range(2, 11):
                 b, a = beta0(M0, [Mm])
+                assert abs(numeric_beta0(M0, [Mm]) - float(b)) <= 1e-9
                 assert b == F(M0 + Mm - 1, M0 + Mm)
                 assert a == F(M0, M0 + Mm)
                 assert F(0) < b < F(1)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 60), st.lists(st.integers(2, 60), max_size=4))
+    def test_closed_form_matches_numeric(self, M0, Ms):
+        # the degrees that thresholds --M0 --Mi accepts
+        b, _ = beta0(M0, Ms)
+        assert abs(numeric_beta0(M0, Ms) - float(b)) <= 1e-9
 
     def test_invalid_degrees(self):
         with pytest.raises(ValueError):
@@ -167,14 +179,15 @@ class TestCatalogue:
         assert w.report.effective_beta0() == F(1, 2)
 
     def test_closed_forms_validated(self):
-        # the catalogue takes closed-form thresholds unvalidated; every
-        # term's closed form is checked here against golden-section search
+        # every catalogue term's closed-form threshold is checked here
+        # against golden-section search (1e-9 gate)
         terms = [t for e in catalogue().values() for t in e.structure.terms
                  if t.degrees != (1,)]
         assert len(terms) >= 20
         for t in terms:
-            assert beta0(t.degrees[0], t.degrees[1:], validate=True) == \
-                beta0(t.degrees[0], t.degrees[1:], validate=False)
+            b, _ = beta0(t.degrees[0], t.degrees[1:])
+            assert abs(numeric_beta0(t.degrees[0], t.degrees[1:])
+                       - float(b)) <= 1e-9
 
     def test_catalogue_built_once_read_only(self):
         cat = catalogue()
